@@ -7,6 +7,7 @@ from .ffield import (
     FieldMismatchError,
     FieldSpec,
     FieldTooSmallError,
+    RATIONALS,
     frobenius,
     in_subfield,
     make_field,
@@ -15,7 +16,6 @@ from .ffield import (
 )
 from .mpoly import (
     EXPONENT_CAP,
-    RATIONALS,
     ZERO_POLY,
     ExponentOverflowError,
     InexactDivisionError,
@@ -56,13 +56,11 @@ from .factor import (
 from .newton import (
     AlternativePair,
     DegreeReport,
-    NewtonTriple,
     TowerParams,
     brute_count_alternatives,
     build_alternative_pair,
     degree_of_extension,
     find_irreducible_eta,
-    gcd_reduction_degree,
     jacobian_nonzero_check,
     newton_poly,
     two_generator_degree,

@@ -22,10 +22,10 @@ import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
-from .ffield import DESK_CEILING, make_field
-from .mpoly import RATIONALS, coeff_zero, is_rationals, is_symmetric3
+from .ffield import DESK_CEILING, field_for, make_field
+from .mpoly import is_symmetric3
 from .vschur import (
     ExponentPair,
     Partition3,
@@ -71,12 +71,6 @@ class RunConfig:
     jobs: int = 1
 
 
-@dataclass
-class SweepResult:
-    points: list = dc_field(default_factory=list)
-    summary: dict = dc_field(default_factory=lambda: {"pass": 0, "fail": 0, "skip": 0})
-
-
 class Emitter:
     """Streams records in the selected format.
 
@@ -117,11 +111,9 @@ def _kv(record: dict) -> str:
 
 
 def _field_from(char: int, ext: int):
-    if char == 0:
-        if ext != 1:
-            raise ValueError("--ext is only meaningful with a prime --char")
-        return RATIONALS
-    return make_field(char, ext)
+    if char == 0 and ext != 1:
+        raise ValueError("--ext is only meaningful with a prime --char")
+    return field_for(char, ext)
 
 
 def _parse_int_set(text: str) -> list[int]:
@@ -356,15 +348,14 @@ def _cmd_identity(config: RunConfig, emitter: Emitter) -> int:
 
 def _identity_spot_check(T, R, V, fieldv, rng, samples: int) -> bool:
     """Evaluate T * V == R at random points where V does not vanish."""
-    zero = coeff_zero(fieldv)
     for _ in range(samples):
         for _attempt in range(20):
-            if is_rationals(fieldv):
+            if fieldv.p == 0:
                 point = tuple(rng.randint(1, 19) for _ in range(3))
             else:
                 point = tuple(rng.randrange(fieldv.p) for _ in range(3))
             v = V.evaluate(point)
-            if v != zero:
+            if v:
                 break
         else:
             continue  # tiny field with V vanishing at every sampled point
@@ -373,7 +364,8 @@ def _identity_spot_check(T, R, V, fieldv, rng, samples: int) -> bool:
     return True
 
 
-def _cmd_sweep(config: RunConfig, emitter: Emitter) -> SweepResult:
+def _cmd_sweep(config: RunConfig, emitter: Emitter) -> dict:
+    """Run every grid point; returns the pass/fail/skip counts."""
     p = config.parameters
     target = p["target"]
     points = []
@@ -395,27 +387,25 @@ def _cmd_sweep(config: RunConfig, emitter: Emitter) -> SweepResult:
     if not points:
         raise ValueError("the sweep grid is empty")
 
+    result_keys = ("factor_count",) if target == "verify-fact" else ("formula", "oracle")
+
     def run_point(pt: dict) -> dict:
-        if target == "verify-fact":
-            base = {"target": target, **pt, "verdict": None, "factor_count": None,
-                    "reason": None}
-        else:
-            base = {"target": target, **pt, "verdict": None, "formula": None,
-                    "oracle": None, "reason": None}
+        base = {"target": target, **pt, "verdict": None, **dict.fromkeys(result_keys),
+                "reason": None}
         try:
             if target == "verify-fact":
-                size = pt["p"] ** pt["r"] if pt["which"] == "eq1" else pt["p"] ** (2 * pt["r"])
-                if size > config.ceiling:
-                    return {**base, "verdict": "skip", "reason": "ceiling"}
-                record = _verify_fact_point(pt["which"], pt["p"], pt["r"])
-                return {**base, "verdict": record["verdict"],
-                        "factor_count": record["factor_count"]}
-            size = pt["p"] ** (pt["r"] - pt["s"])
+                size = pt["p"] ** (pt["r"] if pt["which"] == "eq1" else 2 * pt["r"])
+            else:
+                size = pt["p"] ** (pt["r"] - pt["s"])
             if size > config.ceiling:
                 return {**base, "verdict": "skip", "reason": "ceiling"}
-            record = _degree_point(pt["p"], pt["r"], pt["s"], "both", config.ceiling)
-            return {**base, "verdict": "pass" if record["agree"] else "fail",
-                    "formula": record["formula"], "oracle": record["oracle"]}
+            if target == "verify-fact":
+                record = _verify_fact_point(pt["which"], pt["p"], pt["r"])
+                verdict = record["verdict"]
+            else:
+                record = _degree_point(pt["p"], pt["r"], pt["s"], "both", config.ceiling)
+                verdict = "pass" if record["agree"] else "fail"
+            return {**base, "verdict": verdict, **{k: record[k] for k in result_keys}}
         except ValueError as exc:
             return {**base, "verdict": "skip", "reason": str(exc)}
 
@@ -425,17 +415,13 @@ def _cmd_sweep(config: RunConfig, emitter: Emitter) -> SweepResult:
     else:
         results = [run_point(pt) for pt in points]
 
-    sweep_result = SweepResult()
+    summary = {"pass": 0, "fail": 0, "skip": 0}
     for record in results:
-        sweep_result.points.append(record)
-        sweep_result.summary[
-            record["verdict"] if record["verdict"] in ("pass", "skip") else "fail"
-        ] += 1
+        summary[record["verdict"] if record["verdict"] in ("pass", "skip") else "fail"] += 1
         emitter.emit(record, _kv(record))
-    summary_record = {"command": "sweep", "target": target, **sweep_result.summary,
-                      "points": len(points)}
+    summary_record = {"command": "sweep", "target": target, **summary, "points": len(points)}
     emitter.emit(summary_record, _kv(summary_record))
-    return sweep_result
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +611,10 @@ def run(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
     emitter = Emitter(config.output_format, out)
     if config.command == "sweep":
-        result = _cmd_sweep(config, emitter)
-        if result.summary["fail"]:
+        summary = _cmd_sweep(config, emitter)
+        if summary["fail"]:
             return EXIT_FAIL
-        if config.strict and result.summary["skip"]:
+        if config.strict and summary["skip"]:
             return EXIT_FAIL
         return EXIT_PASS
     return _DISPATCH[config.command](config, emitter)

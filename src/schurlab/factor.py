@@ -19,21 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ffield import FFElement, FieldSpec, make_field, roots_of_unity
+from .ffield import FieldSpec, field_of, make_field
 from .mpoly import (
-    RATIONALS,
     ZERO_POLY,
-    CoeffField,
     LinearForm,
     MultiPoly,
-    coeff_from_int,
-    coeff_one,
     exact_divide,
     is_homogeneous,
-    is_rationals,
     linear_multiplicity,
+    partial_derivative,
     substitute,
 )
 from .vschur import ExponentPair, i_poly, t_poly
@@ -64,11 +59,10 @@ class SignatureWitness:
     verdict: bool
 
     def to_json(self) -> dict:
-        root = self.root.token() if isinstance(self.root, FFElement) else str(self.root)
         return {
             "kind": self.kind,
             "length": self.length,
-            "root": root,
+            "root": str(self.root),
             "checks": [[z, _mult_json(m)] for z, m in self.checks],
             "verdict": self.verdict,
         }
@@ -113,13 +107,10 @@ class ProbeReport:
     singular: bool
 
     def to_json(self) -> dict:
-        def tok(v):
-            return v.token() if isinstance(v, FFElement) else str(v)
-
         return {
-            "point": [tok(v) for v in self.point],
-            "value": tok(self.value),
-            "partials": [tok(v) for v in self.partials],
+            "point": [str(v) for v in self.point],
+            "value": str(self.value),
+            "partials": [str(v) for v in self.partials],
             "vanishing": list(self.vanishing),
             "singular": self.singular,
         }
@@ -167,35 +158,38 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = SWEEP_CEIL
     )
 
 
-def verify_fact_eq1(p: int, r: int) -> tuple[bool, FactorReport]:
-    """Check that the quotient for (p^r, 1) splits into its closed-form factors.
+def _verify_splitting(spec: FieldSpec, A: int, B: int, forms: list) -> tuple[bool, FactorReport]:
+    """Compare the (A, B) quotient over spec with the product of Z - a*X - b*Y.
 
-    The claimed identity: over F_{p^r}, the quotient polynomial equals the
-    product of Z - alpha*X + (alpha - 1)*Y over all alpha other than 0, 1.
-    Both sides are monic in Z; equality is exact.
+    forms lists the (a, b) pairs of the claimed factors; both sides are
+    monic in Z and equality is exact.
     """
-    spec = make_field(p, r)
-    q = spec.order()
-    T = t_poly(ExponentPair(q, 1, spec))
-    zero, one = spec.zero(), spec.one()
+    T = t_poly(ExponentPair(A, B, spec))
     product = MultiPoly.one(spec)
-    factors = []
-    for alpha in spec.elements():
-        if alpha == zero or alpha == one:
-            continue
-        lin = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): alpha - 1})
-        product = product * lin
-        factors.append(((alpha, one - alpha), 1))
+    for a, b in forms:
+        product = product * MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -a, (0, 1, 0): -b})
     ok = product == T
     report = FactorReport(
-        input_label=f"T({q},1) over {spec}",
+        input_label=f"T({A},{B}) over {spec}",
         field=spec,
-        linear_factors=tuple(factors),
+        linear_factors=tuple((form, 1) for form in forms),
         leading_coeff="1",
         residual_degree_in_z=0 if ok else (T.degree_in("Z") or 0),
         fully_split=ok,
     )
     return ok, report
+
+
+def verify_fact_eq1(p: int, r: int) -> tuple[bool, FactorReport]:
+    """Check that the quotient for (p^r, 1) splits into its closed-form factors.
+
+    The claimed identity: over F_{p^r}, the quotient polynomial equals the
+    product of Z - alpha*X + (alpha - 1)*Y over all alpha other than 0, 1.
+    """
+    spec = make_field(p, r)
+    one = spec.one()
+    forms = [(alpha, one - alpha) for alpha in spec.elements() if alpha and alpha != one]
+    return _verify_splitting(spec, spec.order(), 1, forms)
 
 
 def verify_fact_eq2(p: int, r: int) -> tuple[bool, FactorReport]:
@@ -207,28 +201,8 @@ def verify_fact_eq2(p: int, r: int) -> tuple[bool, FactorReport]:
     """
     spec = make_field(p, r)
     q = spec.order()
-    T = t_poly(ExponentPair(q * q - 1, q - 1, spec))
-    product = MultiPoly.one(spec)
-    factors = []
-    for alpha in spec.elements():
-        if alpha.is_zero():
-            continue
-        for beta in spec.elements():
-            if beta.is_zero():
-                continue
-            lin = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
-            product = product * lin
-            factors.append(((alpha, beta), 1))
-    ok = product == T
-    report = FactorReport(
-        input_label=f"T({q * q - 1},{q - 1}) over {spec}",
-        field=spec,
-        linear_factors=tuple(factors),
-        leading_coeff="1",
-        residual_degree_in_z=0 if ok else (T.degree_in("Z") or 0),
-        fully_split=ok,
-    )
-    return ok, report
+    units = [x for x in spec.elements() if x]
+    return _verify_splitting(spec, q * q - 1, q - 1, [(a, b) for a in units for b in units])
 
 
 def divides(f: MultiPoly, g: MultiPoly) -> bool:
@@ -240,19 +214,6 @@ def divides(f: MultiPoly, g: MultiPoly) -> bool:
     except ArithmeticError:
         return False
     return True
-
-
-def _roots_of_unity_any(n: int, field: CoeffField):
-    if is_rationals(field):
-        if n == 1:
-            return [Fraction(1)]
-        if n == 2:
-            return [Fraction(1), Fraction(-1)]
-        raise ValueError(
-            f"the rationals contain no primitive {n}-th roots of unity; "
-            "use a finite field containing them"
-        )
-    return roots_of_unity(n, field)
 
 
 def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
@@ -278,10 +239,10 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
             f"characteristic {p} divides B or A - B; signatures degenerate"
         )
     I = i_poly(e)
-    dth = set(_roots_of_unity_any(d, e.field))
+    dth = set(e.field.roots_of_unity(d))
     top = I.degree_in("Z")  # equals A
     witnesses = []
-    for theta in _roots_of_unity_any(A - B, e.field):
+    for theta in e.field.roots_of_unity(A - B):
         if theta in dth:
             continue
         form = LinearForm(e.field, 1, -theta)
@@ -295,7 +256,7 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
             and mults[B] == 0
         )
         witnesses.append(SignatureWitness("lower", B, theta, form, checks, verdict))
-    for zeta in _roots_of_unity_any(B, e.field):
+    for zeta in e.field.roots_of_unity(B):
         if zeta in dth:
             continue
         form = LinearForm(e.field, 1, -zeta)
@@ -329,33 +290,24 @@ def eisenstein_like_check(f: MultiPoly, P: LinearForm) -> bool:
     f0 = f.coeff_of("Z", 0)
     if f0.is_zero():
         return False
-    divisor = P.as_poly()
-    power = 0
-    residual = f0
-    while True:
-        try:
-            residual = exact_divide(residual, divisor)
-        except ArithmeticError:
-            break
-        power += 1
-    if power < 1 or residual.total_degree() != 0:
+    # f0 is homogeneous, so it is a unit times P^k exactly when k = deg f0
+    k = linear_multiplicity(f0, P)
+    if k < 1 or k != f0.total_degree():
         return False
     return linear_multiplicity(f.coeff_of("Z", 1), P) == 0
 
 
 def singular_point_probe(f: MultiPoly, point) -> ProbeReport:
     """Evaluate f and its three partials at a point; singular iff all vanish."""
-    from .mpoly import coerce_coeff, partial_derivative, _is_coeff_zero
-
     hom = is_homogeneous(f)
     if hom is None or hom == ZERO_POLY:
         raise ValueError("the probe applies to nonzero homogeneous polynomials")
-    values = tuple(coerce_coeff(f.field, v) for v in point)
-    if all(_is_coeff_zero(v) for v in values):
+    values = tuple(f.field.coerce(v) for v in point)
+    if not any(values):
         raise ValueError("the zero point is not a projective point")
     value = f.evaluate(values)
     partials = tuple(partial_derivative(f, v).evaluate(values) for v in ("X", "Y", "Z"))
-    vanishing = (_is_coeff_zero(value),) + tuple(_is_coeff_zero(v) for v in partials)
+    vanishing = (not value,) + tuple(not v for v in partials)
     return ProbeReport(
         point=values,
         value=value,
@@ -372,26 +324,19 @@ def grad_eval_identity(k: int, phi, psi) -> bool:
     distinct, and the characteristic must divide neither k nor k - 1; the
     asserted value is (k - 1) / ((1 - phi)(1 - psi)).
     """
-    from .mpoly import partial_derivative
-
-    if isinstance(phi, FFElement) or isinstance(psi, FFElement):
-        if not (isinstance(phi, FFElement) and isinstance(psi, FFElement)):
-            raise ValueError("phi and psi must live in one field")
-        if phi.spec != psi.spec:
-            raise ValueError("phi and psi must live in one field")
-        field: CoeffField = phi.spec
-        p = field.p
-        if k % p == 0 or (k - 1) % p == 0:
-            raise ValueError(f"characteristic {p} divides k or k - 1")
-    else:
-        field = RATIONALS
-        phi, psi = Fraction(phi), Fraction(psi)
-    one = coeff_one(field)
+    field = field_of(phi)
+    if field_of(psi) != field:
+        raise ValueError("phi and psi must live in one field")
+    phi, psi = field.coerce(phi), field.coerce(psi)
+    p = field.p
+    if p and (k % p == 0 or (k - 1) % p == 0):
+        raise ValueError(f"characteristic {p} divides k or k - 1")
+    one = field.one()
     if phi ** (k - 1) != one or psi ** (k - 1) != one:
         raise ValueError(f"phi and psi must be (k-1)-th roots of unity, k={k}")
     if phi == psi or phi == one or psi == one:
         raise ValueError("phi, psi and 1 must be pairwise distinct")
     T = t_poly(ExponentPair(k, 1, field))
     lhs = partial_derivative(T, "Z").evaluate((phi, psi, 1))
-    rhs = coeff_from_int(field, k - 1) / ((one - phi) * (one - psi))
+    rhs = field.from_int(k - 1) / ((one - phi) * (one - psi))
     return lhs == rhs

@@ -1,17 +1,24 @@
-"""Exact arithmetic in prime fields and their extensions F_{p^r}.
+"""Exact arithmetic in the coefficient fields: Q and F_{p^r}.
 
-A field is described by a :class:`FieldSpec` holding the characteristic
-``p``, the extension degree ``r`` and a fixed monic irreducible modulus of
-degree ``r`` over F_p.  The modulus is chosen deterministically: the
-lexicographically smallest monic irreducible polynomial, comparing
-coefficient vectors low degree first.  Two specs built for the same
-``(p, r)`` are therefore identical, which keeps every downstream artifact
-(root orderings, factor lists, serialized reports) reproducible.
+The rationals are the singleton :data:`RATIONALS` (characteristic 0, with
+:class:`fractions.Fraction` elements).  A finite field is described by a
+:class:`FieldSpec` holding the characteristic ``p``, the extension degree
+``r`` and a fixed monic irreducible modulus of degree ``r`` over F_p.  The
+modulus is chosen deterministically: the lexicographically smallest monic
+irreducible polynomial, comparing coefficient vectors low degree first.
+Two specs built for the same ``(p, r)`` are therefore identical, which
+keeps every downstream artifact (root orderings, factor lists, serialized
+reports) reproducible.
 
 Elements are immutable coordinate vectors in the power basis of the
 modulus; all operations are pure functions.  Elements of different specs
 never mix: combining them raises :class:`FieldMismatchError` instead of
 guessing an embedding.
+
+Both kinds of field answer one interface, which is all the rest of the
+package uses: ``p``, ``zero()``, ``one()``, ``from_int(n)``,
+``coerce(value)``, ``token(c)``/``parse(token)`` and ``roots_of_unity(n)``.
+Elements are tested for zero by their truthiness.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 #: Largest field size for which exhaustive enumeration is considered fine.
@@ -196,6 +204,41 @@ class FieldSpec:
             raise ValueError(f"expected {self.r} coordinates, got {len(coeffs)}")
         return FFElement(self, coeffs)
 
+    def coerce(self, value) -> "FFElement":
+        """Bring an int, an integral Fraction or an element of this field into it."""
+        if isinstance(value, FFElement):
+            if value.spec != self:
+                raise FieldMismatchError(f"coefficient {value} does not belong to {self}")
+            return value
+        if isinstance(value, int):
+            return self.from_int(value)
+        if isinstance(value, Fraction):
+            if value.denominator != 1:
+                raise FieldMismatchError(f"cannot place {value} in {self}")
+            return self.from_int(value.numerator)
+        raise TypeError(f"unsupported coefficient type {type(value).__name__}")
+
+    def token(self, c: "FFElement") -> str:
+        """Serialized coefficient: the bare residue for r = 1, else ``p^r:[...]``."""
+        return str(c.coeffs[0]) if self.r == 1 else c.token()
+
+    def parse(self, token: str) -> "FFElement":
+        """Read a bare integer or the ``p^r:[c0,c1,...]`` form of an element."""
+        if ":" not in token:
+            return self.from_int(int(token))
+        head, _, body = token.partition(":")
+        ps, _, rs = head.partition("^")
+        if int(ps) != self.p or int(rs or "1") != self.r:
+            raise FieldMismatchError(f"token {token!r} does not belong to {self}")
+        body = body.strip()
+        if not (body.startswith("[") and body.endswith("]")):
+            raise ValueError(f"malformed element token {token!r}")
+        return self.element([int(c) for c in body[1:-1].split(",")] if body != "[]" else [])
+
+    def roots_of_unity(self, n: int) -> list["FFElement"]:
+        """The n distinct n-th roots of unity; see :func:`roots_of_unity`."""
+        return roots_of_unity(n, self)
+
     def elements(self) -> Iterator["FFElement"]:
         """All field elements, ascending by coordinate vector."""
         for coeffs in itertools.product(range(self.p), repeat=self.r):
@@ -206,6 +249,75 @@ class FieldSpec:
 
     def __str__(self) -> str:
         return f"F({self.p}^{self.r})" if self.r > 1 else f"F({self.p})"
+
+
+class Rationals:
+    """The field Q, with :class:`fractions.Fraction` elements.
+
+    Answers the same interface as :class:`FieldSpec`; the only instance is
+    :data:`RATIONALS`.
+    """
+
+    p = 0
+
+    def zero(self) -> Fraction:
+        return Fraction(0)
+
+    def one(self) -> Fraction:
+        return Fraction(1)
+
+    def from_int(self, n: int) -> Fraction:
+        return Fraction(n)
+
+    def coerce(self, value) -> Fraction:
+        """Bring an int or a Fraction into Q; finite-field elements are refused."""
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, FFElement):
+            raise FieldMismatchError(f"coefficient {value} does not belong to {self}")
+        raise TypeError(f"unsupported coefficient type {type(value).__name__}")
+
+    def token(self, c: Fraction) -> str:
+        return str(c)
+
+    def parse(self, token: str) -> Fraction:
+        return Fraction(token)
+
+    def roots_of_unity(self, n: int) -> list[Fraction]:
+        """The n-th roots of unity in Q, which exist only for n = 1, 2."""
+        if n == 1:
+            return [Fraction(1)]
+        if n == 2:
+            return [Fraction(1), Fraction(-1)]
+        raise ValueError(
+            f"the rationals contain no primitive {n}-th roots of unity; "
+            "use a finite field containing them"
+        )
+
+    def __str__(self) -> str:
+        return "rationals"
+
+    def __repr__(self) -> str:
+        return "RATIONALS"
+
+    def __reduce__(self) -> str:
+        return "RATIONALS"  # copies and pickles stay the singleton
+
+
+#: The rational coefficient field.
+RATIONALS = Rationals()
+
+
+def field_for(p: int, r: int = 1):
+    """The coefficient field of characteristic p: RATIONALS for p = 0, else F_{p^r}."""
+    return RATIONALS if p == 0 and r == 1 else make_field(p, r)
+
+
+def field_of(c):
+    """The field a coefficient lives in: an element's own field, else RATIONALS."""
+    return c.spec if isinstance(c, FFElement) else RATIONALS
 
 
 @functools.lru_cache(maxsize=None)
@@ -249,7 +361,7 @@ class FFElement:
         return not any(self.coeffs)
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, FFElement):
@@ -354,19 +466,6 @@ class FFElement:
 
     def __str__(self) -> str:
         return self.token()
-
-
-def element_from_token(token: str, spec: FieldSpec) -> FFElement:
-    """Parse the ``p^r:[c0,c1,...]`` form back into an element of spec."""
-    head, _, body = token.partition(":")
-    ps, _, rs = head.partition("^")
-    if int(ps) != spec.p or int(rs or "1") != spec.r:
-        raise FieldMismatchError(f"token {token!r} does not belong to {spec}")
-    body = body.strip()
-    if not (body.startswith("[") and body.endswith("]")):
-        raise ValueError(f"malformed element token {token!r}")
-    coeffs = [int(c) for c in body[1:-1].split(",")] if body != "[]" else []
-    return spec.element(coeffs)
 
 
 def frobenius(x: FFElement, k: int) -> FFElement:

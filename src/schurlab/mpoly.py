@@ -1,10 +1,11 @@
 """Sparse exact multivariate polynomials over the rationals or a finite field.
 
 Monomials are exponent triples for the fixed variable order (X, Y, Z);
-two-variable work simply leaves the unused slot at zero.  Coefficients are
-either :class:`fractions.Fraction` (coefficient field ``"rationals"``) or
-:class:`schurlab.ffield.FFElement` values of one shared
-:class:`~schurlab.ffield.FieldSpec`.  There is no floating point anywhere.
+two-variable work simply leaves the unused slot at zero.  Coefficients
+live in one field from :mod:`schurlab.ffield`, either
+:data:`~schurlab.ffield.RATIONALS` or a :class:`~schurlab.ffield.FieldSpec`,
+and are handled only through that field's interface.  There is no floating
+point anywhere.
 
 The monomial order used throughout (leading terms, division, text output)
 is graded lexicographic with X > Y > Z.  Polynomials are immutable and in
@@ -22,10 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .ffield import FFElement, FieldMismatchError, FieldSpec
-
-#: Sentinel naming the rational coefficient field.
-RATIONALS = "rationals"
+from .ffield import RATIONALS, FFElement, FieldMismatchError, FieldSpec, Rationals
 
 #: Distinguished verdict of :func:`is_homogeneous` for the zero polynomial.
 ZERO_POLY = "zero"
@@ -36,7 +34,8 @@ _VAR_INDEX = {"X": 0, "Y": 1, "Z": 2, "x": 0, "y": 1, "z": 2}
 #: Exponents are kept below this bound; crossing it is a checked error.
 EXPONENT_CAP = 1 << 62
 
-CoeffField = Union[str, FieldSpec]
+CoeffField = Union[Rationals, FieldSpec]
+_SCALARS = (int, Fraction, FFElement)
 Monomial = tuple[int, int, int]
 
 
@@ -53,60 +52,6 @@ def _order_key(mon: Monomial) -> tuple[int, int, int]:
     return (mon[0] + mon[1] + mon[2], mon[0], mon[1])
 
 
-# -- coefficient field helpers ----------------------------------------------
-
-def is_rationals(field: CoeffField) -> bool:
-    return field == RATIONALS
-
-
-def coeff_zero(field: CoeffField):
-    return Fraction(0) if is_rationals(field) else field.zero()
-
-
-def coeff_one(field: CoeffField):
-    return Fraction(1) if is_rationals(field) else field.one()
-
-
-def coeff_from_int(field: CoeffField, n: int):
-    return Fraction(n) if is_rationals(field) else field.from_int(n)
-
-
-def coerce_coeff(field: CoeffField, value):
-    """Bring an int/Fraction/FFElement into the coefficient field."""
-    if isinstance(value, FFElement):
-        if is_rationals(field) or value.spec != field:
-            raise FieldMismatchError(f"coefficient {value} does not belong to {field}")
-        return value
-    if isinstance(value, Fraction):
-        if not is_rationals(field):
-            if value.denominator != 1:
-                raise FieldMismatchError(f"cannot place {value} in {field}")
-            return field.from_int(value.numerator)
-        return value
-    if isinstance(value, int):
-        return coeff_from_int(field, value)
-    raise TypeError(f"unsupported coefficient type {type(value).__name__}")
-
-
-def coeff_token(field: CoeffField, c) -> str:
-    """Serialized coefficient: Fraction text, bare residue, or p^r:[...]."""
-    if is_rationals(field):
-        return str(c)
-    if field.r == 1:
-        return str(c.coeffs[0])
-    return c.token()
-
-
-def parse_coeff_token(field: CoeffField, token: str):
-    if is_rationals(field):
-        return Fraction(token)
-    if ":" in token:
-        from .ffield import element_from_token
-
-        return element_from_token(token, field)
-    return field.from_int(int(token))
-
-
 @dataclass(frozen=True)
 class LinearForm:
     """The bivariate linear form c_x*X + c_y*Y over one coefficient field."""
@@ -116,8 +61,8 @@ class LinearForm:
     c_y: object
 
     def __post_init__(self):
-        object.__setattr__(self, "c_x", coerce_coeff(self.field, self.c_x))
-        object.__setattr__(self, "c_y", coerce_coeff(self.field, self.c_y))
+        object.__setattr__(self, "c_x", self.field.coerce(self.c_x))
+        object.__setattr__(self, "c_y", self.field.coerce(self.c_y))
 
     def as_poly(self) -> "MultiPoly":
         return MultiPoly(self.field, {(1, 0, 0): self.c_x, (0, 1, 0): self.c_y})
@@ -139,12 +84,12 @@ class MultiPoly:
                 raise ValueError(f"bad monomial {mon}")
             if any(e >= EXPONENT_CAP for e in mon):
                 raise ExponentOverflowError(f"exponent too large in {mon}")
-            c = coerce_coeff(field, c)
-            if not _is_coeff_zero(c):
+            c = field.coerce(c)
+            if c:
                 prev = clean.get(mon)
                 if prev is not None:
                     c = prev + c
-                    if _is_coeff_zero(c):
+                    if not c:
                         del clean[mon]
                         continue
                 clean[mon] = c
@@ -207,7 +152,7 @@ class MultiPoly:
         return len(self._terms)
 
     def coefficient(self, mon: Monomial):
-        return self._terms.get(tuple(mon), coeff_zero(self.field))
+        return self._terms.get(tuple(mon), self.field.zero())
 
     def leading(self) -> tuple[Monomial, object]:
         if not self._terms:
@@ -250,7 +195,7 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.field == other.field and self._terms == other._terms
-        if isinstance(other, (int, Fraction, FFElement)):
+        if isinstance(other, _SCALARS):
             return self == MultiPoly.constant(self.field, other)
         return NotImplemented
 
@@ -259,7 +204,7 @@ class MultiPoly:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, FFElement)):
+        if isinstance(other, _SCALARS):
             other = MultiPoly.constant(self.field, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -268,7 +213,7 @@ class MultiPoly:
         for mon, c in other._terms.items():
             acc = out.get(mon)
             acc = c if acc is None else acc + c
-            if _is_coeff_zero(acc):
+            if not acc:
                 out.pop(mon, None)
             else:
                 out[mon] = acc
@@ -280,7 +225,7 @@ class MultiPoly:
         return MultiPoly._raw(self.field, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, FFElement)):
+        if isinstance(other, _SCALARS):
             other = MultiPoly.constant(self.field, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -290,9 +235,9 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, FFElement)):
-            c = coerce_coeff(self.field, other)
-            if _is_coeff_zero(c):
+        if isinstance(other, _SCALARS):
+            c = self.field.coerce(other)
+            if not c:
                 return MultiPoly.zero(self.field)
             return MultiPoly._raw(self.field, {m: v * c for m, v in self._terms.items()})
         if not isinstance(other, MultiPoly):
@@ -307,7 +252,7 @@ class MultiPoly:
                 acc = out.get(mon)
                 prod = c1 * c2
                 acc = prod if acc is None else acc + prod
-                if _is_coeff_zero(acc):
+                if not acc:
                     out.pop(mon, None)
                 else:
                     out[mon] = acc
@@ -338,8 +283,8 @@ class MultiPoly:
 
     def evaluate(self, point):
         """Evaluate at a triple of values from the coefficient field."""
-        vals = tuple(coerce_coeff(self.field, v) for v in point)
-        total = coeff_zero(self.field)
+        vals = tuple(self.field.coerce(v) for v in point)
+        total = self.field.zero()
         for (a, b, c), coeff in self._terms.items():
             term = coeff
             if a:
@@ -356,18 +301,18 @@ class MultiPoly:
     def to_text(self, names: tuple[str, str, str] = VARS) -> str:
         if not self._terms:
             return "0"
-        rational = is_rationals(self.field)
         pieces = []
         for mon, c in self.terms():
-            negative = rational and c < 0
-            mag = -c if negative else c
+            token = self.field.token(c)
+            negative = token.startswith("-")  # only rationals carry a sign
+            if negative:
+                token = token[1:]
             factors = []
             for name, e in zip(names, mon):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            token = coeff_token(self.field, mag)
             if not factors:
                 body = token
             elif token == "1":
@@ -394,7 +339,7 @@ class MultiPoly:
             if chunk.startswith("-"):
                 sign = -1
                 chunk = chunk[1:]
-            coeff = coeff_one(field)
+            coeff = field.one()
             mon = [0, 0, 0]
             for factor in chunk.split("*"):
                 factor = factor.strip()
@@ -402,13 +347,13 @@ class MultiPoly:
                 if base in _VAR_INDEX and (exp == "" or exp.isdigit()) and ":" not in factor:
                     mon[_VAR_INDEX[base]] += int(exp) if exp else 1
                 else:
-                    coeff = coeff * parse_coeff_token(field, factor)
+                    coeff = coeff * field.parse(factor)
             if sign < 0:
                 coeff = -coeff
             key = tuple(mon)
             prev = out.get(key)
             coeff = coeff if prev is None else prev + coeff
-            if _is_coeff_zero(coeff):
+            if not coeff:
                 out.pop(key, None)
             else:
                 out[key] = coeff
@@ -416,23 +361,17 @@ class MultiPoly:
 
     def to_json_terms(self) -> list:
         """JSON form: list of [coefficient token, [a, b, c]]."""
-        return [[coeff_token(self.field, c), list(mon)] for mon, c in self.terms()]
+        return [[self.field.token(c), list(mon)] for mon, c in self.terms()]
 
     @classmethod
     def from_json_terms(cls, data, field: CoeffField) -> "MultiPoly":
-        return cls(field, {tuple(mon): parse_coeff_token(field, tok) for tok, mon in data})
+        return cls(field, {tuple(mon): field.parse(tok) for tok, mon in data})
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.field}, {self.to_text()})"
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-def _is_coeff_zero(c) -> bool:
-    if isinstance(c, FFElement):
-        return c.is_zero()
-    return c == 0
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +409,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             acc = rem.get(tm, None)
             sub = qc * c2
             acc = -sub if acc is None else acc - sub
-            if _is_coeff_zero(acc):
+            if not acc:
                 rem.pop(tm, None)
             else:
                 rem[tm] = acc
@@ -500,7 +439,7 @@ def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:
             acc = out.get(tm)
             add = c * pc
             acc = add if acc is None else acc + add
-            if _is_coeff_zero(acc):
+            if not acc:
                 out.pop(tm, None)
             else:
                 out[tm] = acc
@@ -515,8 +454,8 @@ def partial_derivative(f: MultiPoly, var: str) -> MultiPoly:
         e = mon[i]
         if e == 0:
             continue
-        nc = c * coeff_from_int(f.field, e)
-        if _is_coeff_zero(nc):
+        nc = c * f.field.from_int(e)
+        if not nc:
             continue
         nm = list(mon)
         nm[i] = e - 1

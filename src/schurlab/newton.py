@@ -15,16 +15,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ffield import DESK_CEILING, FFElement, FieldSpec, frobenius, is_prime, make_field
-from .mpoly import (
+from .ffield import (
+    DESK_CEILING,
     RATIONALS,
-    CoeffField,
-    LinearForm,
-    MultiPoly,
-    partial_derivative,
+    FFElement,
+    FieldSpec,
+    field_for,
+    frobenius,
+    is_prime,
+    make_field,
 )
+from .mpoly import CoeffField, LinearForm, MultiPoly, partial_derivative
 
 
 def newton_poly(m: int, field: CoeffField = RATIONALS) -> MultiPoly:
@@ -32,46 +34,6 @@ def newton_poly(m: int, field: CoeffField = RATIONALS) -> MultiPoly:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     return MultiPoly(field, {(m, 0, 0): 1, (0, m, 0): 1})
-
-
-@dataclass(frozen=True)
-class NewtonTriple:
-    """Indices a > b > c >= 1 of three power sums, with divisibility flags."""
-
-    a: int
-    b: int
-    c: int
-    p: int = 0  # characteristic, 0 or prime
-
-    def __post_init__(self):
-        if not (self.a > self.b > self.c >= 1):
-            raise ValueError(f"need a > b > c >= 1, got {(self.a, self.b, self.c)}")
-        if self.p and not is_prime(self.p):
-            raise ValueError(f"characteristic must be 0 or prime, got {self.p}")
-
-    @property
-    def gcd(self) -> int:
-        return math.gcd(math.gcd(self.a, self.b), self.c)
-
-    @property
-    def p_divides(self) -> dict:
-        """Which of a, b, c and their differences the characteristic divides."""
-        if not self.p:
-            return {k: False for k in ("a", "b", "c", "a-b", "a-c", "b-c")}
-        return {
-            "a": self.a % self.p == 0,
-            "b": self.b % self.p == 0,
-            "c": self.c % self.p == 0,
-            "a-b": (self.a - self.b) % self.p == 0,
-            "a-c": (self.a - self.c) % self.p == 0,
-            "b-c": (self.b - self.c) % self.p == 0,
-        }
-
-    def exponent_pair(self, field: CoeffField):
-        """The difference pair (a - c, b - c) indexing the determinant family."""
-        from .vschur import ExponentPair
-
-        return ExponentPair(self.a - self.c, self.b - self.c, field)
 
 
 def two_generator_degree(a: int, b: int, p: int = 0) -> int:
@@ -103,7 +65,7 @@ def jacobian_nonzero_check(a: int, b: int, p: int = 0) -> bool:
     """
     if not (a > b >= 1):
         raise ValueError(f"need a > b >= 1, got ({a}, {b})")
-    field: CoeffField = RATIONALS if p == 0 else make_field(p, 1)
+    field = field_for(p)
     na, nb = newton_poly(a, field), newton_poly(b, field)
     jac = partial_derivative(na, "X") * partial_derivative(nb, "Y") - partial_derivative(
         na, "Y"
@@ -156,20 +118,14 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
     if p == 2:
         ambient = make_field(2, 2)
         one = ambient.one()
-        alpha = next(
-            x for x in ambient.elements() if x**3 == one and x != one and not x.is_zero()
-        )
+        alpha = next(x for x in ambient.elements() if x**3 == one and x != one and x)
     else:
         if eta is None:
             eta = find_irreducible_eta(p)
         if any((x * x - 2 * eta * x + eta) % p == 0 for x in range(p)):
             raise ValueError(f"eta={eta} has a root mod {p}; pick a rootless eta")
         ambient = make_field(p, 2)
-        roots = [
-            x
-            for x in ambient.elements()
-            if (x * x - 2 * eta * x + eta).is_zero()
-        ]
+        roots = [x for x in ambient.elements() if not (x * x - 2 * eta * x + eta)]
         alpha = roots[0]
         beta = frobenius(alpha, 1)
         if 2 * alpha * beta != alpha + beta or alpha + beta != ambient.from_int(2 * eta):
@@ -346,10 +302,3 @@ def degree_of_extension(
         oracle_value=value,
         agree=agree,
     )
-
-
-def gcd_reduction_degree(g: int, base_degree) -> Fraction:
-    """Rescale a degree through the index-gcd reduction: g^2 times the base."""
-    if g < 1:
-        raise ValueError(f"need g >= 1, got {g}")
-    return Fraction(g * g) * Fraction(base_degree)

@@ -16,15 +16,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .ffield import DESK_CEILING, FieldSpec, FieldTooSmallError, roots_of_unity
-from .mpoly import (
-    RATIONALS,
-    CoeffField,
-    LinearForm,
-    MultiPoly,
-    exact_divide,
-    is_rationals,
-)
+from .ffield import DESK_CEILING, RATIONALS, FieldSpec, FieldTooSmallError, make_field
+from .mpoly import CoeffField, LinearForm, MultiPoly, exact_divide
 
 
 @dataclass(frozen=True)
@@ -49,7 +42,7 @@ class ExponentPair:
         return Partition3((self.A // d - 2, self.B // d - 1, 0))
 
     def characteristic(self) -> int:
-        return 0 if is_rationals(self.field) else self.field.p
+        return self.field.p
 
 
 @dataclass(frozen=True)
@@ -159,8 +152,6 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
                 stacklevel=3,
             )
             return
-        from .ffield import make_field
-
         big = make_field(p, rr)
     else:
         warnings.warn(
@@ -175,7 +166,8 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
     def lifted(poly: MultiPoly) -> MultiPoly:
         if big == spec:
             return poly
-        return MultiPoly(big, {m: big.from_int(c.coeffs[0]) for m, c in poly._terms.items()})
+        # prime-field coefficients serialize as bare residues, which big reads
+        return MultiPoly(big, {m: big.parse(spec.token(c)) for m, c in poly._terms.items()})
 
     try:
         product_form = _unity_product_form(A, B, d, big)
@@ -192,9 +184,9 @@ def _unity_product_form(A: int, B: int, d: int, spec: FieldSpec) -> MultiPoly:
     one = MultiPoly.one(spec)
 
     def prod_over(n: int) -> MultiPoly:
-        dth = set(roots_of_unity(d, spec))
+        dth = set(spec.roots_of_unity(d))
         out = one
-        for zeta in roots_of_unity(n, spec):
+        for zeta in spec.roots_of_unity(n):
             if zeta in dth:
                 continue
             out = out * LinearForm(spec, 1, -zeta).as_poly()

@@ -1,13 +1,15 @@
+import copy
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurlab.ffield import (
+    RATIONALS,
     FFElement,
     FieldMismatchError,
     FieldTooSmallError,
-    element_from_token,
     frobenius,
     in_subfield,
     is_prime,
@@ -211,9 +213,46 @@ def test_token_roundtrip():
     F9 = make_field(3, 2)
     x = F9.element((2, 1))
     assert x.token() == "3^2:[2,1]"
-    assert element_from_token(x.token(), F9) == x
+    assert F9.parse(x.token()) == x
     with pytest.raises(FieldMismatchError):
-        element_from_token(x.token(), make_field(3, 1))
+        make_field(3, 1).parse(x.token())
+
+
+_F7, _F9 = make_field(7, 1), make_field(3, 2)
+
+
+@pytest.mark.parametrize(
+    "field, name, samples, foreign, rootless_n",
+    [
+        (RATIONALS, "rationals", [Fraction(0), Fraction(-3, 2), Fraction(22, 7)], [_F7.one()], 3),
+        (_F7, "F(7)", list(_F7.elements()), [Fraction(1, 2), _F9.one()], 7),
+        (_F9, "F(3^2)", list(_F9.elements()), [Fraction(1, 2), _F7.one()], 3),
+    ],
+    ids=["Q", "F7", "F9"],
+)
+def test_coefficient_field_interface(field, name, samples, foreign, rootless_n):
+    assert str(field) == name
+    assert not field.zero() and field.one()
+    assert field.from_int(3) == field.one() + field.one() + field.one()
+    assert field.coerce(-2) == field.from_int(-2) == field.coerce(Fraction(-2))
+    for c in samples:
+        assert field.parse(field.token(c)) == c
+        assert field.coerce(c) == c
+        assert bool(c) == (c != field.zero())
+    if field.p:
+        # r = 1 writes the bare residue; every field reads the full token
+        bare = field.token(field.from_int(5))
+        assert (bare == "5") == (field.r == 1)
+        assert field.parse(field.from_int(5).token()) == field.from_int(5)
+    for value in foreign:
+        with pytest.raises(FieldMismatchError):
+            field.coerce(value)
+    with pytest.raises(TypeError):
+        field.coerce(0.5)
+    with pytest.raises(ValueError):
+        field.roots_of_unity(rootless_n)
+    assert field.roots_of_unity(1) == [field.one()]
+    assert copy.deepcopy(RATIONALS) is RATIONALS
 
 
 def test_fieldspec_json():

@@ -1,18 +1,14 @@
-from fractions import Fraction
-
 import pytest
 
 from schurlab.ffield import frobenius, make_field
 from schurlab.mpoly import LinearForm, MultiPoly, RATIONALS, substitute
 from schurlab.newton import (
     AlternativePair,
-    NewtonTriple,
     TowerParams,
     brute_count_alternatives,
     build_alternative_pair,
     degree_of_extension,
     find_irreducible_eta,
-    gcd_reduction_degree,
     jacobian_nonzero_check,
     newton_poly,
     two_generator_degree,
@@ -205,26 +201,6 @@ def test_degree_report_json():
         "p": 3, "r": 3, "s": 1, "m": 1,
         "formula": 2, "oracle_count": 4, "oracle": 2, "agree": True,
     }
-
-
-def test_gcd_reduction_degree():
-    assert gcd_reduction_degree(1, 5) == 5
-    assert gcd_reduction_degree(2, 3) == 12
-    assert gcd_reduction_degree(3, 1) == 9
-    assert gcd_reduction_degree(2, Fraction(3, 2)) == 6
-    with pytest.raises(ValueError):
-        gcd_reduction_degree(0, 1)
-
-
-def test_newton_triple():
-    t = NewtonTriple(28, 4, 1, 3)
-    assert t.gcd == 1
-    flags = t.p_divides
-    assert not flags["a"] and not flags["b"] and not flags["c"]
-    assert flags["a-b"] and flags["a-c"] and flags["b-c"]
-    assert t.exponent_pair(Q).A == 27
-    with pytest.raises(ValueError):
-        NewtonTriple(3, 3, 1)
 
 
 def test_counted_alternatives_are_factors_of_the_quotient():
