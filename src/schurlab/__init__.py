@@ -12,7 +12,6 @@ from .ffield import (
     in_subfield,
     make_field,
     multiplicative_generator,
-    roots_of_unity,
 )
 from .mpoly import (
     EXPONENT_CAP,

@@ -10,15 +10,35 @@ Two specs built for the same ``(p, r)`` are therefore identical, which
 keeps every downstream artifact (root orderings, factor lists, serialized
 reports) reproducible.
 
-Elements are immutable coordinate vectors in the power basis of the
-modulus; all operations are pure functions.  Elements of different specs
-never mix: combining them raises :class:`FieldMismatchError` instead of
-guessing an embedding.
+An element of F_{p^r} is the immutable pair ``(spec, code)``.  Its
+coordinates c0 + c1*X + ... + c_{r-1}*X^(r-1) in the power basis of the
+modulus are packed as the code c0*p^(r-1) + c1*p^(r-2) + ... + c_{r-1},
+so integer order is coordinate-vector order: enumeration, root orderings,
+factor lists and the ``p^r:[c0,c1,...]`` tokens all come out as they
+would from the coordinate vectors.  Elements of different specs never
+mix, even when their codes coincide: combining them raises
+:class:`FieldMismatchError` instead of guessing an embedding.
+
+Fields with at most :data:`TABLE_CEILING` elements compute with tables,
+after Huber's Zech logarithms (IEEE Trans. Inf. Theory 36(4), 1990) and
+FLINT's ``fq_zech``.  They are built on the first arithmetic operation in
+the field and kept on its spec.  With g the multiplicative generator and
+q the field order, they hold every element once (operations return these
+shared objects and allocate nothing), ``log[code]``, the powers
+``exp[k] = g^k`` for 0 <= k < 2(q-1), so that a sum of two logarithms
+needs no reduction, and the Zech logarithms ``zech[k] = log(1 + g^k)``,
+None where 1 + g^k = 0.  Then x*y = exp[log x + log y] and
+g^i + g^j = exp[i + zech[j - i]]; negation, inversion, powers and
+Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
+1 + g^k only changes the top digit of the code of g^k.  Larger fields
+multiply by schoolbook convolution and reduction on the decoded
+coordinates, which the tests also use as the oracle for the tables.
 
 Both kinds of field answer one interface, which is all the rest of the
 package uses: ``p``, ``zero()``, ``one()``, ``from_int(n)``,
 ``coerce(value)``, ``token(c)``/``parse(token)`` and ``roots_of_unity(n)``.
-Elements are tested for zero by their truthiness.
+Elements are tested for zero by their truthiness, and :func:`is_scalar`
+says which values a field can be asked to coerce.
 """
 
 from __future__ import annotations
@@ -31,6 +51,9 @@ from typing import Iterator
 
 #: Largest field size for which exhaustive enumeration is considered fine.
 DESK_CEILING = 10**6
+
+#: Largest field order whose arithmetic runs on log/antilog/Zech tables.
+TABLE_CEILING = 2**17
 
 
 class FieldMismatchError(ValueError):
@@ -188,26 +211,22 @@ class FieldSpec:
         return self.p**self.r
 
     def zero(self) -> "FFElement":
-        return FFElement(self, (0,) * self.r)
+        return FFElement._of(self, 0)
 
     def one(self) -> "FFElement":
         return self.from_int(1)
 
     def from_int(self, n: int) -> "FFElement":
-        coeffs = [0] * self.r
-        coeffs[0] = n % self.p
-        return FFElement(self, tuple(coeffs))
+        # an integer is a constant: only c0, the top digit of the code
+        return FFElement._of(self, n % self.p * self.p ** (self.r - 1))
 
     def element(self, coeffs) -> "FFElement":
-        coeffs = tuple(int(c) % self.p for c in coeffs)
-        if len(coeffs) != self.r:
-            raise ValueError(f"expected {self.r} coordinates, got {len(coeffs)}")
-        return FFElement(self, coeffs)
+        return FFElement(self, [int(c) for c in coeffs])
 
     def coerce(self, value) -> "FFElement":
         """Bring an int, an integral Fraction or an element of this field into it."""
         if isinstance(value, FFElement):
-            if value.spec != self:
+            if value.spec is not self and value.spec != self:
                 raise FieldMismatchError(f"coefficient {value} does not belong to {self}")
             return value
         if isinstance(value, int):
@@ -220,7 +239,7 @@ class FieldSpec:
 
     def token(self, c: "FFElement") -> str:
         """Serialized coefficient: the bare residue for r = 1, else ``p^r:[...]``."""
-        return str(c.coeffs[0]) if self.r == 1 else c.token()
+        return str(c.code) if self.r == 1 else c.token()
 
     def parse(self, token: str) -> "FFElement":
         """Read a bare integer or the ``p^r:[c0,c1,...]`` form of an element."""
@@ -236,19 +255,59 @@ class FieldSpec:
         return self.element([int(c) for c in body[1:-1].split(",")] if body != "[]" else [])
 
     def roots_of_unity(self, n: int) -> list["FFElement"]:
-        """The n distinct n-th roots of unity; see :func:`roots_of_unity`."""
-        return roots_of_unity(n, self)
+        """All n distinct solutions of z^n = 1, ascending by coordinate vector.
+
+        Refuses n divisible by p (the roots would be repeated) and reports
+        the minimal extension degree needed when n does not divide p^r - 1.
+        """
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if n % self.p == 0:
+            raise ValueError(f"{n}-th roots of unity are repeated in characteristic {self.p}")
+        q1 = self.order() - 1
+        if n > 1 and q1 % n != 0:
+            needed = 1
+            acc = self.p % n
+            while acc != 1:
+                acc = (acc * self.p) % n
+                needed += 1
+            raise FieldTooSmallError(
+                f"{n} does not divide {self.order()} - 1; "
+                f"need extension degree {needed} over F_{self.p}",
+                required_degree=needed,
+            )
+        g = multiplicative_generator(self)
+        step = q1 // n if n > 1 else 0
+        roots = {g ** (step * k) for k in range(n)} if n > 1 else {self.one()}
+        return sorted(roots, key=lambda e: e.code)
 
     def elements(self) -> Iterator["FFElement"]:
-        """All field elements, ascending by coordinate vector."""
-        for coeffs in itertools.product(range(self.p), repeat=self.r):
-            yield FFElement(self, coeffs)
+        """All field elements, ascending by coordinate vector (that is, by code)."""
+        for code in range(self.order()):
+            yield FFElement._of(self, code)
 
     def to_json(self) -> dict:
         return {"p": self.p, "r": self.r, "modulus": list(self.modulus)}
 
     def __str__(self) -> str:
         return f"F({self.p}^{self.r})" if self.r > 1 else f"F({self.p})"
+
+    @functools.cached_property
+    def _tables(self) -> "_Tables | None":
+        """The arithmetic tables, built on first use; None above TABLE_CEILING."""
+        return _Tables(self) if self.order() <= TABLE_CEILING else None
+
+    def _encode(self, coeffs) -> int:
+        code = 0
+        for c in coeffs:
+            code = code * self.p + c
+        return code
+
+    def _decode(self, code: int) -> tuple[int, ...]:
+        coeffs = [0] * self.r
+        for i in range(self.r - 1, -1, -1):
+            code, coeffs[i] = divmod(code, self.p)
+        return tuple(coeffs)
 
 
 class Rationals:
@@ -320,6 +379,12 @@ def field_of(c):
     return c.spec if isinstance(c, FFElement) else RATIONALS
 
 
+def is_scalar(value) -> bool:
+    """Whether value is a coefficient some field can coerce: an int, a
+    Fraction or a finite-field element."""
+    return isinstance(value, (int, Fraction, FFElement))
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, r: int) -> FieldSpec:
     """Build F_{p^r} with the deterministic modulus choice.
@@ -332,11 +397,18 @@ def make_field(p: int, r: int) -> FieldSpec:
         raise ValueError(f"characteristic must be prime, got {p}")
     if r < 1:
         raise ValueError(f"extension degree must be >= 1, got {r}")
-    for tail in itertools.product(range(p), repeat=r):
+    # for r > 1 a zero constant coefficient means the factor X: start at c0 = 1
+    first = range(p) if r == 1 else range(1, p)
+    for tail in itertools.product(first, *[range(p)] * (r - 1)):
         coeffs = list(tail) + [1]
         if _is_irreducible(coeffs, p):
             return FieldSpec(p, r, tuple(coeffs))
     raise AssertionError("unreachable: irreducibles of every degree exist")
+
+
+# ---------------------------------------------------------------------------
+# Schoolbook arithmetic on coordinate vectors: the kernel of fields above
+# TABLE_CEILING, and of building the tables.
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,22 +422,170 @@ def _reduction_rows(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class FFElement:
-    """An element of F_{p^r}: coordinates in the power basis of the modulus."""
+def _schoolbook_mul(spec: FieldSpec, a, b) -> tuple[int, ...]:
+    """Product of two coordinate vectors: convolution, then reduction by the modulus."""
+    p, r = spec.p, spec.r
+    conv = [0] * (2 * r - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    res = conv[:r]
+    for c, row in zip(conv[r:], _reduction_rows(spec)):
+        if c:
+            for i in range(r):
+                res[i] += c * row[i]
+    return tuple(c % p for c in res)
 
-    spec: FieldSpec
-    coeffs: tuple[int, ...]
+
+def _schoolbook_pow(spec: FieldSpec, a, e: int) -> tuple[int, ...]:
+    """a^e for a coordinate vector a and e >= 0, by square and multiply."""
+    result = spec._decode(spec.order() // spec.p)  # the element 1
+    while e:
+        if e & 1:
+            result = _schoolbook_mul(spec, result, a)
+        e >>= 1
+        if e:
+            a = _schoolbook_mul(spec, a, a)
+    return result
+
+
+@functools.lru_cache(maxsize=None)
+def multiplicative_generator(spec: FieldSpec) -> "FFElement":
+    """First element (by coordinate vector) generating the unit group."""
+    q1 = spec.order() - 1
+    checks = [q1 // ell for ell in prime_factors(q1)] if q1 > 1 else []
+    one = spec._decode(spec.order() // spec.p)
+    for code in range(1, spec.order()):
+        x = spec._decode(code)
+        if all(_schoolbook_pow(spec, x, e) != one for e in checks):
+            return FFElement._of(spec, code)
+    raise AssertionError("unreachable: the unit group of a finite field is cyclic")
+
+
+def _power_codes(spec: FieldSpec, g) -> list[int]:
+    """The codes of g^0, g^1, ..., g^(q-2) for a coordinate vector g, O(1) each.
+
+    Multiplying by g is F_p-linear, so g*x is the coordinate-wise sum of
+    g*x_hi and g*x_lo, where x_hi keeps the high digits of the code of x
+    and x_lo the low ones; both products are read from tables of about
+    sqrt(q) entries.  The sum mod p is taken on all coordinates at once:
+    coordinate i sits in bits [w*i, w*i + w) of one int, two reduced
+    coordinates sum to at most 2p - 2 < 2^w, and adding 2^(w-1) - p to a
+    slot sets its top bit exactly where the sum reached p.
+    """
+    p, r = spec.p, spec.r
+    q = p**r
+    if r == 1:  # codes are residues mod p
+        codes = [1] * (p - 1)
+        for k in range(1, p - 1):
+            codes[k] = codes[k - 1] * g[0] % p
+        return codes
+    low = p ** (r - r // 2)  # code = hi * low + lo
+    w = p.bit_length() + 1
+    # the high digits of a code are the coordinates c0, c1, ..., whose
+    # slots lie below this bit
+    split = w * (r // 2)
+
+    def spread(coeffs) -> int:
+        return sum(c << (w * i) for i, c in enumerate(coeffs))
+
+    highs = [spec._decode(h * low) for h in range(q // low)]
+    lows = [spec._decode(lo) for lo in range(low)]
+    g_high = [spread(_schoolbook_mul(spec, g, x)) for x in highs]
+    g_low = [spread(_schoolbook_mul(spec, g, x)) for x in lows]
+    high_code = {spread(x): h * low for h, x in enumerate(highs)}
+    low_code = {spread(x) >> split: lo for lo, x in enumerate(lows)}
+    high_mask = (1 << split) - 1
+    bias = sum(((1 << (w - 1)) - p) << (w * i) for i in range(r))
+    top_bits = sum(1 << (w * i + w - 1) for i in range(r))
+
+    codes = [0] * (q - 1)
+    code = q // p  # the element 1
+    for k in range(q - 1):
+        codes[k] = code
+        s = g_high[code // low] + g_low[code % low]
+        s -= (((s + bias) & top_bits) >> (w - 1)) * p
+        code = high_code[s & high_mask] + low_code[s >> split]
+    return codes
+
+
+class _Tables:
+    """Log, antilog and Zech tables of one field; see the module docstring."""
+
+    __slots__ = ("elems", "log", "exp", "zech", "qm1", "half")
+
+    def __init__(self, spec: FieldSpec):
+        q, p = spec.order(), spec.p
+        powers = _power_codes(spec, multiplicative_generator(spec).coeffs)
+        log = [None] * q
+        for k, code in enumerate(powers):
+            log[code] = k
+        if None in log[1:]:
+            raise ArithmeticError(f"the generator of {spec} does not reach every unit")
+        one = q // p
+        wrap = (p - 1) * one
+        zech = [log[c + one if c < wrap else c - wrap] for c in powers]
+        elems = [FFElement._of(spec, code) for code in range(q)]
+        exp = [elems[code] for code in powers]
+        self.elems = elems
+        self.log = log
+        # doubled, so that log sums index exp and log differences wrap in zech
+        self.exp = exp + exp
+        self.zech = zech + zech
+        self.qm1 = q - 1
+        self.half = (q - 1) // 2 if p > 2 else 0  # log(-1)
+
+
+class FFElement:
+    """An element of F_{p^r}: its field and its code (see the module docstring).
+
+    ``FFElement(spec, coeffs)`` takes the r coordinates in the power basis,
+    low degree first; ``coeffs`` reads them back.
+    """
+
+    __slots__ = ("spec", "code")
+
+    def __init__(self, spec: FieldSpec, coeffs):
+        if len(coeffs) != spec.r:
+            raise ValueError(f"expected {spec.r} coordinates, got {len(coeffs)}")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "code", spec._encode(c % spec.p for c in coeffs))
+
+    @classmethod
+    def _of(cls, spec: FieldSpec, code: int) -> "FFElement":
+        self = object.__new__(cls)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "code", code)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FFElement is immutable")
+
+    def __reduce__(self):
+        return FFElement, (self.spec, self.coeffs)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return self.spec._decode(self.code)
+
+    def __eq__(self, other):
+        if other.__class__ is not FFElement:
+            return NotImplemented
+        return self.code == other.code and (self.spec is other.spec or self.spec == other.spec)
+
+    def __hash__(self) -> int:
+        return hash(self.code)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.code
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.code != 0
 
     def _coerce(self, other):
         if isinstance(other, FFElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise FieldMismatchError(
                     f"cannot combine elements of {self.spec} and {other.spec}"
                 )
@@ -374,29 +594,68 @@ class FFElement:
             return self.spec.from_int(other)
         return None
 
+    def __mul__(self, other):
+        spec = self.spec
+        if other.__class__ is not FFElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        t = spec._tables
+        if t is None:
+            return FFElement._of(spec, spec._encode(_schoolbook_mul(spec, self.coeffs, other.coeffs)))
+        a, b = self.code, other.code
+        if a and b:
+            log = t.log
+            return t.exp[log[a] + log[b]]
+        return t.elems[0]
+
+    __rmul__ = __mul__
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        p = self.spec.p
-        return FFElement(
-            self.spec, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        spec = self.spec
+        if other.__class__ is not FFElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        t = spec._tables
+        if t is None:
+            return _coordinatewise(self, other, 1)
+        a, b = self.code, other.code
+        if not a:
+            return other
+        if not b:
+            return self
+        log = t.log
+        i = log[a]
+        z = t.zech[log[b] - i]
+        return t.elems[0] if z is None else t.exp[i + z]
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.spec.p
-        return FFElement(self.spec, tuple((-a) % p for a in self.coeffs))
+        t = self.spec._tables
+        if t is None:
+            return _coordinatewise(self.spec.zero(), self, -1)
+        return t.exp[t.log[self.code] + t.half] if self.code else self
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        p = self.spec.p
-        return FFElement(
-            self.spec, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        spec = self.spec
+        if other.__class__ is not FFElement or other.spec is not spec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        t = spec._tables
+        if t is None:
+            return _coordinatewise(self, other, -1)
+        a, b = self.code, other.code
+        if not b:
+            return self
+        log = t.log
+        if not a:
+            return t.exp[log[b] + t.half]
+        i = log[a]
+        z = t.zech[log[b] + t.half - i]  # a - b = g^i (1 + g^(log b + log(-1) - i))
+        return t.elems[0] if z is None else t.exp[i + z]
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -404,48 +663,24 @@ class FFElement:
             return NotImplemented
         return other - self
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        p, r = self.spec.p, self.spec.r
-        if r == 1:
-            return FFElement(self.spec, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        conv = [0] * (2 * r - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    conv[i + j] += a * b
-        res = conv[:r]
-        rows = _reduction_rows(self.spec)
-        for k in range(r, 2 * r - 1):
-            c = conv[k]
-            if c:
-                row = rows[k - r]
-                for i in range(r):
-                    res[i] += c * row[i]
-        return FFElement(self.spec, tuple(c % p for c in res))
-
-    __rmul__ = __mul__
-
     def __pow__(self, e: int):
         if not isinstance(e, int):
             return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.spec.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        spec = self.spec
+        if not self.code:
+            if e < 0:
+                raise ZeroDivisionError("zero has no inverse")
+            return self if e else spec.one()
+        t = spec._tables
+        if t is None:
+            e %= spec.order() - 1
+            return FFElement._of(spec, spec._encode(_schoolbook_pow(spec, self.coeffs, e)))
+        return t.exp[t.log[self.code] * e % t.qm1]
 
     def inverse(self) -> "FFElement":
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError("zero has no inverse")
-        return self ** (self.spec.order() - 2)
+        return self**-1
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -467,15 +702,21 @@ class FFElement:
     def __str__(self) -> str:
         return self.token()
 
+    def __repr__(self) -> str:
+        return f"FFElement(spec={self.spec!r}, coeffs={self.coeffs!r})"
+
+
+def _coordinatewise(x: FFElement, y: FFElement, sign: int) -> FFElement:
+    """x + sign*y on decoded coordinates, for fields without tables."""
+    p = x.spec.p
+    return FFElement._of(x.spec, x.spec._encode([(a + sign * b) % p for a, b in zip(x.coeffs, y.coeffs)]))
+
 
 def frobenius(x: FFElement, k: int) -> FFElement:
-    """x^(p^k), by repeated p-th powering; k is reduced mod r."""
+    """x^(p^k); k is reduced mod r."""
     if k < 0:
         raise ValueError("Frobenius iteration count must be >= 0")
-    k %= x.spec.r
-    for _ in range(k):
-        x = x**x.spec.p
-    return x
+    return x ** (x.spec.p ** (k % x.spec.r))
 
 
 def in_subfield(x: FFElement, m: int) -> bool:
@@ -483,44 +724,3 @@ def in_subfield(x: FFElement, m: int) -> bool:
     if m < 1 or x.spec.r % m != 0:
         raise ValueError(f"subfield degree {m} does not divide {x.spec.r}")
     return frobenius(x, m) == x
-
-
-@functools.lru_cache(maxsize=None)
-def multiplicative_generator(spec: FieldSpec) -> FFElement:
-    """First element (by coordinate vector) generating the unit group."""
-    q1 = spec.order() - 1
-    checks = [q1 // ell for ell in prime_factors(q1)] if q1 > 1 else []
-    for x in spec.elements():
-        if x.is_zero():
-            continue
-        if all(not (x**e == spec.one()) for e in checks):
-            return x
-    raise AssertionError("unreachable: the unit group of a finite field is cyclic")
-
-
-def roots_of_unity(n: int, spec: FieldSpec) -> list[FFElement]:
-    """All n distinct solutions of z^n = 1, ascending by coordinate vector.
-
-    Refuses n divisible by p (the roots would be repeated) and reports the
-    minimal extension degree needed when n does not divide p^r - 1.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n % spec.p == 0:
-        raise ValueError(f"{n}-th roots of unity are repeated in characteristic {spec.p}")
-    q1 = spec.order() - 1
-    if n > 1 and q1 % n != 0:
-        needed = 1
-        acc = spec.p % n
-        while acc != 1:
-            acc = (acc * spec.p) % n
-            needed += 1
-        raise FieldTooSmallError(
-            f"{n} does not divide {spec.order()} - 1; "
-            f"need extension degree {needed} over F_{spec.p}",
-            required_degree=needed,
-        )
-    g = multiplicative_generator(spec)
-    step = q1 // n if n > 1 else 0
-    roots = {g ** (step * k) for k in range(n)} if n > 1 else {spec.one()}
-    return sorted(roots, key=lambda e: e.coeffs)

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
-from .ffield import RATIONALS, FFElement, FieldMismatchError, FieldSpec, Rationals
+from .ffield import RATIONALS, FieldMismatchError, FieldSpec, Rationals, is_scalar
 
 #: Distinguished verdict of :func:`is_homogeneous` for the zero polynomial.
 ZERO_POLY = "zero"
@@ -35,7 +34,6 @@ _VAR_INDEX = {"X": 0, "Y": 1, "Z": 2, "x": 0, "y": 1, "z": 2}
 EXPONENT_CAP = 1 << 62
 
 CoeffField = Union[Rationals, FieldSpec]
-_SCALARS = (int, Fraction, FFElement)
 Monomial = tuple[int, int, int]
 
 
@@ -195,7 +193,7 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             return self.field == other.field and self._terms == other._terms
-        if isinstance(other, _SCALARS):
+        if is_scalar(other):
             return self == MultiPoly.constant(self.field, other)
         return NotImplemented
 
@@ -204,7 +202,7 @@ class MultiPoly:
         return NotImplemented if eq is NotImplemented else not eq
 
     def __add__(self, other):
-        if isinstance(other, _SCALARS):
+        if is_scalar(other):
             other = MultiPoly.constant(self.field, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -225,7 +223,7 @@ class MultiPoly:
         return MultiPoly._raw(self.field, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _SCALARS):
+        if is_scalar(other):
             other = MultiPoly.constant(self.field, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -235,7 +233,7 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
+        if is_scalar(other):
             c = self.field.coerce(other)
             if not c:
                 return MultiPoly.zero(self.field)

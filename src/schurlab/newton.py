@@ -12,7 +12,6 @@ and by a brute-force counting oracle.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -231,12 +230,6 @@ class DegreeReport:
         }
 
 
-@functools.lru_cache(maxsize=None)
-def _frobenius_step_table(spec: FieldSpec) -> dict:
-    """x -> x^p for every element, precomputed once per field."""
-    return {x: x**spec.p for x in spec.elements()}
-
-
 def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int:
     """Count alpha in F_{p^(r-s)} with 2*alpha*alpha^(p^s) = alpha + alpha^(p^s).
 
@@ -250,13 +243,10 @@ def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int
     if t.p**n > ceiling:
         raise ValueError(f"field order {t.p}^{n} exceeds the ceiling {ceiling}")
     spec = make_field(t.p, n)
-    step = _frobenius_step_table(spec)
     s_eff = t.s % n if n > 0 else 0
     count = 0
     for alpha in spec.elements():
-        beta = alpha
-        for _ in range(s_eff):
-            beta = step[beta]
+        beta = frobenius(alpha, s_eff)
         if 2 * alpha * beta == alpha + beta:
             count += 1
     return count

@@ -7,15 +7,18 @@ from hypothesis import given, settings, strategies as st
 
 from schurlab.ffield import (
     RATIONALS,
+    TABLE_CEILING,
     FFElement,
     FieldMismatchError,
+    FieldSpec,
     FieldTooSmallError,
+    _schoolbook_mul,
+    _schoolbook_pow,
     frobenius,
     in_subfield,
     is_prime,
     make_field,
     multiplicative_generator,
-    roots_of_unity,
 )
 
 
@@ -130,7 +133,7 @@ def test_in_subfield_gcd_property():
 
 def test_roots_of_unity_trivial():
     F7 = make_field(7, 1)
-    assert roots_of_unity(1, F7) == [F7.one()]
+    assert F7.roots_of_unity(1) == [F7.one()]
 
 
 def test_roots_of_unity_f7():
@@ -139,7 +142,7 @@ def test_roots_of_unity_f7():
     for n, expected in [(2, {1, 6}), (3, {1, 2, 4}), (6, {1, 2, 3, 4, 5, 6})]:
         scan = {x for x in F7.elements() if x**n == F7.one()}
         assert scan == {F7.from_int(v) for v in expected}
-        got = roots_of_unity(n, F7)
+        got = F7.roots_of_unity(n)
         assert set(got) == scan
         assert got == sorted(got, key=lambda e: e.coeffs)
         assert len(got) == n
@@ -148,22 +151,22 @@ def test_roots_of_unity_f7():
 def test_roots_of_unity_refuses_p_dividing_n():
     F7 = make_field(7, 1)
     with pytest.raises(ValueError, match="repeated"):
-        roots_of_unity(7, F7)
+        F7.roots_of_unity(7)
 
 
 def test_roots_of_unity_reports_required_degree():
     F7 = make_field(7, 1)
     with pytest.raises(FieldTooSmallError) as exc:
-        roots_of_unity(4, F7)
+        F7.roots_of_unity(4)
     assert exc.value.required_degree == 2
     # and the reported level does contain them
     F49 = make_field(7, 2)
-    assert len(roots_of_unity(4, F49)) == 4
+    assert len(F49.roots_of_unity(4)) == 4
 
 
 def test_roots_of_unity_form_cyclic_group():
     F9 = make_field(3, 2)
-    roots = roots_of_unity(4, F9)
+    roots = F9.roots_of_unity(4)
     rset = set(roots)
     for a in roots:
         for b in roots:
@@ -290,3 +293,149 @@ def test_field_axioms_sampled(data):
     assert x * (y + spec.one()) == x * y + x
     assert x + spec.zero() == x
     assert x * spec.one() == x
+
+
+# ---------------------------------------------------------------------------
+# The table kernel against the coordinate schoolbook.  For fields up to
+# TABLE_CEILING every operation below is a table lookup; the oracle is
+# _schoolbook_mul and _schoolbook_pow on the decoded coordinates, with
+# coordinate-wise arithmetic mod p for sums.
+
+
+def _fields_up_to(bound):
+    return [(p, r) for p in range(2, bound + 1) if is_prime(p) for r in range(1, 20) if p**r <= bound]
+
+
+def _ids(fields):
+    return [f"{p}^{r}" for p, r in fields]
+
+
+_SMALL = _fields_up_to(64)
+_MEDIUM = [pr for pr in _fields_up_to(729) if pr not in _SMALL]
+
+
+@pytest.mark.parametrize("p,r", _SMALL, ids=_ids(_SMALL))
+def test_table_kernel_matches_schoolbook_on_all_pairs(p, r):
+    spec = make_field(p, r)
+    elems = list(spec.elements())
+    interned = spec._tables.elems
+    for x in elems:
+        xc = x.coeffs
+        for y in elems:
+            yc = y.coeffs
+            prod, total, diff = x * y, x + y, x - y
+            assert prod.coeffs == _schoolbook_mul(spec, xc, yc)
+            assert total.coeffs == tuple((a + b) % p for a, b in zip(xc, yc))
+            assert diff.coeffs == tuple((a - b) % p for a, b in zip(xc, yc))
+            assert prod is interned[prod.code]
+            if x and y:  # a zero operand returns the other operand itself
+                assert total is interned[total.code] and diff is interned[diff.code]
+            if y:
+                assert _schoolbook_mul(spec, (x / y).coeffs, yc) == xc
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / y
+
+
+@pytest.mark.parametrize("p,r", _SMALL, ids=_ids(_SMALL))
+def test_table_kernel_matches_schoolbook_on_every_element(p, r):
+    spec = make_field(p, r)
+    q = spec.order()
+    one = spec.one().coeffs
+    for x in spec.elements():
+        xc = x.coeffs
+        assert (-x).coeffs == tuple(-a % p for a in xc)
+        if x:
+            inv = _schoolbook_pow(spec, xc, q - 2)
+            assert _schoolbook_mul(spec, inv, xc) == one
+            assert x.inverse().coeffs == inv
+        power = one
+        for e in range(p + 2):
+            assert (x**e).coeffs == power
+            power = _schoolbook_mul(spec, power, xc)
+        power = one
+        for e in range(-1, -4, -1):
+            if x:
+                power = _schoolbook_mul(spec, power, inv)
+                assert (x**e).coeffs == power
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x**e
+        step = xc
+        for k in range(2 * r + 1):
+            assert frobenius(x, k).coeffs == step
+            step = _schoolbook_pow(spec, step, p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_table_kernel_matches_schoolbook_sampled(rng):
+    # every example draws one pair in each field, so each field gets them all
+    for p, r in _MEDIUM:
+        spec = make_field(p, r)
+        xc, yc = (tuple(rng.randrange(p) for _ in range(r)) for _ in "xy")
+        x, y = spec.element(xc), spec.element(yc)
+        assert (x * y).coeffs == _schoolbook_mul(spec, xc, yc)
+        assert (x + y).coeffs == tuple((a + b) % p for a, b in zip(xc, yc))
+        assert (x - y).coeffs == tuple((a - b) % p for a, b in zip(xc, yc))
+        if y:
+            assert _schoolbook_mul(spec, (x / y).coeffs, yc) == xc
+        k = rng.randrange(r + 1)
+        assert frobenius(x, k).coeffs == _schoolbook_pow(spec, xc, p**k)
+
+
+@pytest.mark.parametrize("p,r", [(2, 4), (3, 3), (5, 2), (7, 1)])
+def test_codes_keep_coordinate_order_and_tokens(p, r):
+    spec = make_field(p, r)
+    elems = list(spec.elements())
+    assert [x.coeffs for x in elems] == list(itertools.product(range(p), repeat=r))
+    assert [x.code for x in elems] == list(range(p**r))
+    for x, coords in zip(elems, itertools.product(range(p), repeat=r)):
+        assert x.token() == f"{p}^{r}:[{','.join(map(str, coords))}]"
+        assert FFElement(spec, coords) == x == spec.parse(x.token())
+
+
+_BIG = make_field(2, 18)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(*[st.integers(0, 1)] * 18), st.tuples(*[st.integers(0, 1)] * 18))
+def test_field_above_table_ceiling_builds_no_tables(xc, yc):
+    assert _BIG.order() > TABLE_CEILING
+    x, y = _BIG.element(xc), _BIG.element(yc)
+    one = _BIG.one()
+    assert x + y == y + x
+    assert x * y == y * x
+    assert x * (y + one) == x * y + x
+    assert x + _BIG.zero() == x and x * one == x
+    assert (x * y).coeffs == _schoolbook_mul(_BIG, xc, yc)
+    assert (x - y) + y == x and -x == x
+    assert frobenius(x * y, 3) == frobenius(x, 3) * frobenius(y, 3)
+    if x:
+        assert x * x.inverse() == one and x**-2 * x**2 == one
+    assert vars(_BIG)["_tables"] is None
+
+
+def test_equal_codes_of_different_moduli_never_mix():
+    A, B = FieldSpec(3, 2, (1, 0, 1)), FieldSpec(3, 2, (2, 1, 1))
+    a, b = A.element((1, 2)), B.element((1, 2))
+    assert a.code == b.code and a != b
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__"):
+        with pytest.raises(FieldMismatchError):
+            getattr(a, op)(b)
+        with pytest.raises(FieldMismatchError):
+            getattr(b, op)(a)
+
+
+@pytest.mark.parametrize("spec", [make_field(3, 2), _BIG], ids=["F9", "F2^18"])
+def test_zero_powers_and_inverse(spec):
+    zero = spec.zero()
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
+    with pytest.raises(ZeroDivisionError):
+        spec.one() / zero
+    assert zero**0 == spec.one()
+    assert zero**5 == zero
