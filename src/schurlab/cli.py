@@ -24,7 +24,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .ffield import DESK_CEILING, field_for, make_field
+from .ffield import DESK_CEILING, field_for, is_prime, make_field
 from .mpoly import is_symmetric3
 from .vschur import (
     ExponentPair,
@@ -386,6 +386,9 @@ def _cmd_sweep(config: RunConfig, emitter: Emitter) -> dict:
         raise ValueError(f"unknown sweep target {target!r}")
     if not points:
         raise ValueError("the sweep grid is empty")
+    for pp in p["p"]:
+        if not is_prime(pp):
+            raise ValueError(f"p must be prime, got {pp}")
 
     result_keys = ("factor_count",) if target == "verify-fact" else ("formula", "oracle")
 

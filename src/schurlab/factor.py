@@ -37,6 +37,12 @@ from .vschur import ExponentPair, i_poly, t_poly
 #: quadratic in the field order.
 SWEEP_CEILING = 512
 
+# Taylor coefficients in t that the linear-factor sweep's jet filter tests.
+# A non-divisor passes only when its line meets f to this order at
+# (0 : 1 : beta); 3 rather than 2 also rejects the lines through the double
+# points some quotients have on X = 0, for about 40% more jet work.
+_JET_ORDER = 3
+
 
 def _mult_json(m):
     return "inf" if m == math.inf else m
@@ -116,13 +122,50 @@ class ProbeReport:
         }
 
 
+def _jet_rows(f: MultiPoly) -> list:
+    """f(t, 1, Z) mod t^_JET_ORDER, one row of t-coefficients per power of Z.
+
+    Row k holds sum_j [X^m Y^j Z^k] f for m < _JET_ORDER; the rows run from
+    the highest power of Z down, the order Horner's rule consumes them in.
+    """
+    zero = f.field.zero()
+    rows = [[zero] * _JET_ORDER for _ in range(f.degree_in("Z") + 1)]
+    for (m, _, k), c in f.terms():
+        if m < _JET_ORDER:
+            rows[k][m] = rows[k][m] + c
+    rows.reverse()
+    return rows
+
+
+def _jet_vanishes(rows: list, alpha, beta) -> bool:
+    """True iff f(t, 1, alpha*t + beta) vanishes mod t^_JET_ORDER.
+
+    Horner's rule in Z on truncated power series in t:
+    acc <- acc * (beta + alpha*t) + row.  If Z - alpha*X - beta*Y divides
+    f, then f(X, Y, alpha*X + beta*Y) is the zero polynomial, so every
+    specialisation and truncation of it is zero: False is a proof that
+    the form does not divide f, True proves nothing.
+    """
+    acc = rows[0]
+    for row in rows[1:]:
+        acc = [beta * acc[0] + row[0]] + [
+            beta * acc[m] + alpha * acc[m - 1] + row[m] for m in range(1, _JET_ORDER)
+        ]
+    return not any(acc)
+
+
 def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = SWEEP_CEILING) -> FactorReport:
     """Sweep all (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
 
-    Divisibility is detected by the substitution Z <- alpha*X + beta*Y
-    annihilating the polynomial; multiplicities come from repeated exact
-    division.  The sweep order (and hence the factor list) is lexicographic
-    by coordinate vectors.
+    Each form first meets a jet filter: the truncated Taylor expansion
+    f(t, 1, alpha*t + beta) mod t^_JET_ORDER, from rows of f built once.
+    A divisor annihilates f under Z <- alpha*X + beta*Y, so a nonzero jet
+    rejects the form exactly.  The rows come from the input f and stay
+    valid for the whole sweep, because every later residual divides f.
+    A form that passes the filter is tested as before: divisibility is
+    the substitution Z <- alpha*X + beta*Y annihilating the residual, and
+    multiplicities come from repeated exact division.  The sweep order
+    (and hence the factor list) is lexicographic by coordinate vectors.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -134,10 +177,14 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = SWEEP_CEIL
         )
     z_degree = f.degree_in("Z")
     leading = f.coeff_of("Z", z_degree)
+    rows = _jet_rows(f)
+    elements = list(spec.elements())
     residual = f
     factors = []
-    for alpha in spec.elements():
-        for beta in spec.elements():
+    for alpha in elements:
+        for beta in elements:
+            if not _jet_vanishes(rows, alpha, beta):
+                continue
             mult = 0
             while substitute(residual, "Z", LinearForm(spec, alpha, beta)).is_zero():
                 divisor = MultiPoly(

@@ -244,10 +244,11 @@ def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int
         raise ValueError(f"field order {t.p}^{n} exceeds the ceiling {ceiling}")
     spec = make_field(t.p, n)
     s_eff = t.s % n if n > 0 else 0
+    two = spec.from_int(2)
     count = 0
     for alpha in spec.elements():
         beta = frobenius(alpha, s_eff)
-        if 2 * alpha * beta == alpha + beta:
+        if two * alpha * beta == alpha + beta:
             count += 1
     return count
 

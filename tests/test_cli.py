@@ -175,6 +175,21 @@ def test_empty_grid_is_usage_error(capsys):
     assert "empty" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "degree", "--p", "4,3", "--r", "2:3"),
+        ("sweep", "verify-fact", "--which", "eq1", "--p", "6", "--r", "1:2"),
+    ],
+    ids=["degree", "verify-fact"],
+)
+def test_non_prime_p_in_sweep_grid_is_usage_error(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""  # no grid point ran
+    assert "p must be prime" in err
+
+
 def test_ceiling_env_default(capsys, monkeypatch):
     monkeypatch.setenv("SCHURLAB_CEILING", "1000")
     status, out, _ = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "13:13", "--s", "1")

@@ -2,9 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schurlab.ffield import FieldTooSmallError, make_field
+from schurlab.ffield import FieldTooSmallError, is_prime, make_field
 from schurlab.factor import (
+    FactorReport,
+    _jet_rows,
+    _jet_vanishes,
     divides,
     eisenstein_like_check,
     grad_eval_identity,
@@ -14,7 +18,7 @@ from schurlab.factor import (
     verify_fact_eq1,
     verify_fact_eq2,
 )
-from schurlab.mpoly import RATIONALS, LinearForm, MultiPoly, substitute
+from schurlab.mpoly import RATIONALS, LinearForm, MultiPoly, exact_divide, is_homogeneous, substitute
 from schurlab.vschur import ExponentPair, complete_homogeneous, t_poly, vandermonde
 
 Q = RATIONALS
@@ -69,6 +73,125 @@ def test_linear_factors_rejects_zero_and_ceiling():
         linear_factors_over(MultiPoly.zero(F3), F3)
     with pytest.raises(ValueError, match="ceiling"):
         linear_factors_over(MultiPoly.variable(F3, "Z"), F3, ceiling=2)
+
+
+def linear(spec, alpha, beta):
+    return MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
+
+
+def unfiltered_linear_factors(f, spec):
+    """The reference sweep: every form pays a full substitution, no jet filter."""
+    residual = f
+    factors = []
+    for alpha in spec.elements():
+        for beta in spec.elements():
+            mult = 0
+            while substitute(residual, "Z", LinearForm(spec, alpha, beta)).is_zero():
+                residual = exact_divide(residual, linear(spec, alpha, beta))
+                mult += 1
+            if mult:
+                factors.append(((alpha, beta), mult))
+    residual_deg = residual.degree_in("Z")
+    return FactorReport(
+        input_label=f.to_text(),
+        field=spec,
+        linear_factors=tuple(factors),
+        leading_coeff=f.coeff_of("Z", f.degree_in("Z")).to_text(),
+        residual_degree_in_z=residual_deg,
+        fully_split=residual_deg == 0,
+    )
+
+
+_SMALL_FIELDS = [(p, r) for p in range(2, 33) if is_prime(p) for r in range(1, 6) if p**r <= 32]
+
+
+@pytest.mark.parametrize("p,r", _SMALL_FIELDS)
+def test_filtered_sweep_matches_unfiltered_oracle(p, r):
+    spec = make_field(p, r)
+    grid = [(3, 1), (4, 1), (4, 3), (5, 1), (5, 2)]
+    # the splitting quotients T(p, 1) and T(q, 1), where the oracle stays quick
+    grid += [(A, 1) for A in sorted({p, p**r}) if 5 < A <= 16]
+    for A, B in grid:
+        T = t_poly(ExponentPair(A, B, spec))
+        report, oracle = linear_factors_over(T, spec), unfiltered_linear_factors(T, spec)
+        assert report.to_json() == oracle.to_json(), (A, B)
+        assert report.residual_degree_in_z == oracle.residual_degree_in_z
+
+
+_PRODUCT_FIELDS = [(2, 1), (2, 2), (3, 1), (5, 1), (3, 2)]
+
+
+@st.composite
+def linear_products(draw):
+    """(spec, planted forms, homogeneous flag, f): linear forms times a cofactor.
+
+    The cofactor is homogeneous or has a nonzero constant term beside terms
+    of positive degree, so f is homogeneous exactly when the flag says so.
+    """
+    spec = make_field(*draw(st.sampled_from(_PRODUCT_FIELDS)))
+    elems = list(spec.elements())
+    forms = draw(st.lists(
+        st.tuples(st.sampled_from(elems), st.sampled_from(elems), st.integers(1, 2)),
+        max_size=3,
+    ))
+    homogeneous = draw(st.booleans())
+    degree = draw(st.integers(0 if homogeneous else 1, 3))
+    monomials = [
+        (a, b, c)
+        for a in range(4)
+        for b in range(4)
+        for c in range(4)
+        if (a + b + c == degree if homogeneous else 1 <= a + b + c <= degree)
+    ]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), st.sampled_from(elems[1:]),
+                                 min_size=1, max_size=4))
+    if not homogeneous:
+        terms[(0, 0, 0)] = draw(st.sampled_from(elems[1:]))
+    f = MultiPoly(spec, terms)
+    for alpha, beta, mult in forms:
+        f = f * linear(spec, alpha, beta) ** mult
+    return spec, forms, homogeneous, f
+
+
+@settings(max_examples=40, deadline=None)
+@given(linear_products())
+def test_filtered_sweep_on_random_linear_products(case):
+    spec, forms, homogeneous, f = case
+    assert (is_homogeneous(f) is not None) == homogeneous
+    report = linear_factors_over(f, spec)
+    oracle = unfiltered_linear_factors(f, spec)
+    assert report.to_json() == oracle.to_json()
+    assert report.residual_degree_in_z == oracle.residual_degree_in_z
+    found = dict(report.linear_factors)
+    planted = {}
+    for alpha, beta, mult in forms:
+        planted[alpha, beta] = planted.get((alpha, beta), 0) + mult
+    for form, mult in planted.items():
+        assert found.get(form, 0) >= mult
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
+def test_jet_never_rejects_a_true_divisor(p, r):
+    spec = make_field(p, r)
+    X, Y, Z = MultiPoly.gens(spec)
+    # homogeneous and not, with X-heavy terms that make low jet rows vanish
+    cofactors = [MultiPoly.one(spec), X**3, Z**2 + X * Y, Y**2 + X + 1, X**4 * Z + Y]
+    for alpha in spec.elements():
+        for beta in spec.elements():
+            for g in cofactors:
+                f = linear(spec, alpha, beta) * g
+                assert _jet_vanishes(_jet_rows(f), alpha, beta), (alpha, beta, g)
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)])
+def test_jet_passes_only_the_divisors_of_the_splitting_quotient(p, r):
+    # on T(q, 1) over F_q the filter alone finds the q - 2 linear factors
+    spec = make_field(p, r)
+    T = t_poly(ExponentPair(spec.order(), 1, spec))
+    rows = _jet_rows(T)
+    passed = [(a, b) for a in spec.elements() for b in spec.elements() if _jet_vanishes(rows, a, b)]
+    assert passed == [form for form, _ in linear_factors_over(T, spec).linear_factors]
+    assert len(passed) == spec.order() - 2
 
 
 @pytest.mark.parametrize(
