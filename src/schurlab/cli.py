@@ -21,8 +21,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from .ffield import DESK_CEILING, field_for, is_prime, make_field
 from .mpoly import is_symmetric3
@@ -56,19 +54,6 @@ CEILING_ENV = "SCHURLAB_CEILING"
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: command, parameters and global knobs."""
-
-    command: str
-    parameters: dict
-    output_format: str = "text"
-    ceiling: int = DESK_CEILING
-    seed: int = 0
-    strict: bool = False
-    jobs: int = 1
 
 
 class Emitter:
@@ -127,12 +112,12 @@ def _parse_int_set(text: str) -> list[int]:
             lo, hi = chunk.split(":", 1)
             lo, hi = int(lo), int(hi)
             if hi < lo:
-                raise ValueError(f"empty range {chunk!r}")
+                raise argparse.ArgumentTypeError(f"empty range {chunk!r}")
             out.update(range(lo, hi + 1))
         else:
             out.add(int(chunk))
     if not out:
-        raise ValueError(f"empty grid component {text!r}")
+        raise argparse.ArgumentTypeError(f"empty grid component {text!r}")
     return sorted(out)
 
 
@@ -140,26 +125,25 @@ def _parse_int_set(text: str) -> list[int]:
 # command implementations
 
 
-def _cmd_poly(config: RunConfig, emitter: Emitter) -> int:
-    p = config.parameters
-    fieldv = _field_from(p["char"], p["ext"])
-    if config.command == "tpoly":
-        e = ExponentPair(p["A"], p["B"], fieldv)
+def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
+    fieldv = _field_from(args.char, args.ext)
+    if args.command == "tpoly":
+        e = ExponentPair(args.A, args.B, fieldv)
         poly = t_poly(e)
         extra = {"A": e.A, "B": e.B, "d": e.d}
-    elif config.command == "rpoly":
-        e = ExponentPair(p["A"], p["B"], fieldv)
+    elif args.command == "rpoly":
+        e = ExponentPair(args.A, args.B, fieldv)
         poly = r_poly(e)
         extra = {"A": e.A, "B": e.B, "d": e.d}
     else:  # schur
-        part = Partition3((p["l1"], p["l2"], p["l3"]))
-        poly = schur_bialternant(part, p["d"], fieldv)
-        extra = {"partition": list(part.parts), "d": p["d"]}
+        part = Partition3((args.l1, args.l2, args.l3))
+        poly = schur_bialternant(part, args.d, fieldv)
+        extra = {"partition": list(part.parts), "d": args.d}
     record = {
-        "command": config.command,
+        "command": args.command,
         **extra,
-        "char": p["char"],
-        "ext": p["ext"],
+        "char": args.char,
+        "ext": args.ext,
         "poly": poly.to_text(),
         "terms": poly.to_json_terms(),
     }
@@ -167,17 +151,16 @@ def _cmd_poly(config: RunConfig, emitter: Emitter) -> int:
     return EXIT_PASS
 
 
-def _cmd_factor(config: RunConfig, emitter: Emitter) -> int:
-    p = config.parameters
-    spec = make_field(p["p"], p["r"])
-    e = ExponentPair(p["A"], p["B"], spec)
-    report = linear_factors_over(t_poly(e), spec, ceiling=min(config.ceiling, p["sweep_ceiling"]))
+def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
+    spec = make_field(args.p, args.r)
+    e = ExponentPair(args.A, args.B, spec)
+    report = linear_factors_over(t_poly(e), spec, ceiling=min(args.ceiling, args.sweep_ceiling))
     record = {
         "command": "factor",
         "A": e.A,
         "B": e.B,
-        "p": p["p"],
-        "r": p["r"],
+        "p": args.p,
+        "r": args.r,
         "factors": report.to_json()["linear_factors"],
         "factor_count": report.factor_count(),
         "residual_degree_in_z": report.residual_degree_in_z,
@@ -194,18 +177,17 @@ def _cmd_factor(config: RunConfig, emitter: Emitter) -> int:
     return EXIT_PASS
 
 
-def _cmd_signature(config: RunConfig, emitter: Emitter) -> int:
-    p = config.parameters
-    spec = make_field(p["p"], p["r"])
-    e = ExponentPair(p["A"], p["B"], spec)
+def _cmd_signature(args: argparse.Namespace, emitter: Emitter) -> int:
+    spec = make_field(args.p, args.r)
+    e = ExponentPair(args.A, args.B, spec)
     witnesses = signature_witness(e)
     all_true = all(w.verdict for w in witnesses)
     record = {
         "command": "signature",
         "A": e.A,
         "B": e.B,
-        "p": p["p"],
-        "r": p["r"],
+        "p": args.p,
+        "r": args.r,
         "witnesses": [w.to_json() for w in witnesses],
         "all_verdicts_true": all_true,
     }
@@ -233,35 +215,33 @@ def _verify_fact_point(which: str, p: int, r: int) -> dict:
     }
 
 
-def _cmd_verify_fact(config: RunConfig, emitter: Emitter) -> int:
-    p = config.parameters
-    record = _verify_fact_point(p["which"], p["p"], p["r"])
+def _cmd_verify_fact(args: argparse.Namespace, emitter: Emitter) -> int:
+    record = _verify_fact_point(args.which, args.p, args.r)
     text = _kv({k: record[k] for k in ("verdict", "which", "p", "r", "factor_count")})
     emitter.emit(record, text)
     return EXIT_PASS if record["verdict"] == "pass" else EXIT_FAIL
 
 
-def _cmd_counterexample(config: RunConfig, emitter: Emitter) -> int:
-    p = config.parameters
-    pair = build_alternative_pair(p["p"], p.get("eta"))
+def _cmd_counterexample(args: argparse.Namespace, emitter: Emitter) -> int:
+    pair = build_alternative_pair(args.p, args.eta)
     pair_record = {
         "command": "counterexample",
-        "p": p["p"],
+        "p": args.p,
         **pair.to_json(),
     }
-    emitter.emit(pair_record, _kv({"p": p["p"], "alpha": pair.alpha.token()}))
+    emitter.emit(pair_record, _kv({"p": args.p, "alpha": pair.alpha.token()}))
     status = EXIT_PASS
-    for m in p["m"]:
+    for m in args.m:
         modes = []
         verdicts = []
-        wants = ("direct", "frobenius_shortcut") if p["mode"] == "both" else (p["mode"],)
+        wants = ("direct", "frobenius_shortcut") if args.mode == "both" else (args.mode,)
         for mode in wants:
             if mode == "direct" and m > DIRECT_EXPANSION_CAP:
-                if p["mode"] != "both":
+                if args.mode != "both":
                     raise ValueError(f"m={m} too large for direct expansion")
                 continue
-            if mode == "frobenius_shortcut" and frobenius_power_shape(m, p["p"]) is None:
-                if p["mode"] != "both":
+            if mode == "frobenius_shortcut" and frobenius_power_shape(m, args.p) is None:
+                if args.mode != "both":
                     raise ValueError(
                         f"m={m} is not of the p^j + 1 shape the shortcut needs"
                     )
@@ -275,7 +255,7 @@ def _cmd_counterexample(config: RunConfig, emitter: Emitter) -> int:
         verdict = verdicts[0]
         record = {
             "command": "counterexample",
-            "p": p["p"],
+            "p": args.p,
             "m": m,
             "modes": modes,
             "identity_holds": verdict,
@@ -292,9 +272,8 @@ def _degree_point(p: int, r: int, s: int, mode: str, ceiling: int) -> dict:
     return record
 
 
-def _cmd_degree(config: RunConfig, emitter: Emitter) -> int:
-    p = config.parameters
-    record = _degree_point(p["p"], p["r"], p["s"], p["mode"], config.ceiling)
+def _cmd_degree(args: argparse.Namespace, emitter: Emitter) -> int:
+    record = _degree_point(args.p, args.r, args.s, args.mode, args.ceiling)
     text = _kv(
         {
             k: record[k]
@@ -303,18 +282,17 @@ def _cmd_degree(config: RunConfig, emitter: Emitter) -> int:
         }
     )
     emitter.emit(record, text)
-    if p["mode"] == "both" and not record["agree"]:
+    if args.mode == "both" and not record["agree"]:
         return EXIT_FAIL
     return EXIT_PASS
 
 
-def _cmd_identity(config: RunConfig, emitter: Emitter) -> int:
-    p = config.parameters
-    rng = random.Random(config.seed)
+def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
+    rng = random.Random(args.seed)
     status = EXIT_PASS
-    for char in p["chars"]:
+    for char in args.chars:
         fieldv = _field_from(char, 1)
-        for A in range(2, p["max_a"] + 1):
+        for A in range(2, args.max_a + 1):
             for B in range(1, A):
                 e = ExponentPair(A, B, fieldv)
                 T = t_poly(e)
@@ -327,7 +305,7 @@ def _cmd_identity(config: RunConfig, emitter: Emitter) -> int:
                 }
                 if B == 1:
                     checks["complete_homogeneous"] = T == complete_homogeneous(A - 2, fieldv)
-                checks["eval"] = _identity_spot_check(T, R, V, fieldv, rng, p["samples"])
+                checks["eval"] = _identity_spot_check(T, R, V, fieldv, rng, args.samples)
                 ok = all(checks.values())
                 record = {
                     "command": "identity",
@@ -364,74 +342,71 @@ def _identity_spot_check(T, R, V, fieldv, rng, samples: int) -> bool:
     return True
 
 
-def _cmd_sweep(config: RunConfig, emitter: Emitter) -> dict:
-    """Run every grid point; returns the pass/fail/skip counts."""
-    p = config.parameters
-    target = p["target"]
-    points = []
-    if target == "verify-fact":
-        if not p.get("which"):
-            raise ValueError("sweep verify-fact needs --which eq1|eq2")
-        for pp in p["p"]:
-            for rr in p["r"]:
-                points.append({"which": p["which"], "p": pp, "r": rr})
-    elif target == "degree":
-        for pp in p["p"]:
-            for rr in p["r"]:
-                ss = p["s"] if p.get("s") else range(1, rr)
-                for s in ss:
-                    if s < rr:
-                        points.append({"p": pp, "r": rr, "s": s})
-    else:
-        raise ValueError(f"unknown sweep target {target!r}")
-    if not points:
-        raise ValueError("the sweep grid is empty")
-    for pp in p["p"]:
+def _sweep_points(args: argparse.Namespace) -> list[dict]:
+    """Every grid point, after checking every grid value; bad values raise ValueError."""
+    if args.target == "verify-fact" and not args.which:
+        raise ValueError("sweep verify-fact needs --which eq1|eq2")
+    for pp in args.p:
         if not is_prime(pp):
             raise ValueError(f"p must be prime, got {pp}")
-
-    result_keys = ("factor_count",) if target == "verify-fact" else ("formula", "oracle")
-
-    def run_point(pt: dict) -> dict:
-        base = {"target": target, **pt, "verdict": None, **dict.fromkeys(result_keys),
-                "reason": None}
-        try:
-            if target == "verify-fact":
-                size = pt["p"] ** (pt["r"] if pt["which"] == "eq1" else 2 * pt["r"])
-            else:
-                size = pt["p"] ** (pt["r"] - pt["s"])
-            if size > config.ceiling:
-                return {**base, "verdict": "skip", "reason": "ceiling"}
-            if target == "verify-fact":
-                record = _verify_fact_point(pt["which"], pt["p"], pt["r"])
-                verdict = record["verdict"]
-            else:
-                record = _degree_point(pt["p"], pt["r"], pt["s"], "both", config.ceiling)
-                verdict = "pass" if record["agree"] else "fail"
-            return {**base, "verdict": verdict, **{k: record[k] for k in result_keys}}
-        except ValueError as exc:
-            return {**base, "verdict": "skip", "reason": str(exc)}
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run_point, points))
+    if args.target == "verify-fact":
+        for rr in args.r:
+            if rr < 1:
+                raise ValueError(f"extension degree must be >= 1, got {rr}")
+        points = [{"which": args.which, "p": pp, "r": rr} for pp in args.p for rr in args.r]
     else:
-        results = [run_point(pt) for pt in points]
+        for ss in args.s or ():
+            if ss < 1:
+                raise ValueError(f"the degree formula requires r > s >= 1, got s={ss}")
+        points = [
+            {"p": pp, "r": rr, "s": ss}
+            for pp in args.p
+            for rr in args.r
+            for ss in (args.s or range(1, rr))
+            if ss < rr
+        ]
+    if not points:
+        raise ValueError("the sweep grid is empty")
+    return points
 
+
+def _cmd_sweep(args: argparse.Namespace, emitter: Emitter) -> int:
+    """Run every grid point in order; skipped points fail the run under --strict."""
+    target = args.target
+    points = _sweep_points(args)
+    result_keys = ("factor_count",) if target == "verify-fact" else ("formula", "oracle")
     summary = {"pass": 0, "fail": 0, "skip": 0}
-    for record in results:
-        summary[record["verdict"] if record["verdict"] in ("pass", "skip") else "fail"] += 1
+    for pt in points:
+        record = {"target": target, **pt, "verdict": None, **dict.fromkeys(result_keys),
+                  "reason": None}
+        if target == "verify-fact":
+            size = pt["p"] ** (pt["r"] if pt["which"] == "eq1" else 2 * pt["r"])
+        else:
+            size = pt["p"] ** (pt["r"] - pt["s"])
+        if size > args.ceiling:
+            record.update(verdict="skip", reason="ceiling")
+        elif target == "verify-fact":
+            result = _verify_fact_point(pt["which"], pt["p"], pt["r"])
+            record.update(verdict=result["verdict"], factor_count=result["factor_count"])
+        else:
+            result = _degree_point(pt["p"], pt["r"], pt["s"], "both", args.ceiling)
+            record.update(verdict="pass" if result["agree"] else "fail",
+                          formula=result["formula"], oracle=result["oracle"])
+        summary[record["verdict"]] += 1
         emitter.emit(record, _kv(record))
     summary_record = {"command": "sweep", "target": target, **summary, "points": len(points)}
     emitter.emit(summary_record, _kv(summary_record))
-    return summary
+    if summary["fail"] or (args.strict and summary["skip"]):
+        return EXIT_FAIL
+    return EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="schurlab",
         description="Exact determinant-quotient polynomials, their factorizations "
@@ -440,11 +415,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--format", choices=("json", "tsv", "text"), default=None,
+        sp.add_argument("--format", choices=("json", "tsv", "text"), default="text",
                         help="output format (default text)")
         sp.add_argument("--ceiling", type=int, default=None,
                         help=f"field-size cap (default ${CEILING_ENV} or {DESK_CEILING})")
-        sp.add_argument("--seed", type=int, default=None,
+        sp.add_argument("--seed", type=int, default=0,
                         help="seed for randomized spot checks (default 0)")
         sp.add_argument("--strict", action="store_true",
                         help="treat skipped grid points as failures")
@@ -455,17 +430,17 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"print the {name[0].upper()} polynomial for (A, B)")
         sp.add_argument("--A", type=int, default=None)
         sp.add_argument("--B", type=int, default=None)
-        sp.add_argument("--char", type=int, default=None, help="0 for rationals, else a prime")
-        sp.add_argument("--ext", type=int, default=None, help="extension degree (default 1)")
+        sp.add_argument("--char", type=int, default=0, help="0 for rationals, else a prime")
+        sp.add_argument("--ext", type=int, default=1, help="extension degree (default 1)")
         common(sp)
 
     sp = sub.add_parser("schur", help="print the bialternant for a partition")
     sp.add_argument("--l1", type=int, default=None)
     sp.add_argument("--l2", type=int, default=None)
     sp.add_argument("--l3", type=int, default=None)
-    sp.add_argument("--d", type=int, default=None, help="evaluate at X^d, Y^d, Z^d (default 1)")
-    sp.add_argument("--char", type=int, default=None)
-    sp.add_argument("--ext", type=int, default=None)
+    sp.add_argument("--d", type=int, default=1, help="evaluate at X^d, Y^d, Z^d (default 1)")
+    sp.add_argument("--char", type=int, default=0)
+    sp.add_argument("--ext", type=int, default=1)
     common(sp)
 
     sp = sub.add_parser("factor", help="sweep linear factors of the (A, B) quotient over F_{p^r}")
@@ -473,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--B", type=int, default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--sweep-ceiling", dest="sweep_ceiling", type=int, default=None,
+    sp.add_argument("--sweep-ceiling", dest="sweep_ceiling", type=int, default=SWEEP_CEILING,
                     help=f"cap on field order for the quadratic sweep (default {SWEEP_CEILING})")
     common(sp)
 
@@ -493,48 +468,38 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("counterexample", help="build the alternative pair and test identities")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--eta", type=int, default=None, help="override the scanned eta (odd p)")
-    sp.add_argument("--m", default=None, help="comma list of exponents, e.g. 1,4,28")
-    sp.add_argument("--mode", choices=("direct", "frobenius_shortcut", "both"), default=None)
+    sp.add_argument("--m", type=_parse_int_set, default=None,
+                    help="comma list of exponents, e.g. 1,4,28")
+    sp.add_argument("--mode", choices=("direct", "frobenius_shortcut", "both"), default="both")
     common(sp)
 
     sp = sub.add_parser("degree", help="extension degree by formula and/or counting oracle")
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--mode", choices=("formula", "oracle", "both"), default=None)
+    sp.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
     common(sp)
 
     sp = sub.add_parser("identity", help="verify the construction identities on a grid")
-    sp.add_argument("--max-a", dest="max_a", type=int, default=None)
-    sp.add_argument("--chars", default=None, help="comma list of characteristics (default 0,3)")
-    sp.add_argument("--samples", type=int, default=None, help="random evaluation points per pair")
+    sp.add_argument("--max-a", dest="max_a", type=int, default=8)
+    sp.add_argument("--chars", type=_parse_int_set, default="0,3",
+                    help="comma list of characteristics (default 0,3)")
+    sp.add_argument("--samples", type=int, default=2, help="random evaluation points per pair")
     common(sp)
 
     sp = sub.add_parser("sweep", help="run a verification over a parameter grid")
     sp.add_argument("target", choices=("verify-fact", "degree"))
     sp.add_argument("--which", choices=("eq1", "eq2"), default=None)
-    sp.add_argument("--p", default=None, help="grid values, e.g. 2,3,5")
-    sp.add_argument("--r", default=None, help="grid values, e.g. 1:2")
-    sp.add_argument("--s", default=None, help="grid values; defaults to 1..r-1")
-    sp.add_argument("--jobs", type=int, default=None, help="concurrent points (default 1)")
+    sp.add_argument("--p", type=_parse_int_set, default=None, help="grid values, e.g. 2,3,5")
+    sp.add_argument("--r", type=_parse_int_set, default=None, help="grid values, e.g. 1:2")
+    sp.add_argument("--s", type=_parse_int_set, default=None,
+                    help="grid values; defaults to 1..r-1")
+    sp.add_argument("--jobs", type=int, default=1,
+                    help="accepted for compatibility; has no effect, points run in order")
     common(sp)
 
-    return parser
+    return parser, sub.choices
 
-
-_GLOBAL_DEFAULTS = {
-    "format": "text",
-    "seed": 0,
-    "jobs": 1,
-    "mode": "both",
-    "ext": 1,
-    "char": 0,
-    "d": 1,
-    "max_a": 8,
-    "chars": "0,3",
-    "samples": 2,
-    "sweep_ceiling": SWEEP_CEILING,
-}
 
 _REQUIRED = {
     "tpoly": ("A", "B"),
@@ -550,50 +515,32 @@ _REQUIRED = {
 }
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = vars(args).copy()
-    if values.get("config"):
-        with open(values["config"], "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError("--config must hold a JSON object")
-        for key, val in loaded.items():
-            dest = key.replace("-", "_")
-            if dest not in values or dest in ("command", "config"):
-                raise ValueError(f"unknown config key {key!r}")
-            if values[dest] is None:
-                values[dest] = val
-    for key, val in values.items():
-        if val is None and key in _GLOBAL_DEFAULTS:
-            values[key] = _GLOBAL_DEFAULTS[key]
-    if values.get("ceiling") is None:
-        values["ceiling"] = int(os.environ.get(CEILING_ENV, DESK_CEILING))
-    if values["ceiling"] < 2:
-        raise ValueError("--ceiling must be at least 2")
-    missing = [k for k in _REQUIRED[values["command"]] if values.get(k) is None]
-    if missing:
-        raise ValueError(f"missing required parameters: {', '.join(missing)}")
-    for key in ("m", "chars"):
-        if isinstance(values.get(key), str):
-            values[key] = _parse_int_set(values[key])
-    if values["command"] == "sweep":
-        for key in ("p", "r", "s"):
-            if values.get(key) is not None:
-                values[key] = _parse_int_set(values[key])
-    params = {
-        k: v
-        for k, v in values.items()
-        if k not in ("format", "ceiling", "seed", "strict", "config", "jobs", "command")
-    }
-    return RunConfig(
-        command=values["command"],
-        parameters=params,
-        output_format=values["format"],
-        ceiling=int(values["ceiling"]),
-        seed=int(values["seed"]),
-        strict=bool(values["strict"]),
-        jobs=int(values.get("jobs") or 1),
-    )
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv; a --config file replaces the declared defaults of its command.
+
+    The precedence is flag, then file, then declared default: the file's
+    values become the subcommand's defaults and argv is parsed again, so
+    argparse converts string values with each flag's own type.  An integer
+    is read as its digits would be on the command line (``"p": 3`` is the
+    grid ``--p 3``); other JSON values are used as they are.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if not args.config:
+        return args
+    with open(args.config, "r", encoding="utf-8") as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise ValueError("--config must hold a JSON object")
+    known = vars(args).keys() - {"command", "config"}
+    values = {}
+    for key, val in loaded.items():
+        dest = key.replace("-", "_")
+        if dest not in known:
+            raise ValueError(f"unknown config key {key!r}")
+        values[dest] = str(val) if type(val) is int else val
+    commands[args.command].set_defaults(**values)
+    return parser.parse_args(argv)
 
 
 _DISPATCH = {
@@ -606,33 +553,24 @@ _DISPATCH = {
     "counterexample": _cmd_counterexample,
     "degree": _cmd_degree,
     "identity": _cmd_identity,
+    "sweep": _cmd_sweep,
 }
 
 
-def run(config: RunConfig, out=None) -> int:
-    """Execute a resolved configuration; returns the process exit status."""
-    out = out if out is not None else sys.stdout
-    emitter = Emitter(config.output_format, out)
-    if config.command == "sweep":
-        summary = _cmd_sweep(config, emitter)
-        if summary["fail"]:
-            return EXIT_FAIL
-        if config.strict and summary["skip"]:
-            return EXIT_FAIL
-        return EXIT_PASS
-    return _DISPATCH[config.command](config, emitter)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
+        if args.ceiling is None:
+            args.ceiling = int(os.environ.get(CEILING_ENV, DESK_CEILING))
+        if args.ceiling < 2:
+            raise ValueError("--ceiling must be at least 2")
+        missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
+        if missing:
+            raise ValueError(f"missing required parameters: {', '.join(missing)}")
+        return _DISPATCH[args.command](args, Emitter(args.format, sys.stdout))
     except SystemExit as exc:  # argparse exits 2 on usage errors already
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        config = _resolve_config(args)
-        return run(config)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -288,36 +288,27 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
     I = i_poly(e)
     dth = set(e.field.roots_of_unity(d))
     top = I.degree_in("Z")  # equals A
+    # (kind, length, root order, Z powers of the checked coefficients)
+    families = (
+        ("lower", B, A - B, range(B + 1)),
+        ("upper", A - B, B, range(top, top - (A - B) - 1, -1)),
+    )
     witnesses = []
-    for theta in e.field.roots_of_unity(A - B):
-        if theta in dth:
-            continue
-        form = LinearForm(e.field, 1, -theta)
-        checks = tuple(
-            (j, linear_multiplicity(I.coeff_of("Z", j), form)) for j in range(B + 1)
-        )
-        mults = dict(checks)
-        verdict = (
-            mults[0] == 1
-            and all(mults[j] >= 1 for j in range(1, B))
-            and mults[B] == 0
-        )
-        witnesses.append(SignatureWitness("lower", B, theta, form, checks, verdict))
-    for zeta in e.field.roots_of_unity(B):
-        if zeta in dth:
-            continue
-        form = LinearForm(e.field, 1, -zeta)
-        checks = tuple(
-            (top - j, linear_multiplicity(I.coeff_of("Z", top - j), form))
-            for j in range(A - B + 1)
-        )
-        mults = dict(checks)
-        verdict = (
-            mults[top] == 1
-            and all(mults[top - j] >= 1 for j in range(1, A - B))
-            and mults[top - (A - B)] == 0
-        )
-        witnesses.append(SignatureWitness("upper", A - B, zeta, form, checks, verdict))
+    for kind, length, n, z_powers in families:
+        for root in e.field.roots_of_unity(n):
+            if root in dth:
+                continue
+            form = LinearForm(e.field, 1, -root)
+            checks = tuple(
+                (k, linear_multiplicity(I.coeff_of("Z", k), form)) for k in z_powers
+            )
+            mults = [m for _, m in checks]
+            verdict = (
+                mults[0] == 1
+                and all(m >= 1 for m in mults[1:length])
+                and mults[length] == 0
+            )
+            witnesses.append(SignatureWitness(kind, length, root, form, checks, verdict))
     return witnesses
 
 

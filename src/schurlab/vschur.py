@@ -107,7 +107,7 @@ def r_poly(e: ExponentPair) -> MultiPoly:
     return det
 
 
-def i_poly(e: ExponentPair, *, unity_check: bool = True, ceiling: int = DESK_CEILING) -> MultiPoly:
+def i_poly(e: ExponentPair, *, ceiling: int = DESK_CEILING) -> MultiPoly:
     """The intermediate quotient R / (X^d - Y^d).
 
     When the characteristic divides none of A, B, A - B, the quotient is
@@ -121,8 +121,7 @@ def i_poly(e: ExponentPair, *, unity_check: bool = True, ceiling: int = DESK_CEI
     d = e.d
     divisor = MultiPoly(field, {(d, 0, 0): 1, (0, d, 0): -1})
     quotient = exact_divide(r_poly(e), divisor)
-    if unity_check:
-        _i_poly_unity_check(e, quotient, ceiling)
+    _i_poly_unity_check(e, quotient, ceiling)
     return quotient
 
 

@@ -150,6 +150,24 @@ def test_config_flag_wins_over_file(capsys, tmp_path):
     assert out == "X^2 + X*Y + X*Z + Y^2 + Y*Z + Z^2\n"
 
 
+def test_config_file_can_set_strict(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"strict": True}))
+    args = ["sweep", "degree", "--p", "3", "--r", "13:13", "--s", "1", "--ceiling", "1000"]
+    status, out, _ = run_cli(capsys, *args, "--config", str(cfg))
+    assert "reason=ceiling" in out
+    assert status == 1
+
+
+def test_config_integer_grid_value_reads_as_the_flag(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": 3, "r": "2:3"}))
+    _, from_flags, _ = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "2:3")
+    status, out, _ = run_cli(capsys, "sweep", "degree", "--config", str(cfg))
+    assert status == 0
+    assert out == from_flags
+
+
 def test_config_unknown_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -188,6 +206,23 @@ def test_non_prime_p_in_sweep_grid_is_usage_error(capsys, argv):
     assert status == 2
     assert out == ""  # no grid point ran
     assert "p must be prime" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "verify-fact", "--which", "eq1", "--p", "3", "--r", "0:1"),
+         "extension degree must be >= 1, got 0"),
+        (("sweep", "degree", "--p", "3", "--r", "2:4", "--s", "0:1"),
+         "the degree formula requires r > s >= 1, got s=0"),
+    ],
+    ids=["verify-fact-r", "degree-s"],
+)
+def test_bad_grid_value_is_usage_error(capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2
+    assert out == ""  # no grid point ran
+    assert message in err
 
 
 def test_ceiling_env_default(capsys, monkeypatch):
