@@ -3,6 +3,7 @@ Newton power sums over the rationals and finite fields."""
 
 from .ffield import (
     DESK_CEILING,
+    CeilingError,
     FFElement,
     FieldMismatchError,
     FieldSpec,

@@ -1,9 +1,17 @@
 """Batch command-line frontend: construct, verify, sweep, report.
 
 Every command writes machine-readable records (one JSON object per line,
-or TSV rows, or terse text) and exits 0 only when every verdict passed,
-1 when something failed, 2 on usage or configuration errors.  Output is
-byte-identical for identical configuration and seed.
+or TSV rows, or terse text).  Exit codes:
+
+* 0 when every verdict passed;
+* 1 when some verdict failed (or, under ``sweep --strict``, a point was
+  skipped over the ceiling);
+* 2 on usage or configuration errors, a refusal over ``--ceiling`` outside
+  a sweep, and input too large to represent;
+* 3 when an internal cross-check failed (the two ``r_poly`` routes, the
+  ``i_poly`` unity check, ``counterexample`` modes, the oracle's parity).
+
+Output is byte-identical for identical configuration and seed.
 
 Examples::
 
@@ -22,7 +30,7 @@ import os
 import random
 import sys
 
-from .ffield import DESK_CEILING, field_for, is_prime, make_field
+from .ffield import DESK_CEILING, CeilingError, field_for, is_prime, make_field
 from .mpoly import is_symmetric3
 from .vschur import (
     ExponentPair,
@@ -54,6 +62,7 @@ CEILING_ENV = "SCHURLAB_CEILING"
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_ERROR = 3
 
 
 class Emitter:
@@ -203,8 +212,8 @@ def _cmd_signature(args: argparse.Namespace, emitter: Emitter) -> int:
     return EXIT_PASS if all_true else EXIT_FAIL
 
 
-def _verify_fact_point(which: str, p: int, r: int) -> dict:
-    ok, report = (verify_fact_eq1 if which == "eq1" else verify_fact_eq2)(p, r)
+def _verify_fact_point(which: str, p: int, r: int, ceiling: int) -> dict:
+    ok, report = (verify_fact_eq1 if which == "eq1" else verify_fact_eq2)(p, r, ceiling)
     return {
         "command": "verify-fact",
         "which": which,
@@ -216,7 +225,7 @@ def _verify_fact_point(which: str, p: int, r: int) -> dict:
 
 
 def _cmd_verify_fact(args: argparse.Namespace, emitter: Emitter) -> int:
-    record = _verify_fact_point(args.which, args.p, args.r)
+    record = _verify_fact_point(args.which, args.p, args.r, args.ceiling)
     text = _kv({k: record[k] for k in ("verdict", "which", "p", "r", "factor_count")})
     emitter.emit(record, text)
     return EXIT_PASS if record["verdict"] == "pass" else EXIT_FAIL
@@ -371,7 +380,8 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
 
 
 def _cmd_sweep(args: argparse.Namespace, emitter: Emitter) -> int:
-    """Run every grid point in order; skipped points fail the run under --strict."""
+    """Run every grid point in order; a point the library refuses with
+    CeilingError is a skip, and skips fail the run under --strict."""
     target = args.target
     points = _sweep_points(args)
     result_keys = ("factor_count",) if target == "verify-fact" else ("formula", "oracle")
@@ -379,19 +389,16 @@ def _cmd_sweep(args: argparse.Namespace, emitter: Emitter) -> int:
     for pt in points:
         record = {"target": target, **pt, "verdict": None, **dict.fromkeys(result_keys),
                   "reason": None}
-        if target == "verify-fact":
-            size = pt["p"] ** (pt["r"] if pt["which"] == "eq1" else 2 * pt["r"])
-        else:
-            size = pt["p"] ** (pt["r"] - pt["s"])
-        if size > args.ceiling:
+        try:
+            if target == "verify-fact":
+                result = _verify_fact_point(pt["which"], pt["p"], pt["r"], args.ceiling)
+                record.update(verdict=result["verdict"], factor_count=result["factor_count"])
+            else:
+                result = _degree_point(pt["p"], pt["r"], pt["s"], "both", args.ceiling)
+                record.update(verdict="pass" if result["agree"] else "fail",
+                              formula=result["formula"], oracle=result["oracle"])
+        except CeilingError:
             record.update(verdict="skip", reason="ceiling")
-        elif target == "verify-fact":
-            result = _verify_fact_point(pt["which"], pt["p"], pt["r"])
-            record.update(verdict=result["verdict"], factor_count=result["factor_count"])
-        else:
-            result = _degree_point(pt["p"], pt["r"], pt["s"], "both", args.ceiling)
-            record.update(verdict="pass" if result["agree"] else "fail",
-                          formula=result["formula"], oracle=result["oracle"])
         summary[record["verdict"]] += 1
         emitter.emit(record, _kv(record))
     summary_record = {"command": "sweep", "target": target, **summary, "points": len(points)}
@@ -405,8 +412,17 @@ def _cmd_sweep(args: argparse.Namespace, emitter: Emitter) -> int:
 # argument parsing
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and its subcommand parsers by name."""
+def _ceiling_value(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
+    return value
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="schurlab",
         description="Exact determinant-quotient polynomials, their factorizations "
@@ -417,14 +433,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     def common(sp):
         sp.add_argument("--format", choices=("json", "tsv", "text"), default="text",
                         help="output format (default text)")
-        sp.add_argument("--ceiling", type=int, default=None,
-                        help=f"field-size cap (default ${CEILING_ENV} or {DESK_CEILING})")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized spot checks (default 0)")
-        sp.add_argument("--strict", action="store_true",
-                        help="treat skipped grid points as failures")
         sp.add_argument("--config", default=None,
-                        help="JSON file supplying any of the flag values")
+                        help="JSON file whose keys are this command's flags")
+
+    def ceiling(sp):
+        # a string default goes through the type, so a bad $SCHURLAB_CEILING exits 2
+        sp.add_argument("--ceiling", type=_ceiling_value,
+                        default=os.environ.get(CEILING_ENV, str(DESK_CEILING)),
+                        help=f"field-size cap, at least 2 (default ${CEILING_ENV} "
+                        f"or {DESK_CEILING})")
 
     for name in ("tpoly", "rpoly"):
         sp = sub.add_parser(name, help=f"print the {name[0].upper()} polynomial for (A, B)")
@@ -450,6 +467,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--sweep-ceiling", dest="sweep_ceiling", type=int, default=SWEEP_CEILING,
                     help=f"cap on field order for the quadratic sweep (default {SWEEP_CEILING})")
+    ceiling(sp)
     common(sp)
 
     sp = sub.add_parser("signature", help="signature witnesses for the (A, B) quotient")
@@ -463,6 +481,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--which", choices=("eq1", "eq2"), default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
+    ceiling(sp)
     common(sp)
 
     sp = sub.add_parser("counterexample", help="build the alternative pair and test identities")
@@ -478,6 +497,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--r", type=int, default=None)
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
+    ceiling(sp)
     common(sp)
 
     sp = sub.add_parser("identity", help="verify the construction identities on a grid")
@@ -485,6 +505,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--chars", type=_parse_int_set, default="0,3",
                     help="comma list of characteristics (default 0,3)")
     sp.add_argument("--samples", type=int, default=2, help="random evaluation points per pair")
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the random evaluation points (default 0)")
     common(sp)
 
     sp = sub.add_parser("sweep", help="run a verification over a parameter grid")
@@ -494,11 +516,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp.add_argument("--r", type=_parse_int_set, default=None, help="grid values, e.g. 1:2")
     sp.add_argument("--s", type=_parse_int_set, default=None,
                     help="grid values; defaults to 1..r-1")
+    sp.add_argument("--strict", action="store_true",
+                    help="treat points skipped over the ceiling as failures")
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; has no effect, points run in order")
+    ceiling(sp)
     common(sp)
 
-    return parser, sub.choices
+    return parser
 
 
 _REQUIRED = {
@@ -516,15 +541,17 @@ _REQUIRED = {
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv; a --config file replaces the declared defaults of its command.
+    """Parse argv; a --config file reads as flags placed before the user's own.
 
-    The precedence is flag, then file, then declared default: the file's
-    values become the subcommand's defaults and argv is parsed again, so
-    argparse converts string values with each flag's own type.  An integer
-    is read as its digits would be on the command line (``"p": 3`` is the
-    grid ``--p 3``); other JSON values are used as they are.
+    Each key of the file's JSON object names a flag of the command: a list
+    becomes its comma text, ``true`` the bare flag (``"strict": true``) and
+    any other value its ``str``.  These tokens go between the subcommand
+    name and the user's arguments and the line is parsed once more, so
+    every file value meets its flag's type and choices, and a flag on the
+    command line beats the file, which beats the declared default.
     """
-    parser, commands = _build_parser()
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -533,14 +560,19 @@ def _parse_args(argv) -> argparse.Namespace:
     if not isinstance(loaded, dict):
         raise ValueError("--config must hold a JSON object")
     known = vars(args).keys() - {"command", "config"}
-    values = {}
+    tokens = []
     for key, val in loaded.items():
         dest = key.replace("-", "_")
         if dest not in known:
             raise ValueError(f"unknown config key {key!r}")
-        values[dest] = str(val) if type(val) is int else val
-    commands[args.command].set_defaults(**values)
-    return parser.parse_args(argv)
+        flag = "--" + dest.replace("_", "-")
+        if val is True:
+            tokens.append(flag)
+        elif isinstance(val, list):
+            tokens += [flag, ",".join(map(str, val))]
+        else:
+            tokens += [flag, str(val)]
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 _DISPATCH = {
@@ -560,19 +592,19 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        if args.ceiling is None:
-            args.ceiling = int(os.environ.get(CEILING_ENV, DESK_CEILING))
-        if args.ceiling < 2:
-            raise ValueError("--ceiling must be at least 2")
         missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
         if missing:
             raise ValueError(f"missing required parameters: {', '.join(missing)}")
         return _DISPATCH[args.command](args, Emitter(args.format, sys.stdout))
     except SystemExit as exc:  # argparse exits 2 on usage errors already
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    # OverflowError is an ArithmeticError, but it means the input is too large
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

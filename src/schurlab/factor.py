@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ffield import FieldSpec, field_of, make_field
+from .ffield import DESK_CEILING, CeilingError, FieldSpec, check_ceiling, field_of, make_field
 from .mpoly import (
     ZERO_POLY,
     LinearForm,
@@ -172,7 +172,7 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = SWEEP_CEIL
     if f.field != spec:
         raise ValueError(f"polynomial lives over {f.field}, not {spec}")
     if spec.order() > ceiling:
-        raise ValueError(
+        raise CeilingError(
             f"field order {spec.order()} exceeds the sweep ceiling {ceiling}"
         )
     z_degree = f.degree_in("Z")
@@ -227,25 +227,29 @@ def _verify_splitting(spec: FieldSpec, A: int, B: int, forms: list) -> tuple[boo
     return ok, report
 
 
-def verify_fact_eq1(p: int, r: int) -> tuple[bool, FactorReport]:
+def verify_fact_eq1(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, FactorReport]:
     """Check that the quotient for (p^r, 1) splits into its closed-form factors.
 
     The claimed identity: over F_{p^r}, the quotient polynomial equals the
     product of Z - alpha*X + (alpha - 1)*Y over all alpha other than 0, 1.
+    Raises CeilingError when p^r exceeds the ceiling.
     """
+    check_ceiling(p, r, ceiling)
     spec = make_field(p, r)
     one = spec.one()
     forms = [(alpha, one - alpha) for alpha in spec.elements() if alpha and alpha != one]
     return _verify_splitting(spec, spec.order(), 1, forms)
 
 
-def verify_fact_eq2(p: int, r: int) -> tuple[bool, FactorReport]:
+def verify_fact_eq2(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, FactorReport]:
     """Check the companion splitting for the pair (p^(2r) - 1, p^r - 1).
 
     Over F_{p^r} the quotient polynomial equals the product of
     Z - alpha*X - beta*Y over all nonzero alpha, beta; the factor count is
-    (p^r - 1)^2, its degree in Z.
+    (p^r - 1)^2, its degree in Z.  Raises CeilingError when p^(2r), the
+    size of that (alpha, beta) grid, exceeds the ceiling.
     """
+    check_ceiling(p, 2 * r, ceiling, "grid size")
     spec = make_field(p, r)
     q = spec.order()
     units = [x for x in spec.elements() if x]

@@ -60,6 +60,21 @@ class FieldMismatchError(ValueError):
     """Two operands belong to different fields."""
 
 
+class CeilingError(ValueError):
+    """A computation would exceed the size ceiling it was given."""
+
+
+def check_ceiling(p: int, k: int, ceiling: int, what: str = "field order") -> None:
+    """Raise CeilingError when p^k exceeds the ceiling.
+
+    The power is capped at the ceiling's bit length (p^k > ceiling for any
+    p >= 2 past it), so a huge k costs nothing.  p < 2 never raises; the
+    field constructors reject it.
+    """
+    if p >= 2 and p ** min(k, ceiling.bit_length()) > ceiling:
+        raise CeilingError(f"{what} {p}^{k} exceeds the ceiling {ceiling}")
+
+
 class FieldTooSmallError(ValueError):
     """The field does not contain the requested roots of unity.
 
@@ -84,6 +99,18 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def unity_degree(p: int, n: int) -> int:
+    """The least k >= 1 with n | p^k - 1: F_{p^k} is the smallest field
+    holding the n-th roots of unity.  Needs n coprime to p."""
+    if n % p == 0:
+        raise ValueError(f"{n} is not coprime to {p}")
+    k, acc = 1, p % n
+    while acc != 1 % n:
+        acc = (acc * p) % n
+        k += 1
+    return k
 
 
 def prime_factors(n: int) -> list[int]:
@@ -266,11 +293,7 @@ class FieldSpec:
             raise ValueError(f"{n}-th roots of unity are repeated in characteristic {self.p}")
         q1 = self.order() - 1
         if n > 1 and q1 % n != 0:
-            needed = 1
-            acc = self.p % n
-            while acc != 1:
-                acc = (acc * self.p) % n
-                needed += 1
+            needed = unity_degree(self.p, n)
             raise FieldTooSmallError(
                 f"{n} does not divide {self.order()} - 1; "
                 f"need extension degree {needed} over F_{self.p}",

@@ -20,6 +20,7 @@ from .ffield import (
     RATIONALS,
     FFElement,
     FieldSpec,
+    check_ceiling,
     field_for,
     frobenius,
     is_prime,
@@ -240,8 +241,7 @@ def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int
     if t.s < 1:
         raise ValueError("counting needs r > s >= 1")
     n = t.r - t.s
-    if t.p**n > ceiling:
-        raise ValueError(f"field order {t.p}^{n} exceeds the ceiling {ceiling}")
+    check_ceiling(t.p, n, ceiling)
     spec = make_field(t.p, n)
     s_eff = t.s % n if n > 0 else 0
     two = spec.from_int(2)

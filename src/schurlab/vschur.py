@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .ffield import DESK_CEILING, RATIONALS, FieldSpec, FieldTooSmallError, make_field
+from .ffield import DESK_CEILING, RATIONALS, FieldSpec, FieldTooSmallError, make_field, unity_degree
 from .mpoly import CoeffField, LinearForm, MultiPoly, exact_divide
 
 
@@ -138,11 +138,7 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
         big = spec
     elif spec.r == 1:
         # only the prime field embeds canonically; find the minimal level
-        rr = 1
-        acc = p % n
-        while acc != 1:
-            acc = (acc * p) % n
-            rr += 1
+        rr = unity_degree(p, n)
         if p**rr > ceiling:
             warnings.warn(
                 f"roots-of-unity cross-check skipped for (A,B)=({A},{B}): "

@@ -238,3 +238,78 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("verify-fact",), {"which": "eq3", "p": 3, "r": 1}),
+        (("verify-fact",), {"which": "eq1", "p": 3, "r": 1, "format": "xml"}),
+        (("sweep", "degree"), {"p": ["a"], "r": 2}),
+        (("tpoly",), {"A": 3.5, "B": 1}),
+        (("sweep", "degree"), {"p": 3, "r": 2, "strict": "no"}),
+    ],
+    ids=["which", "format", "grid-element", "float", "strict"],
+)
+def test_config_values_meet_their_flags_checks(capsys, tmp_path, argv, config):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    status, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    assert status == 2
+    assert out == ""
+
+
+def test_config_list_reads_as_the_flags_comma_text(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"p": [3, 2], "r": [2, 3]}))
+    base = ("sweep", "verify-fact", "--which", "eq1")
+    _, from_flags, _ = run_cli(capsys, *base, "--p", "3,2", "--r", "2,3")
+    status, out, _ = run_cli(capsys, *base, "--config", str(cfg))
+    assert status == 0
+    assert out == from_flags
+
+
+def test_verify_fact_honours_the_ceiling(capsys):
+    point = ("--which", "eq2", "--p", "2", "--r", "1", "--ceiling", "2")
+    status, out, err = run_cli(capsys, "verify-fact", *point)
+    assert status == 2
+    assert out == ""
+    assert "exceeds the ceiling" in err
+    status, out, _ = run_cli(capsys, "sweep", "verify-fact", *point)
+    assert status == 0
+    assert out.splitlines()[0] == "target=verify-fact which=eq2 p=2 r=1 verdict=skip reason=ceiling"
+
+
+def test_flag_where_it_does_nothing_is_usage_error(capsys):
+    status, out, _ = run_cli(capsys, "tpoly", "--A", "3", "--B", "1", "--seed", "0")
+    assert status == 2
+    assert out == ""
+
+
+def test_input_too_large_is_usage_error(capsys):
+    status, out, err = run_cli(capsys, "tpoly", "--A", str(2**62), "--B", "1")
+    assert status == 2
+    assert out == ""
+    assert "exponent too large" in err
+
+
+def test_failed_internal_check_exits_3(capsys, monkeypatch):
+    from schurlab import cli
+
+    monkeypatch.setattr(cli, "verify_newton_identity", lambda pair, m, mode: mode == "direct")
+    status, _, err = run_cli(capsys, "counterexample", "--p", "3", "--m", "4")
+    assert status == 3
+    assert "internal check failed: modes disagree at m=4" in err
+
+
+def test_only_a_ceiling_refusal_is_a_skip(capsys, monkeypatch):
+    from schurlab import cli
+
+    def refuse(*args):
+        raise ValueError("not a ceiling")
+
+    monkeypatch.setattr(cli, "_degree_point", refuse)
+    status, out, err = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "2:3")
+    assert status == 2
+    assert "verdict=skip" not in out
+    assert "not a ceiling" in err

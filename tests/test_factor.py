@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurlab.ffield import FieldTooSmallError, is_prime, make_field
+from schurlab.ffield import CeilingError, FieldTooSmallError, is_prime, make_field
 from schurlab.factor import (
     FactorReport,
     _jet_rows,
@@ -69,10 +69,30 @@ def test_linear_factors_reconstruct_input():
 
 
 def test_linear_factors_rejects_zero_and_ceiling():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         linear_factors_over(MultiPoly.zero(F3), F3)
-    with pytest.raises(ValueError, match="ceiling"):
+    assert not isinstance(exc.value, CeilingError)
+    with pytest.raises(CeilingError, match="exceeds the sweep ceiling 2"):
         linear_factors_over(MultiPoly.variable(F3, "Z"), F3, ceiling=2)
+
+
+@pytest.mark.parametrize(
+    "verify, p, r, size",
+    [(verify_fact_eq1, 3, 2, 9), (verify_fact_eq2, 2, 2, 16), (verify_fact_eq2, 3, 1, 9)],
+    ids=["eq1-3-2", "eq2-2-2", "eq2-3-1"],
+)
+def test_verify_fact_ceiling(verify, p, r, size):
+    """eq1 refuses p^r above the ceiling and eq2 refuses p^(2r); at the size they run."""
+    with pytest.raises(CeilingError, match="exceeds the ceiling"):
+        verify(p, r, ceiling=size - 1)
+    ok, _ = verify(p, r, ceiling=size)
+    assert ok
+
+
+def test_verify_fact_ceiling_never_computes_a_huge_power():
+    for verify in (verify_fact_eq1, verify_fact_eq2):
+        with pytest.raises(CeilingError, match=r"3\^\d+ exceeds the ceiling"):
+            verify(3, 10**15)
 
 
 def linear(spec, alpha, beta):

@@ -8,17 +8,20 @@ from hypothesis import given, settings, strategies as st
 from schurlab.ffield import (
     RATIONALS,
     TABLE_CEILING,
+    CeilingError,
     FFElement,
     FieldMismatchError,
     FieldSpec,
     FieldTooSmallError,
     _schoolbook_mul,
     _schoolbook_pow,
+    check_ceiling,
     frobenius,
     in_subfield,
     is_prime,
     make_field,
     multiplicative_generator,
+    unity_degree,
 )
 
 
@@ -162,6 +165,29 @@ def test_roots_of_unity_reports_required_degree():
     # and the reported level does contain them
     F49 = make_field(7, 2)
     assert len(F49.roots_of_unity(4)) == 4
+
+
+def test_unity_degree_is_the_order_of_p_mod_n():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 60):
+            if n % p:
+                want = next(k for k in range(1, n + 1) if (p**k - 1) % n == 0)
+                assert unity_degree(p, n) == want
+    with pytest.raises(ValueError):
+        unity_degree(3, 6)
+
+
+def test_check_ceiling_matches_the_full_power():
+    for p in (2, 3, 7):
+        for k in range(-1, 30):
+            for ceiling in (2, 7, 8, 9, 1000, 1024, 10**6, 2**20 - 1, 2**20):
+                over = p**k > ceiling
+                try:
+                    check_ceiling(p, k, ceiling)
+                except CeilingError:
+                    assert over, (p, k, ceiling)
+                else:
+                    assert not over, (p, k, ceiling)
 
 
 def test_roots_of_unity_form_cyclic_group():

@@ -1,6 +1,6 @@
 import pytest
 
-from schurlab.ffield import frobenius, make_field
+from schurlab.ffield import CeilingError, frobenius, make_field
 from schurlab.mpoly import LinearForm, MultiPoly, RATIONALS, substitute
 from schurlab.newton import (
     AlternativePair,
@@ -162,8 +162,10 @@ def test_brute_count_is_even_and_at_least_two():
 
 
 def test_brute_count_ceiling():
-    with pytest.raises(ValueError, match="ceiling"):
+    with pytest.raises(CeilingError, match="exceeds the ceiling 100"):
         brute_count_alternatives(TowerParams(3, 9, 1), ceiling=100)
+    with pytest.raises(CeilingError, match="exceeds the ceiling"):
+        brute_count_alternatives(TowerParams(3, 10**15, 1))
 
 
 def test_degree_of_extension_modes():
