@@ -241,24 +241,16 @@ def _cmd_counterexample(args: argparse.Namespace, emitter: Emitter) -> int:
     emitter.emit(pair_record, _kv({"p": args.p, "alpha": pair.alpha.token()}))
     status = EXIT_PASS
     for m in args.m:
-        modes = []
-        verdicts = []
-        wants = ("direct", "frobenius_shortcut") if args.mode == "both" else (args.mode,)
-        for mode in wants:
-            if mode == "direct" and m > DIRECT_EXPANSION_CAP:
-                if args.mode != "both":
-                    raise ValueError(f"m={m} too large for direct expansion")
-                continue
-            if mode == "frobenius_shortcut" and frobenius_power_shape(m, args.p) is None:
-                if args.mode != "both":
-                    raise ValueError(
-                        f"m={m} is not of the p^j + 1 shape the shortcut needs"
-                    )
-                continue
-            verdicts.append(verify_newton_identity(pair, m, mode))
-            modes.append(mode)
+        modes = [args.mode]
+        if args.mode == "both":  # each mode that applies to m
+            modes = []
+            if m <= DIRECT_EXPANSION_CAP:
+                modes.append("direct")
+            if frobenius_power_shape(m, args.p) is not None:
+                modes.append("frobenius_shortcut")
         if not modes:
             raise ValueError(f"no applicable mode for m={m}")
+        verdicts = [verify_newton_identity(pair, m, mode) for mode in modes]
         if len(set(verdicts)) > 1:
             raise ArithmeticError(f"modes disagree at m={m}: {dict(zip(modes, verdicts))}")
         verdict = verdicts[0]

@@ -31,8 +31,9 @@ None where 1 + g^k = 0.  Then x*y = exp[log x + log y] and
 g^i + g^j = exp[i + zech[j - i]]; negation, inversion, powers and
 Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
 1 + g^k only changes the top digit of the code of g^k.  Larger fields
-multiply by schoolbook convolution and reduction on the decoded
-coordinates, which the tests also use as the oracle for the tables.
+compute on the decoded coordinates with the same dense F_p[x] kernel
+(multiply, reduce by the modulus, power) as the modulus search, which the
+tests also use as the oracle for the tables.
 
 Both kinds of field answer one interface, which is all the rest of the
 package uses: ``p``, ``zero()``, ``one()``, ``from_int(n)``,
@@ -130,7 +131,8 @@ def prime_factors(n: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Dense univariate arithmetic over F_p.  Coefficient lists are low degree
-# first; the zero polynomial is the empty list.
+# first; the zero polynomial is the empty list.  Multiplication and
+# reduction sum exact integer products and reduce mod p once, at the end.
 
 def _trim(v: list[int]) -> list[int]:
     while v and v[-1] == 0:
@@ -145,22 +147,22 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+                out[i + j] += ai * bj
+    return _trim([c % p for c in out])
 
 
 def _poly_mod(a: list[int], f: list[int], p: int) -> list[int]:
-    # f must be monic
+    # f must be monic; only its nonzero lower terms do any work
     a = list(a)
     df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        c = a[-1]
+    lower = [(i, fi) for i, fi in enumerate(f[:df]) if fi]
+    while len(a) > df:
+        c = a.pop() % p
         if c:
-            shift = len(a) - 1 - df
-            for i, fi in enumerate(f):
-                a[shift + i] = (a[shift + i] - c * fi) % p
-        a.pop()
-    return _trim(a)
+            shift = len(a) - df
+            for i, fi in lower:
+                a[shift + i] -= c * fi
+    return _trim([c % p for c in a])
 
 
 def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
@@ -179,8 +181,9 @@ def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
     while e:
         if e & 1:
             result = _poly_mod(_poly_mul(result, base, p), f, p)
-        base = _poly_mod(_poly_mul(base, base, p), f, p)
         e >>= 1
+        if e:
+            base = _poly_mod(_poly_mul(base, base, p), f, p)
     return result
 
 
@@ -430,47 +433,20 @@ def make_field(p: int, r: int) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Schoolbook arithmetic on coordinate vectors: the kernel of fields above
-# TABLE_CEILING, and of building the tables.
-
-
-@functools.lru_cache(maxsize=None)
-def _reduction_rows(spec: FieldSpec) -> tuple[tuple[int, ...], ...]:
-    """X^k mod modulus for k = r .. 2r-2, as coordinate rows."""
-    rows = []
-    f = list(spec.modulus)
-    for k in range(spec.r, max(2 * spec.r - 1, spec.r)):
-        row = _poly_mod([0] * k + [1], f, spec.p)
-        rows.append(tuple(row) + (0,) * (spec.r - len(row)))
-    return tuple(rows)
+# Coordinate vectors as F_p[x] residues mod the modulus: the kernel of
+# fields above TABLE_CEILING, and of building the tables.
 
 
 def _schoolbook_mul(spec: FieldSpec, a, b) -> tuple[int, ...]:
-    """Product of two coordinate vectors: convolution, then reduction by the modulus."""
-    p, r = spec.p, spec.r
-    conv = [0] * (2 * r - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                conv[i + j] += x * y
-    res = conv[:r]
-    for c, row in zip(conv[r:], _reduction_rows(spec)):
-        if c:
-            for i in range(r):
-                res[i] += c * row[i]
-    return tuple(c % p for c in res)
+    """Product of two coordinate vectors, reduced by the modulus."""
+    v = _poly_mod(_poly_mul(a, b, spec.p), spec.modulus, spec.p)
+    return tuple(v) + (0,) * (spec.r - len(v))
 
 
 def _schoolbook_pow(spec: FieldSpec, a, e: int) -> tuple[int, ...]:
     """a^e for a coordinate vector a and e >= 0, by square and multiply."""
-    result = spec._decode(spec.order() // spec.p)  # the element 1
-    while e:
-        if e & 1:
-            result = _schoolbook_mul(spec, result, a)
-        e >>= 1
-        if e:
-            a = _schoolbook_mul(spec, a, a)
-    return result
+    v = _poly_powmod(a, e, spec.modulus, spec.p)
+    return tuple(v) + (0,) * (spec.r - len(v))
 
 
 @functools.lru_cache(maxsize=None)

@@ -415,33 +415,23 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
 
 
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:
-    """Replace one variable by the linear form c_x*X + c_y*Y, exactly."""
+    """Replace one variable by the linear form c_x*X + c_y*Y, exactly.
+
+    Horner's rule in var: with C_k the coefficient of var^k, the image is
+    (...(C_top * form + C_(top-1)) * form + ...) * form + C_0.
+    """
     if f.field != form.field:
         raise FieldMismatchError("substitution form over a different field")
     i = _VAR_INDEX[var]
-    fp = form.as_poly()
-    # powers of the form, computed once up to the largest exponent used
-    max_e = max((m[i] for m in f._terms), default=0)
-    pows = [MultiPoly.one(f.field)]
-    for _ in range(max_e):
-        pows.append(pows[-1] * fp)
-    out: dict[Monomial, object] = {}
+    coeffs: dict[int, dict[Monomial, object]] = {}
     for mon, c in f._terms.items():
-        e = mon[i]
-        rest = list(mon)
-        rest[i] = 0
-        for pm, pc in pows[e]._terms.items():
-            tm = (rest[0] + pm[0], rest[1] + pm[1], rest[2] + pm[2])
-            if tm[0] >= EXPONENT_CAP or tm[1] >= EXPONENT_CAP or tm[2] >= EXPONENT_CAP:
-                raise ExponentOverflowError(f"exponent overflow at {tm}")
-            acc = out.get(tm)
-            add = c * pc
-            acc = add if acc is None else acc + add
-            if not acc:
-                out.pop(tm, None)
-            else:
-                out[tm] = acc
-    return MultiPoly._raw(f.field, out)
+        coeffs.setdefault(mon[i], {})[mon[:i] + (0,) + mon[i + 1:]] = c
+    top = max(coeffs, default=0)
+    out = MultiPoly._raw(f.field, coeffs.get(top, {}))
+    fp = form.as_poly()
+    for k in range(top - 1, -1, -1):
+        out = out * fp + MultiPoly._raw(f.field, coeffs.get(k, {}))
+    return out
 
 
 def partial_derivative(f: MultiPoly, var: str) -> MultiPoly:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .ffield import (
     DESK_CEILING,
     RATIONALS,
+    CeilingError,
     FFElement,
     FieldSpec,
     check_ceiling,
@@ -151,7 +152,7 @@ def frobenius_power_shape(m: int, p: int) -> int | None:
 def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") -> bool:
     """Whether z^m + w^m equals x^m + y^m as polynomials over the ambient field.
 
-    ``direct`` expands the powers (bounded by DIRECT_EXPANSION_CAP);
+    ``direct`` expands the powers (CeilingError past DIRECT_EXPANSION_CAP);
     ``frobenius_shortcut`` requires m = p^j + 1 and rewrites u^(p^j+1) as
     u^(p^j) * u, mapping the form coefficients through j Frobenius steps,
     so nothing large is ever expanded.
@@ -162,7 +163,7 @@ def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") 
     rhs = newton_poly(m, field)
     if mode == "direct":
         if m > DIRECT_EXPANSION_CAP:
-            raise ValueError(
+            raise CeilingError(
                 f"m={m} is too large to expand directly; use frobenius_shortcut"
             )
         lhs = pair.z.as_poly() ** m + pair.w.as_poly() ** m

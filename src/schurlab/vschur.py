@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .ffield import DESK_CEILING, RATIONALS, FieldSpec, FieldTooSmallError, make_field, unity_degree
+from .ffield import DESK_CEILING, RATIONALS, FieldSpec, make_field, unity_degree
 from .mpoly import CoeffField, LinearForm, MultiPoly, exact_divide
 
 
@@ -164,12 +164,7 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
         # prime-field coefficients serialize as bare residues, which big reads
         return MultiPoly(big, {m: big.parse(spec.token(c)) for m, c in poly._terms.items()})
 
-    try:
-        product_form = _unity_product_form(A, B, d, big)
-    except FieldTooSmallError as exc:  # pragma: no cover - level chosen above
-        warnings.warn(str(exc), RuntimeWarning, stacklevel=3)
-        return
-    if lifted(quotient) != product_form:
+    if lifted(quotient) != _unity_product_form(A, B, d, big):
         raise ArithmeticError(
             f"quotient and roots-of-unity product disagree for (A,B)=({A},{B})"
         )

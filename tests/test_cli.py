@@ -63,6 +63,21 @@ def test_counterexample_negative_control_fails(capsys):
     assert "identity_holds=false" in out
 
 
+def test_counterexample_single_mode_refusals_come_from_the_library(capsys):
+    status, out, err = run_cli(
+        capsys, "counterexample", "--p", "3", "--m", "10001", "--mode", "direct"
+    )
+    assert status == 2
+    assert "m=10001 is too large to expand directly" in err
+    assert "identity_holds" not in out
+    status, out, err = run_cli(
+        capsys, "counterexample", "--p", "3", "--m", "7", "--mode", "frobenius_shortcut"
+    )
+    assert status == 2
+    assert "shortcut mode needs m = 3^j + 1" in err
+    assert "identity_holds" not in out
+
+
 def test_signature_command_json(capsys):
     status, out, _ = run_cli(
         capsys, "signature", "--A", "5", "--B", "2", "--p", "7", "--r", "1",

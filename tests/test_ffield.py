@@ -424,6 +424,26 @@ def test_codes_keep_coordinate_order_and_tokens(p, r):
 _BIG = make_field(2, 18)
 
 
+def _bits(coeffs) -> int:
+    """An F_2[x] polynomial, low degree first, as the int with those bits."""
+    return sum(c << i for i, c in enumerate(coeffs))
+
+
+def _gf2_mul(a: int, b: int) -> int:
+    """Oracle for F_{2^18}: the carry-less product of two bit masks, reduced
+    by the modulus as a bit mask from the top bit down."""
+    prod = 0
+    while b:
+        if b & 1:
+            prod ^= a
+        a, b = a << 1, b >> 1
+    modulus = _bits(_BIG.modulus)
+    for k in range(prod.bit_length() - 1, _BIG.r - 1, -1):
+        if prod >> k & 1:
+            prod ^= modulus << (k - _BIG.r)
+    return prod
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.tuples(*[st.integers(0, 1)] * 18), st.tuples(*[st.integers(0, 1)] * 18))
 def test_field_above_table_ceiling_builds_no_tables(xc, yc):
@@ -434,7 +454,11 @@ def test_field_above_table_ceiling_builds_no_tables(xc, yc):
     assert x * y == y * x
     assert x * (y + one) == x * y + x
     assert x + _BIG.zero() == x and x * one == x
-    assert (x * y).coeffs == _schoolbook_mul(_BIG, xc, yc)
+    assert _bits((x * y).coeffs) == _gf2_mul(_bits(xc), _bits(yc))
+    assert x ** _BIG.order() == x
+    # x^(2^17) by square and multiply, squared by the oracle, is x again
+    root = _bits((x ** 2**17).coeffs)
+    assert _gf2_mul(root, root) == _bits(xc)
     assert (x - y) + y == x and -x == x
     assert frobenius(x * y, 3) == frobenius(x, 3) * frobenius(y, 3)
     if x:

@@ -264,6 +264,34 @@ def test_substitute_is_multiplicative(fgh, cx, cy):
     assert lhs == rhs
 
 
+@st.composite
+def _coefficients(draw, field):
+    if field is Q:
+        return Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+    return field.element([draw(st.integers(0, field.p - 1)) for _ in range(field.r)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_substitute_matches_evaluation(data):
+    # oracle: the image evaluated at a point is f evaluated with var set
+    # to the form's value there; terms of mixed degree, any variable
+    field = data.draw(st.sampled_from([Q, F5, F9]))
+    coeff = _coefficients(field)
+    n = data.draw(st.integers(0, 6))
+    f = MultiPoly(field, {
+        tuple(data.draw(st.integers(0, 4)) for _ in range(3)): data.draw(coeff) for _ in range(n)
+    })
+    var = data.draw(st.sampled_from("XYZ"))
+    form = LinearForm(field, data.draw(coeff), data.draw(coeff))
+    image = substitute(f, var, form)
+    for _ in range(3):
+        point = [data.draw(coeff) for _ in range(3)]
+        moved = list(point)
+        moved["XYZ".index(var)] = form.c_x * point[0] + form.c_y * point[1]
+        assert image.evaluate(point) == f.evaluate(moved)
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys(field=F3))
 def test_p_th_power_is_frobenius_termwise(f):

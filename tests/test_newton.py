@@ -3,6 +3,7 @@ import pytest
 from schurlab.ffield import CeilingError, frobenius, make_field
 from schurlab.mpoly import LinearForm, MultiPoly, RATIONALS, substitute
 from schurlab.newton import (
+    DIRECT_EXPANSION_CAP,
     AlternativePair,
     TowerParams,
     brute_count_alternatives,
@@ -139,6 +140,8 @@ def test_newton_identity_p2_family():
 
 def test_newton_identity_mode_errors():
     pair = build_alternative_pair(3)
+    with pytest.raises(CeilingError):
+        verify_newton_identity(pair, DIRECT_EXPANSION_CAP + 1, "direct")
     with pytest.raises(ValueError):
         verify_newton_identity(pair, 7, "frobenius_shortcut")  # 6 is not a 3-power
     with pytest.raises(ValueError):
