@@ -36,7 +36,8 @@ compute on the decoded coordinates with the same dense F_p[x] kernel
 tests also use as the oracle for the tables.
 
 Both kinds of field answer one interface, which is all the rest of the
-package uses: ``p``, ``zero()``, ``one()``, ``from_int(n)``,
+package uses (except that :mod:`schurlab.mpoly` runs integral rational
+operands on ints): ``p``, ``zero()``, ``one()``, ``from_int(n)``,
 ``coerce(value)``, ``token(c)``/``parse(token)`` and ``roots_of_unity(n)``.
 Elements are tested for zero by their truthiness, and :func:`is_scalar`
 says which values a field can be asked to coerce.

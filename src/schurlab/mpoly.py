@@ -4,8 +4,11 @@ Monomials are exponent triples for the fixed variable order (X, Y, Z);
 two-variable work simply leaves the unused slot at zero.  Coefficients
 live in one field from :mod:`schurlab.ffield`, either
 :data:`~schurlab.ffield.RATIONALS` or a :class:`~schurlab.ffield.FieldSpec`,
-and are handled only through that field's interface.  There is no floating
-point anywhere.
+and are handled only through that field's interface, with one exception:
+when every operand of a product, an exact division (whose divisor then
+leads with +-1) or an evaluation is an integer of Q, the operation runs
+on ints inside this module and its result comes back as ``Fraction``.
+There is no floating point anywhere.
 
 The monomial order used throughout (leading terms, division, text output)
 is graded lexicographic with X > Y > Z.  Polynomials are immutable and in
@@ -13,13 +16,17 @@ canonical form: no zero coefficient is ever stored.
 
 Division is exact division only: :func:`exact_divide` returns the quotient
 when the remainder vanishes and raises :class:`InexactDivisionError`
-otherwise, which downstream code uses as a divisibility verdict.
+otherwise, which downstream code uses as a divisibility verdict.  The
+leading term of the running remainder comes off a heap.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 from .ffield import RATIONALS, FieldMismatchError, FieldSpec, Rationals, is_scalar
@@ -50,6 +57,28 @@ def _order_key(mon: Monomial) -> tuple[int, int, int]:
     return (mon[0] + mon[1] + mon[2], mon[0], mon[1])
 
 
+def _all_integral(field: CoeffField, *coefficient_groups) -> bool:
+    """Whether field is Q and every coefficient in the groups is an integer.
+
+    Integral operands over Q run on ints inside this module: int arithmetic
+    gives the same values as Fraction arithmetic on integers, without the
+    gcd normalisation after every operation.
+    """
+    return field is RATIONALS and all(
+        c.denominator == 1 for group in coefficient_groups for c in group
+    )
+
+
+def _ints(terms: dict) -> dict:
+    """Integral Q coefficients as ints."""
+    return {m: c.numerator for m, c in terms.items()}
+
+
+def _fractions(terms: dict) -> dict:
+    """int coefficients back into Q."""
+    return {m: Fraction(c) for m, c in terms.items()}
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """The bivariate linear form c_x*X + c_y*Y over one coefficient field."""
@@ -77,7 +106,7 @@ class MultiPoly:
     def __init__(self, field: CoeffField, terms=None):
         clean: dict[Monomial, object] = {}
         for mon, c in (terms or {}).items():
-            mon = tuple(int(e) for e in mon)
+            mon = tuple(operator.index(e) for e in mon)
             if len(mon) != 3 or any(e < 0 for e in mon):
                 raise ValueError(f"bad monomial {mon}")
             if any(e >= EXPONENT_CAP for e in mon):
@@ -241,9 +270,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_field(other)
+        left, right = self._terms, other._terms
+        ints = _all_integral(self.field, left.values(), right.values())
+        if ints:
+            left, right = _ints(left), _ints(right)
         out: dict[Monomial, object] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        for m1, c1 in left.items():
+            for m2, c2 in right.items():
                 mon = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
                 if mon[0] >= EXPONENT_CAP or mon[1] >= EXPONENT_CAP or mon[2] >= EXPONENT_CAP:
                     raise ExponentOverflowError(f"exponent overflow at {mon}")
@@ -254,7 +287,7 @@ class MultiPoly:
                     out.pop(mon, None)
                 else:
                     out[mon] = acc
-        return MultiPoly._raw(self.field, out)
+        return MultiPoly._raw(self.field, _fractions(out) if ints else out)
 
     __rmul__ = __mul__
 
@@ -282,8 +315,11 @@ class MultiPoly:
     def evaluate(self, point):
         """Evaluate at a triple of values from the coefficient field."""
         vals = tuple(self.field.coerce(v) for v in point)
-        total = self.field.zero()
-        for (a, b, c), coeff in self._terms.items():
+        terms, total = self._terms, self.field.zero()
+        ints = _all_integral(self.field, terms.values(), vals)
+        if ints:
+            terms, vals, total = _ints(terms), tuple(v.numerator for v in vals), 0
+        for (a, b, c), coeff in terms.items():
             term = coeff
             if a:
                 term = term * vals[0] ** a
@@ -292,7 +328,7 @@ class MultiPoly:
             if c:
                 term = term * vals[2] ** c
             total = total + term
-        return total
+        return Fraction(total) if ints else total
 
     # -- text / JSON forms -------------------------------------------------------
 
@@ -383,6 +419,12 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     raises InexactDivisionError as soon as the leading term of the running
     remainder is not divisible by the leading term of g, which for a single
     divisor happens exactly when g does not divide f.
+
+    The remainder's leading term comes off a heap of negated order keys
+    (Johnson 1974; Monagan and Pearce 2007).  A key whose monomial has
+    cancelled out of the remainder is skipped when it surfaces; a key is
+    never needed again once popped, because every term a step adds lies
+    below the term it removes.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -390,28 +432,44 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if f.is_zero():
         return MultiPoly.zero(f.field)
     gm, gc = g.leading()
-    g_items = list(g._terms.items())
-    rem = dict(f._terms)
+    ginv = f.field.one() / gc
+    rem, g_terms = f._terms, g._terms
+    ints = _all_integral(f.field, (ginv,), rem.values(), g_terms.values())
+    if ints:
+        rem, g_terms, ginv = _ints(rem), _ints(g_terms), ginv.numerator
+    else:
+        rem = dict(rem)
+    g_items = list(g_terms.items())
+    heap = [(-a - b - c, -a, -b) for a, b, c in rem]
+    heapq.heapify(heap)
     quot: dict[Monomial, object] = {}
     while rem:
-        mon = max(rem, key=_order_key)
+        key = heapq.heappop(heap)
+        mon = (-key[1], -key[2], key[1] + key[2] - key[0])
+        lc = rem.get(mon)
+        if lc is None:
+            continue
         dm = (mon[0] - gm[0], mon[1] - gm[1], mon[2] - gm[2])
         if dm[0] < 0 or dm[1] < 0 or dm[2] < 0:
             raise InexactDivisionError(
                 f"{g.to_text()} does not divide exactly (stuck at {mon})"
             )
-        qc = rem[mon] / gc
+        qc = lc * ginv
         quot[dm] = qc
         for m2, c2 in g_items:
             tm = (dm[0] + m2[0], dm[1] + m2[1], dm[2] + m2[2])
-            acc = rem.get(tm, None)
+            acc = rem.get(tm)
             sub = qc * c2
-            acc = -sub if acc is None else acc - sub
-            if not acc:
-                rem.pop(tm, None)
+            if acc is None:
+                rem[tm] = -sub
+                heapq.heappush(heap, (-tm[0] - tm[1] - tm[2], -tm[0], -tm[1]))
             else:
-                rem[tm] = acc
-    return MultiPoly._raw(f.field, quot)
+                acc = acc - sub
+                if acc:
+                    rem[tm] = acc
+                else:
+                    del rem[tm]
+    return MultiPoly._raw(f.field, _fractions(quot) if ints else quot)
 
 
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:

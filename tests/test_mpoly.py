@@ -2,8 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from schurlab import vschur
 from schurlab.ffield import FieldMismatchError, make_field
 from schurlab.mpoly import (
     EXPONENT_CAP,
@@ -314,3 +315,144 @@ def test_text_roundtrip(f):
 @given(polys())
 def test_json_roundtrip(f):
     assert MultiPoly.from_json_terms(f.to_json_terms(), f.field) == f
+
+
+def test_non_integer_exponents_are_refused():
+    # refused, never truncated to an int or parsed from text
+    for bad in (1.5, "2", Fraction(3, 2)):
+        with pytest.raises(TypeError):
+            MultiPoly(Q, {(bad, 0, 0): 1})
+        with pytest.raises(TypeError):
+            MultiPoly.from_json_terms([["1", [bad, 0, 0]]], Q)
+
+
+# -- the reference kernels the production loops are checked against --------
+
+
+def _reference_key(mon):
+    return (mon[0] + mon[1] + mon[2], mon[0], mon[1])
+
+
+def _reference_exact_divide(f, g):
+    """Division with a max scan for the leading term and ``rem / gc`` steps
+    on the field's own elements (Fraction over Q)."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    gm, gc = g.leading()
+    g_items = list(g._terms.items())
+    rem = dict(f._terms)
+    quot = {}
+    while rem:
+        mon = max(rem, key=_reference_key)
+        dm = (mon[0] - gm[0], mon[1] - gm[1], mon[2] - gm[2])
+        if dm[0] < 0 or dm[1] < 0 or dm[2] < 0:
+            raise InexactDivisionError(
+                f"{g.to_text()} does not divide exactly (stuck at {mon})"
+            )
+        qc = rem[mon] / gc
+        quot[dm] = qc
+        for m2, c2 in g_items:
+            tm = (dm[0] + m2[0], dm[1] + m2[1], dm[2] + m2[2])
+            acc = rem.get(tm)
+            acc = -(qc * c2) if acc is None else acc - qc * c2
+            if acc:
+                rem[tm] = acc
+            else:
+                rem.pop(tm, None)
+    return MultiPoly._raw(f.field, quot)
+
+
+def _reference_mul(f, g):
+    """Schoolbook product on the field's own elements (Fraction over Q)."""
+    out = {}
+    for m1, c1 in f._terms.items():
+        for m2, c2 in g._terms.items():
+            mon = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            out[mon] = out.get(mon, f.field.zero()) + c1 * c2
+    return MultiPoly(f.field, out)
+
+
+_DIVISION_CASES = ("Q unit lead", "Q non-unit lead", "Q non-integral", "F3", "F9")
+
+
+@st.composite
+def _division_operands(draw):
+    """(case, f, g): g leads as the case says; f is a multiple of g plus a
+    remainder of up to two terms."""
+    case = draw(st.sampled_from(_DIVISION_CASES))
+    field = {"F3": F3, "F9": F9}.get(case, Q)
+
+    def coeff():
+        if field is not Q:
+            return field.element([draw(st.integers(0, field.p - 1)) for _ in range(field.r)])
+        if case == "Q non-integral":
+            return Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4)))
+        return draw(st.integers(-6, 6))
+
+    def terms(max_terms):
+        n = draw(st.integers(0, max_terms))
+        return {tuple(draw(st.integers(0, 3)) for _ in range(3)): coeff() for _ in range(n)}
+
+    g_terms = terms(3)
+    g_terms[draw(st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1))))] = 1  # g is not constant
+    if case == "Q non-integral":
+        g_terms[(0, 0, 0)] = Fraction(1, 2)
+    lead_mon = MultiPoly(field, g_terms).leading()[0]
+    if case in ("Q unit lead", "Q non-integral"):
+        g_terms[lead_mon] = draw(st.sampled_from([1, -1]))
+    elif case == "Q non-unit lead":
+        g_terms[lead_mon] = draw(st.sampled_from([2, -2, 3, 6]))
+    g = MultiPoly(field, g_terms)
+    f = _reference_mul(MultiPoly(field, terms(4)), g) + MultiPoly(field, terms(2))
+    return case, f, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_division_operands())
+@example(("Q non-unit lead", MultiPoly.from_text("2*X^2 - 8*X*Y + 8*Y^2", Q), MultiPoly.from_text("2*X - 4*Y", Q)))
+@example(("Q non-unit lead", MultiPoly.from_text("2*X^2 - 8*X*Y + Z", Q), MultiPoly.from_text("2*X - 4*Y", Q)))
+@example(("Q unit lead", MultiPoly.from_text("X^2 + Y", Q), MultiPoly.from_text("X - Y", Q)))
+def test_kernels_match_the_reference(operands):
+    # equal quotients, and an inexact division stuck at the same monomial:
+    # the heap must surface the remainder terms in the max scan's order
+    case, f, g = operands
+    lead = g.leading()[1]
+    if case == "Q unit lead":
+        assert lead in (1, -1) and all(c.denominator == 1 for c in f._terms.values())
+    if case == "Q non-unit lead":
+        assert lead not in (1, -1)
+    if case == "Q non-integral":
+        assert lead in (1, -1) and any(c.denominator != 1 for c in g._terms.values())
+    assert f * g == _reference_mul(f, g)
+    try:
+        expected = _reference_exact_divide(f, g)
+    except InexactDivisionError as exc:
+        with pytest.raises(InexactDivisionError) as raised:
+            exact_divide(f, g)
+        assert str(raised.value) == str(exc)
+    else:
+        assert exact_divide(f, g) == expected
+
+
+def _assert_fractions(poly):
+    assert poly.field is Q
+    assert all(type(c) is Fraction for c in poly._terms.values())
+
+
+def test_rational_results_hold_fractions():
+    # an int coefficient would print, compare and hash like its Fraction,
+    # but a later / on it would give a float
+    X, Y, Z = gens()
+    integral = (X - Y) * (X + 2 * Y + 3 * Z)
+    fractional = Fraction(1, 2) * X - Y
+    for product in (integral * (X + Y), integral * fractional, integral * integral):
+        _assert_fractions(product)
+    _assert_fractions(exact_divide(integral, X - Y))
+    _assert_fractions(exact_divide(integral, 2 * X - 2 * Y))
+    _assert_fractions(exact_divide(integral * fractional, fractional))
+    _assert_fractions(vschur.t_poly(vschur.ExponentPair(7, 2)))
+    for f, point in ((integral, (1, 2, 3)), (integral, (1, 1, 5)), (integral, (Fraction(1, 2), 1, 0)),
+                     (fractional, (4, 1, 0)), (MultiPoly.zero(Q), (1, 2, 3))):
+        value = f.evaluate(point)
+        assert type(value) is Fraction
+        assert type(value / 7) is Fraction
