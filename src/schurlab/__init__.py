@@ -43,7 +43,6 @@ from .factor import (
     FactorReport,
     ProbeReport,
     SignatureWitness,
-    SWEEP_CEILING,
     divides,
     eisenstein_like_check,
     grad_eval_identity,

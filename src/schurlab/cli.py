@@ -42,7 +42,6 @@ from .vschur import (
     vandermonde,
 )
 from .factor import (
-    SWEEP_CEILING,
     linear_factors_over,
     signature_witness,
     verify_fact_eq1,
@@ -163,7 +162,7 @@ def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
 def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
     spec = make_field(args.p, args.r)
     e = ExponentPair(args.A, args.B, spec)
-    report = linear_factors_over(t_poly(e), spec, ceiling=min(args.ceiling, args.sweep_ceiling))
+    report = linear_factors_over(t_poly(e), spec, ceiling=args.ceiling)
     record = {
         "command": "factor",
         "A": e.A,
@@ -457,8 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--B", type=int, default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--sweep-ceiling", dest="sweep_ceiling", type=int, default=SWEEP_CEILING,
-                    help=f"cap on field order for the quadratic sweep (default {SWEEP_CEILING})")
     ceiling(sp)
     common(sp)
 

@@ -33,16 +33,6 @@ from .mpoly import (
 )
 from .vschur import ExponentPair, i_poly, t_poly
 
-#: Default cap on field size for full (alpha, beta) sweeps, which are
-#: quadratic in the field order.
-SWEEP_CEILING = 512
-
-# Taylor coefficients in t that the linear-factor sweep's jet filter tests.
-# A non-divisor passes only when its line meets f to this order at
-# (0 : 1 : beta); 3 rather than 2 also rejects the lines through the double
-# points some quotients have on X = 0, for about 40% more jet work.
-_JET_ORDER = 3
-
 
 def _mult_json(m):
     return "inf" if m == math.inf else m
@@ -122,50 +112,58 @@ class ProbeReport:
         }
 
 
-def _jet_rows(f: MultiPoly) -> list:
-    """f(t, 1, Z) mod t^_JET_ORDER, one row of t-coefficients per power of Z.
+def _zero_set(f: MultiPoly, x, y, elements: list) -> list:
+    """The z among elements with f(x, y, z) = 0, in the order of elements.
 
-    Row k holds sum_j [X^m Y^j Z^k] f for m < _JET_ORDER; the rows run from
-    the highest power of Z down, the order Horner's rule consumes them in.
+    f's Z-coefficients are evaluated at (x, y) once; Horner's rule in z
+    then costs deg_Z f products per element.
     """
     zero = f.field.zero()
-    rows = [[zero] * _JET_ORDER for _ in range(f.degree_in("Z") + 1)]
-    for (m, _, k), c in f.terms():
-        if m < _JET_ORDER:
-            rows[k][m] = rows[k][m] + c
-    rows.reverse()
-    return rows
+    coeffs = [zero] * (f.degree_in("Z") + 1)
+    for (i, j, k), c in f.terms():
+        coeffs[k] = coeffs[k] + c * x**i * y**j
+    coeffs.reverse()
+    zeros = []
+    for z in elements:
+        acc = zero
+        for c in coeffs:
+            acc = acc * z + c
+        if not acc:
+            zeros.append(z)
+    return zeros
 
 
-def _jet_vanishes(rows: list, alpha, beta) -> bool:
-    """True iff f(t, 1, alpha*t + beta) vanishes mod t^_JET_ORDER.
+def _candidate_forms(f: MultiPoly, spec: FieldSpec):
+    """The (alpha, beta) that may give a divisor Z - alpha*X - beta*Y of f.
 
-    Horner's rule in Z on truncated power series in t:
-    acc <- acc * (beta + alpha*t) + row.  If Z - alpha*X - beta*Y divides
-    f, then f(X, Y, alpha*X + beta*Y) is the zero polynomial, so every
-    specialisation and truncation of it is zero: False is a proof that
-    the form does not divide f, True proves nothing.
+    A divisor makes f vanish at (1, 0, alpha), (0, 1, beta) and
+    (1, 1, alpha + beta), so every other pair is rejected exactly: alpha
+    runs over the zeros of f(1, 0, Z), beta over those of f(0, 1, Z), and
+    a pair passes only if alpha + beta is a zero of f(1, 1, Z).  Pairs come
+    lexicographically by coordinate vectors.
     """
-    acc = rows[0]
-    for row in rows[1:]:
-        acc = [beta * acc[0] + row[0]] + [
-            beta * acc[m] + alpha * acc[m - 1] + row[m] for m in range(1, _JET_ORDER)
-        ]
-    return not any(acc)
+    zero, one = spec.zero(), spec.one()
+    elements = list(spec.elements())
+    betas = _zero_set(f, zero, one, elements)
+    sums = set(_zero_set(f, one, one, elements))
+    for alpha in _zero_set(f, one, zero, elements):
+        for beta in betas:
+            if alpha + beta in sums:
+                yield alpha, beta
 
 
-def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = SWEEP_CEILING) -> FactorReport:
-    """Sweep all (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
+def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILING) -> FactorReport:
+    """Sweep the (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
 
-    Each form first meets a jet filter: the truncated Taylor expansion
-    f(t, 1, alpha*t + beta) mod t^_JET_ORDER, from rows of f built once.
-    A divisor annihilates f under Z <- alpha*X + beta*Y, so a nonzero jet
-    rejects the form exactly.  The rows come from the input f and stay
-    valid for the whole sweep, because every later residual divides f.
-    A form that passes the filter is tested as before: divisibility is
-    the substitution Z <- alpha*X + beta*Y annihilating the residual, and
-    multiplicities come from repeated exact division.  The sweep order
-    (and hence the factor list) is lexicographic by coordinate vectors.
+    Each pair first meets a zero-set filter (see _candidate_forms), built
+    once from the input f.  It stays valid for the whole sweep, because
+    every later residual divides f.  On a quotient T(A, B) the alphas and
+    the betas number at most deg_Z f each, since T(X, 0, Z) =
+    X^(B-d) Z^(B-d) (Z^(A-B) - X^(A-B)) / (Z^d - X^d) and T is symmetric,
+    so the sweep is linear in the field order.  A pair that passes is tested
+    exactly: divisibility is the substitution Z <- alpha*X + beta*Y
+    annihilating the residual, and multiplicities come from repeated exact
+    division.  The factor list is lexicographic by coordinate vectors.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
@@ -177,23 +175,16 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = SWEEP_CEIL
         )
     z_degree = f.degree_in("Z")
     leading = f.coeff_of("Z", z_degree)
-    rows = _jet_rows(f)
-    elements = list(spec.elements())
     residual = f
     factors = []
-    for alpha in elements:
-        for beta in elements:
-            if not _jet_vanishes(rows, alpha, beta):
-                continue
-            mult = 0
-            while substitute(residual, "Z", LinearForm(spec, alpha, beta)).is_zero():
-                divisor = MultiPoly(
-                    spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta}
-                )
-                residual = exact_divide(residual, divisor)
-                mult += 1
-            if mult:
-                factors.append(((alpha, beta), mult))
+    for alpha, beta in _candidate_forms(f, spec):
+        mult = 0
+        while substitute(residual, "Z", LinearForm(spec, alpha, beta)).is_zero():
+            divisor = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
+            residual = exact_divide(residual, divisor)
+            mult += 1
+        if mult:
+            factors.append(((alpha, beta), mult))
     residual_deg = residual.degree_in("Z")
     return FactorReport(
         input_label=f.to_text(),

@@ -517,12 +517,13 @@ def is_homogeneous(f: MultiPoly):
     return degrees.pop() if len(degrees) == 1 else None
 
 
-_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-
-
 def is_symmetric3(f: MultiPoly) -> bool:
-    """True iff f is invariant under all permutations of X, Y, Z."""
-    for perm in _PERMS[1:]:
+    """True iff f is invariant under all permutations of X, Y, Z.
+
+    The transpositions (X Y) and (Y Z) generate S_3, so they are the only
+    two tested.
+    """
+    for perm in ((1, 0, 2), (0, 2, 1)):
         for mon, c in f._terms.items():
             image = (mon[perm[0]], mon[perm[1]], mon[perm[2]])
             if f._terms.get(image) != c:

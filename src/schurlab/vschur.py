@@ -161,8 +161,8 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
     def lifted(poly: MultiPoly) -> MultiPoly:
         if big == spec:
             return poly
-        # prime-field coefficients serialize as bare residues, which big reads
-        return MultiPoly(big, {m: big.parse(spec.token(c)) for m, c in poly._terms.items()})
+        # spec is a prime field here, and a residue embeds as big's constant
+        return MultiPoly(big, {m: big.from_int(c.code) for m, c in poly._terms.items()})
 
     if lifted(quotient) != _unity_product_form(A, B, d, big):
         raise ArithmeticError(

@@ -100,6 +100,16 @@ def test_factor_command_tsv(capsys):
     assert "3^1:[2]" in row
 
 
+def test_factor_obeys_ceiling_above_512(capsys):
+    args = ["factor", "--A", "11", "--B", "4", "--p", "521", "--r", "1"]
+    status, out, _ = run_cli(capsys, *args)
+    assert status == 0
+    assert "factors=0" in out
+    status, out, err = run_cli(capsys, *args, "--ceiling", "520")
+    assert status == 2 and not out
+    assert "exceeds the sweep ceiling 520" in err
+
+
 def test_sweep_verify_fact(capsys):
     status, out, _ = run_cli(
         capsys, "sweep", "verify-fact", "--which", "eq1", "--p", "2,3,5", "--r", "1:2"

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurlab import factor
 from schurlab.ffield import CeilingError, FieldTooSmallError, is_prime, make_field
 from schurlab.factor import (
     FactorReport,
-    _jet_rows,
-    _jet_vanishes,
+    _candidate_forms,
     divides,
     eisenstein_like_check,
     grad_eval_identity,
@@ -100,7 +100,7 @@ def linear(spec, alpha, beta):
 
 
 def unfiltered_linear_factors(f, spec):
-    """The reference sweep: every form pays a full substitution, no jet filter."""
+    """The reference sweep: every form pays a full substitution, no zero-set filter."""
     residual = f
     factors = []
     for alpha in spec.elements():
@@ -192,26 +192,43 @@ def test_filtered_sweep_on_random_linear_products(case):
 
 @pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
 def test_jet_never_rejects_a_true_divisor(p, r):
+    """The zero-set filter (which replaced the jet filter) keeps every divisor."""
     spec = make_field(p, r)
     X, Y, Z = MultiPoly.gens(spec)
-    # homogeneous and not, with X-heavy terms that make low jet rows vanish
+    # homogeneous and not; X divides some f, so f(0, 1, z) vanishes for every z
     cofactors = [MultiPoly.one(spec), X**3, Z**2 + X * Y, Y**2 + X + 1, X**4 * Z + Y]
     for alpha in spec.elements():
         for beta in spec.elements():
             for g in cofactors:
                 f = linear(spec, alpha, beta) * g
-                assert _jet_vanishes(_jet_rows(f), alpha, beta), (alpha, beta, g)
+                assert (alpha, beta) in _candidate_forms(f, spec), (alpha, beta, g)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)])
 def test_jet_passes_only_the_divisors_of_the_splitting_quotient(p, r):
-    # on T(q, 1) over F_q the filter alone finds the q - 2 linear factors
+    # on T(q, 1) over F_q the zero-set filter alone finds the q - 2 linear factors
     spec = make_field(p, r)
     T = t_poly(ExponentPair(spec.order(), 1, spec))
-    rows = _jet_rows(T)
-    passed = [(a, b) for a in spec.elements() for b in spec.elements() if _jet_vanishes(rows, a, b)]
+    passed = list(_candidate_forms(T, spec))
     assert passed == [form for form, _ in linear_factors_over(T, spec).linear_factors]
     assert len(passed) == spec.order() - 2
+
+
+@pytest.mark.parametrize("A,B,p,most", [(11, 4, 13, 0), (10, 3, 7, 3)])
+def test_lines_through_triple_points_on_x_zero_skip_the_exact_test(monkeypatch, A, B, p, most):
+    # a Taylor jet at (0 : 1 : beta) passed 13 and 9 such non-divisors here
+    spec = make_field(p, 1)
+    T = t_poly(ExponentPair(A, B, spec))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return substitute(*args)
+
+    monkeypatch.setattr(factor, "substitute", counted)
+    report = linear_factors_over(T, spec)
+    assert not report.linear_factors  # so each call is one form reaching the test
+    assert len(calls) <= most
 
 
 @pytest.mark.parametrize(

@@ -122,6 +122,8 @@ def test_is_symmetric3():
     assert is_symmetric3(X + Y + Z)
     assert not is_symmetric3(X - Y)
     assert is_symmetric3(X * Y * Z * (X + Y + Z))
+    assert not is_symmetric3(X**2 * Y + Y**2 * Z + Z**2 * X)  # fixed by the 3-cycles only
+    assert not is_symmetric3(X * Y + Z)  # fixed by (X Y) only
 
 
 def test_linear_multiplicity():
