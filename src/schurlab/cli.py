@@ -42,6 +42,7 @@ from .vschur import (
     vandermonde,
 )
 from .factor import (
+    check_sweep_ceiling,
     linear_factors_over,
     signature_witness,
     verify_fact_eq1,
@@ -160,6 +161,7 @@ def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
+    check_sweep_ceiling(args.p, args.r, args.ceiling)  # before the field and T are built
     spec = make_field(args.p, args.r)
     e = ExponentPair(args.A, args.B, spec)
     report = linear_factors_over(t_poly(e), spec, ceiling=args.ceiling)

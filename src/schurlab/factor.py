@@ -136,20 +136,42 @@ def _zero_set(f: MultiPoly, x, y, elements: list) -> list:
 def _candidate_forms(f: MultiPoly, spec: FieldSpec):
     """The (alpha, beta) that may give a divisor Z - alpha*X - beta*Y of f.
 
-    A divisor makes f vanish at (1, 0, alpha), (0, 1, beta) and
+    Such a form is prime to X and Y, so it divides f exactly when it
+    divides g, f with its largest monomial factor X^i Y^j divided out.  A
+    divisor makes g vanish at (1, 0, alpha), (0, 1, beta) and
     (1, 1, alpha + beta), so every other pair is rejected exactly: alpha
-    runs over the zeros of f(1, 0, Z), beta over those of f(0, 1, Z), and
-    a pair passes only if alpha + beta is a zero of f(1, 1, Z).  Pairs come
-    lexicographically by coordinate vectors.
+    runs over the zeros of g(1, 0, Z), beta over those of g(0, 1, Z), and
+    a pair passes only if alpha + beta is a zero of g(1, 1, Z).  Neither
+    X nor Y divides g, so for homogeneous f the first two sets hold at
+    most deg_Z f elements.  Pairs come lexicographically by coordinate
+    vectors.
     """
+    terms = f.terms()
+    i = min(mon[0] for mon, _ in terms)
+    j = min(mon[1] for mon, _ in terms)
+    g = MultiPoly(spec, {(a - i, b - j, c): v for (a, b, c), v in terms}) if i or j else f
     zero, one = spec.zero(), spec.one()
     elements = list(spec.elements())
-    betas = _zero_set(f, zero, one, elements)
-    sums = set(_zero_set(f, one, one, elements))
-    for alpha in _zero_set(f, one, zero, elements):
+    betas = _zero_set(g, zero, one, elements)
+    sums = set(_zero_set(g, one, one, elements))
+    for alpha in _zero_set(g, one, zero, elements):
         for beta in betas:
             if alpha + beta in sums:
                 yield alpha, beta
+
+
+def check_sweep_ceiling(p: int, r: int, ceiling: int) -> None:
+    """Raise CeilingError when the field order p^r exceeds the sweep ceiling.
+
+    The test costs nothing for any r (see check_ceiling), so a caller can
+    refuse before building the field.  The message spells the order out
+    unless it runs past about 3,000 digits.
+    """
+    try:
+        check_ceiling(p, r, ceiling)
+    except CeilingError:
+        order = p**r if r * p.bit_length() <= 10_000 else f"{p}^{r}"
+        raise CeilingError(f"field order {order} exceeds the sweep ceiling {ceiling}") from None
 
 
 def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILING) -> FactorReport:
@@ -157,22 +179,19 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
 
     Each pair first meets a zero-set filter (see _candidate_forms), built
     once from the input f.  It stays valid for the whole sweep, because
-    every later residual divides f.  On a quotient T(A, B) the alphas and
-    the betas number at most deg_Z f each, since T(X, 0, Z) =
-    X^(B-d) Z^(B-d) (Z^(A-B) - X^(A-B)) / (Z^d - X^d) and T is symmetric,
-    so the sweep is linear in the field order.  A pair that passes is tested
-    exactly: divisibility is the substitution Z <- alpha*X + beta*Y
+    every later residual divides f.  On a homogeneous f, such as a quotient
+    T(A, B), the alphas and the betas number at most deg_Z f each, so the
+    sweep is linear in the field order.  A pair that passes is tested
+    exactly on f: divisibility is the substitution Z <- alpha*X + beta*Y
     annihilating the residual, and multiplicities come from repeated exact
     division.  The factor list is lexicographic by coordinate vectors.
+    Raises CeilingError (see check_sweep_ceiling) over the ceiling.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.field != spec:
         raise ValueError(f"polynomial lives over {f.field}, not {spec}")
-    if spec.order() > ceiling:
-        raise CeilingError(
-            f"field order {spec.order()} exceeds the sweep ceiling {ceiling}"
-        )
+    check_sweep_ceiling(spec.p, spec.r, ceiling)
     z_degree = f.degree_in("Z")
     leading = f.coeff_of("Z", z_degree)
     residual = f
@@ -196,16 +215,28 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     )
 
 
-def _verify_splitting(spec: FieldSpec, A: int, B: int, forms: list) -> tuple[bool, FactorReport]:
-    """Compare the (A, B) quotient over spec with the product of Z - a*X - b*Y.
+def _moore_product(u: MultiPoly, v: MultiPoly, q: int) -> MultiPoly:
+    """The product of u - c*v over every c in F_q, as u^q - u*v^(q-1).
 
-    forms lists the (a, b) pairs of the claimed factors; both sides are
-    monic in Z and equality is exact.
+    Homogenising x^q - x = prod_c (x - c) gives the identity for any u, v
+    over F_q (E. H. Moore, Bull. AMS 2 (1896); Lidl and Niederreiter,
+    *Finite Fields*, ch. 3).  u^q is Frobenius on exponents, because
+    c^q = c: each term c*X^i Y^j Z^k becomes c*X^(qi) Y^(qj) Z^(qk).
+    """
+    frobenius = MultiPoly(u.field, {(q * i, q * j, q * k): c for (i, j, k), c in u.terms()})
+    return frobenius - u * v ** (q - 1)
+
+
+def _verify_splitting(
+    spec: FieldSpec, A: int, B: int, forms: list, product: MultiPoly
+) -> tuple[bool, FactorReport]:
+    """Compare the (A, B) quotient over spec with the product of its claimed forms.
+
+    forms lists the (a, b) pairs of the claimed factors Z - a*X - b*Y, and
+    product is their product, built by the caller in closed form; both
+    sides are monic in Z and equality is exact.
     """
     T = t_poly(ExponentPair(A, B, spec))
-    product = MultiPoly.one(spec)
-    for a, b in forms:
-        product = product * MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -a, (0, 1, 0): -b})
     ok = product == T
     report = FactorReport(
         input_label=f"T({A},{B}) over {spec}",
@@ -221,30 +252,50 @@ def _verify_splitting(spec: FieldSpec, A: int, B: int, forms: list) -> tuple[boo
 def verify_fact_eq1(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, FactorReport]:
     """Check that the quotient for (p^r, 1) splits into its closed-form factors.
 
-    The claimed identity: over F_{p^r}, the quotient polynomial equals the
-    product of Z - alpha*X + (alpha - 1)*Y over all alpha other than 0, 1.
-    Raises CeilingError when p^r exceeds the ceiling.
+    The claimed identity: over F_q, q = p^r, the quotient polynomial equals
+    the product of Z - alpha*X + (alpha - 1)*Y over all alpha other than
+    0, 1.  With u = Z - Y and v = X - Y these forms are u - alpha*v, so by
+    Moore's identity (see _moore_product) their product is
+    (u^q - u*v^(q-1)) / (u * (Z - X)), the alpha = 0 and alpha = 1 forms
+    divided out exactly.  That closed form, O(q) terms before the
+    divisions, is compared with the quotient; the forms are never
+    multiplied out, which the tests do as the oracle.  Raises CeilingError
+    when p^r exceeds the ceiling.
     """
     check_ceiling(p, r, ceiling)
     spec = make_field(p, r)
-    one = spec.one()
+    q, one = spec.order(), spec.one()
+    X, Y, Z = MultiPoly.gens(spec)
+    u = Z - Y
+    product = exact_divide(exact_divide(_moore_product(u, X - Y, q), u), Z - X)
     forms = [(alpha, one - alpha) for alpha in spec.elements() if alpha and alpha != one]
-    return _verify_splitting(spec, spec.order(), 1, forms)
+    return _verify_splitting(spec, q, 1, forms, product)
 
 
 def verify_fact_eq2(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, FactorReport]:
     """Check the companion splitting for the pair (p^(2r) - 1, p^r - 1).
 
-    Over F_{p^r} the quotient polynomial equals the product of
+    Over F_q, q = p^r, the quotient polynomial equals the product of
     Z - alpha*X - beta*Y over all nonzero alpha, beta; the factor count is
-    (p^r - 1)^2, its degree in Z.  Raises CeilingError when p^(2r), the
-    size of that (alpha, beta) grid, exceeds the ceiling.
+    (q - 1)^2, its degree in Z.  By Moore's identity (see _moore_product),
+    u = Z^q - Z*Y^(q-1) is the product of Z - beta*Y over all beta, and
+    u - alpha*v with v = X^q - X*Y^(q-1) the product of
+    Z - alpha*X - beta*Y over all beta.  So u^q - u*v^(q-1) is the product
+    over every (alpha, beta); dividing out u (alpha = 0) and
+    Z^(q-1) - X^(q-1) (beta = 0, alpha != 0) exactly leaves the claimed
+    product, which is compared with the quotient.  The forms are never
+    multiplied out; the tests do that as the oracle.  Raises CeilingError
+    when p^(2r), the size of the (alpha, beta) grid, exceeds the ceiling.
     """
     check_ceiling(p, 2 * r, ceiling, "grid size")
     spec = make_field(p, r)
     q = spec.order()
+    X, Y, Z = MultiPoly.gens(spec)
+    u, v = _moore_product(Z, Y, q), _moore_product(X, Y, q)
+    product = exact_divide(exact_divide(_moore_product(u, v, q), u), Z ** (q - 1) - X ** (q - 1))
     units = [x for x in spec.elements() if x]
-    return _verify_splitting(spec, q * q - 1, q - 1, [(a, b) for a in units for b in units])
+    forms = [(a, b) for a in units for b in units]
+    return _verify_splitting(spec, q * q - 1, q - 1, forms, product)
 
 
 def divides(f: MultiPoly, g: MultiPoly) -> bool:

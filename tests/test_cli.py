@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from schurlab import cli
 from schurlab.cli import main
 
 
@@ -108,6 +109,24 @@ def test_factor_obeys_ceiling_above_512(capsys):
     status, out, err = run_cli(capsys, *args, "--ceiling", "520")
     assert status == 2 and not out
     assert "exceeds the sweep ceiling 520" in err
+
+
+def test_factor_refuses_over_the_ceiling_before_building_the_field(capsys, monkeypatch):
+    built = []
+
+    def unreachable(*args):
+        built.append(args)
+        raise AssertionError("the field or T was built before the ceiling check")
+
+    monkeypatch.setattr(cli, "make_field", unreachable)
+    monkeypatch.setattr(cli, "t_poly", unreachable)
+    args = ["factor", "--A", "3", "--B", "1", "--p", "3", "--r", "80", "--ceiling", "1000000"]
+    status, out, err = run_cli(capsys, *args)
+    assert (status, out, built) == (2, "", [])
+    assert err == (
+        "error: field order 147808829414345923316083210206383297601 "
+        "exceeds the sweep ceiling 1000000\n"
+    )
 
 
 def test_sweep_verify_fact(capsys):

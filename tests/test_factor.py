@@ -95,6 +95,14 @@ def test_verify_fact_ceiling_never_computes_a_huge_power():
             verify(3, 10**15)
 
 
+def test_sweep_ceiling_names_the_order_and_never_computes_a_huge_power():
+    with pytest.raises(CeilingError, match=r"^field order 19683 exceeds the sweep ceiling 1000$"):
+        factor.check_sweep_ceiling(3, 9, 1000)
+    with pytest.raises(CeilingError, match=r"^field order 3\^1000000000000000 exceeds"):
+        factor.check_sweep_ceiling(3, 10**15, 10**6)
+    factor.check_sweep_ceiling(3, 6, 729)
+
+
 def linear(spec, alpha, beta):
     return MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
 
@@ -131,10 +139,16 @@ def test_filtered_sweep_matches_unfiltered_oracle(p, r):
     grid = [(3, 1), (4, 1), (4, 3), (5, 1), (5, 2)]
     # the splitting quotients T(p, 1) and T(q, 1), where the oracle stays quick
     grid += [(A, 1) for A in sorted({p, p**r}) if 5 < A <= 16]
-    for A, B in grid:
-        T = t_poly(ExponentPair(A, B, spec))
-        report, oracle = linear_factors_over(T, spec), unfiltered_linear_factors(T, spec)
-        assert report.to_json() == oracle.to_json(), (A, B)
+    T = {(A, B): t_poly(ExponentPair(A, B, spec)) for A, B in grid}
+    cases = [(f"T{AB}", f) for AB, f in T.items()]
+    # X and Y powers: the filter divides them out, the exact test keeps them
+    X, Y, _ = MultiPoly.gens(spec)
+    cases += [
+        ("X^2*T(3,1)", X**2 * T[3, 1]), ("Y*T(4,3)", Y * T[4, 3]), ("X*Y^3*T(5,2)", X * Y**3 * T[5, 2])
+    ]
+    for label, f in cases:
+        report, oracle = linear_factors_over(f, spec), unfiltered_linear_factors(f, spec)
+        assert report.to_json() == oracle.to_json(), label
         assert report.residual_degree_in_z == oracle.residual_degree_in_z
 
 
@@ -229,6 +243,115 @@ def test_lines_through_triple_points_on_x_zero_skip_the_exact_test(monkeypatch, 
     report = linear_factors_over(T, spec)
     assert not report.linear_factors  # so each call is one form reaching the test
     assert len(calls) <= most
+
+
+def forms_reaching_the_exact_test(monkeypatch, f, spec):
+    """The distinct forms that linear_factors_over substitutes into f."""
+    forms = set()
+
+    def counted(g, var, form):
+        forms.add((form.c_x, form.c_y))
+        return substitute(g, var, form)
+
+    monkeypatch.setattr(factor, "substitute", counted)
+    return linear_factors_over(f, spec), forms
+
+
+def test_monomial_factors_leave_one_form_for_the_exact_test(monkeypatch):
+    # X*Y*Z vanishes on X = 0 and on Y = 0, so the zero sets of f itself
+    # hold every element; those of Z hold only 0
+    spec = make_field(101, 1)
+    X, Y, Z = MultiPoly.gens(spec)
+    report, forms = forms_reaching_the_exact_test(monkeypatch, X * Y * Z, spec)
+    assert forms == {(spec.zero(), spec.zero())}
+    assert report.linear_factors == (((spec.zero(), spec.zero()), 1),)
+    assert report.residual_degree_in_z == 0
+
+
+def test_both_monomial_factors_are_divided_out(monkeypatch):
+    # keeping either X or Y in the filtered polynomial lets a whole zero set
+    # through, and with it two forms that do not divide
+    spec = make_field(101, 1)
+    X, Y, Z = MultiPoly.gens(spec)
+    report, forms = forms_reaching_the_exact_test(monkeypatch, X * Y**2 * Z * (Z - X - Y), spec)
+    zero, one = spec.zero(), spec.one()
+    assert forms == {(zero, zero), (one, one)}
+    assert [form for form, _ in report.linear_factors] == [(zero, zero), (one, one)]
+
+
+def product_of_forms(spec, forms):
+    """The reference product: the claimed forms multiplied out one by one."""
+    product = MultiPoly.one(spec)
+    for a, b in forms:
+        product = product * linear(spec, a, b)
+    return product
+
+
+_EQ2_FIELDS = [(p, r) for p, r in _SMALL_FIELDS if p**r <= 16]
+
+
+@pytest.mark.parametrize(
+    "verify,p,r",
+    [(verify_fact_eq1, p, r) for p, r in _SMALL_FIELDS]
+    + [(verify_fact_eq2, p, r) for p, r in _EQ2_FIELDS],
+    ids=[f"eq1-{p}-{r}" for p, r in _SMALL_FIELDS] + [f"eq2-{p}-{r}" for p, r in _EQ2_FIELDS],
+)
+def test_moore_route_equals_the_multiplied_out_forms(monkeypatch, verify, p, r):
+    """The closed-form product, the forms multiplied out and T are one polynomial."""
+    routes = []
+
+    def recorded(spec, A, B, forms, product):
+        routes.append((A, B, product))
+        return verify_splitting(spec, A, B, forms, product)
+
+    verify_splitting = factor._verify_splitting
+    monkeypatch.setattr(factor, "_verify_splitting", recorded)
+    ok, report = verify(p, r)
+    [(A, B, product)] = routes
+    spec = report.field
+    forms = [form for form, _ in report.linear_factors]
+    assert product == product_of_forms(spec, forms) == t_poly(ExponentPair(A, B, spec))
+    assert ok and report.fully_split
+
+
+_LEMMA_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_moore_product_is_the_product_over_the_field(data):
+    """prod_{c in F_q} (u - c*v) = u^q - u*v^(q-1) for random u, v."""
+    spec = make_field(*data.draw(st.sampled_from(_LEMMA_FIELDS)))
+    monomials = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2))
+    coeffs = st.sampled_from(list(spec.elements()))
+    u, v = (MultiPoly(spec, data.draw(st.dictionaries(monomials, coeffs, max_size=3)))
+            for _ in range(2))
+    direct = MultiPoly.one(spec)
+    for c in spec.elements():
+        direct = direct * (u - v * c)
+    assert factor._moore_product(u, v, spec.order()) == direct
+
+
+@pytest.mark.parametrize(
+    "verify,p,r",
+    [(verify_fact_eq1, 3, 1), (verify_fact_eq1, 2, 3), (verify_fact_eq2, 3, 1), (verify_fact_eq2, 2, 2)],
+    ids=["eq1-3-1", "eq1-2-3", "eq2-3-1", "eq2-2-2"],
+)
+def test_verify_fact_fails_on_a_wrong_quotient(monkeypatch, verify, p, r):
+    """The verdict compares with T itself: a wrong T fails it."""
+    wrong = []
+
+    def broken(e):
+        T = t_poly(e)
+        wrong.append(T + MultiPoly.variable(e.field, "X") ** T.total_degree())
+        return wrong[-1]
+
+    monkeypatch.setattr(factor, "t_poly", broken)
+    ok, report = verify(p, r)
+    [T] = wrong
+    assert not ok and not report.fully_split
+    assert report.residual_degree_in_z == T.degree_in("Z") > 0
+    assert report.factor_count() == T.degree_in("Z")
 
 
 @pytest.mark.parametrize(
