@@ -234,13 +234,7 @@ def _cmd_verify_fact(args: argparse.Namespace, emitter: Emitter) -> int:
 
 def _cmd_counterexample(args: argparse.Namespace, emitter: Emitter) -> int:
     pair = build_alternative_pair(args.p, args.eta)
-    pair_record = {
-        "command": "counterexample",
-        "p": args.p,
-        **pair.to_json(),
-    }
-    emitter.emit(pair_record, _kv({"p": args.p, "alpha": pair.alpha.token()}))
-    status = EXIT_PASS
+    records = []  # every verdict comes before the first record, so a refusal prints nothing
     for m in args.m:
         modes = [args.mode]
         if args.mode == "both":  # each mode that applies to m
@@ -254,18 +248,16 @@ def _cmd_counterexample(args: argparse.Namespace, emitter: Emitter) -> int:
         verdicts = [verify_newton_identity(pair, m, mode) for mode in modes]
         if len(set(verdicts)) > 1:
             raise ArithmeticError(f"modes disagree at m={m}: {dict(zip(modes, verdicts))}")
-        verdict = verdicts[0]
-        record = {
-            "command": "counterexample",
-            "p": args.p,
-            "m": m,
-            "modes": modes,
-            "identity_holds": verdict,
-        }
-        emitter.emit(record, _kv({"m": m, "identity_holds": verdict, "modes": ",".join(modes)}))
-        if not verdict:
-            status = EXIT_FAIL
-    return status
+        records.append(
+            {"command": "counterexample", "p": args.p, "m": m, "modes": modes,
+             "identity_holds": verdicts[0]}
+        )
+    pair_record = {"command": "counterexample", "p": args.p, **pair.to_json()}
+    emitter.emit(pair_record, _kv({"p": args.p, "alpha": pair.alpha.token()}))
+    for record in records:
+        emitter.emit(record, _kv({"m": record["m"], "identity_holds": record["identity_holds"],
+                                  "modes": ",".join(record["modes"])}))
+    return EXIT_PASS if all(record["identity_holds"] for record in records) else EXIT_FAIL
 
 
 def _degree_point(p: int, r: int, s: int, mode: str, ceiling: int) -> dict:
@@ -292,8 +284,8 @@ def _cmd_degree(args: argparse.Namespace, emitter: Emitter) -> int:
 def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
     rng = random.Random(args.seed)
     status = EXIT_PASS
-    for char in args.chars:
-        fieldv = _field_from(char, 1)
+    fields = {char: _field_from(char, 1) for char in args.chars}  # usage errors before output
+    for char, fieldv in fields.items():
         for A in range(2, args.max_a + 1):
             for B in range(1, A):
                 e = ExponentPair(A, B, fieldv)

@@ -31,7 +31,7 @@ from .mpoly import (
     partial_derivative,
     substitute,
 )
-from .vschur import ExponentPair, i_poly, t_poly
+from .vschur import ExponentPair, i_poly, r_poly, t_poly
 
 
 def _mult_json(m):
@@ -227,75 +227,71 @@ def _moore_product(u: MultiPoly, v: MultiPoly, q: int) -> MultiPoly:
     return frobenius - u * v ** (q - 1)
 
 
-def _verify_splitting(
-    spec: FieldSpec, A: int, B: int, forms: list, product: MultiPoly
-) -> tuple[bool, FactorReport]:
-    """Compare the (A, B) quotient over spec with the product of its claimed forms.
+def _splitting_report(e: ExponentPair, forms: list, ok: bool) -> tuple[bool, FactorReport]:
+    """The verdict ok on T(A, B) = the product of Z - a*X - b*Y over forms.
 
-    forms lists the (a, b) pairs of the claimed factors Z - a*X - b*Y, and
-    product is their product, built by the caller in closed form; both
-    sides are monic in Z and equality is exact.
+    On a mismatch the residual Z-degree is deg_Z T = A - 2d (see t_poly).
     """
-    T = t_poly(ExponentPair(A, B, spec))
-    ok = product == T
-    report = FactorReport(
-        input_label=f"T({A},{B}) over {spec}",
-        field=spec,
+    return ok, FactorReport(
+        input_label=f"T({e.A},{e.B}) over {e.field}",
+        field=e.field,
         linear_factors=tuple((form, 1) for form in forms),
         leading_coeff="1",
-        residual_degree_in_z=0 if ok else (T.degree_in("Z") or 0),
+        residual_degree_in_z=0 if ok else e.A - 2 * e.d,
         fully_split=ok,
     )
-    return ok, report
 
 
 def verify_fact_eq1(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, FactorReport]:
     """Check that the quotient for (p^r, 1) splits into its closed-form factors.
 
-    The claimed identity: over F_q, q = p^r, the quotient polynomial equals
-    the product of Z - alpha*X + (alpha - 1)*Y over all alpha other than
-    0, 1.  With u = Z - Y and v = X - Y these forms are u - alpha*v, so by
-    Moore's identity (see _moore_product) their product is
-    (u^q - u*v^(q-1)) / (u * (Z - X)), the alpha = 0 and alpha = 1 forms
-    divided out exactly.  That closed form, O(q) terms before the
-    divisions, is compared with the quotient; the forms are never
-    multiplied out, which the tests do as the oracle.  Raises CeilingError
-    when p^r exceeds the ceiling.
+    The claimed identity: over F_q, q = p^r, T equals the product P of
+    Z - alpha*X + (alpha - 1)*Y over all alpha other than 0, 1.  With
+    u = Z - Y and v = X - Y these forms are u - alpha*v, so by Moore's
+    identity (see _moore_product) u^q - u*v^(q-1) = P*(Z - Y)*(Z - X).
+    F_q[X,Y,Z] is an integral domain and T*V_1 = R, so T = P exactly when
+    R = (X - Y)*(u^q - u*v^(q-1)), which is checked on the determinant
+    (r_poly).  T is never built and nothing is divided: the cost is the
+    O(q)-term Moore product.  The tests multiply the forms out as the
+    oracle.  Raises CeilingError when p^r exceeds the ceiling.
     """
     check_ceiling(p, r, ceiling)
     spec = make_field(p, r)
     q, one = spec.order(), spec.one()
     X, Y, Z = MultiPoly.gens(spec)
-    u = Z - Y
-    product = exact_divide(exact_divide(_moore_product(u, X - Y, q), u), Z - X)
+    e = ExponentPair(q, 1, spec)
+    ok = r_poly(e) == (X - Y) * _moore_product(Z - Y, X - Y, q)
     forms = [(alpha, one - alpha) for alpha in spec.elements() if alpha and alpha != one]
-    return _verify_splitting(spec, q, 1, forms, product)
+    return _splitting_report(e, forms, ok)
 
 
 def verify_fact_eq2(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, FactorReport]:
     """Check the companion splitting for the pair (p^(2r) - 1, p^r - 1).
 
-    Over F_q, q = p^r, the quotient polynomial equals the product of
+    Over F_q, q = p^r, d = q - 1, T equals the product P of
     Z - alpha*X - beta*Y over all nonzero alpha, beta; the factor count is
     (q - 1)^2, its degree in Z.  By Moore's identity (see _moore_product),
     u = Z^q - Z*Y^(q-1) is the product of Z - beta*Y over all beta, and
-    u - alpha*v with v = X^q - X*Y^(q-1) the product of
-    Z - alpha*X - beta*Y over all beta.  So u^q - u*v^(q-1) is the product
-    over every (alpha, beta); dividing out u (alpha = 0) and
-    Z^(q-1) - X^(q-1) (beta = 0, alpha != 0) exactly leaves the claimed
-    product, which is compared with the quotient.  The forms are never
-    multiplied out; the tests do that as the oracle.  Raises CeilingError
-    when p^(2r), the size of the (alpha, beta) grid, exceeds the ceiling.
+    u - alpha*v with v = X^q - X*Y^(q-1) the product of Z - alpha*X - beta*Y
+    over all beta.  So u^q - u*v^(q-1) is P times u (alpha = 0) times
+    Z^d - X^d (beta = 0).  As u = Z*(Z^d - Y^d), multiplying by X^d - Y^d
+    gives Z*P*V_d; and T*V_d = R in the integral domain F_q[X,Y,Z], so
+    T = P exactly when Z*R = (u^q - u*v^(q-1))*(X^d - Y^d).  T is never
+    built and nothing is divided: the cost is the O(q)-term Moore product.
+    Raises CeilingError when p^(2r) exceeds the ceiling, because the
+    report lists the (q - 1)^2 forms, one per point of the grid.
     """
     check_ceiling(p, 2 * r, ceiling, "grid size")
     spec = make_field(p, r)
     q = spec.order()
+    d = q - 1
     X, Y, Z = MultiPoly.gens(spec)
+    e = ExponentPair(q * q - 1, d, spec)
     u, v = _moore_product(Z, Y, q), _moore_product(X, Y, q)
-    product = exact_divide(exact_divide(_moore_product(u, v, q), u), Z ** (q - 1) - X ** (q - 1))
+    ok = Z * r_poly(e) == _moore_product(u, v, q) * (X**d - Y**d)
     units = [x for x in spec.elements() if x]
     forms = [(a, b) for a in units for b in units]
-    return _verify_splitting(spec, q * q - 1, q - 1, forms, product)
+    return _splitting_report(e, forms, ok)
 
 
 def divides(f: MultiPoly, g: MultiPoly) -> bool:

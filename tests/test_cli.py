@@ -79,6 +79,22 @@ def test_counterexample_single_mode_refusals_come_from_the_library(capsys):
     assert "identity_holds" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identity", "--chars", "0,4"),
+        ("counterexample", "--p", "3", "--m", "4,0"),
+        ("counterexample", "--p", "3", "--m", "4,10001", "--mode", "direct"),
+    ],
+    ids=["identity-chars-0-4", "counterexample-m-4-0", "counterexample-m-4-10001-direct"],
+)
+def test_bad_value_after_good_ones_is_a_usage_error_before_any_output(capsys, argv):
+    """A bad value late in a list refuses the whole run before the first record."""
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 def test_signature_command_json(capsys):
     status, out, _ = run_cli(
         capsys, "signature", "--A", "5", "--B", "2", "--p", "7", "--r", "1",

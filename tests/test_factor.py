@@ -19,7 +19,7 @@ from schurlab.factor import (
     verify_fact_eq2,
 )
 from schurlab.mpoly import RATIONALS, LinearForm, MultiPoly, exact_divide, is_homogeneous, substitute
-from schurlab.vschur import ExponentPair, complete_homogeneous, t_poly, vandermonde
+from schurlab.vschur import ExponentPair, complete_homogeneous, r_poly, t_poly, vandermonde
 
 Q = RATIONALS
 F2 = make_field(2, 1)
@@ -296,21 +296,13 @@ _EQ2_FIELDS = [(p, r) for p, r in _SMALL_FIELDS if p**r <= 16]
     + [(verify_fact_eq2, p, r) for p, r in _EQ2_FIELDS],
     ids=[f"eq1-{p}-{r}" for p, r in _SMALL_FIELDS] + [f"eq2-{p}-{r}" for p, r in _EQ2_FIELDS],
 )
-def test_moore_route_equals_the_multiplied_out_forms(monkeypatch, verify, p, r):
-    """The closed-form product, the forms multiplied out and T are one polynomial."""
-    routes = []
-
-    def recorded(spec, A, B, forms, product):
-        routes.append((A, B, product))
-        return verify_splitting(spec, A, B, forms, product)
-
-    verify_splitting = factor._verify_splitting
-    monkeypatch.setattr(factor, "_verify_splitting", recorded)
+def test_moore_route_equals_the_multiplied_out_forms(verify, p, r):
+    """The verdict passes, and the claimed forms multiplied out are T."""
     ok, report = verify(p, r)
-    [(A, B, product)] = routes
+    A, B = (p**r, 1) if verify is verify_fact_eq1 else (p ** (2 * r) - 1, p**r - 1)
     spec = report.field
     forms = [form for form, _ in report.linear_factors]
-    assert product == product_of_forms(spec, forms) == t_poly(ExponentPair(A, B, spec))
+    assert product_of_forms(spec, forms) == t_poly(ExponentPair(A, B, spec))
     assert ok and report.fully_split
 
 
@@ -338,20 +330,33 @@ def test_moore_product_is_the_product_over_the_field(data):
     ids=["eq1-3-1", "eq1-2-3", "eq2-3-1", "eq2-2-2"],
 )
 def test_verify_fact_fails_on_a_wrong_quotient(monkeypatch, verify, p, r):
-    """The verdict compares with T itself: a wrong T fails it."""
+    """The verdict checks an identity on R: R = (T + X^k)*V_d fails it."""
     wrong = []
 
     def broken(e):
         T = t_poly(e)
-        wrong.append(T + MultiPoly.variable(e.field, "X") ** T.total_degree())
-        return wrong[-1]
+        X_k = MultiPoly.variable(e.field, "X") ** T.total_degree()
+        wrong.append(T + X_k)
+        return r_poly(e) + X_k * vandermonde(e.d, e.field)
 
-    monkeypatch.setattr(factor, "t_poly", broken)
+    monkeypatch.setattr(factor, "r_poly", broken)
     ok, report = verify(p, r)
     [T] = wrong
     assert not ok and not report.fully_split
     assert report.residual_degree_in_z == T.degree_in("Z") > 0
     assert report.factor_count() == T.degree_in("Z")
+
+
+def test_verify_fact_never_builds_t_and_never_divides(monkeypatch):
+    """Both splittings are decided by one product identity on R."""
+
+    def unreachable(*args):
+        raise AssertionError("a splitting check built T or divided")
+
+    monkeypatch.setattr(factor, "t_poly", unreachable)
+    monkeypatch.setattr(factor, "exact_divide", unreachable)
+    assert verify_fact_eq1(2, 5)[0]
+    assert verify_fact_eq2(3, 1)[0]
 
 
 @pytest.mark.parametrize(
