@@ -8,6 +8,11 @@ polynomial of the partition (A/d - 2, B/d - 1, 0) evaluated at
 X^d, Y^d, Z^d.  This module builds all of these exactly, over the
 rationals or any finite field, and cross-asserts the determinant against
 its closed three-term form at construction time.
+
+The quotient T(A, B) is built from that Schur polynomial, whose
+coefficients are Gelfand-Tsetlin pattern counts, with no division; the
+bialternant route, the determinant divided by the Vandermonde, stays in
+:func:`schur_bialternant` as the second route the identity checks compare.
 """
 
 from __future__ import annotations
@@ -17,7 +22,14 @@ import warnings
 from dataclasses import dataclass
 
 from .ffield import DESK_CEILING, RATIONALS, FieldSpec, make_field, unity_degree
-from .mpoly import CoeffField, LinearForm, MultiPoly, exact_divide
+from .mpoly import (
+    EXPONENT_CAP,
+    CoeffField,
+    ExponentOverflowError,
+    LinearForm,
+    MultiPoly,
+    exact_divide,
+)
 
 
 @dataclass(frozen=True)
@@ -193,8 +205,62 @@ def t_poly(e: ExponentPair) -> MultiPoly:
 
     Symmetric of total degree A + B - 3d and degree A - 2d in Z; the pair
     A = 2d gives the constant 1.
+
+    The quotient is the Schur polynomial s_lambda(X^d, Y^d, Z^d) with
+    lambda = (A/d - 2, B/d - 1, 0), and it is built from that, with no
+    division: the coefficient of x^a y^b z^c in s_lambda(x, y, z) is the
+    number of Gelfand-Tsetlin patterns with top row lambda = (l1, l2, l3)
+    and weight (a, b, c), which with S = a + b is
+
+        max(0, min(l1, S - l3) - max(l2, S - l2, a, b) + 1)
+
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.5 and I.7).
+    Monomial (a, b, c) of s_lambda becomes (d*a, d*b, d*c) of T.
+    Each count is an int, reduced into the field once per distinct value;
+    a count the characteristic divides leaves no term.  The counts must
+    sum to s_lambda(1, 1, 1), the Weyl dimension; a mismatch raises
+    ArithmeticError.  A >= EXPONENT_CAP raises ExponentOverflowError
+    before anything is enumerated, as the determinant itself would.
     """
-    return exact_divide(r_poly(e), vandermonde(e.d, e.field))
+    if e.A >= EXPONENT_CAP:
+        raise ExponentOverflowError(f"exponent too large in the pair (A,B)=({e.A},{e.B})")
+    field, d, partition = e.field, e.d, e.partition
+    reduced = {}  # count -> its residue, or None where the residue is zero
+    terms = {}
+    total = 0
+    for (a, b, c), count in _weight_counts(partition):
+        total += count
+        if count not in reduced:
+            reduced[count] = field.from_int(count) or None
+        coeff = reduced[count]
+        if coeff is not None:
+            terms[(d * a, d * b, d * c)] = coeff
+    l1, l2, l3 = partition.parts
+    dimension = (l1 - l2 + 1) * (l1 - l3 + 2) * (l2 - l3 + 1) // 2
+    if total != dimension:
+        raise ArithmeticError(
+            f"pattern counts for (A,B)=({e.A},{e.B}) sum to {total}, "
+            f"not the Weyl dimension {dimension}"
+        )
+    return MultiPoly._raw(field, terms)
+
+
+def _weight_counts(partition: Partition3):
+    """Yield ((a, b, c), count) for each weight with a Gelfand-Tsetlin count.
+
+    A pattern has top row (l1, l2, l3), middle row (m1, m2) interlacing it
+    and bottom entry a with m1 >= a >= m2; its weight is
+    (a, m1 + m2 - a, |lambda| - m1 - m2).  With S = a + b fixed, m1 runs over
+    max(l2, S - l2, a, b) .. min(l1, S - l3), and the loops visit exactly
+    the weights where that range is not empty.
+    """
+    l1, l2, l3 = partition.parts
+    n = l1 + l2 + l3
+    for S in range(l2 + l3, l1 + l2 + 1):
+        hi = min(l1, S - l3)
+        lo = max(l2, S - l2)
+        for a in range(S - hi, hi + 1):
+            yield (a, S - a, n - S), hi - max(lo, a, S - a) + 1
 
 
 def complete_homogeneous(k: int, field: CoeffField = RATIONALS) -> MultiPoly:

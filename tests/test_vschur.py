@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from schurlab import cli, vschur
 from schurlab.ffield import make_field
 from schurlab.mpoly import (
+    EXPONENT_CAP,
     RATIONALS,
+    ExponentOverflowError,
     LinearForm,
     MultiPoly,
+    exact_divide,
     is_symmetric3,
     linear_multiplicity,
     partial_derivative,
@@ -30,6 +34,8 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F7 = make_field(7, 1)
+F4 = make_field(2, 2)
+F9 = make_field(3, 2)
 
 
 def test_vandermonde_expansion():
@@ -144,6 +150,65 @@ def test_t_poly_equals_complete_homogeneous():
     for field in (Q, F2, F3, F5, F7):
         for k in range(2, 13):
             assert t_poly(ExponentPair(k, 1, field)) == complete_homogeneous(k - 2, field)
+
+
+def _division_oracle(e):
+    return exact_divide(r_poly(e), vandermonde(e.d, e.field))
+
+
+def test_t_poly_equals_the_division_oracle():
+    pairs = [(A, B) for A in range(2, 19) for B in range(1, A)]
+    for field in (Q, F2, F3, F5, F4, F9):
+        for A, B in pairs:
+            e = ExponentPair(A, B, field)
+            T, oracle = t_poly(e), _division_oracle(e)
+            assert T == oracle, (A, B, field)
+            assert T.to_json_terms() == oracle.to_json_terms()
+    for field in (Q, F9):
+        for A, B in [(120, 1), (97, 40)]:
+            e = ExponentPair(A, B, field)
+            assert t_poly(e).to_json_terms() == _division_oracle(e).to_json_terms()
+
+
+def test_t_poly_neither_divides_nor_builds_the_determinant(monkeypatch):
+    pairs = [ExponentPair(9, 1, F9), ExponentPair(12, 8, Q)]
+    expected = [_division_oracle(e) for e in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("t_poly must not divide or build R")
+
+    monkeypatch.setattr(vschur, "exact_divide", refuse)
+    monkeypatch.setattr(vschur, "r_poly", refuse)
+    for e, T in zip(pairs, expected):
+        assert t_poly(e) == T
+
+
+def test_t_poly_weyl_dimension_guard(monkeypatch, capsys):
+    counts = vschur._weight_counts
+
+    def corrupted(partition):
+        for i, (weight, count) in enumerate(counts(partition)):
+            yield weight, count + (i == 0)
+
+    monkeypatch.setattr(vschur, "_weight_counts", corrupted)
+    for field in (Q, F3):
+        with pytest.raises(ArithmeticError, match="Weyl dimension"):
+            t_poly(ExponentPair(7, 3, field))
+    assert cli.main(["tpoly", "--A", "7", "--B", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "internal check failed" in captured.err
+
+
+def test_t_poly_refuses_a_huge_exponent_before_enumerating(monkeypatch):
+    def refuse(partition):
+        raise AssertionError("enumerated the weights of an over-cap pair")
+
+    monkeypatch.setattr(vschur, "_weight_counts", refuse)
+    with pytest.raises(ExponentOverflowError, match="exponent too large"):
+        t_poly(ExponentPair(2**62, 1))
+    with pytest.raises(ExponentOverflowError):
+        t_poly(ExponentPair(EXPONENT_CAP, EXPONENT_CAP // 2))
 
 
 def test_complete_homogeneous_enumeration_oracle():
