@@ -415,11 +415,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, run, *required):
+        """The flags every command takes, and its handler and required flags."""
         sp.add_argument("--format", choices=("json", "tsv", "text"), default="text",
                         help="output format (default text)")
         sp.add_argument("--config", default=None,
                         help="JSON file whose keys are this command's flags")
+        sp.set_defaults(run=run, required=required)
 
     def ceiling(sp):
         # a string default goes through the type, so a bad $SCHURLAB_CEILING exits 2
@@ -434,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--B", type=int, default=None)
         sp.add_argument("--char", type=int, default=0, help="0 for rationals, else a prime")
         sp.add_argument("--ext", type=int, default=1, help="extension degree (default 1)")
-        common(sp)
+        common(sp, _cmd_poly, "A", "B")
 
     sp = sub.add_parser("schur", help="print the bialternant for a partition")
     sp.add_argument("--l1", type=int, default=None)
@@ -443,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d", type=int, default=1, help="evaluate at X^d, Y^d, Z^d (default 1)")
     sp.add_argument("--char", type=int, default=0)
     sp.add_argument("--ext", type=int, default=1)
-    common(sp)
+    common(sp, _cmd_poly, "l1", "l2", "l3")
 
     sp = sub.add_parser("factor", help="sweep linear factors of the (A, B) quotient over F_{p^r}")
     sp.add_argument("--A", type=int, default=None)
@@ -451,21 +453,21 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
     ceiling(sp)
-    common(sp)
+    common(sp, _cmd_factor, "A", "B", "p", "r")
 
     sp = sub.add_parser("signature", help="signature witnesses for the (A, B) quotient")
     sp.add_argument("--A", type=int, default=None)
     sp.add_argument("--B", type=int, default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
-    common(sp)
+    common(sp, _cmd_signature, "A", "B", "p", "r")
 
     sp = sub.add_parser("verify-fact", help="check a closed-form factorization")
     sp.add_argument("--which", choices=("eq1", "eq2"), default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
     ceiling(sp)
-    common(sp)
+    common(sp, _cmd_verify_fact, "which", "p", "r")
 
     sp = sub.add_parser("counterexample", help="build the alternative pair and test identities")
     sp.add_argument("--p", type=int, default=None)
@@ -473,7 +475,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=_parse_int_set, default=None,
                     help="comma list of exponents, e.g. 1,4,28")
     sp.add_argument("--mode", choices=("direct", "frobenius_shortcut", "both"), default="both")
-    common(sp)
+    common(sp, _cmd_counterexample, "p", "m")
 
     sp = sub.add_parser("degree", help="extension degree by formula and/or counting oracle")
     sp.add_argument("--p", type=int, default=None)
@@ -481,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, default=None)
     sp.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
     ceiling(sp)
-    common(sp)
+    common(sp, _cmd_degree, "p", "r", "s")
 
     sp = sub.add_parser("identity", help="verify the construction identities on a grid")
     sp.add_argument("--max-a", dest="max_a", type=int, default=8)
@@ -490,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=2, help="random evaluation points per pair")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the random evaluation points (default 0)")
-    common(sp)
+    common(sp, _cmd_identity)
 
     sp = sub.add_parser("sweep", help="run a verification over a parameter grid")
     sp.add_argument("target", choices=("verify-fact", "degree"))
@@ -504,23 +506,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; has no effect, points run in order")
     ceiling(sp)
-    common(sp)
+    common(sp, _cmd_sweep, "p", "r")
 
     return parser
-
-
-_REQUIRED = {
-    "tpoly": ("A", "B"),
-    "rpoly": ("A", "B"),
-    "schur": ("l1", "l2", "l3"),
-    "factor": ("A", "B", "p", "r"),
-    "signature": ("A", "B", "p", "r"),
-    "verify-fact": ("which", "p", "r"),
-    "counterexample": ("p", "m"),
-    "degree": ("p", "r", "s"),
-    "identity": (),
-    "sweep": ("p", "r"),
-}
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -542,7 +530,7 @@ def _parse_args(argv) -> argparse.Namespace:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError("--config must hold a JSON object")
-    known = vars(args).keys() - {"command", "config"}
+    known = vars(args).keys() - {"command", "config", "run", "required"}
     tokens = []
     for key, val in loaded.items():
         dest = key.replace("-", "_")
@@ -558,27 +546,13 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
-_DISPATCH = {
-    "tpoly": _cmd_poly,
-    "rpoly": _cmd_poly,
-    "schur": _cmd_poly,
-    "factor": _cmd_factor,
-    "signature": _cmd_signature,
-    "verify-fact": _cmd_verify_fact,
-    "counterexample": _cmd_counterexample,
-    "degree": _cmd_degree,
-    "identity": _cmd_identity,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        missing = [k for k in _REQUIRED[args.command] if getattr(args, k) is None]
+        missing = [k for k in args.required if getattr(args, k) is None]
         if missing:
             raise ValueError(f"missing required parameters: {', '.join(missing)}")
-        return _DISPATCH[args.command](args, Emitter(args.format, sys.stdout))
+        return args.run(args, Emitter(args.format, sys.stdout))
     except SystemExit as exc:  # argparse exits 2 on usage errors already
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # OverflowError is an ArithmeticError, but it means the input is too large

@@ -220,11 +220,11 @@ def _moore_product(u: MultiPoly, v: MultiPoly, q: int) -> MultiPoly:
 
     Homogenising x^q - x = prod_c (x - c) gives the identity for any u, v
     over F_q (E. H. Moore, Bull. AMS 2 (1896); Lidl and Niederreiter,
-    *Finite Fields*, ch. 3).  u^q is Frobenius on exponents, because
-    c^q = c: each term c*X^i Y^j Z^k becomes c*X^(qi) Y^(qj) Z^(qk).
+    *Finite Fields*, ch. 3).  q is a power of the characteristic, so u^q is
+    the Frobenius map of MultiPoly.__pow__ and costs O(terms of u);
+    v^(q-1) is binary powering.
     """
-    frobenius = MultiPoly(u.field, {(q * i, q * j, q * k): c for (i, j, k), c in u.terms()})
-    return frobenius - u * v ** (q - 1)
+    return u**q - u * v ** (q - 1)
 
 
 def _splitting_report(e: ExponentPair, forms: list, ok: bool) -> tuple[bool, FactorReport]:

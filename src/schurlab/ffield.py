@@ -115,6 +115,17 @@ def unity_degree(p: int, n: int) -> int:
     return k
 
 
+def p_power_exponent(n: int, p: int) -> int | None:
+    """The k >= 0 with n = p^k, or None when n is no power of p (p >= 2)."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
+    k = 0
+    while n > 1 and n % p == 0:
+        n //= p
+        k += 1
+    return k if n == 1 else None
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending."""
     out = []

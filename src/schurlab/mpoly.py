@@ -29,7 +29,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .ffield import RATIONALS, FieldMismatchError, FieldSpec, Rationals, is_scalar
+from .ffield import (
+    RATIONALS,
+    FieldMismatchError,
+    FieldSpec,
+    Rationals,
+    is_scalar,
+    p_power_exponent,
+)
 
 #: Distinguished verdict of :func:`is_homogeneous` for the zero polynomial.
 ZERO_POLY = "zero"
@@ -226,10 +233,6 @@ class MultiPoly:
             return self == MultiPoly.constant(self.field, other)
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __add__(self, other):
         if is_scalar(other):
             other = MultiPoly.constant(self.field, other)
@@ -292,6 +295,13 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """self^n; over F_{p^r}, a power n = p^k with k >= 1 is the Frobenius map.
+
+        In characteristic p, (a + b)^p = a^p + b^p, so self^(p^k) is the sum
+        of c^n * X^(n*a) Y^(n*b) Z^(n*c) over the terms c*X^a Y^b Z^c of self:
+        O(terms) work and no multiplication.  Every other n, and every n over
+        Q, goes by binary powering.
+        """
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
@@ -300,6 +310,12 @@ class MultiPoly:
             if self.is_zero():
                 raise ValueError("0**0 is undefined")
             return MultiPoly.one(self.field)
+        p = self.field.p
+        if p and n > 1 and p_power_exponent(n, p) is not None:
+            return MultiPoly(
+                self.field,
+                {(n * a, n * b, n * c): v**n for (a, b, c), v in self._terms.items()},
+            )
         result = None
         base = self
         while n:

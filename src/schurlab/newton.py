@@ -26,6 +26,7 @@ from .ffield import (
     frobenius,
     is_prime,
     make_field,
+    p_power_exponent,
 )
 from .mpoly import CoeffField, LinearForm, MultiPoly, partial_derivative
 
@@ -142,20 +143,17 @@ DIRECT_EXPANSION_CAP = 10**4
 
 def frobenius_power_shape(m: int, p: int) -> int | None:
     """j >= 1 with m = p^j + 1, or None if m has no such shape."""
-    t, j = m - 1, 0
-    while t > 1 and t % p == 0:
-        t //= p
-        j += 1
-    return j if t == 1 and j >= 1 else None
+    return p_power_exponent(m - 1, p) or None  # j = 0 (m = 2) has no such shape
 
 
 def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") -> bool:
     """Whether z^m + w^m equals x^m + y^m as polynomials over the ambient field.
 
-    ``direct`` expands the powers (CeilingError past DIRECT_EXPANSION_CAP);
-    ``frobenius_shortcut`` requires m = p^j + 1 and rewrites u^(p^j+1) as
-    u^(p^j) * u, mapping the form coefficients through j Frobenius steps,
-    so nothing large is ever expanded.
+    ``direct`` expands the powers by binary powering (CeilingError past
+    DIRECT_EXPANSION_CAP); m = p^j + 1 is no power of p, so it never takes
+    the Frobenius map.  ``frobenius_shortcut`` requires m = p^j + 1 and
+    computes u^(p^j) * u, where u^(p^j) is the Frobenius map of
+    MultiPoly.__pow__, so nothing large is ever expanded.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -174,22 +172,19 @@ def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") 
             raise ValueError(
                 f"shortcut mode needs m = {field.p}^j + 1 with j >= 1, got m={m}"
             )
-        q = field.p**j
-
-        def twisted(form: LinearForm) -> MultiPoly:
-            return MultiPoly(
-                field,
-                {(q, 0, 0): frobenius(form.c_x, j), (0, q, 0): frobenius(form.c_y, j)},
-            )
-
-        lhs = twisted(pair.z) * pair.z.as_poly() + twisted(pair.w) * pair.w.as_poly()
-        return lhs == rhs
+        z, w = pair.z.as_poly(), pair.w.as_poly()
+        return z ** (m - 1) * z + w ** (m - 1) * w == rhs
     raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
 class TowerParams:
-    """Exponent data (p, r, s) of the three indices p^r + 1, p^s + 1, 1."""
+    """Exponent data (p, r, s) of the three indices p^r + 1, p^s + 1, 1.
+
+    Construction enforces p prime and r > s >= 1, the hypotheses of both
+    the degree formula and the counting oracle, so neither checks them
+    again.
+    """
 
     p: int
     r: int
@@ -198,8 +193,8 @@ class TowerParams:
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
-        if not (self.r > self.s >= 0):
-            raise ValueError(f"need r > s >= 0, got r={self.r}, s={self.s}")
+        if not (self.r > self.s >= 1):
+            raise ValueError(f"need r > s >= 1, got r={self.r}, s={self.s}")
 
     @property
     def m(self) -> int:
@@ -239,16 +234,13 @@ def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int
     alpha = 0, 1 and is even.  In characteristic 2 the condition
     degenerates to alpha^(p^s) = alpha.
     """
-    if t.s < 1:
-        raise ValueError("counting needs r > s >= 1")
-    n = t.r - t.s
+    n, s = t.r - t.s, t.s
     check_ceiling(t.p, n, ceiling)
     spec = make_field(t.p, n)
-    s_eff = t.s % n if n > 0 else 0
     two = spec.from_int(2)
     count = 0
     for alpha in spec.elements():
-        beta = frobenius(alpha, s_eff)
+        beta = frobenius(alpha, s)
         if two * alpha * beta == alpha + beta:
             count += 1
     return count
@@ -264,8 +256,6 @@ def degree_of_extension(
     does.  ``oracle`` divides the brute count by two.  ``both`` computes
     the two independently and reports whether they agree.
     """
-    if t.s < 1:
-        raise ValueError("the degree formula requires r > s >= 1")
     if mode not in ("formula", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")
     m = t.m

@@ -373,3 +373,85 @@ def test_only_a_ceiling_refusal_is_a_skip(capsys, monkeypatch):
     assert status == 2
     assert "verdict=skip" not in out
     assert "not a ceiling" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("tpoly", "--A", "3", "--B", "1", "--char", "0", "--ext", "2"),
+         "error: --ext is only meaningful with a prime --char\n"),
+        (("sweep", "verify-fact", "--p", "3", "--r", "1"),
+         "error: sweep verify-fact needs --which eq1|eq2\n"),
+        (("sweep", "degree", "--p", "3", "--r", "2", "--s", "5"),
+         "error: the sweep grid is empty\n"),
+        (("degree", "--p", "3", "--r", "3", "--s", "1", "--ceiling", "x"),
+         "error: argument --ceiling: not an integer: 'x'\n"),
+        (("degree", "--p", "3", "--r", "3", "--s", "1", "--ceiling", "1"),
+         "error: argument --ceiling: must be at least 2, got 1\n"),
+    ],
+    ids=["ext-over-Q", "sweep-without-which", "empty-s-grid", "ceiling-not-int", "ceiling-below-2"],
+)
+def test_usage_errors_exit_2_before_any_output(capsys, argv, message):
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.endswith(message)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ([1, 2], "error: --config must hold a JSON object\n"),
+        ({"run": "degree"}, "error: unknown config key 'run'\n"),
+        ({"required": []}, "error: unknown config key 'required'\n"),
+    ],
+    ids=["list", "run", "required"],
+)
+def test_config_file_must_be_an_object_of_flags(capsys, tmp_path, config, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    status, out, err = run_cli(capsys, "degree", "--p", "3", "--r", "3", "--s", "1",
+                               "--config", str(cfg))
+    assert (status, out, err) == (2, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (("tpoly",), "A, B"),
+        (("rpoly", "--A", "3"), "B"),
+        (("schur", "--l2", "1"), "l1, l3"),
+        (("factor",), "A, B, p, r"),
+        (("signature", "--B", "1"), "A, p, r"),
+        (("verify-fact",), "which, p, r"),
+        (("counterexample",), "p, m"),
+        (("degree", "--r", "3"), "p, s"),
+        (("sweep", "degree"), "p, r"),
+    ],
+    ids=["tpoly", "rpoly", "schur", "factor", "signature", "verify-fact", "counterexample",
+         "degree", "sweep"],
+)
+def test_missing_parameters_are_listed_in_flag_order(capsys, argv, missing):
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out, err) == (2, "", f"error: missing required parameters: {missing}\n")
+
+
+def test_degree_disagreement_exits_1(capsys, monkeypatch):
+    from schurlab.newton import DegreeReport
+
+    report = DegreeReport(p=3, r=3, s=1, m=1, formula_value=2, oracle_count=2,
+                          oracle_value=1, agree=False)
+    monkeypatch.setattr(cli, "degree_of_extension", lambda t, mode, ceiling: report)
+    status, out, _ = run_cli(capsys, "degree", "--p", "3", "--r", "3", "--s", "1")
+    assert status == 1
+    assert out == "formula=2 oracle=1 agree=false\n"
+
+
+def test_failed_identity_record_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_symmetric3", lambda poly: False)
+    status, out, _ = run_cli(capsys, "identity", "--chars", "0", "--max-a", "3")
+    assert status == 1
+    assert out.splitlines() == [
+        "char=0 A=2 B=1 verdict=fail",
+        "char=0 A=3 B=1 verdict=fail",
+        "char=0 A=3 B=2 verdict=fail",
+    ]

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -496,6 +497,15 @@ def test_singular_point_probe_char_2_case():
     report = singular_point_probe(t_poly(ExponentPair(5, 1, F2)), (1, 1, 1))
     assert report.singular
     assert report.vanishing == (True, True, True, True)
+
+
+def test_probe_report_json_bytes():
+    report = singular_point_probe(t_poly(ExponentPair(4, 1, F3)), (1, 1, 1))
+    assert json.dumps(report.to_json(), sort_keys=True) == (
+        '{"partials": ["3^1:[1]", "3^1:[1]", "3^1:[1]"], '
+        '"point": ["3^1:[1]", "3^1:[1]", "3^1:[1]"], "singular": false, '
+        '"value": "3^1:[0]", "vanishing": [true, false, false, false]}'
+    )
 
 
 def test_singular_point_probe_char_3_discrepancy():

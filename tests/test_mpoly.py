@@ -307,6 +307,86 @@ def test_p_th_power_is_frobenius_termwise(f):
     assert f**p == expected
 
 
+def _by_multiplication(u, n):
+    """u^n as the product of n factors u."""
+    out = u
+    for _ in range(n - 1):
+        out = out * u
+    return out
+
+
+def _p_th_powers_by_multiplication(u, p, k):
+    """u^(p^k) as k rounds of u -> u*u*...*u (p factors)."""
+    for _ in range(k):
+        u = _by_multiplication(u, p)
+    return u
+
+
+def _counting_mul(mp):
+    """Count MultiPoly.__mul__ calls from here on; returns the counter list."""
+    calls = []
+    real = MultiPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    mp.setattr(MultiPoly, "__mul__", counted)
+    return calls
+
+
+_POWER_FIELDS = [F2, F3, make_field(2, 2), F9, make_field(5, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_power_of_the_characteristic_is_frobenius_without_multiplying(data):
+    # F_4, F_9 and F_25 have coefficients Frobenius moves: c^p != c
+    field = data.draw(st.sampled_from(_POWER_FIELDS))
+    coeff = _coefficients(field)
+    u = MultiPoly(field, {
+        tuple(data.draw(st.integers(0, 3)) for _ in range(3)): data.draw(coeff)
+        for _ in range(data.draw(st.integers(0, 4)))
+    })
+    k = data.draw(st.integers(1, 2 * field.r + 1))
+    expected = _p_th_powers_by_multiplication(u, field.p, k)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_mul(mp)
+        assert u ** field.p**k == expected
+    assert calls == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_other_powers_still_multiply(data):
+    # over Q every power multiplies; over F_q, so does any n that is no
+    # power of p: p^k + 1, p^k - 1 and q - 1
+    field = data.draw(st.sampled_from([Q] + _POWER_FIELDS))
+    if field is Q:
+        n = data.draw(st.sampled_from([2, 3, 4, 8, 9]))
+    else:
+        p, q = field.p, field.order()
+        n = data.draw(st.sampled_from(
+            [m for m in (p + 1, p - 1, p * p + 1, p * p - 1, q - 1) if m > 1]
+        ))
+    coeff = _coefficients(field)
+    u = MultiPoly(field, {
+        tuple(data.draw(st.integers(0, 2)) for _ in range(3)): data.draw(coeff)
+        for _ in range(data.draw(st.integers(0, 3)))
+    })
+    expected = _by_multiplication(u, n)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_mul(mp)
+        assert u**n == expected
+    assert calls
+
+
+def test_frobenius_power_checks_the_exponent_cap():
+    X, _, _ = gens(F2)
+    with pytest.raises(ExponentOverflowError):
+        X ** 2**62
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys())
 def test_text_roundtrip(f):

@@ -200,6 +200,12 @@ def test_tower_params_validation():
     assert TowerParams(3, 6, 4).m == 2
 
 
+def test_tower_params_needs_s_at_least_one():
+    # refused when built, before the formula or the oracle runs
+    with pytest.raises(ValueError, match=r"need r > s >= 1, got r=2, s=0"):
+        TowerParams(3, 2, 0)
+
+
 def test_degree_report_json():
     blob = degree_of_extension(TowerParams(3, 3, 1)).to_json()
     assert blob == {

@@ -131,6 +131,21 @@ def test_i_poly_unity_cross_check_builds_extension():
         i_poly(ExponentPair(7, 5, F3))
 
 
+def test_i_poly_unity_check_in_a_field_that_holds_the_roots(monkeypatch):
+    # F7 holds the 6th roots of unity that (3, 2) needs, so nothing is lifted
+    e = ExponentPair(3, 2, F7)
+    i_poly(e)
+    monkeypatch.setattr(vschur, "_unity_product_form", lambda A, B, d, spec: MultiPoly.zero(spec))
+    with pytest.raises(ArithmeticError, match="roots-of-unity product disagree"):
+        i_poly(e)
+
+
+def test_i_poly_unity_check_skips_an_extension_field_without_the_roots():
+    # (5, 1) needs the 20th roots of unity, which F9 lacks
+    with pytest.warns(RuntimeWarning, match="lacks the roots"):
+        i_poly(ExponentPair(5, 1, F9))
+
+
 def test_i_poly_unity_cross_check_respects_ceiling():
     with pytest.warns(RuntimeWarning, match="ceiling"):
         i_poly(ExponentPair(7, 5, F3), ceiling=100)
