@@ -30,7 +30,7 @@ import os
 import random
 import sys
 
-from .ffield import DESK_CEILING, CeilingError, field_for, is_prime, make_field
+from .ffield import DESK_CEILING, CeilingError, check_ceiling, field_for, is_prime, make_field
 from .mpoly import is_symmetric3
 from .vschur import (
     ExponentPair,
@@ -42,16 +42,14 @@ from .vschur import (
     vandermonde,
 )
 from .factor import (
-    check_sweep_ceiling,
     linear_factors_over,
     signature_witness,
     verify_fact_eq1,
     verify_fact_eq2,
 )
 from .newton import (
-    DIRECT_EXPANSION_CAP,
     TowerParams,
-    frobenius_power_shape,
+    applicable_modes,
     build_alternative_pair,
     degree_of_extension,
     verify_newton_identity,
@@ -104,12 +102,6 @@ def _kv(record: dict) -> str:
     return " ".join(f"{k}={_tsv_cell(v)}" for k, v in record.items() if v is not None)
 
 
-def _field_from(char: int, ext: int):
-    if char == 0 and ext != 1:
-        raise ValueError("--ext is only meaningful with a prime --char")
-    return field_for(char, ext)
-
-
 def _parse_int_set(text: str) -> list[int]:
     """Comma lists and lo:hi inclusive ranges: '2,3,5' or '1:4' or '1:2,7'."""
     out = set()
@@ -135,7 +127,7 @@ def _parse_int_set(text: str) -> list[int]:
 
 
 def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
-    fieldv = _field_from(args.char, args.ext)
+    fieldv = field_for(args.char, args.ext)
     if args.command == "tpoly":
         e = ExponentPair(args.A, args.B, fieldv)
         poly = t_poly(e)
@@ -161,7 +153,7 @@ def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
-    check_sweep_ceiling(args.p, args.r, args.ceiling)  # before the field and T are built
+    check_ceiling(args.p, args.r, args.ceiling)  # before the field and T are built
     spec = make_field(args.p, args.r)
     e = ExponentPair(args.A, args.B, spec)
     report = linear_factors_over(t_poly(e), spec, ceiling=args.ceiling)
@@ -236,13 +228,7 @@ def _cmd_counterexample(args: argparse.Namespace, emitter: Emitter) -> int:
     pair = build_alternative_pair(args.p, args.eta)
     records = []  # every verdict comes before the first record, so a refusal prints nothing
     for m in args.m:
-        modes = [args.mode]
-        if args.mode == "both":  # each mode that applies to m
-            modes = []
-            if m <= DIRECT_EXPANSION_CAP:
-                modes.append("direct")
-            if frobenius_power_shape(m, args.p) is not None:
-                modes.append("frobenius_shortcut")
+        modes = applicable_modes(m, args.p) if args.mode == "both" else [args.mode]
         if not modes:
             raise ValueError(f"no applicable mode for m={m}")
         verdicts = [verify_newton_identity(pair, m, mode) for mode in modes]
@@ -284,7 +270,7 @@ def _cmd_degree(args: argparse.Namespace, emitter: Emitter) -> int:
 def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
     rng = random.Random(args.seed)
     status = EXIT_PASS
-    fields = {char: _field_from(char, 1) for char in args.chars}  # usage errors before output
+    fields = {char: field_for(char) for char in args.chars}  # usage errors before output
     for char, fieldv in fields.items():
         for A in range(2, args.max_a + 1):
             for B in range(1, A):
@@ -338,20 +324,19 @@ def _identity_spot_check(T, R, V, fieldv, rng, samples: int) -> bool:
 
 def _sweep_points(args: argparse.Namespace) -> list[dict]:
     """Every grid point, after checking every grid value; bad values raise ValueError."""
-    if args.target == "verify-fact" and not args.which:
-        raise ValueError("sweep verify-fact needs --which eq1|eq2")
-    for pp in args.p:
-        if not is_prime(pp):
-            raise ValueError(f"p must be prime, got {pp}")
     if args.target == "verify-fact":
+        if not args.which:
+            raise ValueError("sweep verify-fact needs --which eq1|eq2")
+        # the library checks (p, r) only by building the field, and a point
+        # over the ceiling is skipped without building one
+        for pp in args.p:
+            if not is_prime(pp):
+                raise ValueError(f"p must be prime, got {pp}")
         for rr in args.r:
             if rr < 1:
                 raise ValueError(f"extension degree must be >= 1, got {rr}")
         points = [{"which": args.which, "p": pp, "r": rr} for pp in args.p for rr in args.r]
     else:
-        for ss in args.s or ():
-            if ss < 1:
-                raise ValueError(f"the degree formula requires r > s >= 1, got s={ss}")
         points = [
             {"p": pp, "r": rr, "s": ss}
             for pp in args.p
@@ -359,6 +344,8 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
             for ss in (args.s or range(1, rr))
             if ss < rr
         ]
+        for pt in points:
+            TowerParams(**pt)  # refuses p not prime or s < 1
     if not points:
         raise ValueError("the sweep grid is empty")
     return points
@@ -416,12 +403,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, run, *required):
-        """The flags every command takes, and its handler and required flags."""
+        """The flags every command takes, and its handler, required flags and config keys."""
         sp.add_argument("--format", choices=("json", "tsv", "text"), default="text",
                         help="output format (default text)")
+        # the config keys: every flag declared so far but argparse's own --help
+        keys = {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
         sp.add_argument("--config", default=None,
                         help="JSON file whose keys are this command's flags")
-        sp.set_defaults(run=run, required=required)
+        sp.set_defaults(run=run, required=required, config_keys=keys)
 
     def ceiling(sp):
         # a string default goes through the type, so a bad $SCHURLAB_CEILING exits 2
@@ -530,11 +519,10 @@ def _parse_args(argv) -> argparse.Namespace:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError("--config must hold a JSON object")
-    known = vars(args).keys() - {"command", "config", "run", "required"}
     tokens = []
     for key, val in loaded.items():
         dest = key.replace("-", "_")
-        if dest not in known:
+        if dest not in args.config_keys:
             raise ValueError(f"unknown config key {key!r}")
         flag = "--" + dest.replace("_", "-")
         if val is True:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ffield import DESK_CEILING, CeilingError, FieldSpec, check_ceiling, field_of, make_field
+from .ffield import DESK_CEILING, FieldSpec, check_ceiling, field_of, make_field
 from .mpoly import (
     ZERO_POLY,
     LinearForm,
@@ -160,20 +160,6 @@ def _candidate_forms(f: MultiPoly, spec: FieldSpec):
                 yield alpha, beta
 
 
-def check_sweep_ceiling(p: int, r: int, ceiling: int) -> None:
-    """Raise CeilingError when the field order p^r exceeds the sweep ceiling.
-
-    The test costs nothing for any r (see check_ceiling), so a caller can
-    refuse before building the field.  The message spells the order out
-    unless it runs past about 3,000 digits.
-    """
-    try:
-        check_ceiling(p, r, ceiling)
-    except CeilingError:
-        order = p**r if r * p.bit_length() <= 10_000 else f"{p}^{r}"
-        raise CeilingError(f"field order {order} exceeds the sweep ceiling {ceiling}") from None
-
-
 def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILING) -> FactorReport:
     """Sweep the (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
 
@@ -185,13 +171,13 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     exactly on f: divisibility is the substitution Z <- alpha*X + beta*Y
     annihilating the residual, and multiplicities come from repeated exact
     division.  The factor list is lexicographic by coordinate vectors.
-    Raises CeilingError (see check_sweep_ceiling) over the ceiling.
+    Raises CeilingError (see check_ceiling) when spec's order exceeds the ceiling.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.field != spec:
         raise ValueError(f"polynomial lives over {f.field}, not {spec}")
-    check_sweep_ceiling(spec.p, spec.r, ceiling)
+    check_ceiling(spec.p, spec.r, ceiling)
     z_degree = f.degree_in("Z")
     leading = f.coeff_of("Z", z_degree)
     residual = f
@@ -327,17 +313,17 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
         raise ValueError(
             f"characteristic {p} divides B or A - B; signatures degenerate"
         )
-    I = i_poly(e)
+    # every root list first, so a FieldTooSmallError comes before any work
     dth = set(e.field.roots_of_unity(d))
-    top = I.degree_in("Z")  # equals A
-    # (kind, length, root order, Z powers of the checked coefficients)
+    # (kind, length, roots, Z powers of the checked coefficients; deg_Z I = A)
     families = (
-        ("lower", B, A - B, range(B + 1)),
-        ("upper", A - B, B, range(top, top - (A - B) - 1, -1)),
+        ("lower", B, e.field.roots_of_unity(A - B), range(B + 1)),
+        ("upper", A - B, e.field.roots_of_unity(B), range(A, B - 1, -1)),
     )
+    I = i_poly(e)
     witnesses = []
-    for kind, length, n, z_powers in families:
-        for root in e.field.roots_of_unity(n):
+    for kind, length, roots, z_powers in families:
+        for root in roots:
             if root in dth:
                 continue
             form = LinearForm(e.field, 1, -root)

@@ -86,9 +86,14 @@ def find_irreducible_eta(p: int) -> int:
     if not is_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     for eta in range(p):
-        if all((x * x - 2 * eta * x + eta) % p for x in range(p)):
+        if _rootless(eta, p):
             return eta
     raise AssertionError("unreachable: a rootless eta exists for every odd p")
+
+
+def _rootless(eta: int, p: int) -> bool:
+    """Whether X^2 - 2*eta*X + eta has no root in F_p."""
+    return all((x * x - 2 * eta * x + eta) % p for x in range(p))
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,7 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
     else:
         if eta is None:
             eta = find_irreducible_eta(p)
-        if any((x * x - 2 * eta * x + eta) % p == 0 for x in range(p)):
+        if not _rootless(eta, p):
             raise ValueError(f"eta={eta} has a root mod {p}; pick a rootless eta")
         ambient = make_field(p, 2)
         roots = [x for x in ambient.elements() if not (x * x - 2 * eta * x + eta)]
@@ -146,6 +151,16 @@ def frobenius_power_shape(m: int, p: int) -> int | None:
     return p_power_exponent(m - 1, p) or None  # j = 0 (m = 2) has no such shape
 
 
+def applicable_modes(m: int, p: int) -> list[str]:
+    """The modes of verify_newton_identity that accept m in characteristic p:
+    ``direct`` up to DIRECT_EXPANSION_CAP, ``frobenius_shortcut`` for
+    m = p^j + 1 with j >= 1.  verify_newton_identity refuses every other."""
+    modes = ["direct"] if m <= DIRECT_EXPANSION_CAP else []
+    if frobenius_power_shape(m, p) is not None:
+        modes.append("frobenius_shortcut")
+    return modes
+
+
 def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") -> bool:
     """Whether z^m + w^m equals x^m + y^m as polynomials over the ambient field.
 
@@ -157,24 +172,19 @@ def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") 
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    if mode not in ("direct", "frobenius_shortcut"):
+        raise ValueError(f"unknown mode {mode!r}")
     field = pair.ambient
-    rhs = newton_poly(m, field)
+    if mode not in applicable_modes(m, field.p):
+        if mode == "direct":
+            raise CeilingError(f"m={m} is too large to expand directly; use frobenius_shortcut")
+        raise ValueError(f"shortcut mode needs m = {field.p}^j + 1 with j >= 1, got m={m}")
+    z, w = pair.z.as_poly(), pair.w.as_poly()
     if mode == "direct":
-        if m > DIRECT_EXPANSION_CAP:
-            raise CeilingError(
-                f"m={m} is too large to expand directly; use frobenius_shortcut"
-            )
-        lhs = pair.z.as_poly() ** m + pair.w.as_poly() ** m
-        return lhs == rhs
-    if mode == "frobenius_shortcut":
-        j = frobenius_power_shape(m, field.p)
-        if j is None:
-            raise ValueError(
-                f"shortcut mode needs m = {field.p}^j + 1 with j >= 1, got m={m}"
-            )
-        z, w = pair.z.as_poly(), pair.w.as_poly()
-        return z ** (m - 1) * z + w ** (m - 1) * w == rhs
-    raise ValueError(f"unknown mode {mode!r}")
+        lhs = z**m + w**m
+    else:
+        lhs = z ** (m - 1) * z + w ** (m - 1) * w
+    return lhs == newton_poly(m, field)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,15 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .ffield import DESK_CEILING, RATIONALS, FieldSpec, make_field, unity_degree
+from .ffield import (
+    DESK_CEILING,
+    RATIONALS,
+    CeilingError,
+    FieldSpec,
+    check_ceiling,
+    make_field,
+    unity_degree,
+)
 from .mpoly import (
     EXPONENT_CAP,
     CoeffField,
@@ -151,10 +159,11 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
     elif spec.r == 1:
         # only the prime field embeds canonically; find the minimal level
         rr = unity_degree(p, n)
-        if p**rr > ceiling:
+        try:
+            check_ceiling(p, rr, ceiling)
+        except CeilingError as exc:
             warnings.warn(
-                f"roots-of-unity cross-check skipped for (A,B)=({A},{B}): "
-                f"needs F({p}^{rr}) > ceiling {ceiling}",
+                f"roots-of-unity cross-check skipped for (A,B)=({A},{B}): {exc}",
                 RuntimeWarning,
                 stacklevel=3,
             )

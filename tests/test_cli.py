@@ -106,6 +106,18 @@ def test_signature_command_json(capsys):
     assert len(record["witnesses"]) == 3
 
 
+def test_signature_refuses_a_small_field_before_any_work(capsys, monkeypatch):
+    from schurlab import factor
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("i_poly was built before the roots of unity were taken")
+
+    monkeypatch.setattr(factor, "i_poly", unreachable)
+    status, out, err = run_cli(capsys, "signature", "--A", "7", "--B", "2", "--p", "3", "--r", "1")
+    assert (status, out) == (2, "")
+    assert err == "error: 5 does not divide 3 - 1; need extension degree 4 over F_3\n"
+
+
 def test_factor_command_tsv(capsys):
     status, out, _ = run_cli(
         capsys, "factor", "--A", "3", "--B", "1", "--p", "3", "--r", "1",
@@ -124,7 +136,7 @@ def test_factor_obeys_ceiling_above_512(capsys):
     assert "factors=0" in out
     status, out, err = run_cli(capsys, *args, "--ceiling", "520")
     assert status == 2 and not out
-    assert "exceeds the sweep ceiling 520" in err
+    assert "exceeds the ceiling 520" in err
 
 
 def test_factor_refuses_over_the_ceiling_before_building_the_field(capsys, monkeypatch):
@@ -139,10 +151,7 @@ def test_factor_refuses_over_the_ceiling_before_building_the_field(capsys, monke
     args = ["factor", "--A", "3", "--B", "1", "--p", "3", "--r", "80", "--ceiling", "1000000"]
     status, out, err = run_cli(capsys, *args)
     assert (status, out, built) == (2, "", [])
-    assert err == (
-        "error: field order 147808829414345923316083210206383297601 "
-        "exceeds the sweep ceiling 1000000\n"
-    )
+    assert err == "error: field order 3^80 exceeds the ceiling 1000000\n"
 
 
 def test_sweep_verify_fact(capsys):
@@ -274,7 +283,7 @@ def test_non_prime_p_in_sweep_grid_is_usage_error(capsys, argv):
         (("sweep", "verify-fact", "--which", "eq1", "--p", "3", "--r", "0:1"),
          "extension degree must be >= 1, got 0"),
         (("sweep", "degree", "--p", "3", "--r", "2:4", "--s", "0:1"),
-         "the degree formula requires r > s >= 1, got s=0"),
+         "need r > s >= 1, got r=2, s=0"),
     ],
     ids=["verify-fact-r", "degree-s"],
 )
@@ -379,7 +388,7 @@ def test_only_a_ceiling_refusal_is_a_skip(capsys, monkeypatch):
     "argv, message",
     [
         (("tpoly", "--A", "3", "--B", "1", "--char", "0", "--ext", "2"),
-         "error: --ext is only meaningful with a prime --char\n"),
+         "error: characteristic must be prime, got 0\n"),
         (("sweep", "verify-fact", "--p", "3", "--r", "1"),
          "error: sweep verify-fact needs --which eq1|eq2\n"),
         (("sweep", "degree", "--p", "3", "--r", "2", "--s", "5"),
@@ -397,20 +406,25 @@ def test_usage_errors_exit_2_before_any_output(capsys, argv, message):
     assert err.endswith(message)
 
 
+DEGREE_ARGV = ("degree", "--p", "3", "--r", "3", "--s", "1")
+
+
 @pytest.mark.parametrize(
-    "config, message",
+    "argv, config, message",
     [
-        ([1, 2], "error: --config must hold a JSON object\n"),
-        ({"run": "degree"}, "error: unknown config key 'run'\n"),
-        ({"required": []}, "error: unknown config key 'required'\n"),
+        (DEGREE_ARGV, [1, 2], "error: --config must hold a JSON object\n"),
+        (DEGREE_ARGV, {"run": "degree"}, "error: unknown config key 'run'\n"),
+        (DEGREE_ARGV, {"required": []}, "error: unknown config key 'required'\n"),
+        # the positional's dest is no flag, so the file cannot name it
+        (("sweep", "degree"), {"target": "degree", "p": 3, "r": 3},
+         "error: unknown config key 'target'\n"),
     ],
-    ids=["list", "run", "required"],
+    ids=["list", "run", "required", "target"],
 )
-def test_config_file_must_be_an_object_of_flags(capsys, tmp_path, config, message):
+def test_config_file_must_be_an_object_of_flags(capsys, tmp_path, argv, config, message):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
-    status, out, err = run_cli(capsys, "degree", "--p", "3", "--r", "3", "--s", "1",
-                               "--config", str(cfg))
+    status, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert (status, out, err) == (2, "", message)
 
 

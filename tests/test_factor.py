@@ -73,7 +73,7 @@ def test_linear_factors_rejects_zero_and_ceiling():
     with pytest.raises(ValueError) as exc:
         linear_factors_over(MultiPoly.zero(F3), F3)
     assert not isinstance(exc.value, CeilingError)
-    with pytest.raises(CeilingError, match="exceeds the sweep ceiling 2"):
+    with pytest.raises(CeilingError, match=r"^field order 3\^1 exceeds the ceiling 2$"):
         linear_factors_over(MultiPoly.variable(F3, "Z"), F3, ceiling=2)
 
 
@@ -94,14 +94,6 @@ def test_verify_fact_ceiling_never_computes_a_huge_power():
     for verify in (verify_fact_eq1, verify_fact_eq2):
         with pytest.raises(CeilingError, match=r"3\^\d+ exceeds the ceiling"):
             verify(3, 10**15)
-
-
-def test_sweep_ceiling_names_the_order_and_never_computes_a_huge_power():
-    with pytest.raises(CeilingError, match=r"^field order 19683 exceeds the sweep ceiling 1000$"):
-        factor.check_sweep_ceiling(3, 9, 1000)
-    with pytest.raises(CeilingError, match=r"^field order 3\^1000000000000000 exceeds"):
-        factor.check_sweep_ceiling(3, 10**15, 10**6)
-    factor.check_sweep_ceiling(3, 6, 729)
 
 
 def linear(spec, alpha, beta):

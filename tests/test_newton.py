@@ -6,6 +6,7 @@ from schurlab.newton import (
     DIRECT_EXPANSION_CAP,
     AlternativePair,
     TowerParams,
+    applicable_modes,
     brute_count_alternatives,
     build_alternative_pair,
     degree_of_extension,
@@ -105,6 +106,37 @@ def test_build_alternative_pair_rejects_reducible_eta():
         build_alternative_pair(3, eta=0)  # X^2 splits
     with pytest.raises(ValueError):
         build_alternative_pair(3, eta=1)  # (X-1)^2 splits
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_build_alternative_pair_rejects_eta_zero(p):
+    with pytest.raises(ValueError, match="has a root"):
+        build_alternative_pair(p, eta=0)  # X^2 has the root 0 for every p
+
+
+@pytest.mark.parametrize(
+    "m, modes",
+    [
+        (10, ["direct", "frobenius_shortcut"]),  # 10 = 3^2 + 1
+        (11, ["direct"]),
+        (19684, ["frobenius_shortcut"]),  # 3^9 + 1, past DIRECT_EXPANSION_CAP
+        (20000, []),
+    ],
+)
+def test_applicable_modes_predict_the_refusals(m, modes):
+    assert applicable_modes(m, 3) == modes
+    pair = build_alternative_pair(3)
+    for mode in ("direct", "frobenius_shortcut"):
+        if mode in modes:
+            verify_newton_identity(pair, m, mode)
+        else:
+            with pytest.raises(ValueError):  # CeilingError included
+                verify_newton_identity(pair, m, mode)
+
+
+def test_applicable_modes_direct_cap_is_inclusive():
+    assert applicable_modes(DIRECT_EXPANSION_CAP, 3) == ["direct"]
+    assert applicable_modes(DIRECT_EXPANSION_CAP + 1, 3) == []
 
 
 def test_newton_identity_p3_family():

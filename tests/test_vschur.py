@@ -151,6 +151,15 @@ def test_i_poly_unity_cross_check_respects_ceiling():
         i_poly(ExponentPair(7, 5, F3), ceiling=100)
 
 
+def test_i_poly_unity_skip_gives_the_ceiling_refusal_after_its_prefix():
+    with pytest.warns(RuntimeWarning) as caught:
+        i_poly(ExponentPair(7, 5, F3), ceiling=100)
+    assert [str(w.message) for w in caught] == [
+        "roots-of-unity cross-check skipped for (A,B)=(7,5): "
+        "field order 3^12 exceeds the ceiling 100"
+    ]
+
+
 def test_t_poly_degenerate_pair_is_one():
     assert t_poly(ExponentPair(2, 1)) == 1
     assert t_poly(ExponentPair(4, 2)) == 1
