@@ -30,7 +30,13 @@ needs no reduction, and the Zech logarithms ``zech[k] = log(1 + g^k)``,
 None where 1 + g^k = 0.  Then x*y = exp[log x + log y] and
 g^i + g^j = exp[i + zech[j - i]]; negation, inversion, powers and
 Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
-1 + g^k only changes the top digit of the code of g^k.  Larger fields
+1 + g^k only changes the top digit of the code of g^k.  The integer lists
+(the codes of g^k, ``log`` and ``zech``) are a step of their own, cached
+on the spec up to TABLE_CEILING and read by the tables; :func:`zech_logs`
+hands out ``log`` and ``zech``, and above the ceiling it builds them for
+each call and keeps nothing.  A count over discrete logarithms, such as
+the degree oracle of :mod:`schurlab.newton`, needs only these ints, so
+the FFElement tables are built only for arithmetic.  Larger fields
 compute on the decoded coordinates with the same dense F_p[x] kernel
 (multiply, reduce by the modulus, power) as the modulus search, which the
 tests also use as the oracle for the tables.
@@ -335,6 +341,12 @@ class FieldSpec:
         """The arithmetic tables, built on first use; None above TABLE_CEILING."""
         return _Tables(self) if self.order() <= TABLE_CEILING else None
 
+    @functools.cached_property
+    def _logs(self) -> "tuple[list[int], list, list] | None":
+        """The integer lists of :func:`_zech_lists`, built on first use;
+        None above TABLE_CEILING."""
+        return _zech_lists(self) if self.order() <= TABLE_CEILING else None
+
     def _encode(self, coeffs) -> int:
         code = 0
         for c in coeffs:
@@ -521,6 +533,36 @@ def _power_codes(spec: FieldSpec, g) -> list[int]:
     return codes
 
 
+def _zech_lists(spec: FieldSpec) -> tuple[list[int], list, list]:
+    """The integer part of the tables: the codes of g^k for 0 <= k < q-1,
+    ``log[code]`` (None at 0) and ``zech[k] = log(1 + g^k)`` (None where
+    1 + g^k = 0), with g the multiplicative generator and q the field order.
+    """
+    q, p = spec.order(), spec.p
+    powers = _power_codes(spec, multiplicative_generator(spec).coeffs)
+    log = [None] * q
+    for k, code in enumerate(powers):
+        log[code] = k
+    if None in log[1:]:
+        raise ArithmeticError(f"the generator of {spec} does not reach every unit")
+    one = q // p
+    wrap = (p - 1) * one
+    zech = [log[c + one if c < wrap else c - wrap] for c in powers]
+    return powers, log, zech
+
+
+def zech_logs(spec: FieldSpec) -> tuple[list, list]:
+    """``log[code]`` and ``zech[k] = log(1 + g^k)`` of the field, as ints.
+
+    g is :func:`multiplicative_generator`; ``log[0]`` is None, and so is
+    ``zech[k]`` where 1 + g^k = 0.  Kept on the spec up to TABLE_CEILING,
+    where the arithmetic tables share them, so callers read them and never
+    change them; above it they are built afresh on every call and not kept.
+    """
+    _, log, zech = spec._logs or _zech_lists(spec)
+    return log, zech
+
+
 class _Tables:
     """Log, antilog and Zech tables of one field; see the module docstring."""
 
@@ -528,15 +570,7 @@ class _Tables:
 
     def __init__(self, spec: FieldSpec):
         q, p = spec.order(), spec.p
-        powers = _power_codes(spec, multiplicative_generator(spec).coeffs)
-        log = [None] * q
-        for k, code in enumerate(powers):
-            log[code] = k
-        if None in log[1:]:
-            raise ArithmeticError(f"the generator of {spec} does not reach every unit")
-        one = q // p
-        wrap = (p - 1) * one
-        zech = [log[c + one if c < wrap else c - wrap] for c in powers]
+        powers, log, zech = spec._logs
         elems = [FFElement._of(spec, code) for code in range(q)]
         exp = [elems[code] for code in powers]
         self.elems = elems

@@ -27,6 +27,7 @@ from .ffield import (
     is_prime,
     make_field,
     p_power_exponent,
+    zech_logs,
 )
 from .mpoly import CoeffField, LinearForm, MultiPoly, partial_derivative
 
@@ -240,20 +241,26 @@ class DegreeReport:
 def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int:
     """Count alpha in F_{p^(r-s)} with 2*alpha*alpha^(p^s) = alpha + alpha^(p^s).
 
-    Exhaustive enumeration; the count always includes the trivial
-    alpha = 0, 1 and is even.  In characteristic 2 the condition
-    degenerates to alpha^(p^s) = alpha.
+    Exhaustive, on discrete logarithms: alpha = 0 counts, and each
+    alpha = g^a with 0 <= a < q-1 is tested on ints.  With e = p^s and
+    d = a*(e-1) mod (q-1), beta = alpha^e = g^(a*e) and
+    alpha + beta = g^a * (1 + g^d), so the condition reads
+    zech[d] = log 2 + a*e mod (q-1).  In characteristic 2 the left side is
+    0 and the condition reads 1 + g^d = 0, that is alpha^(p^s) = alpha.
+    The count always includes the trivial alpha = 0, 1 and is even.
     """
-    n, s = t.r - t.s, t.s
+    n = t.r - t.s
     check_ceiling(t.p, n, ceiling)
     spec = make_field(t.p, n)
-    two = spec.from_int(2)
-    count = 0
-    for alpha in spec.elements():
-        beta = frobenius(alpha, s)
-        if two * alpha * beta == alpha + beta:
-            count += 1
-    return count
+    log, zech = zech_logs(spec)
+    q1 = spec.order() - 1
+    e = pow(t.p, t.s, q1)
+    if t.p == 2:
+        hits = sum(zech[a * (e - 1) % q1] is None for a in range(q1))
+    else:
+        log2 = log[spec.from_int(2).code]
+        hits = sum(zech[a * (e - 1) % q1] == (log2 + a * e) % q1 for a in range(q1))
+    return 1 + hits
 
 
 def degree_of_extension(

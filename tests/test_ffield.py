@@ -1,5 +1,6 @@
 import copy
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from schurlab.ffield import (
     FieldTooSmallError,
     _schoolbook_mul,
     _schoolbook_pow,
+    _zech_lists,
     check_ceiling,
     frobenius,
     in_subfield,
@@ -22,6 +24,7 @@ from schurlab.ffield import (
     make_field,
     multiplicative_generator,
     unity_degree,
+    zech_logs,
 )
 
 
@@ -464,6 +467,33 @@ def test_field_above_table_ceiling_builds_no_tables(xc, yc):
     if x:
         assert x * x.inverse() == one and x**-2 * x**2 == one
     assert vars(_BIG)["_tables"] is None
+
+
+def test_zech_lists_above_table_ceiling_match_schoolbook():
+    spec = make_field(3, 11)
+    assert spec.order() > TABLE_CEILING
+    powers, log, zech = _zech_lists(spec)
+    assert log[0] is None and all(log[code] == k for k, code in enumerate(powers))
+    g = multiplicative_generator(spec).coeffs
+    zero = (0,) * spec.r
+    for k in random.Random(0).sample(range(spec.order() - 1), 200):
+        power = _schoolbook_pow(spec, g, k)
+        assert spec._encode(power) == powers[k]
+        plus_one = ((power[0] + 1) % spec.p,) + power[1:]
+        if zech[k] is None:
+            assert plus_one == zero
+        else:
+            assert plus_one == _schoolbook_pow(spec, g, zech[k])
+    # built for the caller and not kept on the spec
+    assert zech_logs(spec) == (log, zech)
+    assert vars(spec)["_logs"] is None and vars(spec).get("_tables") is None
+
+
+def test_zech_logs_below_table_ceiling_are_kept_and_shared_with_the_tables():
+    spec = make_field(3, 5)
+    log, zech = zech_logs(spec)
+    assert zech_logs(spec)[0] is log
+    assert spec._tables.log is log and spec._tables.zech == zech + zech
 
 
 def test_equal_codes_of_different_moduli_never_mix():

@@ -1,5 +1,6 @@
 import pytest
 
+from schurlab import ffield, newton
 from schurlab.ffield import CeilingError, frobenius, make_field
 from schurlab.mpoly import LinearForm, MultiPoly, RATIONALS, substitute
 from schurlab.newton import (
@@ -180,6 +181,56 @@ def test_newton_identity_mode_errors():
         verify_newton_identity(pair, 1, "frobenius_shortcut")
     with pytest.raises(ValueError):
         verify_newton_identity(pair, 4, "sideways")
+
+
+def enumerated_count(t):
+    """Oracle for brute_count_alternatives: field arithmetic on every element."""
+    spec = make_field(t.p, t.r - t.s)
+    two = spec.from_int(2)
+    count = 0
+    for alpha in spec.elements():
+        beta = frobenius(alpha, t.s)
+        if two * alpha * beta == alpha + beta:
+            count += 1
+    return count
+
+
+_ENUMERATED = [
+    (p, r, s)
+    for p in (2, 3, 5, 7, 11)
+    for r in range(2, 13)
+    for s in range(1, r)
+    if p ** (r - s) <= 5000
+]
+
+
+@pytest.mark.parametrize("p,r,s", _ENUMERATED)
+def test_brute_count_matches_the_enumerated_count(p, r, s):
+    t = TowerParams(p, r, s)
+    assert brute_count_alternatives(t) == enumerated_count(t)
+
+
+def test_brute_count_builds_no_field_element_tables(monkeypatch):
+    # F_{3^10} is below TABLE_CEILING, so arithmetic there would build the
+    # tables; the count reads only the integer log and Zech lists
+    fresh = make_field.__wrapped__(3, 10)
+
+    def refuse(spec):
+        raise AssertionError(f"FFElement tables built for {spec}")
+
+    monkeypatch.setattr(ffield, "_Tables", refuse)
+    monkeypatch.setattr(newton, "make_field", lambda p, r: fresh)
+    assert brute_count_alternatives(TowerParams(3, 11, 1)) == 4
+    assert "_tables" not in vars(fresh)
+
+
+@pytest.mark.parametrize(
+    "p,r,s,value", [(3, 12, 1, 1), (3, 13, 1, 2), (2, 20, 1, 1), (5, 9, 1, 3)]
+)
+def test_oracle_agrees_with_the_formula_above_the_table_ceiling(p, r, s, value):
+    assert p ** (r - s) > ffield.TABLE_CEILING
+    report = degree_of_extension(TowerParams(p, r, s), mode="both")
+    assert report.oracle_value == value and report.agree
 
 
 def test_brute_count_examples():
