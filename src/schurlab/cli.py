@@ -11,7 +11,7 @@ or TSV rows, or terse text).  Exit codes:
 * 3 when an internal cross-check failed (the two ``r_poly`` routes, the
   ``i_poly`` unity check, ``counterexample`` modes, the oracle's parity).
 
-Output is byte-identical for identical configuration and seed.
+Output is byte-identical for identical configuration.
 
 Examples::
 
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from .ffield import DESK_CEILING, CeilingError, check_ceiling, field_for, is_prime, make_field
@@ -128,13 +127,9 @@ def _parse_int_set(text: str) -> list[int]:
 
 def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
     fieldv = field_for(args.char, args.ext)
-    if args.command == "tpoly":
+    if args.command in ("tpoly", "rpoly"):
         e = ExponentPair(args.A, args.B, fieldv)
-        poly = t_poly(e)
-        extra = {"A": e.A, "B": e.B, "d": e.d}
-    elif args.command == "rpoly":
-        e = ExponentPair(args.A, args.B, fieldv)
-        poly = r_poly(e)
+        poly = (t_poly if args.command == "tpoly" else r_poly)(e)
         extra = {"A": e.A, "B": e.B, "d": e.d}
     else:  # schur
         part = Partition3((args.l1, args.l2, args.l3))
@@ -268,7 +263,8 @@ def _cmd_degree(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
-    rng = random.Random(args.seed)
+    if args.max_a < 2:  # no pair A > B >= 1
+        raise ValueError("the identity grid is empty")
     status = EXIT_PASS
     fields = {char: field_for(char) for char in args.chars}  # usage errors before output
     for char, fieldv in fields.items():
@@ -285,14 +281,13 @@ def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
                 }
                 if B == 1:
                     checks["complete_homogeneous"] = T == complete_homogeneous(A - 2, fieldv)
-                checks["eval"] = _identity_spot_check(T, R, V, fieldv, rng, args.samples)
                 ok = all(checks.values())
                 record = {
                     "command": "identity",
                     "char": char,
                     "A": A,
                     "B": B,
-                    **{k: v for k, v in checks.items()},
+                    **checks,
                     "verdict": "pass" if ok else "fail",
                 }
                 emitter.emit(
@@ -302,24 +297,6 @@ def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
                 if not ok:
                     status = EXIT_FAIL
     return status
-
-
-def _identity_spot_check(T, R, V, fieldv, rng, samples: int) -> bool:
-    """Evaluate T * V == R at random points where V does not vanish."""
-    for _ in range(samples):
-        for _attempt in range(20):
-            if fieldv.p == 0:
-                point = tuple(rng.randint(1, 19) for _ in range(3))
-            else:
-                point = tuple(rng.randrange(fieldv.p) for _ in range(3))
-            v = V.evaluate(point)
-            if v:
-                break
-        else:
-            continue  # tiny field with V vanishing at every sampled point
-        if T.evaluate(point) * v != R.evaluate(point):
-            return False
-    return True
 
 
 def _sweep_points(args: argparse.Namespace) -> list[dict]:
@@ -478,9 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-a", dest="max_a", type=int, default=8)
     sp.add_argument("--chars", type=_parse_int_set, default="0,3",
                     help="comma list of characteristics (default 0,3)")
-    sp.add_argument("--samples", type=int, default=2, help="random evaluation points per pair")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for the random evaluation points (default 0)")
     common(sp, _cmd_identity)
 
     sp = sub.add_parser("sweep", help="run a verification over a parameter grid")

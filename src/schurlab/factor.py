@@ -308,7 +308,7 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
             f"(A,B)=({A},{B}) has B = d or A - B = d; the signature route "
             "does not apply -- see eisenstein_like_check"
         )
-    p = e.characteristic()
+    p = e.field.p
     if p and (B % p == 0 or (A - B) % p == 0):
         raise ValueError(
             f"characteristic {p} divides B or A - B; signatures degenerate"

@@ -121,9 +121,14 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
     For odd p, alpha is the first root (by coordinate vector) of the
     rootless quadratic for eta; its Frobenius conjugate beta satisfies
     2*alpha*beta = alpha + beta = 2*eta, which is verified here.  For
-    p = 2, alpha is the first primitive cube root of unity.
+    p = 2, alpha is the first primitive cube root of unity, and an eta is
+    refused.
     """
     if p == 2:
+        if eta is not None:
+            raise ValueError(
+                "eta applies only to odd p; characteristic 2 uses a cube root of unity"
+            )
         ambient = make_field(2, 2)
         one = ambient.one()
         alpha = next(x for x in ambient.elements() if x**3 == one and x != one and x)
@@ -147,17 +152,12 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
 DIRECT_EXPANSION_CAP = 10**4
 
 
-def frobenius_power_shape(m: int, p: int) -> int | None:
-    """j >= 1 with m = p^j + 1, or None if m has no such shape."""
-    return p_power_exponent(m - 1, p) or None  # j = 0 (m = 2) has no such shape
-
-
 def applicable_modes(m: int, p: int) -> list[str]:
     """The modes of verify_newton_identity that accept m in characteristic p:
     ``direct`` up to DIRECT_EXPANSION_CAP, ``frobenius_shortcut`` for
     m = p^j + 1 with j >= 1.  verify_newton_identity refuses every other."""
     modes = ["direct"] if m <= DIRECT_EXPANSION_CAP else []
-    if frobenius_power_shape(m, p) is not None:
+    if p_power_exponent(m - 1, p):  # None (m = 1) and 0 (m = 2) have no shortcut
         modes.append("frobenius_shortcut")
     return modes
 

@@ -61,9 +61,6 @@ class ExponentPair:
         d = self.d
         return Partition3((self.A // d - 2, self.B // d - 1, 0))
 
-    def characteristic(self) -> int:
-        return self.field.p
-
 
 @dataclass(frozen=True)
 class Partition3:
@@ -146,7 +143,7 @@ def i_poly(e: ExponentPair, *, ceiling: int = DESK_CEILING) -> MultiPoly:
 
 
 def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> None:
-    p = e.characteristic()
+    p = e.field.p
     if p == 0:
         return  # the product form lives over roots of unity; finite fields only
     A, B, d = e.A, e.B, e.d

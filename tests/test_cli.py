@@ -196,11 +196,32 @@ def test_identity_command(capsys):
     assert all(line.endswith("verdict=pass") for line in lines)
 
 
-def test_identity_seed_determinism(capsys):
-    base = ["identity", "--max-a", "4", "--chars", "3", "--format", "json", "--seed", "7"]
-    _, out1, _ = run_cli(capsys, *base)
-    _, out2, _ = run_cli(capsys, *base)
+def test_identity_determinism(capsys):
+    base = ["identity", "--max-a", "4", "--chars", "3", "--format", "json"]
+    status1, out1, _ = run_cli(capsys, *base)
+    status2, out2, _ = run_cli(capsys, *base)
+    assert (status1, status2) == (0, 0)
+    assert len(out1.splitlines()) == 1 + 2 + 3  # the pairs A > B >= 1 with A <= 4
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "7"), ("--samples", "2")])
+def test_identity_takes_no_randomness_flags(capsys, flag, value):
+    status, out, err = run_cli(capsys, "identity", flag, value)
+    assert (status, out) == (2, "")
+    assert "unrecognized arguments" in err
+
+
+def test_identity_json_record_keys_are_the_exact_checks(capsys):
+    status, out, _ = run_cli(capsys, "identity", "--max-a", "3", "--chars", "0,3",
+                             "--format", "json")
+    assert status == 0
+    records = [json.loads(line) for line in out.splitlines()]
+    assert len(records) == 2 * 3
+    base = {"A", "B", "char", "command", "roundtrip", "schur", "symmetric", "verdict"}
+    for record in records:
+        want = base | {"complete_homogeneous"} if record["B"] == 1 else base
+        assert set(record) == want
 
 
 def test_config_file_supplies_parameters(capsys, tmp_path):
@@ -304,8 +325,10 @@ def test_ceiling_env_default(capsys, monkeypatch):
 def test_byte_identical_reruns(capsys):
     args = ["sweep", "verify-fact", "--which", "eq2", "--p", "2,3", "--r", "1:1",
             "--format", "json"]
-    _, out1, _ = run_cli(capsys, *args)
-    _, out2, _ = run_cli(capsys, *args)
+    status1, out1, _ = run_cli(capsys, *args)
+    status2, out2, _ = run_cli(capsys, *args)
+    assert (status1, status2) == (0, 0)
+    assert len(out1.splitlines()) == 2 + 1  # two points and the summary
     assert out1 == out2
 
 
@@ -393,12 +416,16 @@ def test_only_a_ceiling_refusal_is_a_skip(capsys, monkeypatch):
          "error: sweep verify-fact needs --which eq1|eq2\n"),
         (("sweep", "degree", "--p", "3", "--r", "2", "--s", "5"),
          "error: the sweep grid is empty\n"),
+        (("identity", "--max-a", "1"), "error: the identity grid is empty\n"),
+        (("counterexample", "--p", "2", "--eta", "1", "--m", "5"),
+         "error: eta applies only to odd p; characteristic 2 uses a cube root of unity\n"),
         (("degree", "--p", "3", "--r", "3", "--s", "1", "--ceiling", "x"),
          "error: argument --ceiling: not an integer: 'x'\n"),
         (("degree", "--p", "3", "--r", "3", "--s", "1", "--ceiling", "1"),
          "error: argument --ceiling: must be at least 2, got 1\n"),
     ],
-    ids=["ext-over-Q", "sweep-without-which", "empty-s-grid", "ceiling-not-int", "ceiling-below-2"],
+    ids=["ext-over-Q", "sweep-without-which", "empty-s-grid", "empty-identity-grid",
+         "eta-at-p-2", "ceiling-not-int", "ceiling-below-2"],
 )
 def test_usage_errors_exit_2_before_any_output(capsys, argv, message):
     status, out, err = run_cli(capsys, *argv)

@@ -102,6 +102,11 @@ def test_build_alternative_pair_p2():
     assert pair.z.c_x + pair.z.c_y == F4.one()
 
 
+def test_build_alternative_pair_refuses_eta_at_p2():
+    with pytest.raises(ValueError, match="eta applies only to odd p"):
+        build_alternative_pair(2, eta=1)
+
+
 def test_build_alternative_pair_rejects_reducible_eta():
     with pytest.raises(ValueError):
         build_alternative_pair(3, eta=0)  # X^2 splits
