@@ -23,13 +23,14 @@ from dataclasses import dataclass
 from .ffield import DESK_CEILING, FieldSpec, check_ceiling, field_of, make_field
 from .mpoly import (
     ZERO_POLY,
+    InexactDivisionError,
     LinearForm,
     MultiPoly,
+    _divide_out,
     exact_divide,
     is_homogeneous,
     linear_multiplicity,
     partial_derivative,
-    substitute,
 )
 from .vschur import ExponentPair, i_poly, r_poly, t_poly
 
@@ -168,9 +169,9 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     every later residual divides f.  On a homogeneous f, such as a quotient
     T(A, B), the alphas and the betas number at most deg_Z f each, so the
     sweep is linear in the field order.  A pair that passes is tested
-    exactly on f: divisibility is the substitution Z <- alpha*X + beta*Y
-    annihilating the residual, and multiplicities come from repeated exact
-    division.  The factor list is lexicographic by coordinate vectors.
+    exactly: the residual is divided by its form until one division is
+    inexact, and the count is the multiplicity (substitution is only the
+    tests' oracle).  The factor list is lexicographic by coordinate vectors.
     Raises CeilingError (see check_ceiling) when spec's order exceeds the ceiling.
     """
     if f.is_zero():
@@ -183,11 +184,8 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     residual = f
     factors = []
     for alpha, beta in _candidate_forms(f, spec):
-        mult = 0
-        while substitute(residual, "Z", LinearForm(spec, alpha, beta)).is_zero():
-            divisor = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
-            residual = exact_divide(residual, divisor)
-            mult += 1
+        divisor = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
+        residual, mult = _divide_out(residual, divisor)
         if mult:
             factors.append(((alpha, beta), mult))
     residual_deg = residual.degree_in("Z")
@@ -286,7 +284,7 @@ def divides(f: MultiPoly, g: MultiPoly) -> bool:
         raise ValueError("divisibility by the zero polynomial is undefined")
     try:
         exact_divide(g, f)
-    except ArithmeticError:
+    except InexactDivisionError:
         return False
     return True
 

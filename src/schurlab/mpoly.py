@@ -488,6 +488,17 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.field, _fractions(quot) if ints else quot)
 
 
+def _divide_out(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, int]:
+    """(f / g^k, k) for the largest k with g^k dividing f exactly."""
+    count = 0
+    while True:
+        try:
+            f = exact_divide(f, g)
+        except InexactDivisionError:
+            return f, count
+        count += 1
+
+
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:
     """Replace one variable by the linear form c_x*X + c_y*Y, exactly.
 
@@ -557,11 +568,4 @@ def linear_multiplicity(g: MultiPoly, form: LinearForm):
         return math.inf
     if form.is_zero():
         raise ValueError("multiplicity of the zero form is undefined")
-    divisor = form.as_poly()
-    mult = 0
-    while True:
-        try:
-            g = exact_divide(g, divisor)
-        except InexactDivisionError:
-            return mult
-        mult += 1
+    return _divide_out(g, form.as_poly())[1]

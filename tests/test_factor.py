@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurlab import factor
+from schurlab import factor, mpoly
 from schurlab.ffield import CeilingError, FieldTooSmallError, is_prime, make_field
 from schurlab.factor import (
     FactorReport,
@@ -19,7 +19,9 @@ from schurlab.factor import (
     verify_fact_eq1,
     verify_fact_eq2,
 )
-from schurlab.mpoly import RATIONALS, LinearForm, MultiPoly, exact_divide, is_homogeneous, substitute
+from schurlab.mpoly import (
+    RATIONALS, LinearForm, MultiPoly, _divide_out, exact_divide, is_homogeneous, substitute
+)
 from schurlab.vschur import ExponentPair, complete_homogeneous, r_poly, t_poly, vandermonde
 
 Q = RATIONALS
@@ -221,33 +223,34 @@ def test_jet_passes_only_the_divisors_of_the_splitting_quotient(p, r):
     assert len(passed) == spec.order() - 2
 
 
+def record_divided_forms(monkeypatch):
+    """A list that gets the (alpha, beta) of every Z - alpha*X - beta*Y the sweep divides out."""
+    forms = []
+
+    def counted(f, g):
+        coeffs, zero = dict(g.terms()), g.field.zero()
+        forms.append((-coeffs.get((1, 0, 0), zero), -coeffs.get((0, 1, 0), zero)))
+        return _divide_out(f, g)
+
+    monkeypatch.setattr(factor, "_divide_out", counted)
+    return forms
+
+
 @pytest.mark.parametrize("A,B,p,most", [(11, 4, 13, 0), (10, 3, 7, 3)])
 def test_lines_through_triple_points_on_x_zero_skip_the_exact_test(monkeypatch, A, B, p, most):
     # a Taylor jet at (0 : 1 : beta) passed 13 and 9 such non-divisors here
     spec = make_field(p, 1)
     T = t_poly(ExponentPair(A, B, spec))
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return substitute(*args)
-
-    monkeypatch.setattr(factor, "substitute", counted)
+    calls = record_divided_forms(monkeypatch)
     report = linear_factors_over(T, spec)
     assert not report.linear_factors  # so each call is one form reaching the test
     assert len(calls) <= most
 
 
 def forms_reaching_the_exact_test(monkeypatch, f, spec):
-    """The distinct forms that linear_factors_over substitutes into f."""
-    forms = set()
-
-    def counted(g, var, form):
-        forms.add((form.c_x, form.c_y))
-        return substitute(g, var, form)
-
-    monkeypatch.setattr(factor, "substitute", counted)
-    return linear_factors_over(f, spec), forms
+    """The distinct forms that linear_factors_over tries to divide out of f."""
+    forms = record_divided_forms(monkeypatch)
+    return linear_factors_over(f, spec), set(forms)
 
 
 def test_monomial_factors_leave_one_form_for_the_exact_test(monkeypatch):
@@ -270,6 +273,20 @@ def test_both_monomial_factors_are_divided_out(monkeypatch):
     zero, one = spec.zero(), spec.one()
     assert forms == {(zero, zero), (one, one)}
     assert [form for form, _ in report.linear_factors] == [(zero, zero), (one, one)]
+
+
+@pytest.mark.parametrize("A,B,p,r", [(16, 1, 2, 4), (25, 1, 5, 2), (11, 4, 13, 1)])
+def test_linear_factor_sweep_never_substitutes(monkeypatch, A, B, p, r):
+    spec = make_field(p, r)
+    T = t_poly(ExponentPair(A, B, spec))
+    expected = unfiltered_linear_factors(T, spec).to_json()  # the oracle substitutes
+
+    def refuse(*args):
+        raise AssertionError("the sweep substituted")
+
+    monkeypatch.setattr(mpoly, "substitute", refuse)
+    monkeypatch.setattr(factor, "substitute", refuse, raising=False)
+    assert linear_factors_over(T, spec).to_json() == expected
 
 
 def product_of_forms(spec, forms):
@@ -394,6 +411,18 @@ def test_divides_index_divided_rule():
     for s, t in [(6, 2), (6, 4)]:
         A, B = (2**s - 1) // 3, (2**t - 1) // 3
         assert divides(small, t_poly(ExponentPair(A, B, F2))), (s, t)
+
+
+def test_divides_lets_an_internal_arithmetic_error_through(monkeypatch):
+    # only an inexact division is a False verdict; any other failure propagates
+    X, Y, _ = MultiPoly.gens(F3)
+
+    def broken(f, g):
+        raise ArithmeticError("internal")
+
+    monkeypatch.setattr(factor, "exact_divide", broken)
+    with pytest.raises(ArithmeticError, match="internal"):
+        divides(X, X * Y)
 
 
 def test_divides_rejects_zero_divisor():
