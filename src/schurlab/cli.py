@@ -29,7 +29,7 @@ import json
 import os
 import sys
 
-from .ffield import DESK_CEILING, CeilingError, check_ceiling, field_for, is_prime, make_field
+from .ffield import DESK_CEILING, CeilingError, check_ceiling, check_field, field_for, make_field
 from .mpoly import is_symmetric3
 from .vschur import (
     ExponentPair,
@@ -301,17 +301,13 @@ def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
 
 def _sweep_points(args: argparse.Namespace) -> list[dict]:
     """Every grid point, after checking every grid value; bad values raise ValueError."""
+    if args.target == "verify-fact" and not args.which:
+        raise ValueError("sweep verify-fact needs --which eq1|eq2")
+    # each (p, r) of verify-fact, and each p of degree, before the grid is filtered
+    for pp in args.p:
+        for rr in args.r if args.target == "verify-fact" else (1,):
+            check_field(pp, rr)
     if args.target == "verify-fact":
-        if not args.which:
-            raise ValueError("sweep verify-fact needs --which eq1|eq2")
-        # the library checks (p, r) only by building the field, and a point
-        # over the ceiling is skipped without building one
-        for pp in args.p:
-            if not is_prime(pp):
-                raise ValueError(f"p must be prime, got {pp}")
-        for rr in args.r:
-            if rr < 1:
-                raise ValueError(f"extension degree must be >= 1, got {rr}")
         points = [{"which": args.which, "p": pp, "r": rr} for pp in args.p for rr in args.r]
     else:
         points = [
@@ -322,7 +318,7 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
             if ss < rr
         ]
         for pt in points:
-            TowerParams(**pt)  # refuses p not prime or s < 1
+            TowerParams(**pt)  # refuses s < 1
     if not points:
         raise ValueError("the sweep grid is empty")
     return points
@@ -478,11 +474,12 @@ def _parse_args(argv) -> argparse.Namespace:
     """Parse argv; a --config file reads as flags placed before the user's own.
 
     Each key of the file's JSON object names a flag of the command: a list
-    becomes its comma text, ``true`` the bare flag (``"strict": true``) and
-    any other value its ``str``.  These tokens go between the subcommand
-    name and the user's arguments and the line is parsed once more, so
-    every file value meets its flag's type and choices, and a flag on the
-    command line beats the file, which beats the declared default.
+    becomes its comma text, ``true`` the bare flag (``"strict": true``),
+    ``false`` nothing (the flag keeps its default) and any other value its
+    ``str``.  These tokens go between the subcommand name and the user's
+    arguments and the line is parsed once more, so every file value meets
+    its flag's type and choices, and a flag on the command line beats the
+    file, which beats the declared default.
     """
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -498,6 +495,8 @@ def _parse_args(argv) -> argparse.Namespace:
         dest = key.replace("-", "_")
         if dest not in args.config_keys:
             raise ValueError(f"unknown config key {key!r}")
+        if val is False:
+            continue  # the flag is left out, so it takes its default
         flag = "--" + dest.replace("_", "-")
         if val is True:
             tokens.append(flag)

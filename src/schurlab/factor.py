@@ -50,8 +50,7 @@ class SignatureWitness:
 
     kind: str  # "lower" | "upper"
     length: int
-    root: object  # the theta / zeta indexing the prime form
-    prime_form: LinearForm
+    root: object  # the theta / zeta of the linear prime X - root*Y
     checks: tuple  # ((z_power, multiplicity), ...)
     verdict: bool
 
@@ -334,7 +333,7 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
                 and all(m >= 1 for m in mults[1:length])
                 and mults[length] == 0
             )
-            witnesses.append(SignatureWitness(kind, length, root, form, checks, verdict))
+            witnesses.append(SignatureWitness(kind, length, root, checks, verdict))
     return witnesses
 
 

@@ -72,14 +72,25 @@ class CeilingError(ValueError):
     """A computation would exceed the size ceiling it was given."""
 
 
+def check_field(p: int, r: int = 1) -> None:
+    """Raise ValueError unless p is prime and r >= 1, that is, unless
+    F_{p^r} exists.  Builds nothing."""
+    if not is_prime(p):
+        raise ValueError(f"characteristic must be prime, got {p}")
+    if r < 1:
+        raise ValueError(f"extension degree must be >= 1, got {r}")
+
+
 def check_ceiling(p: int, k: int, ceiling: int, what: str = "field order") -> None:
     """Raise CeilingError when p^k exceeds the ceiling.
 
-    The power is capped at the ceiling's bit length (p^k > ceiling for any
-    p >= 2 past it), so a huge k costs nothing.  p < 2 never raises; the
-    field constructors reject it.
+    A p that is not prime is refused first, by :func:`check_field`, so a
+    non-field reads as one whatever k is.  The power is capped at the
+    ceiling's bit length (p^k > ceiling for any p >= 2 past it), so a huge
+    k costs nothing.
     """
-    if p >= 2 and p ** min(k, ceiling.bit_length()) > ceiling:
+    check_field(p)
+    if p ** min(k, ceiling.bit_length()) > ceiling:
         raise CeilingError(f"{what} {p}^{k} exceeds the ceiling {ceiling}")
 
 
@@ -95,18 +106,7 @@ class FieldTooSmallError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def unity_degree(p: int, n: int) -> int:
@@ -141,7 +141,7 @@ def prime_factors(n: int) -> list[int]:
             out.append(f)
             while n % f == 0:
                 n //= f
-        f += 1
+        f += 2 if f > 2 else 1  # 2, then the odd numbers
     if n > 1:
         out.append(n)
     return out
@@ -443,10 +443,7 @@ def make_field(p: int, r: int) -> FieldSpec:
     coefficient vectors (c0, ..., c_{r-1}) are scanned in ascending
     lexicographic order, i.e. the constant coefficient is most significant.
     """
-    if not is_prime(p):
-        raise ValueError(f"characteristic must be prime, got {p}")
-    if r < 1:
-        raise ValueError(f"extension degree must be >= 1, got {r}")
+    check_field(p, r)
     # for r > 1 a zero constant coefficient means the factor X: start at c0 = 1
     first = range(p) if r == 1 else range(1, p)
     for tail in itertools.product(first, *[range(p)] * (r - 1)):
@@ -629,15 +626,8 @@ class FFElement:
         return self.code != 0
 
     def _coerce(self, other):
-        if isinstance(other, FFElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise FieldMismatchError(
-                    f"cannot combine elements of {self.spec} and {other.spec}"
-                )
-            return other
-        if isinstance(other, int):
-            return self.spec.from_int(other)
-        return None
+        """The other operand in this field; None unless it is an element or an int."""
+        return self.spec.coerce(other) if isinstance(other, (FFElement, int)) else None
 
     def __mul__(self, other):
         spec = self.spec
@@ -723,8 +713,6 @@ class FFElement:
         return t.exp[t.log[self.code] * e % t.qm1]
 
     def inverse(self) -> "FFElement":
-        if not self.code:
-            raise ZeroDivisionError("zero has no inverse")
         return self**-1
 
     def __truediv__(self, other):

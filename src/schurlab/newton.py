@@ -22,9 +22,9 @@ from .ffield import (
     FFElement,
     FieldSpec,
     check_ceiling,
+    check_field,
     field_for,
     frobenius,
-    is_prime,
     make_field,
     p_power_exponent,
     zech_logs,
@@ -51,8 +51,7 @@ def two_generator_degree(a: int, b: int, p: int = 0) -> int:
     if math.gcd(a, b) != 1:
         raise ValueError(f"indices must be coprime, got gcd={math.gcd(a, b)}")
     if p:
-        if not is_prime(p):
-            raise ValueError(f"characteristic must be 0 or prime, got {p}")
+        check_field(p)
         if a % p == 0 or b % p == 0:
             raise ValueError(
                 f"characteristic {p} divides an index; the formula does not apply"
@@ -84,8 +83,7 @@ def find_irreducible_eta(p: int) -> int:
     """
     if p == 2:
         raise ValueError("characteristic 2 uses a cube root of unity instead")
-    if not is_prime(p):
-        raise ValueError(f"p must be an odd prime, got {p}")
+    check_field(p)
     for eta in range(p):
         if _rootless(eta, p):
             return eta
@@ -124,6 +122,7 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
     p = 2, alpha is the first primitive cube root of unity, and an eta is
     refused.
     """
+    check_field(p)  # a non-field is refused before any eta is judged
     if p == 2:
         if eta is not None:
             raise ValueError(
@@ -192,9 +191,9 @@ def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") 
 class TowerParams:
     """Exponent data (p, r, s) of the three indices p^r + 1, p^s + 1, 1.
 
-    Construction enforces p prime and r > s >= 1, the hypotheses of both
-    the degree formula and the counting oracle, so neither checks them
-    again.
+    Construction refuses a p that is not prime (see ffield.check_field)
+    and enforces r > s >= 1, the hypotheses of both the degree formula and
+    the counting oracle, so neither checks them again.
     """
 
     p: int
@@ -202,8 +201,7 @@ class TowerParams:
     s: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
+        check_field(self.p)
         if not (self.r > self.s >= 1):
             raise ValueError(f"need r > s >= 1, got r={self.r}, s={self.s}")
 

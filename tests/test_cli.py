@@ -249,6 +249,16 @@ def test_config_file_can_set_strict(capsys, tmp_path):
     assert status == 1
 
 
+def test_config_false_leaves_the_flag_at_its_default(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"strict": False}))
+    args = ["sweep", "degree", "--p", "3", "--r", "13:13", "--s", "1", "--ceiling", "1000"]
+    _, plain, _ = run_cli(capsys, *args)
+    status, out, err = run_cli(capsys, *args, "--config", str(cfg))
+    assert (status, out, err) == (0, plain, "")
+    assert out.endswith("command=sweep target=degree pass=0 fail=0 skip=1 points=1\n")
+
+
 def test_config_integer_grid_value_reads_as_the_flag(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"p": 3, "r": "2:3"}))
@@ -295,7 +305,31 @@ def test_non_prime_p_in_sweep_grid_is_usage_error(capsys, argv):
     status, out, err = run_cli(capsys, *argv)
     assert status == 2
     assert out == ""  # no grid point ran
-    assert "p must be prime" in err
+    assert "characteristic must be prime, got" in err
+
+
+@pytest.mark.parametrize(
+    "argv, p",
+    [
+        (("tpoly", "--A", "3", "--B", "1", "--char", "4"), 4),
+        (("factor", "--A", "3", "--B", "1", "--p", "4", "--r", "80"), 4),
+        (("factor", "--A", "3", "--B", "1", "--p", "4", "--r", "1"), 4),
+        (("signature", "--A", "5", "--B", "2", "--p", "4", "--r", "1"), 4),
+        (("verify-fact", "--which", "eq1", "--p", "4", "--r", "80"), 4),
+        (("verify-fact", "--which", "eq2", "--p", "6", "--r", "5"), 6),
+        (("sweep", "verify-fact", "--which", "eq1", "--p", "4", "--r", "1"), 4),
+        (("sweep", "degree", "--p", "4", "--r", "2", "--s", "5"), 4),
+        (("degree", "--p", "4", "--r", "3", "--s", "1"), 4),
+        (("counterexample", "--p", "9", "--m", "4"), 9),
+        (("counterexample", "--p", "9", "--eta", "1", "--m", "4"), 9),
+    ],
+    ids=["tpoly", "factor-over-ceiling", "factor", "signature", "eq1-over-ceiling",
+         "eq2-over-ceiling", "sweep-verify-fact", "sweep-degree-empty-grid", "degree",
+         "counterexample", "counterexample-eta"],
+)
+def test_a_non_field_is_refused_as_one_at_every_entry_point(capsys, argv, p):
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, out, err) == (2, "", f"error: characteristic must be prime, got {p}\n")
 
 
 @pytest.mark.parametrize(

@@ -18,11 +18,13 @@ from schurlab.ffield import (
     _schoolbook_pow,
     _zech_lists,
     check_ceiling,
+    check_field,
     frobenius,
     in_subfield,
     is_prime,
     make_field,
     multiplicative_generator,
+    prime_factors,
     unity_degree,
     zech_logs,
 )
@@ -78,6 +80,31 @@ def test_make_field_rejects_bad_degree():
 def test_prime_test():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_prime_test_and_prime_factors_match_division_by_every_smaller_number():
+    primes = [n for n in range(2, 1000) if all(n % d for d in range(2, n))]
+    for n in range(-5, 1000):
+        assert is_prime(n) == (n in primes), n
+        if n >= 1:
+            assert prime_factors(n) == [q for q in primes if n % q == 0], n
+
+
+def test_check_field_names_exactly_the_fields_and_builds_none():
+    built = make_field.cache_info().currsize
+    for p in range(-3, 30):
+        for r in (-1, 0, 1, 2, 80):
+            if not is_prime(p):
+                message = f"characteristic must be prime, got {p}"
+            elif r < 1:
+                message = f"extension degree must be >= 1, got {r}"
+            else:
+                check_field(p, r)
+                continue
+            with pytest.raises(ValueError) as exc:
+                check_field(p, r)
+            assert type(exc.value) is ValueError and str(exc.value) == message
+    assert make_field.cache_info().currsize == built
 
 
 def test_frobenius_fixes_prime_field():
@@ -239,6 +266,17 @@ def test_field_mismatch_is_loud():
     b = make_field(3, 1).one()
     with pytest.raises(FieldMismatchError):
         a + b
+
+
+def test_element_operators_coerce_through_their_spec():
+    F9, F3 = make_field(3, 2), make_field(3, 1)
+    x = F9.from_int(2)
+    with pytest.raises(FieldMismatchError) as exc:
+        x * F3.one()
+    assert str(exc.value) == f"coefficient {F3.one()} does not belong to {F9}"
+    assert x + 1 == F9.zero() and 1 / x == x
+    for op in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__"):
+        assert getattr(x, op)(Fraction(1, 2)) is NotImplemented
 
 
 def test_token_roundtrip():

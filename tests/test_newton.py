@@ -44,6 +44,26 @@ def test_two_generator_degree_values():
     assert two_generator_degree(2, 1) == 1
 
 
+@pytest.mark.parametrize(
+    "call, p",
+    [
+        (lambda: make_field(4, 1), 4),
+        (lambda: TowerParams(4, 3, 1), 4),
+        (lambda: two_generator_degree(3, 2, 4), 4),
+        (lambda: find_irreducible_eta(9), 9),
+        (lambda: build_alternative_pair(9, eta=1), 9),
+        (lambda: ffield.check_ceiling(4, 80, 10**6), 4),
+    ],
+    ids=["make_field", "TowerParams", "two_generator_degree", "find_irreducible_eta",
+         "build_alternative_pair", "check_ceiling"],
+)
+def test_a_non_field_is_refused_as_one_before_any_ceiling(call, p):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert not isinstance(exc.value, CeilingError)
+    assert str(exc.value) == f"characteristic must be prime, got {p}"
+
+
 def test_two_generator_degree_refusals():
     with pytest.raises(ValueError):
         two_generator_degree(4, 2)  # not coprime
