@@ -310,18 +310,19 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
         raise ValueError(
             f"characteristic {p} divides B or A - B; signatures degenerate"
         )
-    # every root list first, so a FieldTooSmallError comes before any work
-    dth = set(e.field.roots_of_unity(d))
-    # (kind, length, roots, Z powers of the checked coefficients; deg_Z I = A)
+    # one FieldTooSmallError, naming the degree that holds every root, before any work
+    e.field.roots_of_unity(math.lcm(B, A - B))
+    one = e.field.one()
+    # (kind, length, root order, Z powers of the checked coefficients; deg_Z I = A)
     families = (
-        ("lower", B, e.field.roots_of_unity(A - B), range(B + 1)),
-        ("upper", A - B, e.field.roots_of_unity(B), range(A, B - 1, -1)),
+        ("lower", B, A - B, range(B + 1)),
+        ("upper", A - B, B, range(A, B - 1, -1)),
     )
     I = i_poly(e)
     witnesses = []
-    for kind, length, roots, z_powers in families:
-        for root in roots:
-            if root in dth:
+    for kind, length, order, z_powers in families:
+        for root in e.field.roots_of_unity(order):
+            if root**d == one:
                 continue
             form = LinearForm(e.field, 1, -root)
             checks = tuple(

@@ -91,8 +91,9 @@ def find_irreducible_eta(p: int) -> int:
 
 
 def _rootless(eta: int, p: int) -> bool:
-    """Whether X^2 - 2*eta*X + eta has no root in F_p."""
-    return all((x * x - 2 * eta * x + eta) % p for x in range(p))
+    """Whether X^2 - 2*eta*X + eta has no root in F_p (odd p), that is,
+    by Euler's criterion, whether eta^2 - eta is a non-square mod p."""
+    return pow(eta * eta - eta, (p - 1) // 2, p) == p - 1
 
 
 @dataclass(frozen=True)
@@ -117,10 +118,11 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
     """Construct the pair over F_{p^2} (odd p) or F_4 (p = 2).
 
     For odd p, alpha is the first root (by coordinate vector) of the
-    rootless quadratic for eta; its Frobenius conjugate beta satisfies
-    2*alpha*beta = alpha + beta = 2*eta, which is verified here.  For
-    p = 2, alpha is the first primitive cube root of unity, and an eta is
-    refused.
+    rootless quadratic for eta, solved in coordinates by
+    :func:`_quadratic_root` in O(p) integer steps; its Frobenius conjugate
+    beta satisfies 2*alpha*beta = alpha + beta = 2*eta, which is verified
+    here.  For p = 2, alpha is the first primitive cube root of unity, and
+    an eta is refused.
     """
     check_field(p)  # a non-field is refused before any eta is judged
     if p == 2:
@@ -129,22 +131,36 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
                 "eta applies only to odd p; characteristic 2 uses a cube root of unity"
             )
         ambient = make_field(2, 2)
-        one = ambient.one()
-        alpha = next(x for x in ambient.elements() if x**3 == one and x != one and x)
+        alpha = next(x for x in ambient.roots_of_unity(3) if x != ambient.one())
     else:
         if eta is None:
             eta = find_irreducible_eta(p)
         if not _rootless(eta, p):
             raise ValueError(f"eta={eta} has a root mod {p}; pick a rootless eta")
         ambient = make_field(p, 2)
-        roots = [x for x in ambient.elements() if not (x * x - 2 * eta * x + eta)]
-        alpha = roots[0]
+        alpha = _quadratic_root(ambient, eta % p)
         beta = frobenius(alpha, 1)
         if 2 * alpha * beta != alpha + beta or alpha + beta != ambient.from_int(2 * eta):
             raise ArithmeticError("conjugate-root invariant failed at construction")
     z = LinearForm(ambient, alpha, 1 - alpha)
     w = LinearForm(ambient, 1 - alpha, alpha)
     return AlternativePair(alpha=alpha, z=z, w=w, ambient=ambient)
+
+
+def _quadratic_root(ambient: FieldSpec, eta: int) -> FFElement:
+    """The root with the smaller code of X^2 - 2*eta*X + eta, rootless over
+    F_p, in F_{p^2} = F_p[X]/(X^2 + c1*X + c0).
+
+    alpha = a + b*X is a root exactly when a = eta + b*c1/2 and
+    b^2 = (eta^2 - eta) / (c1^2/4 - c0); b is found by a scan of F_p.
+    """
+    p = ambient.p
+    c0, c1, _ = ambient.modulus
+    shift = c1 * pow(2, -1, p) % p  # c1/2
+    target = (eta * eta - eta) * pow(shift * shift - c0, -1, p) % p
+    b = next(b for b in range(1, p) if b * b % p == target)
+    roots = [ambient.element([eta + s * shift, s]) for s in (b, p - b)]
+    return min(roots, key=lambda x: x.code)
 
 
 #: Largest exponent the direct expansion mode will take on.

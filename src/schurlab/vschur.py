@@ -131,8 +131,9 @@ def i_poly(e: ExponentPair, *, ceiling: int = DESK_CEILING) -> MultiPoly:
     additionally cross-checked against its product expansion over roots of
     unity: Z^A prod(X - zY | z^B = 1, z^d != 1) - Z^B prod(X - zY | z^A = 1,
     z^d != 1) + X^B Y^B prod(X - zY | z^(A-B) = 1, z^d != 1).  The check
-    needs a field containing all those roots; it is skipped with a warning
-    when building one would exceed the ceiling.
+    runs in the given field when it holds those roots, and otherwise in
+    the smallest F_{p^k} that does; it is skipped with a warning only when
+    that field would exceed the ceiling.
     """
     field = e.field
     d = e.d
@@ -150,14 +151,11 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
     if A % p == 0 or B % p == 0 or (A - B) % p == 0:
         return
     n = math.lcm(A, B, A - B)
-    spec = e.field
-    if (spec.order() - 1) % n == 0:
-        big = spec
-    elif spec.r == 1:
-        # only the prime field embeds canonically; find the minimal level
-        rr = unity_degree(p, n)
+    big = e.field
+    if (big.order() - 1) % n:
+        k = unity_degree(p, n)
         try:
-            check_ceiling(p, rr, ceiling)
+            check_ceiling(p, k, ceiling)
         except CeilingError as exc:
             warnings.warn(
                 f"roots-of-unity cross-check skipped for (A,B)=({A},{B}): {exc}",
@@ -165,39 +163,31 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
                 stacklevel=3,
             )
             return
-        big = make_field(p, rr)
-    else:
-        warnings.warn(
-            f"roots-of-unity cross-check skipped for (A,B)=({A},{B}): "
-            f"{spec} lacks the roots and embeddings beyond the prime field "
-            "are out of scope",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return
-
-    def lifted(poly: MultiPoly) -> MultiPoly:
-        if big == spec:
-            return poly
-        # spec is a prime field here, and a residue embeds as big's constant
-        return MultiPoly(big, {m: big.from_int(c.code) for m, c in poly._terms.items()})
-
-    if lifted(quotient) != _unity_product_form(A, B, d, big):
+        big = make_field(p, k)
+    # R has coefficients +-1 and X^d - Y^d is monic, so every coefficient of
+    # the quotient lies in F_p, and moves into any F_{p^k} as its residue
+    moved = {}
+    for m, c in quotient._terms.items():
+        residue, *higher = c.coeffs
+        if any(higher):
+            raise ArithmeticError(
+                f"quotient for (A,B)=({A},{B}) has a coefficient {c} outside F_{p}"
+            )
+        moved[m] = big.from_int(residue)
+    if MultiPoly(big, moved) != _unity_product_form(A, B, d, big):
         raise ArithmeticError(
             f"quotient and roots-of-unity product disagree for (A,B)=({A},{B})"
         )
 
 
 def _unity_product_form(A: int, B: int, d: int, spec: FieldSpec) -> MultiPoly:
-    one = MultiPoly.one(spec)
+    unit = spec.one()
 
     def prod_over(n: int) -> MultiPoly:
-        dth = set(spec.roots_of_unity(d))
-        out = one
+        out = MultiPoly.one(spec)
         for zeta in spec.roots_of_unity(n):
-            if zeta in dth:
-                continue
-            out = out * LinearForm(spec, 1, -zeta).as_poly()
+            if zeta**d != unit:
+                out = out * LinearForm(spec, 1, -zeta).as_poly()
         return out
 
     ZA = MultiPoly.monomial(spec, (0, 0, A))

@@ -115,7 +115,18 @@ def test_signature_refuses_a_small_field_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(factor, "i_poly", unreachable)
     status, out, err = run_cli(capsys, "signature", "--A", "7", "--B", "2", "--p", "3", "--r", "1")
     assert (status, out) == (2, "")
-    assert err == "error: 5 does not divide 3 - 1; need extension degree 4 over F_3\n"
+    assert err == "error: 10 does not divide 3 - 1; need extension degree 4 over F_3\n"
+
+
+def test_signature_refusal_names_the_degree_that_holds_every_root(capsys):
+    # (13, 5) needs the 5th and 8th roots: F_7 lacks both, F_49 holds only the
+    # 8th, and F_{7^4} holds the 40th
+    status, out, err = run_cli(capsys, "signature", "--A", "13", "--B", "5", "--p", "7", "--r", "1")
+    assert (status, out) == (2, "")
+    assert err == "error: 40 does not divide 7 - 1; need extension degree 4 over F_7\n"
+    with pytest.warns(RuntimeWarning, match="ceiling"):  # the check needs F_{7^12}
+        status, _, _ = run_cli(capsys, "signature", "--A", "13", "--B", "5", "--p", "7", "--r", "4")
+    assert status == 0
 
 
 def test_factor_command_tsv(capsys):

@@ -82,6 +82,29 @@ def test_prime_test():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
 
+def test_strong_probable_prime_test_matches_the_factorization():
+    for n in range(2 * 10**5):
+        assert is_prime(n) == (n >= 2 and prime_factors(n) == [n]), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561, 1105, 1729, 2465, 2821, 6601, 8911,  # Carmichael numbers
+        3215031751,  # least strong pseudoprime to the bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to every prime base up to 31
+        399165290221 * 798330580441,  # strong pseudoprime to every prime base up to 37
+    ],
+)
+def test_prime_test_refuses_carmichael_numbers_and_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [10**14 + 31, 2**61 - 1, 10**18 + 3])
+def test_prime_test_decides_large_primes(n):
+    assert is_prime(n)
+
+
 def test_prime_test_and_prime_factors_match_division_by_every_smaller_number():
     primes = [n for n in range(2, 1000) if all(n % d for d in range(2, n))]
     for n in range(-5, 1000):

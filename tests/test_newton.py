@@ -122,6 +122,18 @@ def test_build_alternative_pair_p2():
     assert pair.z.c_x + pair.z.c_y == F4.one()
 
 
+def test_build_alternative_pair_matches_the_scan_of_the_quadratic_extension():
+    # oracle: the rootless test and the first root by code, both by scanning
+    for p in (n for n in range(3, 60) if ffield.is_prime(n)):
+        F = make_field(p, 2)
+        for eta in range(p):
+            rootless = all((x * x - 2 * eta * x + eta) % p for x in range(p))
+            assert newton._rootless(eta, p) == rootless, (p, eta)
+            if rootless:
+                first = next(x for x in F.elements() if not (x * x - 2 * eta * x + eta))
+                assert build_alternative_pair(p, eta).alpha == first, (p, eta)
+
+
 def test_build_alternative_pair_refuses_eta_at_p2():
     with pytest.raises(ValueError, match="eta applies only to odd p"):
         build_alternative_pair(2, eta=1)

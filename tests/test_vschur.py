@@ -140,10 +140,24 @@ def test_i_poly_unity_check_in_a_field_that_holds_the_roots(monkeypatch):
         i_poly(e)
 
 
-def test_i_poly_unity_check_skips_an_extension_field_without_the_roots():
-    # (5, 1) needs the 20th roots of unity, which F9 lacks
-    with pytest.warns(RuntimeWarning, match="lacks the roots"):
-        i_poly(ExponentPair(5, 1, F9))
+def test_i_poly_unity_check_runs_in_an_extension_field_without_the_roots(monkeypatch):
+    # (5, 1) needs the 20th roots of unity, which F9 lacks: the quotient moves
+    # into F_{3^4} and is compared there, with no warning
+    import warnings
+
+    e = ExponentPair(5, 1, F9)
+    monkeypatch.setattr(vschur, "_unity_product_form", lambda A, B, d, spec: MultiPoly.zero(spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="roots-of-unity product disagree"):
+            i_poly(e)
+
+
+def test_i_poly_unity_check_refuses_a_coefficient_outside_the_prime_field():
+    e = ExponentPair(5, 1, F9)
+    quotient = i_poly(e) + MultiPoly(F9, {(1, 0, 0): F9.element((0, 1))})
+    with pytest.raises(ArithmeticError, match="outside F_3"):
+        vschur._i_poly_unity_check(e, quotient, 10**6)
 
 
 def test_i_poly_unity_cross_check_respects_ceiling():
