@@ -1,11 +1,14 @@
 """Exact arithmetic in the coefficient fields: Q and F_{p^r}.
 
 The rationals are the singleton :data:`RATIONALS` (characteristic 0, with
-:class:`fractions.Fraction` elements).  A finite field is described by a
+:class:`fractions.Fraction` elements; integers enter as the shared objects
+of :func:`shared_fraction`).  A finite field is described by a
 :class:`FieldSpec` holding the characteristic ``p``, the extension degree
 ``r`` and a fixed monic irreducible modulus of degree ``r`` over F_p.  The
 modulus is chosen deterministically: the lexicographically smallest monic
 irreducible polynomial, comparing coefficient vectors low degree first.
+The search holds one candidate at a time and tests it by Rabin's test,
+whose first step refuses a candidate with a root in F_p at O(log p) cost.
 Two specs built for the same ``(p, r)`` are therefore identical, which
 keeps every downstream artifact (root orderings, factor lists, serialized
 reports) reproducible.
@@ -52,7 +55,6 @@ says which values a field can be asked to coerce.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -245,27 +247,33 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _frobenius_coprime(xpk: list[int], f: list[int], p: int) -> bool:
+    """Whether gcd(x^(p^k) - x, f) = 1, given xpk = x^(p^k) mod f and deg f >= 2:
+    f has no irreducible factor whose degree divides k.  For k = 1, whether
+    f has no root in F_p."""
+    return len(_poly_gcd(_poly_sub(xpk, [0, 1], p), list(f), p)) == 1
+
+
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial of degree >= 1 over F_p."""
+    """Rabin's test for a monic polynomial of degree r >= 1 over F_p.
+
+    For r >= 2, f is irreducible exactly when x^(p^r) = x mod f and
+    gcd(x^(p^(r/q)) - x, f) = 1 for every prime q dividing r.  The powers
+    x^(p^k) come from one chain of p-th powers, O(r log p) products mod f,
+    and the first link already refuses every f with a root in F_p.
+    """
     r = len(f) - 1
     if r == 1:
         return True
-    # cheap pre-filter: a root in F_p means a linear factor
-    for a in range(p):
-        acc = 0
-        for c in reversed(f):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            return False
-    x = [0, 1]
-    if _poly_sub(_poly_powmod(x, p**r, f, p), _poly_mod(x, f, p), p):
+    xpk = _poly_powmod([0, 1], p, f, p)
+    if not _frobenius_coprime(xpk, f, p):
         return False
-    for q in prime_factors(r):
-        h = _poly_sub(_poly_powmod(x, p ** (r // q), f, p), _poly_mod(x, f, p), p)
-        g = _poly_gcd(h, list(f), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    powers = [[0, 1], xpk]  # powers[k] = x^(p^k) mod f
+    for _ in range(r - 1):
+        powers.append(_poly_powmod(powers[-1], p, f, p))
+    if powers[r] != [0, 1]:
+        return False
+    return all(_frobenius_coprime(powers[r // q], f, p) for q in prime_factors(r))
 
 
 # ---------------------------------------------------------------------------
@@ -389,30 +397,38 @@ class FieldSpec:
         return tuple(coeffs)
 
 
+#: The integer n of Q as a Fraction, one shared object per recently used n.
+#: Fractions are immutable, so sharing is safe, and two polynomials holding
+#: the same shared coefficient compare it by identity, with no
+#: Fraction.__eq__.  Bounded, so a stream of distinct integers costs at
+#: most the cache.
+shared_fraction = functools.lru_cache(maxsize=1 << 12)(Fraction)
+
+
 class Rationals:
     """The field Q, with :class:`fractions.Fraction` elements.
 
     Answers the same interface as :class:`FieldSpec`; the only instance is
-    :data:`RATIONALS`.
+    :data:`RATIONALS`.  Integers come into Q through :func:`shared_fraction`.
     """
 
     p = 0
 
     def zero(self) -> Fraction:
-        return Fraction(0)
+        return shared_fraction(0)
 
     def one(self) -> Fraction:
-        return Fraction(1)
+        return shared_fraction(1)
 
     def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+        return shared_fraction(n)
 
     def coerce(self, value) -> Fraction:
         """Bring an int or a Fraction into Q; finite-field elements are refused."""
         if isinstance(value, Fraction):
             return value
         if isinstance(value, int):
-            return Fraction(value)
+            return shared_fraction(value)
         if isinstance(value, FFElement):
             raise FieldMismatchError(f"coefficient {value} does not belong to {self}")
         raise TypeError(f"unsupported coefficient type {type(value).__name__}")
@@ -473,10 +489,13 @@ def make_field(p: int, r: int) -> FieldSpec:
     lexicographic order, i.e. the constant coefficient is most significant.
     """
     check_field(p, r)
-    # for r > 1 a zero constant coefficient means the factor X: start at c0 = 1
-    first = range(p) if r == 1 else range(1, p)
-    for tail in itertools.product(first, *[range(p)] * (r - 1)):
-        coeffs = list(tail) + [1]
+    # The candidate with coefficients (c0, ..., c_{r-1}) is the base-p
+    # counter c0*p^(r-1) + ... + c_{r-1}, decoded one candidate at a time.
+    # For r > 1 a zero constant coefficient means the factor X: start at c0 = 1.
+    for counter in range(0 if r == 1 else p ** (r - 1), p**r):
+        coeffs = [0] * r + [1]
+        for i in range(r - 1, -1, -1):
+            counter, coeffs[i] = divmod(counter, p)
         if _is_irreducible(coeffs, p):
             return FieldSpec(p, r, tuple(coeffs))
     raise AssertionError("unreachable: irreducibles of every degree exist")

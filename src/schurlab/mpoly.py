@@ -18,6 +18,16 @@ Division is exact division only: :func:`exact_divide` returns the quotient
 when the remainder vanishes and raises :class:`InexactDivisionError`
 otherwise, which downstream code uses as a divisibility verdict.  The
 leading term of the running remainder comes off a heap.
+
+The two kernels, products and exact division, run on one int per
+monomial: on entry each exponent triple (a, b, c) is packed as
+``((a+b+c) << 2s) | (a << s) | b``, with the slot width s taken from the
+operands' degree bound so that no slot overflows, and on exit the keys
+are unpacked into exponent triples again.  The key of a product monomial
+is the sum of its factors' keys, and integer order of keys is the graded
+lex order, the total degree deciding first, then the exponent of X, then
+that of Y.  The packing is private to these two kernels; every
+polynomial holds exponent triples.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .ffield import (
     Rationals,
     is_scalar,
     p_power_exponent,
+    shared_fraction,
 )
 
 #: Distinguished verdict of :func:`is_homogeneous` for the zero polynomial.
@@ -81,9 +92,35 @@ def _ints(terms: dict) -> dict:
     return {m: c.numerator for m, c in terms.items()}
 
 
-def _fractions(terms: dict) -> dict:
-    """int coefficients back into Q."""
-    return {m: Fraction(c) for m, c in terms.items()}
+def _degree(terms: dict) -> int:
+    """The largest total degree of the monomials, 0 for none."""
+    return max(map(sum, terms), default=0)
+
+
+def _pack(terms: dict, s: int, ints: bool) -> list[tuple[int, object]]:
+    """The terms as (key, coefficient) pairs: each monomial packed into one
+    int with slot width s, each coefficient as an int when ints is set."""
+    s2 = 2 * s
+    if ints:
+        return [((a + b + c) << s2 | a << s | b, v.numerator) for (a, b, c), v in terms.items()]
+    return [((a + b + c) << s2 | a << s | b, v) for (a, b, c), v in terms.items()]
+
+
+def _unpack_key(k: int, s: int) -> Monomial:
+    mask = (1 << s) - 1
+    a, b = k >> s & mask, k & mask
+    return (a, b, (k >> 2 * s) - a - b)
+
+
+def _unpack(terms: dict, s: int, ints: bool) -> dict:
+    """Packed terms back into exponent triples, int coefficients back into
+    shared Fractions when ints is set."""
+    s2, mask = 2 * s, (1 << s) - 1
+    out = {}
+    for k, v in terms.items():
+        a, b = k >> s & mask, k & mask
+        out[(a, b, (k >> s2) - a - b)] = shared_fraction(v) if ints else v
+    return out
 
 
 @dataclass(frozen=True)
@@ -274,23 +311,30 @@ class MultiPoly:
             return NotImplemented
         self._check_same_field(other)
         left, right = self._terms, other._terms
+        bound = _degree(left) + _degree(right)
+        if bound >= EXPONENT_CAP:
+            # the top exponent of a variable in the product is the sum of
+            # its top exponents in the operands
+            for i, var in enumerate(VARS):
+                top = max(m[i] for m in left) + max(m[i] for m in right)
+                if top >= EXPONENT_CAP:
+                    raise ExponentOverflowError(f"exponent overflow: {var}^{top}")
+        # every slot of a product key, the total degree too, is below 2^s
+        s = bound.bit_length()
         ints = _all_integral(self.field, left.values(), right.values())
-        if ints:
-            left, right = _ints(left), _ints(right)
-        out: dict[Monomial, object] = {}
-        for m1, c1 in left.items():
-            for m2, c2 in right.items():
-                mon = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                if mon[0] >= EXPONENT_CAP or mon[1] >= EXPONENT_CAP or mon[2] >= EXPONENT_CAP:
-                    raise ExponentOverflowError(f"exponent overflow at {mon}")
-                acc = out.get(mon)
+        left, right = _pack(left, s, ints), _pack(right, s, ints)
+        out: dict[int, object] = {}
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                acc = out.get(k)
                 prod = c1 * c2
                 acc = prod if acc is None else acc + prod
                 if not acc:
-                    out.pop(mon, None)
+                    out.pop(k, None)
                 else:
-                    out[mon] = acc
-        return MultiPoly._raw(self.field, _fractions(out) if ints else out)
+                    out[k] = acc
+        return MultiPoly._raw(self.field, _unpack(out, s, ints))
 
     __rmul__ = __mul__
 
@@ -436,56 +480,69 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     remainder is not divisible by the leading term of g, which for a single
     divisor happens exactly when g does not divide f.
 
-    The remainder's leading term comes off a heap of negated order keys
-    (Johnson 1974; Monagan and Pearce 2007).  A key whose monomial has
-    cancelled out of the remainder is skipped when it surfaces; a key is
-    never needed again once popped, because every term a step adds lies
-    below the term it removes.
+    The remainder's leading term comes off a heap of negated monomial keys
+    (Johnson 1974; Monagan and Pearce, J. Symb. Comp. 46, 2011).  A key is
+    the packed int of the module docstring, so key order is graded lex
+    order and the heap holds plain ints.  The slot width is one bit more
+    than the largest total degree of f and g needs, and no remainder
+    monomial exceeds deg f, because the leading term of g has g's top total
+    degree.  So the top bit of each slot is a guard: subtracting the key of
+    g's leading monomial from the key of the remainder's leaves a negative
+    int or a guard bit set in the X or Y slot when a borrow occurs, and
+    otherwise the key of the quotient monomial, whose Z exponent is then
+    the total less those of X and Y.  A key whose monomial has cancelled
+    out of the remainder is skipped when it surfaces; a key is never
+    needed again once popped, because every term a step adds lies below
+    the term it removes.  The leading term of g would cancel the popped
+    term exactly, so it is never applied.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check_same_field(g)
     if f.is_zero():
         return MultiPoly.zero(f.field)
-    gm, gc = g.leading()
-    ginv = f.field.one() / gc
-    rem, g_terms = f._terms, g._terms
-    ints = _all_integral(f.field, (ginv,), rem.values(), g_terms.values())
+    ginv = f.field.one() / g.leading()[1]
+    ints = _all_integral(f.field, (ginv,), f._terms.values(), g._terms.values())
     if ints:
-        rem, g_terms, ginv = _ints(rem), _ints(g_terms), ginv.numerator
-    else:
-        rem = dict(rem)
-    g_items = list(g_terms.items())
-    heap = [(-a - b - c, -a, -b) for a, b, c in rem]
+        ginv = ginv.numerator
+    s = max(_degree(f._terms), _degree(g._terms)).bit_length() + 1
+    s2, mask = 2 * s, (1 << s) - 1
+    guard = 1 << (s2 - 1) | 1 << (s - 1)  # of the X and Y slots
+    rem = dict(_pack(f._terms, s, ints))
+    g_items = _pack(g._terms, s, ints)
+    lead = max(k2 for k2, _ in g_items)
+    g_rest = [(k2, c2) for k2, c2 in g_items if k2 != lead]
+    heap = [-k for k in rem]
     heapq.heapify(heap)
-    quot: dict[Monomial, object] = {}
+    heappop, heappush = heapq.heappop, heapq.heappush
+    quot: dict[int, object] = {}
     while rem:
-        key = heapq.heappop(heap)
-        mon = (-key[1], -key[2], key[1] + key[2] - key[0])
-        lc = rem.get(mon)
+        k = -heappop(heap)
+        lc = rem.pop(k, None)
         if lc is None:
             continue
-        dm = (mon[0] - gm[0], mon[1] - gm[1], mon[2] - gm[2])
-        if dm[0] < 0 or dm[1] < 0 or dm[2] < 0:
+        dk = k - lead
+        # a borrow, then the Z exponent
+        if dk < 0 or dk & guard or (dk >> s2) < (dk >> s & mask) + (dk & mask):
             raise InexactDivisionError(
-                f"{g.to_text()} does not divide exactly (stuck at {mon})"
+                f"{g.to_text()} does not divide exactly (stuck at {_unpack_key(k, s)})"
             )
         qc = lc * ginv
-        quot[dm] = qc
-        for m2, c2 in g_items:
-            tm = (dm[0] + m2[0], dm[1] + m2[1], dm[2] + m2[2])
-            acc = rem.get(tm)
+        quot[dk] = qc
+        for k2, c2 in g_rest:
+            tk = dk + k2
+            acc = rem.get(tk)
             sub = qc * c2
             if acc is None:
-                rem[tm] = -sub
-                heapq.heappush(heap, (-tm[0] - tm[1] - tm[2], -tm[0], -tm[1]))
+                rem[tk] = -sub
+                heappush(heap, -tk)
             else:
                 acc = acc - sub
                 if acc:
-                    rem[tm] = acc
+                    rem[tk] = acc
                 else:
-                    del rem[tm]
-    return MultiPoly._raw(f.field, _fractions(quot) if ints else quot)
+                    del rem[tk]
+    return MultiPoly._raw(f.field, _unpack(quot, s, ints))
 
 
 def _divide_out(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, int]:
@@ -548,14 +605,14 @@ def is_symmetric3(f: MultiPoly) -> bool:
     """True iff f is invariant under all permutations of X, Y, Z.
 
     The transpositions (X Y) and (Y Z) generate S_3, so they are the only
-    two tested.
+    two tested, each by one dict comparison, which compares coefficients
+    in C and passes a shared coefficient object by identity.
     """
-    for perm in ((1, 0, 2), (0, 2, 1)):
-        for mon, c in f._terms.items():
-            image = (mon[perm[0]], mon[perm[1]], mon[perm[2]])
-            if f._terms.get(image) != c:
-                return False
-    return True
+    t = f._terms
+    return all(
+        t == {(m[i], m[j], m[k]): c for m, c in t.items()}
+        for i, j, k in ((1, 0, 2), (0, 2, 1))
+    )
 
 
 def linear_multiplicity(g: MultiPoly, form: LinearForm):

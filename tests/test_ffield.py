@@ -14,6 +14,9 @@ from schurlab.ffield import (
     FieldMismatchError,
     FieldSpec,
     FieldTooSmallError,
+    _frobenius_coprime,
+    _is_irreducible,
+    _poly_powmod,
     _schoolbook_mul,
     _schoolbook_pow,
     _zech_lists,
@@ -58,6 +61,66 @@ def test_make_field_f9_modulus_has_no_root():
     assert F9.modulus == min(brute_irreducible_quadratics(3))
     c0, c1, _ = F9.modulus
     assert all((x * x + c1 * x + c0) % 3 for x in range(3))
+
+
+def _has_root_by_scan(f, p):
+    """Oracle: whether f (coefficients low degree first) vanishes at some
+    point of F_p, by Horner's rule at every point."""
+    for a in range(p):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
+def _monic(p, r):
+    """Every monic polynomial of degree r over F_p, coefficients low degree first."""
+    return [list(tail) + [1] for tail in itertools.product(range(p), repeat=r)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_root_prefilter_matches_the_point_scan(p):
+    # gcd(x^p - x, f) != 1 exactly when f has a root in F_p
+    for r in (2, 3, 4):
+        for f in _monic(p, r):
+            xp = _poly_powmod([0, 1], p, f, p)
+            assert _frobenius_coprime(xp, f, p) is not _has_root_by_scan(f, p), (p, f)
+
+
+def _reducible_by_products(p, r):
+    """Oracle: every monic reducible polynomial of degree r over F_p, as the
+    products of two monic polynomials of lower degree."""
+    out = set()
+    for d in range(1, r // 2 + 1):
+        for g in _monic(p, d):
+            for h in _monic(p, r - d):
+                prod = [0] * (r + 1)
+                for i, gi in enumerate(g):
+                    for j, hj in enumerate(h):
+                        prod[i + j] = (prod[i + j] + gi * hj) % p
+                out.add(tuple(prod))
+    return out
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4),
+                                 (5, 2), (5, 3), (5, 4), (7, 3)])
+def test_modulus_is_the_first_irreducible_candidate(p, r):
+    # candidates run with the constant coefficient most significant, from c0 = 1
+    reducible = _reducible_by_products(p, r)
+    for f in _monic(p, r):
+        assert _is_irreducible(f, p) is (tuple(f) not in reducible), f
+    ordered = sorted(tuple(f) for f in _monic(p, r) if f[0])
+    first = next(f for f in ordered if f not in reducible)
+    assert make_field(p, r).modulus == first
+
+
+def test_modulus_search_of_a_large_prime_is_lazy():
+    # walking the candidates holds one at a time, and a root test at a
+    # large p costs O(log p) products
+    assert make_field(1000000007, 2).modulus == (1, 0, 1)
+    assert make_field(1000003, 2).modulus == (1, 0, 1)
 
 
 def test_make_field_deterministic():

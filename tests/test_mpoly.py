@@ -126,6 +126,38 @@ def test_is_symmetric3():
     assert not is_symmetric3(X * Y + Z)  # fixed by (X Y) only
 
 
+def _is_symmetric3_by_terms(f):
+    """Oracle: every term's image under (X Y) and (Y Z) carries the same
+    coefficient, looked up one term at a time."""
+    for perm in ((1, 0, 2), (0, 2, 1)):
+        for mon, c in f._terms.items():
+            if f._terms.get((mon[perm[0]], mon[perm[1]], mon[perm[2]])) != c:
+                return False
+    return True
+
+
+_PERMUTATIONS = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_symmetric3_matches_the_term_by_term_check(data):
+    # symmetrized polynomials, some then perturbed by one term
+    field = data.draw(st.sampled_from([Q, F3, F9]))
+    f = data.draw(polys(field=field, max_exp=3))
+    if data.draw(st.booleans()):
+        f = sum(
+            (MultiPoly(field, {(m[i], m[j], m[k]): c for m, c in f._terms.items()})
+             for i, j, k in _PERMUTATIONS),
+            MultiPoly.zero(field),
+        )
+        assert _is_symmetric3_by_terms(f)
+    if data.draw(st.booleans()):
+        mon = tuple(data.draw(st.integers(0, 3)) for _ in range(3))
+        f = f + MultiPoly.monomial(field, mon, data.draw(_coefficients(field)))
+    assert is_symmetric3(f) is _is_symmetric3_by_terms(f)
+
+
 def test_linear_multiplicity():
     X, Y, _ = gens()
     assert linear_multiplicity((X - Y) ** 3, LinearForm(Q, 1, -1)) == 3
@@ -153,6 +185,16 @@ def test_exponent_overflow_checked():
     big = MultiPoly.monomial(Q, (EXPONENT_CAP - 1, 0, 0))
     with pytest.raises(ExponentOverflowError):
         big * big
+    # the Z maxima cross the cap together; X and Y stay far below it
+    half = EXPONENT_CAP // 2
+    X, Y, _ = gens()
+    with pytest.raises(ExponentOverflowError):
+        (MultiPoly.monomial(Q, (0, 0, half)) + X) * (MultiPoly.monomial(Q, (0, 0, half)) + Y)
+    # total degrees past the cap with every exponent below it are fine
+    wide = MultiPoly.monomial(Q, (half, half, 0))
+    assert (wide + Y) * MultiPoly.monomial(Q, (0, 0, half)) == MultiPoly(
+        Q, {(half, half, half): 1, (0, 1, half): 1}
+    )
 
 
 def test_zero_pow_zero_rejected():
@@ -459,8 +501,16 @@ _DIVISION_CASES = ("Q unit lead", "Q non-unit lead", "Q non-integral", "F3", "F9
 
 @st.composite
 def _division_operands(draw):
-    """(case, f, g): g leads as the case says; f is a multiple of g plus a
-    remainder of up to two terms."""
+    """(case, f, g): g leads as the case says; f is zero, or a multiple of g
+    plus a remainder of up to two terms.  g may get a constant term, so that
+    it is not homogeneous.
+
+    Both operands may be shifted by one monomial m, and the multiple by
+    another, each exponent 0 or from 2^40 to 2^61, so that packed monomial
+    keys pass 64 bits and f * g may cross EXPONENT_CAP.  A common shift
+    leaves the division steps those of the unshifted operands; exponents
+    drawn large term by term would not, dividing X^N by X - Y takes N steps.
+    """
     case = draw(st.sampled_from(_DIVISION_CASES))
     field = {"F3": F3, "F9": F9}.get(case, Q)
 
@@ -475,17 +525,28 @@ def _division_operands(draw):
         n = draw(st.integers(0, max_terms))
         return {tuple(draw(st.integers(0, 3)) for _ in range(3)): coeff() for _ in range(n)}
 
+    def shift(top):
+        mon = tuple(draw(st.one_of(st.just(0), st.integers(2**40, top))) for _ in range(3))
+        return MultiPoly.monomial(field, mon)
+
     g_terms = terms(3)
     g_terms[draw(st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1))))] = 1  # g is not constant
     if case == "Q non-integral":
         g_terms[(0, 0, 0)] = Fraction(1, 2)
+    elif draw(st.booleans()):
+        g_terms[(0, 0, 0)] = coeff()
     lead_mon = MultiPoly(field, g_terms).leading()[0]
     if case in ("Q unit lead", "Q non-integral"):
         g_terms[lead_mon] = draw(st.sampled_from([1, -1]))
     elif case == "Q non-unit lead":
         g_terms[lead_mon] = draw(st.sampled_from([2, -2, 3, 6]))
     g = MultiPoly(field, g_terms)
-    f = _reference_mul(MultiPoly(field, terms(4)), g) + MultiPoly(field, terms(2))
+    m = shift(2**61 - 8)
+    g = _reference_mul(m, g)
+    if draw(st.integers(0, 9)) == 0:
+        return case, MultiPoly.zero(field), g
+    multiple = _reference_mul(_reference_mul(shift(2**60), MultiPoly(field, terms(4))), g)
+    f = multiple + _reference_mul(m, MultiPoly(field, terms(2)))
     return case, f, g
 
 
@@ -505,7 +566,13 @@ def test_kernels_match_the_reference(operands):
         assert lead not in (1, -1)
     if case == "Q non-integral":
         assert lead in (1, -1) and any(c.denominator != 1 for c in g._terms.values())
-    assert f * g == _reference_mul(f, g)
+    try:
+        expected = _reference_mul(f, g)
+    except ExponentOverflowError:
+        with pytest.raises(ExponentOverflowError):
+            f * g
+    else:
+        assert f * g == expected
     try:
         expected = _reference_exact_divide(f, g)
     except InexactDivisionError as exc:
