@@ -303,6 +303,9 @@ def _sweep_points(args: argparse.Namespace) -> list[dict]:
     """Every grid point, after checking every grid value; bad values raise ValueError."""
     if args.target == "verify-fact" and not args.which:
         raise ValueError("sweep verify-fact needs --which eq1|eq2")
+    unread = "s" if args.target == "verify-fact" else "which"  # the other target's flag
+    if getattr(args, unread) is not None:
+        raise ValueError(f"sweep {args.target} does not read --{unread}")
     # each (p, r) of verify-fact, and each p of degree, before the grid is filtered
     for pp in args.p:
         for rr in args.r if args.target == "verify-fact" else (1,):

@@ -198,16 +198,15 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     )
 
 
-def _moore_product(u: MultiPoly, v: MultiPoly, q: int) -> MultiPoly:
-    """The product of u - c*v over every c in F_q, as u^q - u*v^(q-1).
+def _moore_det(u: MultiPoly, v: MultiPoly, q: int) -> MultiPoly:
+    """The Moore determinant u^q*v - u*v^q: v times the product of u - c*v over F_q.
 
-    Homogenising x^q - x = prod_c (x - c) gives the identity for any u, v
-    over F_q (E. H. Moore, Bull. AMS 2 (1896); Lidl and Niederreiter,
-    *Finite Fields*, ch. 3).  q is a power of the characteristic, so u^q is
-    the Frobenius map of MultiPoly.__pow__ and costs O(terms of u);
-    v^(q-1) is binary powering.
+    Homogenising x^q - x = prod_c (x - c) gives prod_c (u - c*v) =
+    u^q - u*v^(q-1) for any u, v over F_q (E. H. Moore, Bull. AMS 2 (1896);
+    Lidl and Niederreiter, *Finite Fields*, ch. 3).  q is a power of the
+    characteristic, so both powers are the Frobenius map of MultiPoly.__pow__.
     """
-    return u**q - u * v ** (q - 1)
+    return u**q * v - u * v**q
 
 
 def _splitting_report(e: ExponentPair, forms: list, ok: bool) -> tuple[bool, FactorReport]:
@@ -230,12 +229,12 @@ def verify_fact_eq1(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, 
 
     The claimed identity: over F_q, q = p^r, T equals the product P of
     Z - alpha*X + (alpha - 1)*Y over all alpha other than 0, 1.  With
-    u = Z - Y and v = X - Y these forms are u - alpha*v, so by Moore's
-    identity (see _moore_product) u^q - u*v^(q-1) = P*(Z - Y)*(Z - X).
-    F_q[X,Y,Z] is an integral domain and T*V_1 = R, so T = P exactly when
-    R = (X - Y)*(u^q - u*v^(q-1)), which is checked on the determinant
-    (r_poly).  T is never built and nothing is divided: the cost is the
-    O(q)-term Moore product.  The tests multiply the forms out as the
+    u = Z - Y and v = X - Y these forms are u - alpha*v, and alpha = 0, 1
+    give Z - Y and Z - X, so by Moore's identity (see _moore_det)
+    det(u, v) = (X - Y)*(Z - Y)*(Z - X)*P = V_1*P.  As R = V_1*T (r_poly)
+    and V_1 != 0 cancels in the integral domain F_q[X,Y,Z], T = P exactly
+    when R = det(u, v).  Both sides have O(1) terms at every q: T is never
+    built and nothing is divided.  The tests multiply the forms out as the
     oracle.  Raises CeilingError when p^r exceeds the ceiling.
     """
     check_ceiling(p, r, ceiling)
@@ -243,7 +242,7 @@ def verify_fact_eq1(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, 
     q, one = spec.order(), spec.one()
     X, Y, Z = MultiPoly.gens(spec)
     e = ExponentPair(q, 1, spec)
-    ok = r_poly(e) == (X - Y) * _moore_product(Z - Y, X - Y, q)
+    ok = r_poly(e) == _moore_det(Z - Y, X - Y, q)
     forms = [(alpha, one - alpha) for alpha in spec.elements() if alpha and alpha != one]
     return _splitting_report(e, forms, ok)
 
@@ -253,25 +252,23 @@ def verify_fact_eq2(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, 
 
     Over F_q, q = p^r, d = q - 1, T equals the product P of
     Z - alpha*X - beta*Y over all nonzero alpha, beta; the factor count is
-    (q - 1)^2, its degree in Z.  By Moore's identity (see _moore_product),
-    u = Z^q - Z*Y^(q-1) is the product of Z - beta*Y over all beta, and
-    u - alpha*v with v = X^q - X*Y^(q-1) the product of Z - alpha*X - beta*Y
-    over all beta.  So u^q - u*v^(q-1) is P times u (alpha = 0) times
-    Z^d - X^d (beta = 0).  As u = Z*(Z^d - Y^d), multiplying by X^d - Y^d
-    gives Z*P*V_d; and T*V_d = R in the integral domain F_q[X,Y,Z], so
-    T = P exactly when Z*R = (u^q - u*v^(q-1))*(X^d - Y^d).  T is never
-    built and nothing is divided: the cost is the O(q)-term Moore product.
-    Raises CeilingError when p^(2r) exceeds the ceiling, because the
-    report lists the (q - 1)^2 forms, one per point of the grid.
+    (q - 1)^2, its degree in Z.  By Moore's identity (see _moore_det),
+    det(Z, Y) = Y*u and det(X, Y) = Y*v, where u = Z*(Z^d - Y^d) and
+    v = X*(X^d - Y^d); as alpha^q = alpha, u - alpha*v is the product of
+    Z - alpha*X - beta*Y over all beta.  So det(u, v) = v*u*(Z^d - X^d)*P
+    (alpha = 0, then beta = 0), and det(Y*u, Y*v) = Y^(q+1)*det(u, v) =
+    X*Y^(q+1)*Z*V_d*P.  As R = V_d*T (r_poly) and X*Y^(q+1)*Z*V_d != 0
+    cancels in the integral domain F_q[X,Y,Z], T = P exactly when
+    X*Y^(q+1)*Z*R = det(Y*u, Y*v), with O(1) terms at every q.  Raises
+    CeilingError when p^(2r) exceeds the ceiling: the report lists the forms.
     """
     check_ceiling(p, 2 * r, ceiling, "grid size")
     spec = make_field(p, r)
     q = spec.order()
-    d = q - 1
     X, Y, Z = MultiPoly.gens(spec)
-    e = ExponentPair(q * q - 1, d, spec)
-    u, v = _moore_product(Z, Y, q), _moore_product(X, Y, q)
-    ok = Z * r_poly(e) == _moore_product(u, v, q) * (X**d - Y**d)
+    e = ExponentPair(q * q - 1, q - 1, spec)
+    multiplier = MultiPoly.monomial(spec, (1, q + 1, 1))  # X*Y^(q+1)*Z
+    ok = multiplier * r_poly(e) == _moore_det(_moore_det(Z, Y, q), _moore_det(X, Y, q), q)
     units = [x for x in spec.elements() if x]
     forms = [(a, b) for a in units for b in units]
     return _splitting_report(e, forms, ok)

@@ -312,7 +312,7 @@ class MultiPoly:
         self._check_same_field(other)
         left, right = self._terms, other._terms
         bound = _degree(left) + _degree(right)
-        if bound >= EXPONENT_CAP:
+        if bound >= EXPONENT_CAP and left and right:
             # the top exponent of a variable in the product is the sum of
             # its top exponents in the operands
             for i, var in enumerate(VARS):

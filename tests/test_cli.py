@@ -461,6 +461,10 @@ def test_only_a_ceiling_refusal_is_a_skip(capsys, monkeypatch):
          "error: sweep verify-fact needs --which eq1|eq2\n"),
         (("sweep", "degree", "--p", "3", "--r", "2", "--s", "5"),
          "error: the sweep grid is empty\n"),
+        (("sweep", "verify-fact", "--which", "eq1", "--p", "3", "--r", "1:2", "--s", "5"),
+         "error: sweep verify-fact does not read --s\n"),
+        (("sweep", "degree", "--which", "eq1", "--p", "3", "--r", "3"),
+         "error: sweep degree does not read --which\n"),
         (("identity", "--max-a", "1"), "error: the identity grid is empty\n"),
         (("counterexample", "--p", "2", "--eta", "1", "--m", "5"),
          "error: eta applies only to odd p; characteristic 2 uses a cube root of unity\n"),
@@ -469,7 +473,8 @@ def test_only_a_ceiling_refusal_is_a_skip(capsys, monkeypatch):
         (("degree", "--p", "3", "--r", "3", "--s", "1", "--ceiling", "1"),
          "error: argument --ceiling: must be at least 2, got 1\n"),
     ],
-    ids=["ext-over-Q", "sweep-without-which", "empty-s-grid", "empty-identity-grid",
+    ids=["ext-over-Q", "sweep-without-which", "empty-s-grid", "s-to-verify-fact",
+         "which-to-degree", "empty-identity-grid",
          "eta-at-p-2", "ceiling-not-int", "ceiling-below-2"],
 )
 def test_usage_errors_exit_2_before_any_output(capsys, argv, message):
@@ -490,8 +495,13 @@ DEGREE_ARGV = ("degree", "--p", "3", "--r", "3", "--s", "1")
         # the positional's dest is no flag, so the file cannot name it
         (("sweep", "degree"), {"target": "degree", "p": 3, "r": 3},
          "error: unknown config key 'target'\n"),
+        # a flag of the command that the sweep target never reads
+        (("sweep", "verify-fact", "--which", "eq1", "--p", "3", "--r", "1:2"), {"s": 5},
+         "error: sweep verify-fact does not read --s\n"),
+        (("sweep", "degree", "--p", "3", "--r", "3"), {"which": "eq1"},
+         "error: sweep degree does not read --which\n"),
     ],
-    ids=["list", "run", "required", "target"],
+    ids=["list", "run", "required", "target", "s-to-verify-fact", "which-to-degree"],
 )
 def test_config_file_must_be_an_object_of_flags(capsys, tmp_path, argv, config, message):
     cfg = tmp_path / "run.json"

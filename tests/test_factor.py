@@ -321,17 +321,17 @@ _LEMMA_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_moore_product_is_the_product_over_the_field(data):
-    """prod_{c in F_q} (u - c*v) = u^q - u*v^(q-1) for random u, v."""
+def test_moore_det_is_v_times_the_product_over_the_field(data):
+    """v * prod_{c in F_q} (u - c*v) = u^q*v - u*v^q for random u, v."""
     spec = make_field(*data.draw(st.sampled_from(_LEMMA_FIELDS)))
     monomials = st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2))
     coeffs = st.sampled_from(list(spec.elements()))
     u, v = (MultiPoly(spec, data.draw(st.dictionaries(monomials, coeffs, max_size=3)))
             for _ in range(2))
-    direct = MultiPoly.one(spec)
+    direct = v
     for c in spec.elements():
         direct = direct * (u - v * c)
-    assert factor._moore_product(u, v, spec.order()) == direct
+    assert factor._moore_det(u, v, spec.order()) == direct
 
 
 @pytest.mark.parametrize(
@@ -367,6 +367,31 @@ def test_verify_fact_never_builds_t_and_never_divides(monkeypatch):
     monkeypatch.setattr(factor, "exact_divide", unreachable)
     assert verify_fact_eq1(2, 5)[0]
     assert verify_fact_eq2(3, 1)[0]
+
+
+def test_splitting_checks_take_only_frobenius_powers(monkeypatch):
+    """Every polynomial power on the splitting route is p^k, k >= 1: no binary powering."""
+    exponents = []
+    original_pow = MultiPoly.__pow__
+
+    def recording(self, n):
+        exponents.append(n)
+        return original_pow(self, n)
+
+    def is_frobenius(n, p):
+        """n = p^k with k >= 1."""
+        if n < p:
+            return False
+        while n % p == 0:
+            n //= p
+        return n == 1
+
+    monkeypatch.setattr(MultiPoly, "__pow__", recording)
+    for verify, p, r in [(verify_fact_eq1, 3, 2), (verify_fact_eq1, 2, 5),
+                         (verify_fact_eq2, 3, 1), (verify_fact_eq2, 2, 2)]:
+        exponents.clear()
+        assert verify(p, r)[0]
+        assert exponents and all(is_frobenius(n, p) for n in exponents), (verify, p, r, exponents)
 
 
 @pytest.mark.parametrize(

@@ -555,6 +555,8 @@ def _division_operands(draw):
 @example(("Q non-unit lead", MultiPoly.from_text("2*X^2 - 8*X*Y + 8*Y^2", Q), MultiPoly.from_text("2*X - 4*Y", Q)))
 @example(("Q non-unit lead", MultiPoly.from_text("2*X^2 - 8*X*Y + Z", Q), MultiPoly.from_text("2*X - 4*Y", Q)))
 @example(("Q unit lead", MultiPoly.from_text("X^2 + Y", Q), MultiPoly.from_text("X - Y", Q)))
+# zero times a divisor whose total degree is past EXPONENT_CAP
+@example(("Q unit lead", MultiPoly.zero(Q), MultiPoly.monomial(Q, (2**40, 2**61, 2**61))))
 def test_kernels_match_the_reference(operands):
     # equal quotients, and an inexact division stuck at the same monomial:
     # the heap must surface the remainder terms in the max scan's order
