@@ -249,13 +249,7 @@ def _degree_point(p: int, r: int, s: int, mode: str, ceiling: int) -> dict:
 
 def _cmd_degree(args: argparse.Namespace, emitter: Emitter) -> int:
     record = _degree_point(args.p, args.r, args.s, args.mode, args.ceiling)
-    text = _kv(
-        {
-            k: record[k]
-            for k in ("formula", "oracle", "agree")
-            if record.get(k) is not None
-        }
-    )
+    text = _kv({k: record[k] for k in ("formula", "oracle", "agree")})
     emitter.emit(record, text)
     if args.mode == "both" and not record["agree"]:
         return EXIT_FAIL

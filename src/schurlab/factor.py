@@ -65,17 +65,34 @@ class SignatureWitness:
 
 
 @dataclass(frozen=True)
+class _Forms:
+    """The claimed forms of a closed-form splitting, each of multiplicity 1,
+    generated afresh by ``pairs()`` on every pass; its length is their count."""
+
+    count: int
+    pairs: object  # () -> iterator of (alpha, beta)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return ((pair, 1) for pair in self.pairs())
+
+
+@dataclass(frozen=True)
 class FactorReport:
     """Linear factors Z - alpha*X - beta*Y found in a polynomial."""
 
     input_label: str
     field: FieldSpec
-    linear_factors: tuple  # (((alpha, beta), multiplicity), ...)
+    linear_factors: tuple | _Forms  # (((alpha, beta), multiplicity), ...)
     leading_coeff: str
     residual_degree_in_z: int
     fully_split: bool
 
     def factor_count(self) -> int:
+        if isinstance(self.linear_factors, _Forms):
+            return len(self.linear_factors)
         return sum(m for _, m in self.linear_factors)
 
     def to_json(self) -> dict:
@@ -209,15 +226,16 @@ def _moore_det(u: MultiPoly, v: MultiPoly, q: int) -> MultiPoly:
     return u**q * v - u * v**q
 
 
-def _splitting_report(e: ExponentPair, forms: list, ok: bool) -> tuple[bool, FactorReport]:
+def _splitting_report(e: ExponentPair, forms: _Forms, ok: bool) -> tuple[bool, FactorReport]:
     """The verdict ok on T(A, B) = the product of Z - a*X - b*Y over forms.
 
-    On a mismatch the residual Z-degree is deg_Z T = A - 2d (see t_poly).
+    The forms are listed lazily, so a verdict builds none of them.  On a
+    mismatch the residual Z-degree is deg_Z T = A - 2d (see t_poly).
     """
     return ok, FactorReport(
         input_label=f"T({e.A},{e.B}) over {e.field}",
         field=e.field,
-        linear_factors=tuple((form, 1) for form in forms),
+        linear_factors=forms,
         leading_coeff="1",
         residual_degree_in_z=0 if ok else e.A - 2 * e.d,
         fully_split=ok,
@@ -243,7 +261,7 @@ def verify_fact_eq1(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, 
     X, Y, Z = MultiPoly.gens(spec)
     e = ExponentPair(q, 1, spec)
     ok = r_poly(e) == _moore_det(Z - Y, X - Y, q)
-    forms = [(alpha, one - alpha) for alpha in spec.elements() if alpha and alpha != one]
+    forms = _Forms(q - 2, lambda: ((a, one - a) for a in spec.elements() if a and a != one))
     return _splitting_report(e, forms, ok)
 
 
@@ -259,18 +277,19 @@ def verify_fact_eq2(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, 
     (alpha = 0, then beta = 0), and det(Y*u, Y*v) = Y^(q+1)*det(u, v) =
     X*Y^(q+1)*Z*V_d*P.  As R = V_d*T (r_poly) and X*Y^(q+1)*Z*V_d != 0
     cancels in the integral domain F_q[X,Y,Z], T = P exactly when
-    X*Y^(q+1)*Z*R = det(Y*u, Y*v), with O(1) terms at every q.  Raises
-    CeilingError when p^(2r) exceeds the ceiling: the report lists the forms.
+    X*Y^(q+1)*Z*R = det(Y*u, Y*v), with O(1) terms at every q.  The
+    report generates its (q - 1)^2 forms only when they are read, so the
+    ceiling is on q, as for eq1: raises CeilingError when p^r exceeds it.
     """
-    check_ceiling(p, 2 * r, ceiling, "grid size")
+    check_ceiling(p, r, ceiling)
     spec = make_field(p, r)
     q = spec.order()
     X, Y, Z = MultiPoly.gens(spec)
     e = ExponentPair(q * q - 1, q - 1, spec)
     multiplier = MultiPoly.monomial(spec, (1, q + 1, 1))  # X*Y^(q+1)*Z
     ok = multiplier * r_poly(e) == _moore_det(_moore_det(Z, Y, q), _moore_det(X, Y, q), q)
-    units = [x for x in spec.elements() if x]
-    forms = [(a, b) for a in units for b in units]
+    forms = _Forms((q - 1) ** 2,
+                   lambda: ((a, b) for a in spec.elements() if a for b in spec.elements() if b))
     return _splitting_report(e, forms, ok)
 
 

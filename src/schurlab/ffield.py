@@ -76,14 +76,17 @@ class CeilingError(ValueError):
 
 def check_field(p: int, r: int = 1) -> None:
     """Raise ValueError unless p is prime and r >= 1, that is, unless
-    F_{p^r} exists.  Builds nothing."""
+    F_{p^r} exists.  Builds nothing.  A p at or above _SPRP_BOUND, where
+    is_prime would factor it, is refused before any primality work."""
+    if p >= _SPRP_BOUND:
+        raise ValueError(f"characteristic must be below {_SPRP_BOUND}, got {p}")
     if not is_prime(p):
         raise ValueError(f"characteristic must be prime, got {p}")
     if r < 1:
         raise ValueError(f"extension degree must be >= 1, got {r}")
 
 
-def check_ceiling(p: int, k: int, ceiling: int, what: str = "field order") -> None:
+def check_ceiling(p: int, k: int, ceiling: int) -> None:
     """Raise CeilingError when p^k exceeds the ceiling.
 
     A p that is not prime is refused first, by :func:`check_field`, so a
@@ -93,7 +96,7 @@ def check_ceiling(p: int, k: int, ceiling: int, what: str = "field order") -> No
     """
     check_field(p)
     if p ** min(k, ceiling.bit_length()) > ceiling:
-        raise CeilingError(f"{what} {p}^{k} exceeds the ceiling {ceiling}")
+        raise CeilingError(f"field order {p}^{k} exceeds the ceiling {ceiling}")
 
 
 class FieldTooSmallError(ValueError):

@@ -4,6 +4,7 @@ import pytest
 
 from schurlab import cli
 from schurlab.cli import main
+from schurlab.ffield import FieldSpec
 
 
 def run_cli(capsys, *argv):
@@ -407,14 +408,39 @@ def test_config_list_reads_as_the_flags_comma_text(capsys, tmp_path):
 
 
 def test_verify_fact_honours_the_ceiling(capsys):
-    point = ("--which", "eq2", "--p", "2", "--r", "1", "--ceiling", "2")
+    point = ("--which", "eq2", "--p", "3", "--r", "1", "--ceiling", "2")
     status, out, err = run_cli(capsys, "verify-fact", *point)
     assert status == 2
     assert out == ""
-    assert "exceeds the ceiling" in err
+    assert err == "error: field order 3^1 exceeds the ceiling 2\n"
     status, out, _ = run_cli(capsys, "sweep", "verify-fact", *point)
     assert status == 0
-    assert out.splitlines()[0] == "target=verify-fact which=eq2 p=2 r=1 verdict=skip reason=ceiling"
+    assert out.splitlines()[0] == "target=verify-fact which=eq2 p=3 r=1 verdict=skip reason=ceiling"
+
+
+def test_a_huge_characteristic_is_refused_at_once(capsys):
+    p = 2**89 - 1  # a Mersenne prime past the bound of the strong-probable-prime test
+    status, out, err = run_cli(capsys, "degree", "--p", str(p), "--r", "3", "--s", "1",
+                               "--mode", "formula")
+    assert (status, out) == (2, "")
+    assert err.startswith("error: characteristic must be below ") and err.endswith(f"got {p}\n")
+
+
+def test_verify_fact_builds_no_form(capsys, monkeypatch):
+    """The records read factor_count alone, so no command enumerates a field."""
+
+    def refuse(self):
+        raise AssertionError("verify-fact enumerated a field")
+
+    monkeypatch.setattr(FieldSpec, "elements", refuse)
+    status, out, _ = run_cli(capsys, "verify-fact", "--which", "eq2", "--p", "3", "--r", "3",
+                             "--format", "json")
+    assert status == 0 and json.loads(out)["factor_count"] == 26**2
+    status, out, _ = run_cli(capsys, "sweep", "verify-fact", "--which", "eq1", "--p", "2,3",
+                             "--r", "1:3", "--format", "json")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert status == 0 and records[-1]["pass"] == 6
+    assert [r["factor_count"] for r in records[:-1]] == [0, 2, 6, 1, 7, 25]
 
 
 def test_flag_where_it_does_nothing_is_usage_error(capsys):

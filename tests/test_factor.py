@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurlab import factor, mpoly
-from schurlab.ffield import CeilingError, FieldTooSmallError, is_prime, make_field
+from schurlab.ffield import (
+    TABLE_CEILING, CeilingError, FieldSpec, FieldTooSmallError, is_prime, make_field
+)
 from schurlab.factor import (
     FactorReport,
     _candidate_forms,
@@ -81,11 +84,11 @@ def test_linear_factors_rejects_zero_and_ceiling():
 
 @pytest.mark.parametrize(
     "verify, p, r, size",
-    [(verify_fact_eq1, 3, 2, 9), (verify_fact_eq2, 2, 2, 16), (verify_fact_eq2, 3, 1, 9)],
+    [(verify_fact_eq1, 3, 2, 9), (verify_fact_eq2, 2, 2, 4), (verify_fact_eq2, 3, 1, 3)],
     ids=["eq1-3-2", "eq2-2-2", "eq2-3-1"],
 )
 def test_verify_fact_ceiling(verify, p, r, size):
-    """eq1 refuses p^r above the ceiling and eq2 refuses p^(2r); at the size they run."""
+    """Both splittings refuse a field order p^r above the ceiling and run at it."""
     with pytest.raises(CeilingError, match="exceeds the ceiling"):
         verify(p, r, ceiling=size - 1)
     ok, _ = verify(p, r, ceiling=size)
@@ -392,6 +395,65 @@ def test_splitting_checks_take_only_frobenius_powers(monkeypatch):
         exponents.clear()
         assert verify(p, r)[0]
         assert exponents and all(is_frobenius(n, p) for n in exponents), (verify, p, r, exponents)
+
+
+def eager_forms(verify, spec):
+    """The claimed forms as the eager list a splitting report once held: the oracle."""
+    one = spec.one()
+    if verify is verify_fact_eq1:
+        return [(alpha, one - alpha) for alpha in spec.elements() if alpha and alpha != one]
+    units = [x for x in spec.elements() if x]
+    return [(a, b) for a in units for b in units]
+
+
+_FIELDS_TO_27 = [(p, r) for p, r in _SMALL_FIELDS if p**r <= 27]
+_ABOVE_TABLES = next(p for p in range(TABLE_CEILING + 1, 2 * TABLE_CEILING) if is_prime(p))
+
+
+@pytest.mark.parametrize(
+    "verify,p,r",
+    [(verify, p, r) for verify in (verify_fact_eq1, verify_fact_eq2) for p, r in _FIELDS_TO_27]
+    + [(verify_fact_eq1, _ABOVE_TABLES, 1)],
+    ids=[f"{name}-{p}-{r}" for name in ("eq1", "eq2") for p, r in _FIELDS_TO_27]
+    + [f"eq1-{_ABOVE_TABLES}-1"],
+)
+def test_lazy_forms_serialize_as_the_eager_list(verify, p, r):
+    """The report's to_json() and factor_count are those of the eager list, on every pass."""
+    ok, report = verify(p, r)
+    eager = FactorReport(
+        input_label=report.input_label,
+        field=report.field,
+        linear_factors=tuple((form, 1) for form in eager_forms(verify, report.field)),
+        leading_coeff="1",
+        residual_degree_in_z=0,
+        fully_split=True,
+    )
+    assert ok
+    assert report.factor_count() == eager.factor_count()
+    assert report.to_json() == eager.to_json()
+    assert list(report.linear_factors) == list(eager.linear_factors)  # a second pass
+
+
+def test_eq2_forms_above_the_table_ceiling_come_in_the_eager_order():
+    """Over F_p, p > TABLE_CEILING, the (p-1)^2 forms are read lazily, in the eager order."""
+    ok, report = verify_fact_eq2(_ABOVE_TABLES, 1)
+    assert ok and len(report.linear_factors) == (_ABOVE_TABLES - 1) ** 2
+    units = [x for x in report.field.elements() if x]
+    head = list(itertools.islice(report.linear_factors, len(units) + 1))
+    assert head == [((units[0], b), 1) for b in units] + [((units[1], units[0]), 1)]
+
+
+def test_splitting_verdicts_build_no_form(monkeypatch):
+    """factor_count is the known count: no field element is enumerated, even at q = 2^20."""
+
+    def refuse(self):
+        raise AssertionError("a splitting verdict enumerated the field")
+
+    monkeypatch.setattr(FieldSpec, "elements", refuse)
+    ok, report = verify_fact_eq1(2, 20, ceiling=2**20)
+    assert ok and report.factor_count() == 2**20 - 2
+    ok, report = verify_fact_eq2(2, 12)
+    assert ok and report.factor_count() == (2**12 - 1) ** 2
 
 
 @pytest.mark.parametrize(

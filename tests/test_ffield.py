@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurlab import ffield
 from schurlab.ffield import (
     RATIONALS,
     TABLE_CEILING,
@@ -191,6 +192,22 @@ def test_check_field_names_exactly_the_fields_and_builds_none():
                 check_field(p, r)
             assert type(exc.value) is ValueError and str(exc.value) == message
     assert make_field.cache_info().currsize == built
+
+
+def test_check_field_refuses_a_huge_characteristic_before_any_primality_work(monkeypatch):
+    below = next(n for n in range(ffield._SPRP_BOUND - 1, 0, -1) if is_prime(n))
+
+    def refuse(n):
+        raise AssertionError("primality work on a characteristic past the bound")
+
+    monkeypatch.setattr(ffield, "is_prime", refuse)
+    monkeypatch.setattr(ffield, "prime_factors", refuse)
+    for p in (ffield._SPRP_BOUND, 2**89 - 1, 2**127 - 1):
+        with pytest.raises(ValueError) as exc:
+            check_field(p, 3)
+        assert str(exc.value) == f"characteristic must be below {ffield._SPRP_BOUND}, got {p}"
+    monkeypatch.undo()
+    check_field(below, 3)
 
 
 def test_frobenius_fixes_prime_field():

@@ -134,6 +134,40 @@ def test_build_alternative_pair_matches_the_scan_of_the_quadratic_extension():
                 assert build_alternative_pair(p, eta).alpha == first, (p, eta)
 
 
+def scanned_quadratic_root(ambient, eta):
+    """The root with the smaller code of X^2 - 2*eta*X + eta, its coordinate b
+    found by a scan of F_p: the oracle for Tonelli-Shanks."""
+    p = ambient.p
+    c0, c1, _ = ambient.modulus
+    shift = c1 * pow(2, -1, p) % p
+    target = (eta * eta - eta) * pow(shift * shift - c0, -1, p) % p
+    b = next(b for b in range(1, p) if b * b % p == target)
+    return min((ambient.element([eta + s * shift, s]) for s in (b, p - b)), key=lambda x: x.code)
+
+
+def test_quadratic_root_matches_the_scan_for_every_odd_prime_below_3000():
+    for p in (n for n in range(3, 3000) if ffield.is_prime(n)):
+        ambient = make_field(p, 2)
+        eta = find_irreducible_eta(p)
+        assert newton._quadratic_root(ambient, eta) == scanned_quadratic_root(ambient, eta), p
+
+
+def test_square_root_is_a_root_for_every_square_and_two_adic_valuation():
+    # p - 1 = 2^k * odd for k = 1, 2, 4, 5, 6, 7, 13 and 16
+    for p in (3, 5, 17, 97, 193, 641, 40961, 65537):
+        non_square = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+        for a in {x * x % p for x in range(1, min(p, 400))}:
+            b = newton._square_root(a, p, non_square)
+            assert b * b % p == a, (p, a)
+
+
+def test_counterexample_pair_for_a_characteristic_near_10_18():
+    p = 10**18 + 3
+    pair = build_alternative_pair(p)
+    alpha, beta = pair.alpha, frobenius(pair.alpha, 1)
+    assert 2 * alpha * beta == alpha + beta == pair.ambient.from_int(2 * find_irreducible_eta(p))
+
+
 def test_build_alternative_pair_refuses_eta_at_p2():
     with pytest.raises(ValueError, match="eta applies only to odd p"):
         build_alternative_pair(2, eta=1)
