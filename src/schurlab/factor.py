@@ -129,25 +129,33 @@ class ProbeReport:
         }
 
 
-def _zero_set(f: MultiPoly, x, y, elements: list) -> list:
-    """The z among elements with f(x, y, z) = 0, in the order of elements.
+def _z_coefficients(f: MultiPoly) -> tuple[list, list, list]:
+    """f's Z-coefficients at (X, Y) = (1, 0), (0, 1) and (1, 1), top power first.
 
-    f's Z-coefficients are evaluated at (x, y) once; Horner's rule in z
-    then costs deg_Z f products per element.
+    At these points X^i Y^j is 1 or 0, so one pass over the terms sums
+    each coefficient into the lists it reaches, with no product: a term
+    without Y into the first, without X into the second, every term into
+    the third.
     """
     zero = f.field.zero()
-    coeffs = [zero] * (f.degree_in("Z") + 1)
-    for (i, j, k), c in f.terms():
-        coeffs[k] = coeffs[k] + c * x**i * y**j
-    coeffs.reverse()
-    zeros = []
-    for z in elements:
-        acc = zero
-        for c in coeffs:
-            acc = acc * z + c
-        if not acc:
-            zeros.append(z)
-    return zeros
+    top = f.degree_in("Z")
+    at_x, at_y, at_xy = [zero] * (top + 1), [zero] * (top + 1), [zero] * (top + 1)
+    for (i, j, k), c in f._terms.items():
+        k = top - k
+        at_xy[k] = at_xy[k] + c
+        if not j:
+            at_x[k] = at_x[k] + c
+        if not i:
+            at_y[k] = at_y[k] + c
+    return at_x, at_y, at_xy
+
+
+def _horner(coeffs: list, z):
+    """The value at z of the polynomial with coefficients coeffs, top power first."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * z + c
+    return acc
 
 
 def _candidate_forms(f: MultiPoly, spec: FieldSpec):
@@ -158,20 +166,20 @@ def _candidate_forms(f: MultiPoly, spec: FieldSpec):
     divisor makes g vanish at (1, 0, alpha), (0, 1, beta) and
     (1, 1, alpha + beta), so every other pair is rejected exactly: alpha
     runs over the zeros of g(1, 0, Z), beta over those of g(0, 1, Z), and
-    a pair passes only if alpha + beta is a zero of g(1, 1, Z).  Neither
-    X nor Y divides g, so for homogeneous f the first two sets hold at
-    most deg_Z f elements.  Pairs come lexicographically by coordinate
-    vectors.
+    a pair passes only if alpha + beta is a zero of g(1, 1, Z).  Each zero
+    set is Horner's rule on one list of _z_coefficients, deg_Z f products
+    per field element.  Neither X nor Y divides g, so for homogeneous f
+    the first two sets hold at most deg_Z f elements.  Pairs come
+    lexicographically by coordinate vectors.
     """
     terms = f.terms()
     i = min(mon[0] for mon, _ in terms)
     j = min(mon[1] for mon, _ in terms)
     g = MultiPoly(spec, {(a - i, b - j, c): v for (a, b, c), v in terms}) if i or j else f
-    zero, one = spec.zero(), spec.one()
     elements = list(spec.elements())
-    betas = _zero_set(g, zero, one, elements)
-    sums = set(_zero_set(g, one, one, elements))
-    for alpha in _zero_set(g, one, zero, elements):
+    alphas, betas, sums = ([z for z in elements if not _horner(c, z)] for c in _z_coefficients(g))
+    sums = set(sums)
+    for alpha in alphas:
         for beta in betas:
             if alpha + beta in sums:
                 yield alpha, beta
@@ -185,9 +193,14 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     every later residual divides f.  On a homogeneous f, such as a quotient
     T(A, B), the alphas and the betas number at most deg_Z f each, so the
     sweep is linear in the field order.  A pair that passes is tested
-    exactly: the residual is divided by its form until one division is
-    inexact, and the count is the multiplicity (substitution is only the
-    tests' oracle).  The factor list is lexicographic by coordinate vectors.
+    exactly: the residual is divided by its form while it vanishes at
+    (1, 0, alpha), (0, 1, beta) and (1, 1, alpha + beta), as it must when
+    the form divides it, and the exact division decides each time.  The
+    three values are Horner's rule on the residual's _z_coefficients,
+    which a residual keeps from one form to the next until a division
+    changes it.  The count of exact divisions is the multiplicity
+    (substitution is only the tests' oracle).  The factor list is
+    lexicographic by coordinate vectors.
     Raises CeilingError (see check_ceiling) when spec's order exceeds the ceiling.
     """
     if f.is_zero():
@@ -199,9 +212,17 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     leading = f.coeff_of("Z", z_degree)
     residual = f
     factors = []
+    gated = [None, None]  # the last residual gated, and its _z_coefficients
+
+    def vanishes(r, values):
+        if gated[0] is not r:
+            gated[:] = r, _z_coefficients(r)
+        return not any(map(_horner, gated[1], values))
+
     for alpha, beta in _candidate_forms(f, spec):
         divisor = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
-        residual, mult = _divide_out(residual, divisor)
+        values = (alpha, beta, alpha + beta)
+        residual, mult = _divide_out(residual, divisor, lambda r: vanishes(r, values))
         if mult:
             factors.append(((alpha, beta), mult))
     residual_deg = residual.degree_in("Z")

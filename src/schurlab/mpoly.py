@@ -545,15 +545,22 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.field, _unpack(quot, s, ints))
 
 
-def _divide_out(f: MultiPoly, g: MultiPoly) -> tuple[MultiPoly, int]:
-    """(f / g^k, k) for the largest k with g^k dividing f exactly."""
+def _divide_out(f: MultiPoly, g: MultiPoly, may_divide) -> tuple[MultiPoly, int]:
+    """(f / g^k, k) for the largest k with g^k dividing f exactly.
+
+    may_divide(r) is the caller's necessary condition for g to divide r,
+    cheaper than a division.  The loop divides only while it holds, and
+    the exact division still decides: a False or an inexact division ends
+    the count, and only an exact division adds to it.
+    """
     count = 0
-    while True:
+    while may_divide(f):
         try:
             f = exact_divide(f, g)
         except InexactDivisionError:
-            return f, count
+            break
         count += 1
+    return f, count
 
 
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:
@@ -619,10 +626,12 @@ def linear_multiplicity(g: MultiPoly, form: LinearForm):
     """Exact multiplicity of the linear form as a factor of g.
 
     The zero polynomial is divisible arbitrarily often; that case returns
-    the distinguished verdict math.inf.
+    the distinguished verdict math.inf.  The form vanishes at
+    (c_y, -c_x, 0), so a residual that does not is not divided again.
     """
     if g.is_zero():
         return math.inf
     if form.is_zero():
         raise ValueError("multiplicity of the zero form is undefined")
-    return _divide_out(g, form.as_poly())[1]
+    point = (form.c_y, -form.c_x, 0)
+    return _divide_out(g, form.as_poly(), lambda r: not r.evaluate(point))[1]

@@ -23,13 +23,21 @@ from schurlab.factor import (
     verify_fact_eq2,
 )
 from schurlab.mpoly import (
-    RATIONALS, LinearForm, MultiPoly, _divide_out, exact_divide, is_homogeneous, substitute
+    RATIONALS,
+    InexactDivisionError,
+    LinearForm,
+    MultiPoly,
+    _divide_out,
+    exact_divide,
+    is_homogeneous,
+    substitute,
 )
 from schurlab.vschur import ExponentPair, complete_homogeneous, r_poly, t_poly, vandermonde
 
 Q = RATIONALS
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
+F5 = make_field(5, 1)
 F7 = make_field(7, 1)
 
 
@@ -230,10 +238,10 @@ def record_divided_forms(monkeypatch):
     """A list that gets the (alpha, beta) of every Z - alpha*X - beta*Y the sweep divides out."""
     forms = []
 
-    def counted(f, g):
+    def counted(f, g, may_divide):
         coeffs, zero = dict(g.terms()), g.field.zero()
         forms.append((-coeffs.get((1, 0, 0), zero), -coeffs.get((0, 1, 0), zero)))
-        return _divide_out(f, g)
+        return _divide_out(f, g, may_divide)
 
     monkeypatch.setattr(factor, "_divide_out", counted)
     return forms
@@ -276,6 +284,98 @@ def test_both_monomial_factors_are_divided_out(monkeypatch):
     zero, one = spec.zero(), spec.one()
     assert forms == {(zero, zero), (one, one)}
     assert [form for form, _ in report.linear_factors] == [(zero, zero), (one, one)]
+
+
+def record_exact_divisions(monkeypatch):
+    """A list that gets (divisor, exact) for every exact division the sweep runs."""
+    divisions = []
+    original = mpoly.exact_divide
+
+    def recorded(f, g):
+        try:
+            quotient = original(f, g)
+        except InexactDivisionError:
+            divisions.append((g, False))
+            raise
+        divisions.append((g, True))
+        return quotient
+
+    # _divide_out, the one divide-out loop, calls the binding in mpoly
+    monkeypatch.setattr(mpoly, "exact_divide", recorded)
+    return divisions
+
+
+@pytest.mark.parametrize("A,p,r", [(16, 2, 4), (25, 5, 2), (13, 13, 1)])
+def test_splitting_sweep_runs_no_inexact_division(monkeypatch, A, p, r):
+    # each of the q - 2 factors is simple, and the three-point gate turns
+    # each quotient away from its form without a second division
+    spec = make_field(p, r)
+    T = t_poly(ExponentPair(A, 1, spec))
+    divisions = record_exact_divisions(monkeypatch)
+    report = linear_factors_over(T, spec)
+    assert report.fully_split and report.factor_count() == spec.order() - 2
+    assert len(divisions) == spec.order() - 2
+    assert all(exact for _, exact in divisions)
+
+
+def test_a_passing_gate_leaves_the_verdict_to_the_division(monkeypatch):
+    # the cubic vanishes at (1, 0, 2), (0, 1, 3) and (1, 1, 0), as Z - 2X - 3Y
+    # does, and is not its multiple, so the gate lets the third division run
+    X, Y, Z = MultiPoly.gens(F5)
+    form = linear(F5, F5.from_int(2), F5.from_int(3))
+    divisions = record_exact_divisions(monkeypatch)
+    report = linear_factors_over(form**2 * (X * Y * (X - Y) + form * Z**2), F5)
+    assert report.linear_factors == (((F5.from_int(2), F5.from_int(3)), 2),)
+    assert report.residual_degree_in_z == 3
+    assert [exact for g, exact in divisions if g == form] == [True, True, False]
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
+def test_a_gate_that_always_passes_changes_no_verdict(monkeypatch, p, r):
+    # with every Horner value zero, the filter and the gate pass every form,
+    # and the exact divisions alone give the oracle's factors
+    spec = make_field(p, r)
+    X, _, Z = MultiPoly.gens(spec)
+    cases = [t_poly(ExponentPair(A, B, spec)) for A, B in [(4, 1), (5, 2), (spec.order(), 1)]]
+    cases.append(X * (Z - X) ** 3 * (Z**2 + X * Z + 1))
+    expected = [unfiltered_linear_factors(f, spec).to_json() for f in cases]
+    monkeypatch.setattr(factor, "_horner", lambda coeffs, z: spec.zero())
+    assert [linear_factors_over(f, spec).to_json() for f in cases] == expected
+
+
+_GATE_FIELDS = [(5, 1), (2, 2), (3, 2), (13, 1)]
+
+
+@st.composite
+def gated_products(draw):
+    """(spec, f): forms Z - a*X - b*Y with multiplicities 1-3, at times a p-th
+    power, and a cofactor that may vanish at the three points (1, 0, a),
+    (0, 1, b), (1, 1, a + b) of the first form without its dividing."""
+    spec = make_field(*draw(st.sampled_from(_GATE_FIELDS)))
+    element = st.sampled_from(list(spec.elements()))
+    forms = draw(st.lists(st.tuples(element, element, st.integers(1, 3)), min_size=1, max_size=3))
+    a, b, _ = forms[0]
+    X, Y, Z = MultiPoly.gens(spec)
+    cofactor = draw(st.sampled_from(["lines", "cubic", "none"]))
+    if cofactor == "lines":  # one line through each of the three points
+        a2, b1, a3 = draw(element), draw(element), draw(element)
+        f = linear(spec, a, b1) * linear(spec, a2, b) * linear(spec, a3, a + b - a3)
+    elif cofactor == "cubic":  # X*Y*(X - Y) vanishes at all three points
+        f = X * Y * (X - Y) + linear(spec, a, b) * Z**2
+    else:
+        f = MultiPoly.one(spec)
+    for alpha, beta, mult in forms:
+        f = f * linear(spec, alpha, beta) ** mult
+    if draw(st.booleans()):
+        f = f * linear(spec, draw(element), draw(element)) ** spec.p
+    return spec, f
+
+
+@settings(max_examples=30, deadline=None)
+@given(gated_products())
+def test_gated_sweep_matches_the_substitution_oracle(case):
+    spec, f = case
+    assert linear_factors_over(f, spec).to_json() == unfiltered_linear_factors(f, spec).to_json()
 
 
 @pytest.mark.parametrize("A,B,p,r", [(16, 1, 2, 4), (25, 1, 5, 2), (11, 4, 13, 1)])
@@ -568,7 +668,6 @@ def test_signature_witness_refuses_bad_characteristic():
 
 
 def test_signature_witness_field_too_small():
-    F5 = make_field(5, 1)
     with pytest.raises(FieldTooSmallError):
         signature_witness(ExponentPair(5, 2, F5))  # needs cube roots, 3 does not divide 4
 

@@ -2,9 +2,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from schurlab import vschur
+from schurlab import mpoly, vschur
 from schurlab.ffield import FieldMismatchError, make_field
 from schurlab.mpoly import (
     EXPONENT_CAP,
@@ -164,6 +164,65 @@ def test_linear_multiplicity():
     assert linear_multiplicity(X, LinearForm(Q, 1, -1)) == 0
     X3, Y3, _ = gens(F3)
     assert linear_multiplicity(X3**2 + X3 * Y3 + Y3**2, LinearForm(F3, 1, -1)) == 2
+
+
+def _divisions_until_inexact(g, form):
+    """The multiplicity by its definition: exact divisions by the form until one is inexact."""
+    divisor, count = form.as_poly(), 0
+    while True:
+        try:
+            g = exact_divide(g, divisor)
+        except InexactDivisionError:
+            return count
+        count += 1
+
+
+@st.composite
+def bivariate_multiples(draw):
+    """(g, form): a power of a bivariate linear form times a bivariate
+    cofactor, which at times vanishes at the form's point (c_y, -c_x)
+    without being its multiple (it need not be homogeneous)."""
+    field = draw(st.sampled_from([Q, F3, F5, F9]))
+    values = st.integers(-3, 3) if field is Q else st.sampled_from(list(field.elements()))
+    form = LinearForm(field, draw(values), draw(values))
+    assume(not form.is_zero())
+    monomials = [(a, b, 0) for a in range(4) for b in range(4 - a)]
+    cofactor = MultiPoly(field, draw(st.dictionaries(st.sampled_from(monomials), values, max_size=5)))
+    if draw(st.booleans()):
+        cofactor = cofactor - cofactor.evaluate((form.c_y, -form.c_x, 0))
+    return cofactor * form.as_poly() ** draw(st.integers(0, 3)), form
+
+
+@settings(max_examples=80, deadline=None)
+@given(bivariate_multiples())
+def test_linear_multiplicity_matches_repeated_division(case):
+    g, form = case
+    assume(not g.is_zero())
+    assert linear_multiplicity(g, form) == _divisions_until_inexact(g, form)
+
+
+def test_linear_multiplicity_of_a_binary_form_runs_no_inexact_division(monkeypatch):
+    # a binary form that vanishes at (c_y, -c_x) is a multiple of the form,
+    # so on these the one-point test ends the count before any failed division
+    X, Y, _ = gens(F3)
+    divisions = []
+    original = mpoly.exact_divide
+
+    def recorded(f, g):
+        try:
+            quotient = original(f, g)
+        except InexactDivisionError:
+            divisions.append(False)
+            raise
+        divisions.append(True)
+        return quotient
+
+    monkeypatch.setattr(mpoly, "exact_divide", recorded)
+    g = (X - Y) ** 3 * (X + Y) * (X**2 + Y**2)
+    assert linear_multiplicity(g, LinearForm(F3, 1, -1)) == 3
+    assert linear_multiplicity(g, LinearForm(F3, 1, 1)) == 1
+    assert linear_multiplicity(g, LinearForm(F3, 1, 0)) == 0
+    assert divisions == [True] * 4
 
 
 def test_linear_multiplicity_of_zero_is_infinite():
