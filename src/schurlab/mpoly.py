@@ -626,12 +626,10 @@ def linear_multiplicity(g: MultiPoly, form: LinearForm):
     """Exact multiplicity of the linear form as a factor of g.
 
     The zero polynomial is divisible arbitrarily often; that case returns
-    the distinguished verdict math.inf.  The form vanishes at
-    (c_y, -c_x, 0), so a residual that does not is not divided again.
+    the distinguished verdict math.inf.
     """
     if g.is_zero():
         return math.inf
     if form.is_zero():
         raise ValueError("multiplicity of the zero form is undefined")
-    point = (form.c_y, -form.c_x, 0)
-    return _divide_out(g, form.as_poly(), lambda r: not r.evaluate(point))[1]
+    return _divide_out(g, form.as_poly(), lambda r: True)[1]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from schurlab import mpoly, vschur
+from schurlab import vschur
 from schurlab.ffield import FieldMismatchError, make_field
 from schurlab.mpoly import (
     EXPONENT_CAP,
@@ -199,30 +199,6 @@ def test_linear_multiplicity_matches_repeated_division(case):
     g, form = case
     assume(not g.is_zero())
     assert linear_multiplicity(g, form) == _divisions_until_inexact(g, form)
-
-
-def test_linear_multiplicity_of_a_binary_form_runs_no_inexact_division(monkeypatch):
-    # a binary form that vanishes at (c_y, -c_x) is a multiple of the form,
-    # so on these the one-point test ends the count before any failed division
-    X, Y, _ = gens(F3)
-    divisions = []
-    original = mpoly.exact_divide
-
-    def recorded(f, g):
-        try:
-            quotient = original(f, g)
-        except InexactDivisionError:
-            divisions.append(False)
-            raise
-        divisions.append(True)
-        return quotient
-
-    monkeypatch.setattr(mpoly, "exact_divide", recorded)
-    g = (X - Y) ** 3 * (X + Y) * (X**2 + Y**2)
-    assert linear_multiplicity(g, LinearForm(F3, 1, -1)) == 3
-    assert linear_multiplicity(g, LinearForm(F3, 1, 1)) == 1
-    assert linear_multiplicity(g, LinearForm(F3, 1, 0)) == 0
-    assert divisions == [True] * 4
 
 
 def test_linear_multiplicity_of_zero_is_infinite():
