@@ -135,15 +135,16 @@ def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
         part = Partition3((args.l1, args.l2, args.l3))
         poly = schur_bialternant(part, args.d, fieldv)
         extra = {"partition": list(part.parts), "d": args.d}
+    text = poly.to_text()
     record = {
         "command": args.command,
         **extra,
         "char": args.char,
         "ext": args.ext,
-        "poly": poly.to_text(),
+        "poly": text,
         "terms": poly.to_json_terms(),
     }
-    emitter.emit(record, poly.to_text())
+    emitter.emit(record, text)
     return EXIT_PASS
 
 
@@ -152,6 +153,7 @@ def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
     spec = make_field(args.p, args.r)
     e = ExponentPair(args.A, args.B, spec)
     report = linear_factors_over(t_poly(e), spec, ceiling=args.ceiling)
+    count = report.factor_count()
     record = {
         "command": "factor",
         "A": e.A,
@@ -159,13 +161,13 @@ def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
         "p": args.p,
         "r": args.r,
         "factors": report.to_json()["linear_factors"],
-        "factor_count": report.factor_count(),
+        "factor_count": count,
         "residual_degree_in_z": report.residual_degree_in_z,
         "fully_split": report.fully_split,
     }
     text = _kv(
         {
-            "factors": report.factor_count(),
+            "factors": count,
             "residual_degree": report.residual_degree_in_z,
             "fully_split": report.fully_split,
         }

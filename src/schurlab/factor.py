@@ -26,7 +26,6 @@ from .mpoly import (
     InexactDivisionError,
     LinearForm,
     MultiPoly,
-    _divide_out,
     exact_divide,
     is_homogeneous,
     linear_multiplicity,
@@ -158,26 +157,34 @@ def _horner(coeffs: list, z):
     return acc
 
 
-def _candidate_forms(f: MultiPoly, spec: FieldSpec):
-    """The (alpha, beta) that may give a divisor Z - alpha*X - beta*Y of f.
+def _monomial_free(f: MultiPoly) -> MultiPoly:
+    """f with its largest monomial factor X^i Y^j divided out.
 
-    Such a form is prime to X and Y, so it divides f exactly when it
-    divides g, f with its largest monomial factor X^i Y^j divided out.  A
-    divisor makes g vanish at (1, 0, alpha), (0, 1, beta) and
-    (1, 1, alpha + beta), so every other pair is rejected exactly: alpha
-    runs over the zeros of g(1, 0, Z), beta over those of g(0, 1, Z), and
-    a pair passes only if alpha + beta is a zero of g(1, 1, Z).  Each zero
-    set is Horner's rule on one list of _z_coefficients, deg_Z f products
-    per field element.  Neither X nor Y divides g, so for homogeneous f
-    the first two sets hold at most deg_Z f elements.  Pairs come
-    lexicographically by coordinate vectors.
+    A form Z - alpha*X - beta*Y is prime to X and Y, so it divides the
+    result exactly as often as it divides f, and the Z-degree is f's.
     """
-    terms = f.terms()
-    i = min(mon[0] for mon, _ in terms)
-    j = min(mon[1] for mon, _ in terms)
-    g = MultiPoly(spec, {(a - i, b - j, c): v for (a, b, c), v in terms}) if i or j else f
+    i = min(mon[0] for mon in f._terms)
+    j = min(mon[1] for mon in f._terms)
+    if not (i or j):
+        return f
+    return MultiPoly._raw(f.field, {(a - i, b - j, c): v for (a, b, c), v in f._terms.items()})
+
+
+def _candidate_forms(z_lists: tuple[list, list, list], spec: FieldSpec):
+    """The (alpha, beta) that may give a divisor Z - alpha*X - beta*Y of g.
+
+    z_lists is _z_coefficients(g) for a g that neither X nor Y divides
+    (see _monomial_free).  A divisor makes g vanish at (1, 0, alpha),
+    (0, 1, beta) and (1, 1, alpha + beta), so every other pair is rejected
+    exactly: alpha runs over the zeros of g(1, 0, Z), beta over those of
+    g(0, 1, Z), and a pair passes only if alpha + beta is a zero of
+    g(1, 1, Z).  Each zero set is Horner's rule on one of the lists,
+    deg_Z g products per field element.  For homogeneous g the first two
+    sets hold at most deg_Z g elements.  Pairs come lexicographically by
+    coordinate vectors.
+    """
     elements = list(spec.elements())
-    alphas, betas, sums = ([z for z in elements if not _horner(c, z)] for c in _z_coefficients(g))
+    alphas, betas, sums = ([z for z in elements if not _horner(c, z)] for c in z_lists)
     sums = set(sums)
     for alpha in alphas:
         for beta in betas:
@@ -188,17 +195,16 @@ def _candidate_forms(f: MultiPoly, spec: FieldSpec):
 def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILING) -> FactorReport:
     """Sweep the (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
 
-    Each pair first meets a zero-set filter (see _candidate_forms), built
-    once from the input f.  It stays valid for the whole sweep, because
-    every later residual divides f.  On a homogeneous f, such as a quotient
-    T(A, B), the alphas and the betas number at most deg_Z f each, so the
-    sweep is linear in the field order.  A pair that passes is tested
-    exactly: the residual is divided by its form while it vanishes at
-    (1, 0, alpha), (0, 1, beta) and (1, 1, alpha + beta), as it must when
-    the form divides it, and the exact division decides each time.  The
-    three values are Horner's rule on the residual's _z_coefficients,
-    which a residual keeps from one form to the next until a division
-    changes it.  The count of exact divisions is the multiplicity
+    The loop state is the residual, first f with its monomial factor
+    divided out (see _monomial_free), and the residual's _z_coefficients,
+    recomputed only after an exact division.  Each pair first meets a
+    zero-set filter on the first lists (see _candidate_forms), valid for
+    the whole sweep because every later residual divides the first.  On a
+    homogeneous f, such as a quotient T(A, B), the sweep is linear in the
+    field order.  While Horner's rule on the lists finds the residual zero
+    at (1, 0, alpha), (0, 1, beta) and (1, 1, alpha + beta), as a multiple
+    of the form is, the residual is divided by the form, and the exact
+    division decides: the count of exact ones is the multiplicity
     (substitution is only the tests' oracle).  The factor list is
     lexicographic by coordinate vectors.
     Raises CeilingError (see check_ceiling) when spec's order exceeds the ceiling.
@@ -208,21 +214,21 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     if f.field != spec:
         raise ValueError(f"polynomial lives over {f.field}, not {spec}")
     check_ceiling(spec.p, spec.r, ceiling)
-    z_degree = f.degree_in("Z")
-    leading = f.coeff_of("Z", z_degree)
-    residual = f
+    leading = f.coeff_of("Z", f.degree_in("Z"))
+    residual = _monomial_free(f)
+    z_lists = _z_coefficients(residual)
     factors = []
-    gated = [None, None]  # the last residual gated, and its _z_coefficients
-
-    def vanishes(r, values):
-        if gated[0] is not r:
-            gated[:] = r, _z_coefficients(r)
-        return not any(map(_horner, gated[1], values))
-
-    for alpha, beta in _candidate_forms(f, spec):
+    for alpha, beta in _candidate_forms(z_lists, spec):
         divisor = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
         values = (alpha, beta, alpha + beta)
-        residual, mult = _divide_out(residual, divisor, lambda r: vanishes(r, values))
+        mult = 0
+        while not any(map(_horner, z_lists, values)):
+            try:
+                residual = exact_divide(residual, divisor)
+            except InexactDivisionError:
+                break
+            z_lists = _z_coefficients(residual)
+            mult += 1
         if mult:
             factors.append(((alpha, beta), mult))
     residual_deg = residual.degree_in("Z")

@@ -545,24 +545,6 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.field, _unpack(quot, s, ints))
 
 
-def _divide_out(f: MultiPoly, g: MultiPoly, may_divide) -> tuple[MultiPoly, int]:
-    """(f / g^k, k) for the largest k with g^k dividing f exactly.
-
-    may_divide(r) is the caller's necessary condition for g to divide r,
-    cheaper than a division.  The loop divides only while it holds, and
-    the exact division still decides: a False or an inexact division ends
-    the count, and only an exact division adds to it.
-    """
-    count = 0
-    while may_divide(f):
-        try:
-            f = exact_divide(f, g)
-        except InexactDivisionError:
-            break
-        count += 1
-    return f, count
-
-
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:
     """Replace one variable by the linear form c_x*X + c_y*Y, exactly.
 
@@ -625,11 +607,19 @@ def is_symmetric3(f: MultiPoly) -> bool:
 def linear_multiplicity(g: MultiPoly, form: LinearForm):
     """Exact multiplicity of the linear form as a factor of g.
 
-    The zero polynomial is divisible arbitrarily often; that case returns
-    the distinguished verdict math.inf.
+    It counts exact divisions until one is inexact, with no point test
+    before each: on the power criterion's coefficients a test would cost
+    more than the division it saves.  The zero polynomial is divisible
+    arbitrarily often; that case returns the distinguished verdict math.inf.
     """
     if g.is_zero():
         return math.inf
     if form.is_zero():
         raise ValueError("multiplicity of the zero form is undefined")
-    return _divide_out(g, form.as_poly(), lambda r: True)[1]
+    divisor, count = form.as_poly(), 0
+    while True:
+        try:
+            g = exact_divide(g, divisor)
+        except InexactDivisionError:
+            return count
+        count += 1

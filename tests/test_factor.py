@@ -13,6 +13,8 @@ from schurlab.ffield import (
 from schurlab.factor import (
     FactorReport,
     _candidate_forms,
+    _monomial_free,
+    _z_coefficients,
     divides,
     eisenstein_like_check,
     grad_eval_identity,
@@ -27,7 +29,6 @@ from schurlab.mpoly import (
     InexactDivisionError,
     LinearForm,
     MultiPoly,
-    _divide_out,
     exact_divide,
     is_homogeneous,
     substitute,
@@ -210,6 +211,11 @@ def test_filtered_sweep_on_random_linear_products(case):
         assert found.get(form, 0) >= mult
 
 
+def candidate_forms(f, spec):
+    """The forms that pass the sweep's zero-set filter on f."""
+    return _candidate_forms(_z_coefficients(_monomial_free(f)), spec)
+
+
 @pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
 def test_jet_never_rejects_a_true_divisor(p, r):
     """The zero-set filter (which replaced the jet filter) keeps every divisor."""
@@ -221,7 +227,7 @@ def test_jet_never_rejects_a_true_divisor(p, r):
         for beta in spec.elements():
             for g in cofactors:
                 f = linear(spec, alpha, beta) * g
-                assert (alpha, beta) in _candidate_forms(f, spec), (alpha, beta, g)
+                assert (alpha, beta) in candidate_forms(f, spec), (alpha, beta, g)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)])
@@ -229,22 +235,27 @@ def test_jet_passes_only_the_divisors_of_the_splitting_quotient(p, r):
     # on T(q, 1) over F_q the zero-set filter alone finds the q - 2 linear factors
     spec = make_field(p, r)
     T = t_poly(ExponentPair(spec.order(), 1, spec))
-    passed = list(_candidate_forms(T, spec))
+    passed = list(candidate_forms(T, spec))
     assert passed == [form for form, _ in linear_factors_over(T, spec).linear_factors]
     assert len(passed) == spec.order() - 2
 
 
-def record_divided_forms(monkeypatch):
-    """A list that gets the (alpha, beta) of every Z - alpha*X - beta*Y the sweep divides out."""
-    forms = []
+def record_exact_divisions(monkeypatch):
+    """A list that gets (divisor, exact) for every exact division the sweep runs."""
+    divisions = []
+    original = factor.exact_divide
 
-    def counted(f, g, may_divide):
-        coeffs, zero = dict(g.terms()), g.field.zero()
-        forms.append((-coeffs.get((1, 0, 0), zero), -coeffs.get((0, 1, 0), zero)))
-        return _divide_out(f, g, may_divide)
+    def recorded(f, g):
+        try:
+            quotient = original(f, g)
+        except InexactDivisionError:
+            divisions.append((g, False))
+            raise
+        divisions.append((g, True))
+        return quotient
 
-    monkeypatch.setattr(factor, "_divide_out", counted)
-    return forms
+    monkeypatch.setattr(factor, "exact_divide", recorded)
+    return divisions
 
 
 @pytest.mark.parametrize("A,B,p,most", [(11, 4, 13, 0), (10, 3, 7, 3)])
@@ -252,16 +263,17 @@ def test_lines_through_triple_points_on_x_zero_skip_the_exact_test(monkeypatch, 
     # a Taylor jet at (0 : 1 : beta) passed 13 and 9 such non-divisors here
     spec = make_field(p, 1)
     T = t_poly(ExponentPair(A, B, spec))
-    calls = record_divided_forms(monkeypatch)
+    calls = record_exact_divisions(monkeypatch)
     report = linear_factors_over(T, spec)
-    assert not report.linear_factors  # so each call is one form reaching the test
+    assert not report.linear_factors  # so each division is one form reaching the test
     assert len(calls) <= most
 
 
 def forms_reaching_the_exact_test(monkeypatch, f, spec):
     """The distinct forms that linear_factors_over tries to divide out of f."""
-    forms = record_divided_forms(monkeypatch)
-    return linear_factors_over(f, spec), set(forms)
+    divisions = record_exact_divisions(monkeypatch)
+    report = linear_factors_over(f, spec)
+    return report, {(-g.coefficient((1, 0, 0)), -g.coefficient((0, 1, 0))) for g, _ in divisions}
 
 
 def test_monomial_factors_leave_one_form_for_the_exact_test(monkeypatch):
@@ -276,8 +288,8 @@ def test_monomial_factors_leave_one_form_for_the_exact_test(monkeypatch):
 
 
 def test_both_monomial_factors_are_divided_out(monkeypatch):
-    # keeping either X or Y in the filtered polynomial lets a whole zero set
-    # through, and with it two forms that do not divide
+    # the filter and the gate see f without X and Y, so only the two
+    # divisors reach the exact test
     spec = make_field(101, 1)
     X, Y, Z = MultiPoly.gens(spec)
     report, forms = forms_reaching_the_exact_test(monkeypatch, X * Y**2 * Z * (Z - X - Y), spec)
@@ -286,23 +298,15 @@ def test_both_monomial_factors_are_divided_out(monkeypatch):
     assert [form for form, _ in report.linear_factors] == [(zero, zero), (one, one)]
 
 
-def record_exact_divisions(monkeypatch):
-    """A list that gets (divisor, exact) for every exact division the sweep runs."""
-    divisions = []
-    original = mpoly.exact_divide
-
-    def recorded(f, g):
-        try:
-            quotient = original(f, g)
-        except InexactDivisionError:
-            divisions.append((g, False))
-            raise
-        divisions.append((g, True))
-        return quotient
-
-    # _divide_out, the one divide-out loop, calls the binding in mpoly
-    monkeypatch.setattr(mpoly, "exact_divide", recorded)
-    return divisions
+@pytest.mark.parametrize("i,j", [(1, 0), (0, 1), (2, 3)])
+def test_a_kept_monomial_factor_would_send_forms_to_the_exact_test(monkeypatch, i, j):
+    # Z^2 + X*Y passes no pair over F_5: 0 is its only zero on X = 0 and on
+    # Y = 0, and 0 + 0 is no root of Z^2 + 1.  A kept X (Y) would let
+    # (0, 2), (0, 3) ((2, 0), (3, 0)) through both the filter and the gate.
+    X, Y, Z = MultiPoly.gens(F5)
+    report, forms = forms_reaching_the_exact_test(monkeypatch, X**i * Y**j * (Z**2 + X * Y), F5)
+    assert forms == set()
+    assert report.linear_factors == () and report.residual_degree_in_z == 2
 
 
 @pytest.mark.parametrize("A,p,r", [(16, 2, 4), (25, 5, 2), (13, 13, 1)])
@@ -349,8 +353,10 @@ _GATE_FIELDS = [(5, 1), (2, 2), (3, 2), (13, 1)]
 @st.composite
 def gated_products(draw):
     """(spec, f): forms Z - a*X - b*Y with multiplicities 1-3, at times a p-th
-    power, and a cofactor that may vanish at the three points (1, 0, a),
-    (0, 1, b), (1, 1, a + b) of the first form without its dividing."""
+    power, a cofactor that may vanish at the three points (1, 0, a),
+    (0, 1, b), (1, 1, a + b) of the first form without its dividing, and a
+    monomial factor X^i Y^j with 0 <= i, j <= 2, which the sweep divides
+    out first and the oracle keeps."""
     spec = make_field(*draw(st.sampled_from(_GATE_FIELDS)))
     element = st.sampled_from(list(spec.elements()))
     forms = draw(st.lists(st.tuples(element, element, st.integers(1, 3)), min_size=1, max_size=3))
@@ -368,7 +374,7 @@ def gated_products(draw):
         f = f * linear(spec, alpha, beta) ** mult
     if draw(st.booleans()):
         f = f * linear(spec, draw(element), draw(element)) ** spec.p
-    return spec, f
+    return spec, f * X ** draw(st.integers(0, 2)) * Y ** draw(st.integers(0, 2))
 
 
 @settings(max_examples=30, deadline=None)
