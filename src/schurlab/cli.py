@@ -136,14 +136,9 @@ def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
         poly = schur_bialternant(part, args.d, fieldv)
         extra = {"partition": list(part.parts), "d": args.d}
     text = poly.to_text()
-    record = {
-        "command": args.command,
-        **extra,
-        "char": args.char,
-        "ext": args.ext,
-        "poly": text,
-        "terms": poly.to_json_terms(),
-    }
+    record = {"command": args.command, **extra, "char": args.char, "ext": args.ext, "poly": text}
+    if emitter.fmt != "text":  # the text line prints no terms list
+        record["terms"] = poly.to_json_terms()
     emitter.emit(record, text)
     return EXIT_PASS
 
@@ -160,7 +155,7 @@ def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
         "B": e.B,
         "p": args.p,
         "r": args.r,
-        "factors": report.to_json()["linear_factors"],
+        "factors": report.factors_json(),
         "factor_count": count,
         "residual_degree_in_z": report.residual_degree_in_z,
         "fully_split": report.fully_split,

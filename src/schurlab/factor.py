@@ -80,28 +80,40 @@ class _Forms:
 
 @dataclass(frozen=True)
 class FactorReport:
-    """Linear factors Z - alpha*X - beta*Y found in a polynomial."""
+    """Linear factors Z - alpha*X - beta*Y found in a polynomial.
 
-    input_label: str
+    ``input`` is the polynomial itself or a label for it; a polynomial is
+    formatted only when ``input_label`` or ``to_json()`` reads it.
+    """
+
+    input: MultiPoly | str
     field: FieldSpec
     linear_factors: tuple | _Forms  # (((alpha, beta), multiplicity), ...)
     leading_coeff: str
     residual_degree_in_z: int
     fully_split: bool
 
+    @property
+    def input_label(self) -> str:
+        return self.input if isinstance(self.input, str) else self.input.to_text()
+
     def factor_count(self) -> int:
         if isinstance(self.linear_factors, _Forms):
             return len(self.linear_factors)
         return sum(m for _, m in self.linear_factors)
 
+    def factors_json(self) -> list:
+        """The linear factors as ``to_json()`` lists them."""
+        return [
+            {"alpha": a.token(), "beta": b.token(), "multiplicity": m}
+            for (a, b), m in self.linear_factors
+        ]
+
     def to_json(self) -> dict:
         return {
             "input": self.input_label,
             "field": self.field.to_json(),
-            "linear_factors": [
-                {"alpha": a.token(), "beta": b.token(), "multiplicity": m}
-                for (a, b), m in self.linear_factors
-            ],
+            "linear_factors": self.factors_json(),
             "leading_coeff": self.leading_coeff,
             "residual_degree_in_z": self.residual_degree_in_z,
             "fully_split": self.fully_split,
@@ -233,7 +245,7 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
             factors.append(((alpha, beta), mult))
     residual_deg = residual.degree_in("Z")
     return FactorReport(
-        input_label=f.to_text(),
+        input=f,
         field=spec,
         linear_factors=tuple(factors),
         leading_coeff=leading.to_text(),
@@ -260,7 +272,7 @@ def _splitting_report(e: ExponentPair, forms: _Forms, ok: bool) -> tuple[bool, F
     mismatch the residual Z-degree is deg_Z T = A - 2d (see t_poly).
     """
     return ok, FactorReport(
-        input_label=f"T({e.A},{e.B}) over {e.field}",
+        input=f"T({e.A},{e.B}) over {e.field}",
         field=e.field,
         linear_factors=forms,
         leading_coeff="1",

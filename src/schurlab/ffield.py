@@ -42,11 +42,13 @@ the degree oracle of :mod:`schurlab.newton`, needs only these ints, so
 the FFElement tables are built only for arithmetic.  Larger fields
 compute on the decoded coordinates with the same dense F_p[x] kernel
 (multiply, reduce by the modulus, power) as the modulus search, which the
-tests also use as the oracle for the tables.
+tests also use as the oracle for the tables; a larger prime field (r = 1),
+whose code is the residue, computes on its codes mod p.
 
 Both kinds of field answer one interface, which is all the rest of the
 package uses (except that :mod:`schurlab.mpoly` runs integral rational
-operands on ints): ``p``, ``zero()``, ``one()``, ``from_int(n)``,
+operands on ints, and exact division over a field with tables on the
+tables' logarithms): ``p``, ``zero()``, ``one()``, ``from_int(n)``,
 ``coerce(value)``, ``token(c)``/``parse(token)`` and ``roots_of_unity(n)``.
 Elements are tested for zero by their truthiness, and :func:`is_scalar`
 says which values a field can be asked to coerce.
@@ -688,6 +690,8 @@ class FFElement:
                 return NotImplemented
         t = spec._tables
         if t is None:
+            if spec.r == 1:  # the code is the residue
+                return FFElement._of(spec, self.code * other.code % spec.p)
             return FFElement._of(spec, spec._encode(_schoolbook_mul(spec, self.coeffs, other.coeffs)))
         a, b = self.code, other.code
         if a and b:
@@ -760,6 +764,8 @@ class FFElement:
         t = spec._tables
         if t is None:
             e %= spec.order() - 1
+            if spec.r == 1:
+                return FFElement._of(spec, pow(self.code, e, spec.p))
             return FFElement._of(spec, spec._encode(_schoolbook_pow(spec, self.coeffs, e)))
         return t.exp[t.log[self.code] * e % t.qm1]
 
@@ -791,9 +797,13 @@ class FFElement:
 
 
 def _coordinatewise(x: FFElement, y: FFElement, sign: int) -> FFElement:
-    """x + sign*y on decoded coordinates, for fields without tables."""
-    p = x.spec.p
-    return FFElement._of(x.spec, x.spec._encode([(a + sign * b) % p for a, b in zip(x.coeffs, y.coeffs)]))
+    """x + sign*y on decoded coordinates, for fields without tables; in a
+    prime field on the codes, which are the residues."""
+    spec = x.spec
+    p = spec.p
+    if spec.r == 1:
+        return FFElement._of(spec, (x.code + sign * y.code) % p)
+    return FFElement._of(spec, spec._encode([(a + sign * b) % p for a, b in zip(x.coeffs, y.coeffs)]))
 
 
 def frobenius(x: FFElement, k: int) -> FFElement:

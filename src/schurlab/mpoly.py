@@ -4,11 +4,19 @@ Monomials are exponent triples for the fixed variable order (X, Y, Z);
 two-variable work simply leaves the unused slot at zero.  Coefficients
 live in one field from :mod:`schurlab.ffield`, either
 :data:`~schurlab.ffield.RATIONALS` or a :class:`~schurlab.ffield.FieldSpec`,
-and are handled only through that field's interface, with one exception:
-when every operand of a product, an exact division (whose divisor then
-leads with +-1) or an evaluation is an integer of Q, the operation runs
-on ints inside this module and its result comes back as ``Fraction``.
-There is no floating point anywhere.
+and are handled only through that field's interface, with two exceptions:
+
+* when every coefficient of a product, an exact division (whose divisor
+  then leads with +-1) or an evaluation is an integer of Q, the operation
+  runs on ints inside this module and its result comes back as
+  ``Fraction``;
+* an exact division over a field with tables (order at most
+  :data:`~schurlab.ffield.TABLE_CEILING`) runs on the discrete logarithms
+  of the coefficients, read from the field's private log and Zech tables,
+  and its quotient comes back as the tables' shared elements.
+
+Each kernel picks its coefficient domain once, on entry.  There is no
+floating point anywhere.
 
 The monomial order used throughout (leading terms, division, text output)
 is graded lexicographic with X > Y > Z.  Polynomials are immutable and in
@@ -75,21 +83,14 @@ def _order_key(mon: Monomial) -> tuple[int, int, int]:
     return (mon[0] + mon[1] + mon[2], mon[0], mon[1])
 
 
-def _all_integral(field: CoeffField, *coefficient_groups) -> bool:
-    """Whether field is Q and every coefficient in the groups is an integer.
-
-    Integral operands over Q run on ints inside this module: int arithmetic
-    gives the same values as Fraction arithmetic on integers, without the
-    gcd normalisation after every operation.
-    """
-    return field is RATIONALS and all(
-        c.denominator == 1 for group in coefficient_groups for c in group
-    )
+#: The coefficient domain of integral Q operands inside the kernels: ints.
+_INTS = "ints"
 
 
-def _ints(terms: dict) -> dict:
-    """Integral Q coefficients as ints."""
-    return {m: c.numerator for m, c in terms.items()}
+def _ints(terms: dict) -> dict | None:
+    """Q coefficients as ints, or None when one of them is no integer."""
+    out = {m: c.numerator for m, c in terms.items() if c.denominator == 1}
+    return out if len(out) == len(terms) else None
 
 
 def _degree(terms: dict) -> int:
@@ -97,13 +98,42 @@ def _degree(terms: dict) -> int:
     return max(map(sum, terms), default=0)
 
 
-def _pack(terms: dict, s: int, ints: bool) -> list[tuple[int, object]]:
-    """The terms as (key, coefficient) pairs: each monomial packed into one
-    int with slot width s, each coefficient as an int when ints is set."""
+def _pack(terms: dict, s: int, domain) -> list[tuple[int, object]] | None:
+    """The terms as (key, coefficient) pairs, each monomial packed into one
+    int with slot width s and each coefficient taken into the domain: None
+    keeps the field's elements, _INTS takes Q coefficients to ints, and a
+    field's tables take its elements to their discrete logarithms.  Returns
+    None when the domain is _INTS and a coefficient is no integer."""
     s2 = 2 * s
+    items = terms.items()
+    if domain is None:
+        return [((a + b + c) << s2 | a << s | b, v) for (a, b, c), v in items]
+    if domain is _INTS:
+        out = [((a + b + c) << s2 | a << s | b, v.numerator) for (a, b, c), v in items if v.denominator == 1]
+        return out if len(out) == len(terms) else None
+    log = domain.log
+    return [((a + b + c) << s2 | a << s | b, log[v.code]) for (a, b, c), v in items]
+
+
+def _entry(s: int, operands: tuple, ints: bool, tables=None):
+    """The kernels' one entry step: the coefficient domain, picked once, and
+    every operand's terms packed in it (see _pack), as (domain, packs).
+
+    The domain is _INTS when ints is set (Q operands) and every coefficient
+    is an integer: each operand is walked once, and the first one holding a
+    non-integer sends them all to Fractions.  Otherwise it is the tables
+    when given, and else the field's own elements.
+    """
     if ints:
-        return [((a + b + c) << s2 | a << s | b, v.numerator) for (a, b, c), v in terms.items()]
-    return [((a + b + c) << s2 | a << s | b, v) for (a, b, c), v in terms.items()]
+        packs = []
+        for terms in operands:
+            pack = _pack(terms, s, _INTS)
+            if pack is None:
+                break
+            packs.append(pack)
+        else:
+            return _INTS, packs
+    return tables, [_pack(terms, s, tables) for terms in operands]
 
 
 def _unpack_key(k: int, s: int) -> Monomial:
@@ -112,14 +142,20 @@ def _unpack_key(k: int, s: int) -> Monomial:
     return (a, b, (k >> 2 * s) - a - b)
 
 
-def _unpack(terms: dict, s: int, ints: bool) -> dict:
-    """Packed terms back into exponent triples, int coefficients back into
-    shared Fractions when ints is set."""
+def _unpack(terms: dict, s: int, domain) -> dict:
+    """Packed terms back into exponent triples, with each coefficient out of
+    the domain of _pack: ints into shared Fractions, logarithms into the
+    tables' shared elements."""
     s2, mask = 2 * s, (1 << s) - 1
+    values = terms.values()
+    if domain is _INTS:
+        values = map(shared_fraction, values)
+    elif domain is not None:
+        values = map(domain.exp.__getitem__, values)
     out = {}
-    for k, v in terms.items():
+    for k, v in zip(terms, values):
         a, b = k >> s & mask, k & mask
-        out[(a, b, (k >> s2) - a - b)] = shared_fraction(v) if ints else v
+        out[(a, b, (k >> s2) - a - b)] = v
     return out
 
 
@@ -321,8 +357,7 @@ class MultiPoly:
                     raise ExponentOverflowError(f"exponent overflow: {var}^{top}")
         # every slot of a product key, the total degree too, is below 2^s
         s = bound.bit_length()
-        ints = _all_integral(self.field, left.values(), right.values())
-        left, right = _pack(left, s, ints), _pack(right, s, ints)
+        domain, (left, right) = _entry(s, (left, right), ints=self.field is RATIONALS)
         out: dict[int, object] = {}
         for k1, c1 in left:
             for k2, c2 in right:
@@ -334,7 +369,7 @@ class MultiPoly:
                     out.pop(k, None)
                 else:
                     out[k] = acc
-        return MultiPoly._raw(self.field, _unpack(out, s, ints))
+        return MultiPoly._raw(self.field, _unpack(out, s, domain))
 
     __rmul__ = __mul__
 
@@ -376,9 +411,11 @@ class MultiPoly:
         """Evaluate at a triple of values from the coefficient field."""
         vals = tuple(self.field.coerce(v) for v in point)
         terms, total = self._terms, self.field.zero()
-        ints = _all_integral(self.field, terms.values(), vals)
-        if ints:
-            terms, vals, total = _ints(terms), tuple(v.numerator for v in vals), 0
+        ints = None
+        if self.field is RATIONALS and all(v.denominator == 1 for v in vals):
+            ints = _ints(terms)
+        if ints is not None:
+            terms, vals, total = ints, tuple(v.numerator for v in vals), 0
         for (a, b, c), coeff in terms.items():
             term = coeff
             if a:
@@ -388,7 +425,7 @@ class MultiPoly:
             if c:
                 term = term * vals[2] ** c
             total = total + term
-        return Fraction(total) if ints else total
+        return total if ints is None else Fraction(total)
 
     # -- text / JSON forms -------------------------------------------------------
 
@@ -495,23 +532,43 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     needed again once popped, because every term a step adds lies below
     the term it removes.  The leading term of g would cancel the popped
     term exactly, so it is never applied.
+
+    Over a field with tables the loop runs on discrete logarithms (see
+    :mod:`schurlab.ffield`): on entry each coefficient c becomes log c,
+    and each coefficient of g other than the lead becomes the log of
+    -c/lc(g), using log(-1) = (q-1)/2, or 0 in characteristic 2.  A
+    product is then a sum of logs, and adding g^t to a remainder
+    coefficient g^a is one Zech lookup, g^a * (1 + g^(t-a)).  Stored logs
+    are reduced mod q - 1 and sums of two stay below 2(q - 1), the length
+    of the doubled tables, so every index is in range (a negative
+    difference wraps by q - 1 as Python indexes from the end).  On exit
+    each quotient log becomes the tables' shared element.  Over Q the loop
+    runs on ints when every coefficient is an integer and g leads with
+    +-1 (see _entry), and otherwise on the field's own elements.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     f._check_same_field(g)
+    field = f.field
     if f.is_zero():
-        return MultiPoly.zero(f.field)
-    ginv = f.field.one() / g.leading()[1]
-    ints = _all_integral(f.field, (ginv,), f._terms.values(), g._terms.values())
-    if ints:
-        ginv = ginv.numerator
+        return MultiPoly.zero(field)
+    ginv = field.one() / g.leading()[1]
     s = max(_degree(f._terms), _degree(g._terms)).bit_length() + 1
     s2, mask = 2 * s, (1 << s) - 1
     guard = 1 << (s2 - 1) | 1 << (s - 1)  # of the X and Y slots
-    rem = dict(_pack(f._terms, s, ints))
-    g_items = _pack(g._terms, s, ints)
+    unit = field is RATIONALS and ginv.denominator == 1  # g leads with +-1
+    tables = None if field is RATIONALS else field._tables
+    domain, (rem, g_items) = _entry(s, (f._terms, g._terms), ints=unit, tables=tables)
+    rem = dict(rem)
     lead = max(k2 for k2, _ in g_items)
     g_rest = [(k2, c2) for k2, c2 in g_items if k2 != lead]
+    logs = tables is not None
+    if logs:
+        qm1, zech = tables.qm1, tables.zech
+        ginv = tables.log[ginv.code]
+        g_rest = [(k2, (c2 + tables.half + ginv) % qm1) for k2, c2 in g_rest]
+    elif domain is _INTS:
+        ginv = ginv.numerator
     heap = [-k for k in rem]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -527,22 +584,38 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             raise InexactDivisionError(
                 f"{g.to_text()} does not divide exactly (stuck at {_unpack_key(k, s)})"
             )
-        qc = lc * ginv
-        quot[dk] = qc
-        for k2, c2 in g_rest:
-            tk = dk + k2
-            acc = rem.get(tk)
-            sub = qc * c2
-            if acc is None:
-                rem[tk] = -sub
-                heappush(heap, -tk)
-            else:
-                acc = acc - sub
-                if acc:
-                    rem[tk] = acc
+        if logs:
+            quot[dk] = lc + ginv
+            for k2, c2 in g_rest:
+                tk = dk + k2
+                acc = rem.get(tk)
+                t = lc + c2  # the log of the term this step adds
+                if acc is None:
+                    rem[tk] = t % qm1
+                    heappush(heap, -tk)
                 else:
-                    del rem[tk]
-    return MultiPoly._raw(f.field, _unpack(quot, s, ints))
+                    z = zech[t - acc]  # g^acc + g^t = g^acc * (1 + g^(t - acc))
+                    if z is None:
+                        del rem[tk]
+                    else:
+                        rem[tk] = (acc + z) % qm1
+        else:
+            qc = lc * ginv
+            quot[dk] = qc
+            for k2, c2 in g_rest:
+                tk = dk + k2
+                acc = rem.get(tk)
+                sub = qc * c2
+                if acc is None:
+                    rem[tk] = -sub
+                    heappush(heap, -tk)
+                else:
+                    acc = acc - sub
+                    if acc:
+                        rem[tk] = acc
+                    else:
+                        del rem[tk]
+    return MultiPoly._raw(field, _unpack(quot, s, domain))
 
 
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:

@@ -5,6 +5,7 @@ import pytest
 from schurlab import cli
 from schurlab.cli import main
 from schurlab.ffield import FieldSpec
+from schurlab.mpoly import MultiPoly
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,36 @@ def test_factor_command_tsv(capsys):
     header, row = out.strip().split("\n")
     assert header.split("\t")[0] == "command"
     assert "3^1:[2]" in row
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+def test_factor_never_formats_the_quotient(capsys, monkeypatch, fmt):
+    # only T's leading Z-coefficient, a constant, is formatted; the report
+    # would format T itself only if its to_json() were read
+    formatted = []
+    to_text = MultiPoly.to_text
+
+    def recording(self, *args):
+        formatted.append(self.num_terms())
+        return to_text(self, *args)
+
+    monkeypatch.setattr(MultiPoly, "to_text", recording)
+    status, out, _ = run_cli(capsys, "factor", "--A", "16", "--B", "1", "--p", "2", "--r", "4",
+                             "--format", fmt)
+    assert status == 0 and "14" in out
+    assert formatted == [1]
+
+
+def test_tpoly_text_format_builds_no_terms_list(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the JSON terms list was built for a text record")
+
+    monkeypatch.setattr(MultiPoly, "to_json_terms", refuse)
+    status, out, _ = run_cli(capsys, "tpoly", "--A", "4", "--B", "1", "--char", "3")
+    assert status == 0
+    assert out == "X^2 + X*Y + X*Z + Y^2 + Y*Z + Z^2\n"
+    with pytest.raises(AssertionError, match="terms list"):
+        run_cli(capsys, "tpoly", "--A", "4", "--B", "1", "--char", "3", "--format", "json")
 
 
 def test_factor_obeys_ceiling_above_512(capsys):

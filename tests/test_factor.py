@@ -128,7 +128,7 @@ def unfiltered_linear_factors(f, spec):
                 factors.append(((alpha, beta), mult))
     residual_deg = residual.degree_in("Z")
     return FactorReport(
-        input_label=f.to_text(),
+        input=f.to_text(),
         field=spec,
         linear_factors=tuple(factors),
         leading_coeff=f.coeff_of("Z", f.degree_in("Z")).to_text(),
@@ -527,7 +527,7 @@ def test_lazy_forms_serialize_as_the_eager_list(verify, p, r):
     """The report's to_json() and factor_count are those of the eager list, on every pass."""
     ok, report = verify(p, r)
     eager = FactorReport(
-        input_label=report.input_label,
+        input=report.input_label,
         field=report.field,
         linear_factors=tuple((form, 1) for form in eager_forms(verify, report.field)),
         leading_coeff="1",

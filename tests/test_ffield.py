@@ -660,3 +660,41 @@ def test_zero_powers_and_inverse(spec):
         spec.one() / zero
     assert zero**0 == spec.one()
     assert zero**5 == zero
+
+
+_BIG_PRIMES = [make_field(p, 1) for p in (1000003, 2**31 - 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_BIG_PRIMES), st.integers(0, 2**31), st.integers(0, 2**31),
+       st.integers(-(2**40), 2**40))
+def test_prime_field_above_table_ceiling_computes_on_its_codes(spec, a, b, e):
+    # the schoolbook route on decoded coordinates is the oracle; the
+    # operations themselves call neither it nor a decode or an encode
+    p = spec.p
+    assert p > TABLE_CEILING
+    x, y = spec.from_int(a), spec.from_int(b)
+    expected = {
+        "add": (a + b) % p,
+        "sub": (a - b) % p,
+        "neg": -a % p,
+        "mul": spec._encode(_schoolbook_mul(spec, x.coeffs, y.coeffs)),
+    }
+    if a % p:
+        expected["pow"] = spec._encode(_schoolbook_pow(spec, x.coeffs, e % (p - 1)))
+    elif e >= 0:
+        expected["pow"] = 1 if e == 0 else 0
+
+    def refuse(*args):
+        raise AssertionError("the prime-field route decoded, encoded or multiplied coordinates")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_schoolbook_mul", "_schoolbook_pow"):
+            patch.setattr(ffield, name, refuse)
+        for name in ("_decode", "_encode"):
+            patch.setattr(FieldSpec, name, refuse)
+        got = {"add": x + y, "sub": x - y, "neg": -x, "mul": x * y}
+        if "pow" in expected:
+            got["pow"] = x**e
+    assert {k: v.code for k, v in got.items()} == expected
+    assert vars(spec)["_tables"] is None

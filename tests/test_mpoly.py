@@ -642,3 +642,64 @@ def test_rational_results_hold_fractions():
         value = f.evaluate(point)
         assert type(value) is Fraction
         assert type(value / 7) is Fraction
+
+
+# -- the log route of exact division over fields with tables ---------------
+
+_LOG_FIELDS = [make_field(p, r) for p, r in ((2, 1), (2, 2), (3, 2), (13, 1), (5, 2), (3, 3))]
+
+
+@st.composite
+def _log_division_operands(draw):
+    """(f, g) over a field with tables: g's lead is any nonzero element, and
+    f is a multiple of g, plus a remainder of up to two terms when inexact."""
+    field = draw(st.sampled_from(_LOG_FIELDS))
+    elements = list(field.elements())
+
+    def coeff(lo=0):
+        return elements[draw(st.integers(lo, len(elements) - 1))]
+
+    def terms(max_terms):
+        n = draw(st.integers(0, max_terms))
+        return {tuple(draw(st.integers(0, 3)) for _ in range(3)): coeff() for _ in range(n)}
+
+    g_terms = terms(4)
+    g_terms[draw(st.sampled_from(((1, 0, 0), (0, 1, 0), (0, 0, 1))))] = coeff(lo=1)
+    g = MultiPoly(field, g_terms)
+    if g.total_degree() in (None, 0):  # the drawn terms cancelled the variable
+        g = MultiPoly(field, {(0, 0, 1): coeff(lo=1), (1, 0, 0): coeff()})
+    f = _reference_mul(MultiPoly(field, terms(5)), g)
+    if draw(st.booleans()):
+        f = f + MultiPoly(field, terms(2))
+    return f, g
+
+
+@settings(max_examples=300, deadline=None)
+@given(_log_division_operands())
+@example((MultiPoly.from_text("X^2 + Y^2", F2), MultiPoly.from_text("X + Y", F2)))
+@example((MultiPoly.from_text("X^2 + Y", F9), MultiPoly.from_text("3^2:[0,1]*X - Y", F9)))
+def test_log_route_of_exact_division_matches_the_element_route(operands):
+    # same quotient, or the same InexactDivisionError stuck at the same
+    # monomial; the element route is the oracle, and the log route makes
+    # one field multiplication, for the inverse of g's lead
+    f, g = operands
+    field = f.field
+    tables = field._tables
+    assert tables is not None
+    try:
+        expected = _reference_exact_divide(f, g)
+    except InexactDivisionError as exc:
+        expected = exc
+    products = []
+    element = type(field.one())
+    mul = element.__mul__
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(element, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        try:
+            quotient = exact_divide(f, g)
+        except InexactDivisionError as exc:
+            assert isinstance(expected, InexactDivisionError) and str(exc) == str(expected)
+        else:
+            assert quotient == expected
+            assert all(c is tables.elems[c.code] for c in quotient._terms.values())
+    assert len(products) <= 1
