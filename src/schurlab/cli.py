@@ -13,6 +13,12 @@ or TSV rows, or terse text).  Exit codes:
 
 Output is byte-identical for identical configuration.
 
+A ``sweep`` target is one entry of ``_SWEEP_TARGETS``: the grid flag only
+it reads (with its values when it needs that flag), its grid, its point
+runner and its result keys.  ``sweep`` refuses, in this order: a flag the
+target needs and lacks, a flag of another entry, a grid value the library
+refuses (``check_field``, then ``TowerParams``), and an empty grid.
+
 Examples::
 
     schurlab tpoly --A 3 --B 1 --char 0
@@ -199,18 +205,12 @@ def _cmd_signature(args: argparse.Namespace, emitter: Emitter) -> int:
 
 def _verify_fact_point(which: str, p: int, r: int, ceiling: int) -> dict:
     ok, report = (verify_fact_eq1 if which == "eq1" else verify_fact_eq2)(p, r, ceiling)
-    return {
-        "command": "verify-fact",
-        "which": which,
-        "p": p,
-        "r": r,
-        "verdict": "pass" if ok else "fail",
-        "factor_count": report.factor_count(),
-    }
+    return {"verdict": "pass" if ok else "fail", "factor_count": report.factor_count()}
 
 
 def _cmd_verify_fact(args: argparse.Namespace, emitter: Emitter) -> int:
-    record = _verify_fact_point(args.which, args.p, args.r, args.ceiling)
+    record = {"command": "verify-fact", "which": args.which, "p": args.p, "r": args.r,
+              **_verify_fact_point(args.which, args.p, args.r, args.ceiling)}
     text = _kv({k: record[k] for k in ("verdict", "which", "p", "r", "factor_count")})
     emitter.emit(record, text)
     return EXIT_PASS if record["verdict"] == "pass" else EXIT_FAIL
@@ -240,8 +240,7 @@ def _cmd_counterexample(args: argparse.Namespace, emitter: Emitter) -> int:
 
 def _degree_point(p: int, r: int, s: int, mode: str, ceiling: int) -> dict:
     report = degree_of_extension(TowerParams(p, r, s), mode=mode, ceiling=ceiling)
-    record = {"command": "degree", **report.to_json(), "mode": mode}
-    return record
+    return {"command": "degree", **report.to_json(), "mode": mode}
 
 
 def _cmd_degree(args: argparse.Namespace, emitter: Emitter) -> int:
@@ -290,61 +289,62 @@ def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
     return status
 
 
-def _sweep_points(args: argparse.Namespace) -> list[dict]:
-    """Every grid point, after checking every grid value; bad values raise ValueError."""
-    if args.target == "verify-fact" and not args.which:
-        raise ValueError("sweep verify-fact needs --which eq1|eq2")
-    unread = "s" if args.target == "verify-fact" else "which"  # the other target's flag
-    if getattr(args, unread) is not None:
-        raise ValueError(f"sweep {args.target} does not read --{unread}")
-    # each (p, r) of verify-fact, and each p of degree, before the grid is filtered
+def _verify_fact_grid(args: argparse.Namespace) -> list[dict]:
     for pp in args.p:
-        for rr in args.r if args.target == "verify-fact" else (1,):
+        for rr in args.r:
             check_field(pp, rr)
-    if args.target == "verify-fact":
-        points = [{"which": args.which, "p": pp, "r": rr} for pp in args.p for rr in args.r]
-    else:
-        points = [
-            {"p": pp, "r": rr, "s": ss}
-            for pp in args.p
-            for rr in args.r
-            for ss in (args.s or range(1, rr))
-            if ss < rr
-        ]
-        for pt in points:
-            TowerParams(**pt)  # refuses s < 1
-    if not points:
-        raise ValueError("the sweep grid is empty")
+    return [{"which": args.which, "p": pp, "r": rr} for pp in args.p for rr in args.r]
+
+
+def _degree_grid(args: argparse.Namespace) -> list[dict]:
+    for pp in args.p:  # before the grid is filtered
+        check_field(pp)
+    points = [{"p": pp, "r": rr, "s": ss} for pp in args.p for rr in args.r
+              for ss in (args.s or range(1, rr)) if ss < rr]
+    for pt in points:
+        TowerParams(**pt)  # refuses s < 1
     return points
+
+
+def _degree_sweep_point(p: int, r: int, s: int, ceiling: int) -> dict:
+    result = _degree_point(p, r, s, "both", ceiling)  # looked up here, so it can be rebound
+    return {"verdict": "pass" if result["agree"] else "fail",
+            "formula": result["formula"], "oracle": result["oracle"]}
+
+
+#: target: (own flag, its values if needed, grid, point runner, result keys)
+_SWEEP_TARGETS = {
+    "verify-fact": ("which", "eq1|eq2", _verify_fact_grid, _verify_fact_point, ("factor_count",)),
+    "degree": ("s", None, _degree_grid, _degree_sweep_point, ("formula", "oracle")),
+}
 
 
 def _cmd_sweep(args: argparse.Namespace, emitter: Emitter) -> int:
     """Run every grid point in order; a point the library refuses with
     CeilingError is a skip, and skips fail the run under --strict."""
     target = args.target
-    points = _sweep_points(args)
-    result_keys = ("factor_count",) if target == "verify-fact" else ("formula", "oracle")
+    flag, needs, grid, run, result_keys = _SWEEP_TARGETS[target]
+    if needs and getattr(args, flag) is None:
+        raise ValueError(f"sweep {target} needs --{flag} {needs}")
+    for unread, *_ in _SWEEP_TARGETS.values():
+        if unread != flag and getattr(args, unread) is not None:
+            raise ValueError(f"sweep {target} does not read --{unread}")
+    points = grid(args)
+    if not points:
+        raise ValueError("the sweep grid is empty")
     summary = {"pass": 0, "fail": 0, "skip": 0}
     for pt in points:
         record = {"target": target, **pt, "verdict": None, **dict.fromkeys(result_keys),
                   "reason": None}
         try:
-            if target == "verify-fact":
-                result = _verify_fact_point(pt["which"], pt["p"], pt["r"], args.ceiling)
-                record.update(verdict=result["verdict"], factor_count=result["factor_count"])
-            else:
-                result = _degree_point(pt["p"], pt["r"], pt["s"], "both", args.ceiling)
-                record.update(verdict="pass" if result["agree"] else "fail",
-                              formula=result["formula"], oracle=result["oracle"])
+            record.update(run(**pt, ceiling=args.ceiling))
         except CeilingError:
             record.update(verdict="skip", reason="ceiling")
         summary[record["verdict"]] += 1
         emitter.emit(record, _kv(record))
     summary_record = {"command": "sweep", "target": target, **summary, "points": len(points)}
     emitter.emit(summary_record, _kv(summary_record))
-    if summary["fail"] or (args.strict and summary["skip"]):
-        return EXIT_FAIL
-    return EXIT_PASS
+    return EXIT_FAIL if summary["fail"] or (args.strict and summary["skip"]) else EXIT_PASS
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, _cmd_identity)
 
     sp = sub.add_parser("sweep", help="run a verification over a parameter grid")
-    sp.add_argument("target", choices=("verify-fact", "degree"))
+    sp.add_argument("target", choices=tuple(_SWEEP_TARGETS))
     sp.add_argument("--which", choices=("eq1", "eq2"), default=None)
     sp.add_argument("--p", type=_parse_int_set, default=None, help="grid values, e.g. 2,3,5")
     sp.add_argument("--r", type=_parse_int_set, default=None, help="grid values, e.g. 1:2")

@@ -79,7 +79,7 @@ class CeilingError(ValueError):
 def check_field(p: int, r: int = 1) -> None:
     """Raise ValueError unless p is prime and r >= 1, that is, unless
     F_{p^r} exists.  Builds nothing.  A p at or above _SPRP_BOUND, where
-    is_prime would factor it, is refused before any primality work."""
+    is_prime does not decide, is refused before any primality work."""
     if p >= _SPRP_BOUND:
         raise ValueError(f"characteristic must be below {_SPRP_BOUND}, got {p}")
     if not is_prime(p):
@@ -120,10 +120,11 @@ _SPRP_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality: a strong-probable-prime test to _SPRP_BASES below
-    _SPRP_BOUND, and the factorization at and above it."""
+    """Exact primality by a strong-probable-prime test to _SPRP_BASES.
+    Raises ValueError at or above _SPRP_BOUND, where that test no longer
+    decides."""
     if n >= _SPRP_BOUND:
-        return prime_factors(n) == [n]
+        raise ValueError(f"primality is decided only below {_SPRP_BOUND}, got {n}")
     if n < 2:
         return False
     for a in _SPRP_BASES:
@@ -525,13 +526,38 @@ def _schoolbook_pow(spec: FieldSpec, a, e: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def multiplicative_generator(spec: FieldSpec) -> "FFElement":
-    """First element (by coordinate vector) generating the unit group."""
-    q1 = spec.order() - 1
-    checks = [q1 // ell for ell in prime_factors(q1)] if q1 > 1 else []
-    one = spec._decode(spec.order() // spec.p)
-    for code in range(1, spec.order()):
+    """First element (by coordinate vector) generating the unit group.
+
+    A nonzero h is c*y, with c in F_p^* its first nonzero coordinate and y
+    scaled so that its own is 1.  With q - 1 = (p - 1)*n, so n = r mod p - 1,
+    and ell a prime factor of q - 1: if ell does not divide p - 1, then
+    h^((q-1)/ell) = y^((q-1)/ell), as c^(p-1) = 1; if it does, then
+    h^((q-1)/ell) = (c^r * N(y))^((p-1)/ell), where N(y) = y^n lies in F_p.
+    So the field powers are taken once per class y, and each code in the
+    scan costs only powers of ints mod p.  When ell also divides r, c^r is
+    an ell-th power, so N(y) alone can rule out every c.
+    """
+    p, r, q = spec.p, spec.r, spec.order()
+    ells = prime_factors(q - 1) if q > 2 else []
+    class_checks = [(q - 1) // ell for ell in ells if (p - 1) % ell]
+    base_checks = [(p - 1) // ell for ell in ells if (p - 1) % ell == 0]
+    norm_checks = [(p - 1) // ell for ell in ells if (p - 1) % ell == 0 and r % ell == 0]
+    one = spec._decode(q // p)
+
+    @functools.cache
+    def norm(y):  # N(y) mod p, or None when no c makes c*y a generator
+        if any(_schoolbook_pow(spec, y, e) == one for e in class_checks):
+            return None
+        m = _schoolbook_pow(spec, y, (q - 1) // (p - 1))[0] if base_checks else 1
+        return None if any(pow(m, e, p) == 1 for e in norm_checks) else m
+
+    # the codes below p are c * x^(r-1), all of the class of x^(r-1)
+    for code in range(1 if norm(spec._decode(1)) is not None else p, q):
         x = spec._decode(code)
-        if all(_schoolbook_pow(spec, x, e) != one for e in checks):
+        c = next(v for v in x if v)
+        inv = pow(c, -1, p)
+        m = norm(tuple(v * inv % p for v in x))
+        if m is not None and all(pow(pow(c, r, p) * m % p, e, p) != 1 for e in base_checks):
             return FFElement._of(spec, code)
     raise AssertionError("unreachable: the unit group of a finite field is cyclic")
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -608,3 +610,150 @@ def test_failed_identity_record_exits_1(capsys, monkeypatch):
         "char=0 A=3 B=1 verdict=fail",
         "char=0 A=3 B=2 verdict=fail",
     ]
+
+
+_EMPTY = "e3b0c44298fc1c14"  # no output
+_HUGE = 2**89 - 1
+_PAST_BOUND = f"error: characteristic must be below 3317044064679887385961981, got {_HUGE}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, config, status, stdout_sha, err",
+    [
+        # sweep verify-fact: every format, skips over the ceiling, --strict
+        ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2", None,
+         0, "6cb4538b2f3c7388", ""),
+        ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2 --format json", None,
+         0, "76ff9dfb760c5eb2", ""),
+        ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2 --format tsv", None,
+         0, "4b9339b1b0b8937b", ""),
+        ("sweep verify-fact --which eq2 --p 2,3 --r 1:3 --format json", None,
+         0, "6e5d93d126132736", ""),
+        ("sweep verify-fact --which eq1 --p 2,3 --r 1:11 --ceiling 1000", None,
+         0, "c5629add6f5210cb", ""),
+        ("sweep verify-fact --which eq1 --p 2,3 --r 1:11 --ceiling 1000 --strict", None,
+         1, "c5629add6f5210cb", ""),
+        ("sweep verify-fact --which eq2 --p 5,7 --r 1:3 --ceiling 30 --format tsv", None,
+         0, "d5ebb5601266a358", ""),
+        # sweep degree: every format, the default s range, skips, --strict, --jobs
+        ("sweep degree --p 2,3 --r 2:4", None,
+         0, "1199dc83828043bd", ""),
+        ("sweep degree --p 2,3 --r 2:4 --format json", None,
+         0, "33e03342c7dbfb03", ""),
+        ("sweep degree --p 2,3 --r 2:4 --format tsv", None,
+         0, "742df5ebef256a21", ""),
+        ("sweep degree --p 2,3,5 --r 2:6 --s 1,2 --ceiling 100", None,
+         0, "266a856b47e97d62", ""),
+        ("sweep degree --p 2,3,5 --r 2:6 --s 1,2 --ceiling 100 --strict --format json", None,
+         1, "1c64e246113fd4ed", ""),
+        ("sweep degree --p 3 --r 3:4 --s 1:5 --jobs 2 --format tsv", None,
+         0, "d9ca047d1240399f", ""),
+        # --config files
+        ("sweep verify-fact", {"which": "eq2", "p": [2, 3], "r": "1:2", "format": "json"},
+         0, "f6ec423d44cb5484", ""),
+        ("sweep degree --r 2:3", {"p": 3, "r": "9", "strict": True, "ceiling": 10},
+         0, "92fab847c434f3e2", ""),
+        ("sweep degree --p 3 --r 3", {"target": "degree"},
+         2, _EMPTY, "error: unknown config key 'target'\n"),
+        ("sweep verify-fact --p 3 --r 1", {"s": "1"},
+         2, _EMPTY, "error: sweep verify-fact needs --which eq1|eq2\n"),
+        ("verify-fact --format tsv", {"which": "eq1", "p": 5, "r": 2},
+         0, "e56258c318155924", ""),
+        ("degree", {"p": 2, "r": 5, "s": 2, "mode": "oracle", "format": "json"},
+         0, "cd8a952603e9ca39", ""),
+        # refusals with two faults, where the check order decides the message
+        ("sweep verify-fact --p 3 --r 1 --s 1", None,
+         2, _EMPTY, "error: sweep verify-fact needs --which eq1|eq2\n"),
+        ("sweep verify-fact --p 4 --r 0", None,
+         2, _EMPTY, "error: sweep verify-fact needs --which eq1|eq2\n"),
+        ("sweep verify-fact --which eq1 --p 4 --r 1 --s 1", None,
+         2, _EMPTY, "error: sweep verify-fact does not read --s\n"),
+        ("sweep verify-fact --which eq1 --p 3,4 --r 0:1", None,
+         2, _EMPTY, "error: extension degree must be >= 1, got 0\n"),
+        ("sweep verify-fact --which eq1 --p 4,3 --r 0:1", None,
+         2, _EMPTY, "error: extension degree must be >= 1, got 0\n"),
+        (f"sweep verify-fact --which eq1 --p {_HUGE} --r 0", None,
+         2, _EMPTY, _PAST_BOUND),
+        ("sweep degree --which eq1 --p 4 --r 2 --s 5", None,
+         2, _EMPTY, "error: sweep degree does not read --which\n"),
+        ("sweep degree --p 4 --r 2 --s 5", None,
+         2, _EMPTY, "error: characteristic must be prime, got 4\n"),
+        ("sweep degree --p 3,4 --r 1", None,
+         2, _EMPTY, "error: characteristic must be prime, got 4\n"),
+        ("sweep degree --p 3 --r 3 --s 0,5", None,
+         2, _EMPTY, "error: need r > s >= 1, got r=3, s=0\n"),
+        ("sweep degree --p 3 --r 1 --s 0", None,
+         2, _EMPTY, "error: need r > s >= 1, got r=1, s=0\n"),
+        ("sweep degree --p 3 --r 0:1", None,
+         2, _EMPTY, "error: the sweep grid is empty\n"),
+        (f"sweep degree --p {_HUGE} --r 1", None,
+         2, _EMPTY, _PAST_BOUND),
+        ("sweep degree --r 3 --s 7 --which eq2", None,
+         2, _EMPTY, "error: missing required parameters: p\n"),
+        # the single commands the sweep shares its points with
+        ("verify-fact --which eq1 --p 3 --r 2", None,
+         0, "a97686191c4d6637", ""),
+        ("verify-fact --which eq2 --p 2 --r 3 --format json", None,
+         0, "69d906020e303890", ""),
+        ("verify-fact --which eq1 --p 2 --r 20", None,
+         2, _EMPTY, "error: field order 2^20 exceeds the ceiling 1000000\n"),
+        ("verify-fact --which eq1 --p 4 --r 2", None,
+         2, _EMPTY, "error: characteristic must be prime, got 4\n"),
+        ("degree --p 3 --r 3 --s 1", None,
+         0, "c05832e80670d8bd", ""),
+        ("degree --p 3 --r 4 --s 2 --format tsv", None,
+         0, "8e4de0469617aa2a", ""),
+        ("degree --p 2 --r 20 --s 1", None,
+         0, "4da092789a3d2d7b", ""),
+        ("degree --p 2 --r 20 --s 1 --mode formula --format json", None,
+         0, "5542697617e2ae40", ""),
+        ("degree --p 3 --r 2 --s 2", None,
+         2, _EMPTY, "error: need r > s >= 1, got r=2, s=2\n"),
+    ],
+)
+def test_sweep_targets_and_their_commands_keep_their_bytes(
+    capsys, monkeypatch, tmp_path, argv, config, status, stdout_sha, err
+):
+    """Exit code, stdout (the first 16 hex digits of its sha256) and stderr,
+    pinned for both sweep targets, the single commands that share their
+    points, --config files, and the order of the sweep's refusals."""
+    monkeypatch.delenv(cli.CEILING_ENV, raising=False)
+    argv = argv.split()
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    got_status, out, got_err = run_cli(capsys, *argv)
+    assert (got_status, hashlib.sha256(out.encode()).hexdigest()[:16], got_err) == (
+        status, stdout_sha, err)
+
+
+class _Count:
+    def factor_count(self):
+        return 7
+
+
+def test_sweep_records_failed_points_of_either_target(capsys, monkeypatch):
+    degree_of_extension = cli.degree_of_extension
+
+    def disagree(tower, mode, ceiling):
+        report = degree_of_extension(tower, mode=mode, ceiling=ceiling)
+        if tower.s > 1:
+            return report
+        return dataclasses.replace(report, oracle_value=report.formula_value + 1, agree=False)
+
+    monkeypatch.setattr(cli, "degree_of_extension", disagree)
+    assert run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "2:3") == (1, (
+        "target=degree p=3 r=2 s=1 verdict=fail formula=1 oracle=2\n"
+        "target=degree p=3 r=3 s=1 verdict=fail formula=2 oracle=3\n"
+        "target=degree p=3 r=3 s=2 verdict=pass formula=1 oracle=1\n"
+        "command=sweep target=degree pass=1 fail=2 skip=0 points=3\n"), "")
+    monkeypatch.setattr(cli, "verify_fact_eq1", lambda p, r, ceiling: (p != 3, _Count()))
+    assert run_cli(capsys, "sweep", "verify-fact", "--which", "eq1", "--p", "2,3", "--r", "1") == (
+        1, ("target=verify-fact which=eq1 p=2 r=1 verdict=pass factor_count=7\n"
+            "target=verify-fact which=eq1 p=3 r=1 verdict=fail factor_count=7\n"
+            "command=sweep target=verify-fact pass=1 fail=1 skip=0 points=2\n"), "")
+    assert run_cli(capsys, "verify-fact", "--which", "eq1", "--p", "3", "--r", "1",
+                   "--format", "json") == (1, (
+        '{"command": "verify-fact", "factor_count": 7, "p": 3, "r": 1, "verdict": "fail", '
+        '"which": "eq1"}\n'), "")

@@ -194,6 +194,17 @@ def test_check_field_names_exactly_the_fields_and_builds_none():
     assert make_field.cache_info().currsize == built
 
 
+@pytest.mark.parametrize("n", [ffield._SPRP_BOUND, 2**89 - 1, 2**127 - 1])
+def test_prime_test_refuses_at_once_where_it_does_not_decide(monkeypatch, n):
+    def refuse(m):
+        raise AssertionError("factoring past the bound")
+
+    monkeypatch.setattr(ffield, "prime_factors", refuse)
+    with pytest.raises(ValueError) as exc:
+        is_prime(n)
+    assert str(exc.value) == f"primality is decided only below {ffield._SPRP_BOUND}, got {n}"
+
+
 def test_check_field_refuses_a_huge_characteristic_before_any_primality_work(monkeypatch):
     below = next(n for n in range(ffield._SPRP_BOUND - 1, 0, -1) if is_prime(n))
 
@@ -337,6 +348,57 @@ def test_roots_of_unity_form_cyclic_group():
             acc, k = acc * a, k + 1
         orders.append(k)
     assert max(orders) == 4
+
+
+def _reference_generator(spec):
+    """Oracle: the first code x with x^((q-1)/ell) != 1 for every prime ell | q - 1."""
+    q1 = spec.order() - 1
+    checks = [q1 // ell for ell in prime_factors(q1)] if q1 > 1 else []
+    one = spec._decode(spec.order() // spec.p)
+    for code in range(1, spec.order()):
+        x = spec._decode(code)
+        if all(_schoolbook_pow(spec, x, e) != one for e in checks):
+            return FFElement._of(spec, code)
+    raise AssertionError("no generator")
+
+
+# every field with p < 60 and p^r <= 2*10^5, then a few whose first p - 1
+# codes c*x^(r-1) hold no generator
+_GENERATOR_FIELDS = [
+    (p, r) for p in range(2, 60) if is_prime(p) for r in range(1, 30) if p**r <= 2 * 10**5
+] + [(61, 2), (61, 3), (67, 4), (97, 3), (1009, 2)]
+
+
+def test_multiplicative_generator_is_the_first_code_the_plain_scan_finds():
+    for p, r in _GENERATOR_FIELDS:
+        spec = make_field(p, r)
+        assert multiplicative_generator(spec) == _reference_generator(spec), (p, r)
+
+
+@pytest.mark.parametrize("p, r", [(2, 4), (3, 3), (5, 2), (5, 3), (7, 3)])
+def test_multiplicative_generator_matches_the_plain_scan_under_every_modulus(p, r):
+    # the chosen modulus has constant term 1 where it can, so N(x^(r-1)) = 1;
+    # other moduli reach codes c*y with c > 1 whose class passes its checks
+    for low in itertools.product(range(p), repeat=r):
+        modulus = low + (1,)
+        if low[0] and _is_irreducible(list(modulus), p):
+            spec = FieldSpec(p, r, modulus)
+            assert multiplicative_generator(spec) == _reference_generator(spec), modulus
+
+
+def test_multiplicative_generator_takes_field_powers_per_class_not_per_code(monkeypatch):
+    spec = make_field(10007, 2)
+    # the first 10006 codes, c*x, hold no generator
+    assert _reference_generator(spec).code == 10009
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _schoolbook_pow(*args)
+
+    monkeypatch.setattr(ffield, "_schoolbook_pow", counting)
+    assert multiplicative_generator.__wrapped__(spec).code == 10009
+    assert len(calls) <= 20
 
 
 def test_multiplicative_generator_has_full_order():
