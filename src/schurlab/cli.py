@@ -203,8 +203,13 @@ def _cmd_signature(args: argparse.Namespace, emitter: Emitter) -> int:
     return EXIT_PASS if all_true else EXIT_FAIL
 
 
+#: The closed forms that verify-fact checks, by their --which value: the
+#: flag's choices and the text of the sweep's needed-flag refusal.
+_CLOSED_FORMS = {"eq1": verify_fact_eq1, "eq2": verify_fact_eq2}
+
+
 def _verify_fact_point(which: str, p: int, r: int, ceiling: int) -> dict:
-    ok, report = (verify_fact_eq1 if which == "eq1" else verify_fact_eq2)(p, r, ceiling)
+    ok, report = _CLOSED_FORMS[which](p, r, ceiling)
     return {"verdict": "pass" if ok else "fail", "factor_count": report.factor_count()}
 
 
@@ -314,7 +319,8 @@ def _degree_sweep_point(p: int, r: int, s: int, ceiling: int) -> dict:
 
 #: target: (own flag, its values if needed, grid, point runner, result keys)
 _SWEEP_TARGETS = {
-    "verify-fact": ("which", "eq1|eq2", _verify_fact_grid, _verify_fact_point, ("factor_count",)),
+    "verify-fact": ("which", "|".join(_CLOSED_FORMS), _verify_fact_grid, _verify_fact_point,
+                    ("factor_count",)),
     "degree": ("s", None, _degree_grid, _degree_sweep_point, ("formula", "oracle")),
 }
 
@@ -419,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, _cmd_signature, "A", "B", "p", "r")
 
     sp = sub.add_parser("verify-fact", help="check a closed-form factorization")
-    sp.add_argument("--which", choices=("eq1", "eq2"), default=None)
+    sp.add_argument("--which", choices=tuple(_CLOSED_FORMS), default=None)
     sp.add_argument("--p", type=int, default=None)
     sp.add_argument("--r", type=int, default=None)
     ceiling(sp)
@@ -449,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="run a verification over a parameter grid")
     sp.add_argument("target", choices=tuple(_SWEEP_TARGETS))
-    sp.add_argument("--which", choices=("eq1", "eq2"), default=None)
+    sp.add_argument("--which", choices=tuple(_CLOSED_FORMS), default=None)
     sp.add_argument("--p", type=_parse_int_set, default=None, help="grid values, e.g. 2,3,5")
     sp.add_argument("--r", type=_parse_int_set, default=None, help="grid values, e.g. 1:2")
     sp.add_argument("--s", type=_parse_int_set, default=None,

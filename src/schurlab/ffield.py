@@ -33,17 +33,12 @@ needs no reduction, and the Zech logarithms ``zech[k] = log(1 + g^k)``,
 None where 1 + g^k = 0.  Then x*y = exp[log x + log y] and
 g^i + g^j = exp[i + zech[j - i]]; negation, inversion, powers and
 Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
-1 + g^k only changes the top digit of the code of g^k.  The integer lists
-(the codes of g^k, ``log`` and ``zech``) are a step of their own, cached
-on the spec up to TABLE_CEILING and read by the tables; :func:`zech_logs`
-hands out ``log`` and ``zech``, and above the ceiling it builds them for
-each call and keeps nothing.  A count over discrete logarithms, such as
-the degree oracle of :mod:`schurlab.newton`, needs only these ints, so
-the FFElement tables are built only for arithmetic.  Larger fields
+1 + g^k only changes the top digit of the code of g^k.  Larger fields
 compute on the decoded coordinates with the same dense F_p[x] kernel
-(multiply, reduce by the modulus, power) as the modulus search, which the
-tests also use as the oracle for the tables; a larger prime field (r = 1),
-whose code is the residue, computes on its codes mod p.
+(multiply, reduce by the modulus, power) as the modulus search; the tests
+check the tables against it, and the degree oracle of
+:mod:`schurlab.newton` builds its F_p-linear map with it, with no table.
+A larger prime field (r = 1) computes on its codes mod p.
 
 Both kinds of field answer one interface, which is all the rest of the
 package uses (except that :mod:`schurlab.mpoly` runs integral rational
@@ -386,8 +381,7 @@ class FieldSpec:
 
     @functools.cached_property
     def _logs(self) -> "tuple[list[int], list, list] | None":
-        """The integer lists of :func:`_zech_lists`, built on first use;
-        None above TABLE_CEILING."""
+        """The lists of :func:`_zech_lists`, built on first use; None above TABLE_CEILING."""
         return _zech_lists(self) if self.order() <= TABLE_CEILING else None
 
     def _encode(self, coeffs) -> int:
@@ -625,18 +619,6 @@ def _zech_lists(spec: FieldSpec) -> tuple[list[int], list, list]:
     wrap = (p - 1) * one
     zech = [log[c + one if c < wrap else c - wrap] for c in powers]
     return powers, log, zech
-
-
-def zech_logs(spec: FieldSpec) -> tuple[list, list]:
-    """``log[code]`` and ``zech[k] = log(1 + g^k)`` of the field, as ints.
-
-    g is :func:`multiplicative_generator`; ``log[0]`` is None, and so is
-    ``zech[k]`` where 1 + g^k = 0.  Kept on the spec up to TABLE_CEILING,
-    where the arithmetic tables share them, so callers read them and never
-    change them; above it they are built afresh on every call and not kept.
-    """
-    _, log, zech = spec._logs or _zech_lists(spec)
-    return log, zech
 
 
 class _Tables:

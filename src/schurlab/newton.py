@@ -7,13 +7,15 @@ full symmetric field for suitably chosen indices.  This module constructs
 such pairs, checks the polynomial identities exactly (by direct expansion
 or through a Frobenius shortcut that never expands huge powers), and
 computes the resulting field-extension degrees twice: by closed formula
-and by a brute-force counting oracle.
+and by an exact counting oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .ffield import (
     DESK_CEILING,
@@ -21,13 +23,14 @@ from .ffield import (
     CeilingError,
     FFElement,
     FieldSpec,
+    _schoolbook_mul,
+    _schoolbook_pow,
     check_ceiling,
     check_field,
     field_for,
     frobenius,
     make_field,
     p_power_exponent,
-    zech_logs,
 )
 from .mpoly import CoeffField, LinearForm, MultiPoly, partial_derivative
 
@@ -273,28 +276,42 @@ class DegreeReport:
 
 
 def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int:
-    """Count alpha in F_{p^(r-s)} with 2*alpha*alpha^(p^s) = alpha + alpha^(p^s).
+    """Count alpha in F_{p^n}, n = r - s, with 2*alpha*alpha^(p^s) = alpha + alpha^(p^s).
 
-    Exhaustive, on discrete logarithms: alpha = 0 counts, and each
-    alpha = g^a with 0 <= a < q-1 is tested on ints.  With e = p^s and
-    d = a*(e-1) mod (q-1), beta = alpha^e = g^(a*e) and
-    alpha + beta = g^a * (1 + g^d), so the condition reads
-    zech[d] = log 2 + a*e mod (q-1).  In characteristic 2 the left side is
-    0 and the condition reads 1 + g^d = 0, that is alpha^(p^s) = alpha.
-    The count always includes the trivial alpha = 0, 1 and is even.
+    alpha = 0 counts.  Otherwise put gamma = 1/alpha: inversion commutes
+    with Frobenius, so the condition reads L(gamma) = 2 for the F_p-linear
+    L(v) = v + v^(p^s).  For odd p, v = 0 is no solution; for p = 2, where
+    2 = 0, it is one and stands for alpha = 0.  So the count is
+    #{v : L(v) = 2}, plus 1 for odd p.  L has the columns
+    e_i + (x^(p^(s mod n)))^i on the power basis.  Each v is v_H + v_L
+    once, v_L on the first n // 2 coordinates, so the count sums over v_H
+    the v_L with L(v_H) = 2 - L(v_L) = 2 + L(-v_L): the multiplicity of
+    L(v_H) in a Counter of the 2 + L(v_L), O(p^ceil(n/2) * n) int work
+    with no field tables.  A prime field (n = 1, L(v) = 2v) splits the
+    residue v = h + l < p instead, h a multiple of m = ceil(sqrt(p)) and
+    l < m.  The count includes the trivial alpha = 0, 1 and is even.
     """
-    n = t.r - t.s
-    check_ceiling(t.p, n, ceiling)
-    spec = make_field(t.p, n)
-    log, zech = zech_logs(spec)
-    q1 = spec.order() - 1
-    e = pow(t.p, t.s, q1)
-    if t.p == 2:
-        hits = sum(zech[a * (e - 1) % q1] is None for a in range(q1))
-    else:
-        log2 = log[spec.from_int(2).code]
-        hits = sum(zech[a * (e - 1) % q1] == (log2 + a * e) % q1 for a in range(q1))
-    return 1 + hits
+    p, n = t.p, t.r - t.s
+    check_ceiling(p, n, ceiling)
+    if n == 1:
+        m = math.isqrt(p - 1) + 1
+        top = (p - 1) // m * m  # the last block, which stops at p - 1
+        lows, last = (Counter((2 - 2 * l) % p for l in range(k)) for k in (m, p - top))
+        return sum(lows[2 * h % p] for h in range(0, top, m)) + last[2 * top % p] + (p > 2)
+    spec, zero = make_field(p, n), (0,) * n
+    xe = _schoolbook_pow(spec, (0, 1) + zero[2:], p ** (t.s % n))
+    powers = accumulate(range(n - 1), lambda x, _: _schoolbook_mul(spec, x, xe), initial=(1,) + zero[1:])
+    cols = [tuple((a + (j == i)) % p for j, a in enumerate(x)) for i, x in enumerate(powers)]
+    lows = Counter(_span((2 % p,) + zero[1:], cols[: n // 2], p))
+    return sum(lows[u] for u in _span(zero, cols[n // 2 :], p)) + (p > 2)
+
+
+def _span(start: tuple, cols: list, p: int) -> list[tuple[int, ...]]:
+    """start plus each F_p-combination of the vectors cols."""
+    vectors = [start]
+    for col in cols:
+        vectors = [tuple((a + k * b) % p for a, b in zip(v, col)) for v in vectors for k in range(p)]
+    return vectors
 
 
 def degree_of_extension(
@@ -304,8 +321,9 @@ def degree_of_extension(
 
     ``formula`` applies the closed forms: 2^(m-1) in characteristic 2;
     otherwise 1 when 2m does not divide r - s and (p^m + 1)/2 when it
-    does.  ``oracle`` divides the brute count by two.  ``both`` computes
-    the two independently and reports whether they agree.
+    does.  ``oracle`` halves the exact count of
+    :func:`brute_count_alternatives`, which never uses the formula.
+    ``both`` computes the two independently and reports whether they agree.
     """
     if mode not in ("formula", "oracle", "both"):
         raise ValueError(f"unknown mode {mode!r}")

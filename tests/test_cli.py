@@ -709,6 +709,14 @@ _PAST_BOUND = f"error: characteristic must be below 3317044064679887385961981, g
          0, "5542697617e2ae40", ""),
         ("degree --p 3 --r 2 --s 2", None,
          2, _EMPTY, "error: need r > s >= 1, got r=2, s=2\n"),
+        # the degree oracle over fields above TABLE_CEILING, a prime field near
+        # the desk ceiling, and a grid of 198 points with six skips
+        ("sweep degree --p 3 --r 13:15 --s 1:3", None,
+         0, "6e5102fd7fd2fd80", ""),
+        ("degree --p 999983 --r 2 --s 1", None,
+         0, "4da092789a3d2d7b", ""),
+        ("sweep degree --p 2,3,5 --r 2:12 --format json", None,
+         0, "3d65ff092261b483", ""),
     ],
 )
 def test_sweep_targets_and_their_commands_keep_their_bytes(
@@ -748,7 +756,7 @@ def test_sweep_records_failed_points_of_either_target(capsys, monkeypatch):
         "target=degree p=3 r=3 s=1 verdict=fail formula=2 oracle=3\n"
         "target=degree p=3 r=3 s=2 verdict=pass formula=1 oracle=1\n"
         "command=sweep target=degree pass=1 fail=2 skip=0 points=3\n"), "")
-    monkeypatch.setattr(cli, "verify_fact_eq1", lambda p, r, ceiling: (p != 3, _Count()))
+    monkeypatch.setitem(cli._CLOSED_FORMS, "eq1", lambda p, r, ceiling: (p != 3, _Count()))
     assert run_cli(capsys, "sweep", "verify-fact", "--which", "eq1", "--p", "2,3", "--r", "1") == (
         1, ("target=verify-fact which=eq1 p=2 r=1 verdict=pass factor_count=7\n"
             "target=verify-fact which=eq1 p=3 r=1 verdict=fail factor_count=7\n"

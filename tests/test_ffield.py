@@ -30,7 +30,6 @@ from schurlab.ffield import (
     multiplicative_generator,
     prime_factors,
     unity_degree,
-    zech_logs,
 )
 
 
@@ -687,15 +686,15 @@ def test_zech_lists_above_table_ceiling_match_schoolbook():
             assert plus_one == zero
         else:
             assert plus_one == _schoolbook_pow(spec, g, zech[k])
-    # built for the caller and not kept on the spec
-    assert zech_logs(spec) == (log, zech)
-    assert vars(spec)["_logs"] is None and vars(spec).get("_tables") is None
+    # built for the caller, the same on every call, and not kept on the spec
+    assert _zech_lists(spec) == (powers, log, zech)
+    assert spec._logs is None and vars(spec).get("_tables") is None
 
 
 def test_zech_logs_below_table_ceiling_are_kept_and_shared_with_the_tables():
     spec = make_field(3, 5)
-    log, zech = zech_logs(spec)
-    assert zech_logs(spec)[0] is log
+    _, log, zech = spec._logs
+    assert spec._logs[1] is log and (log, zech) == _zech_lists(spec)[1:]
     assert spec._tables.log is log and spec._tables.zech == zech + zech
 
 

@@ -281,18 +281,68 @@ def test_brute_count_matches_the_enumerated_count(p, r, s):
     assert brute_count_alternatives(t) == enumerated_count(t)
 
 
+def logarithm_count(t):
+    """Oracle for brute_count_alternatives: one integer test per discrete
+    logarithm.  alpha = 0 counts; for alpha = g^a, with e = p^s and
+    d = a*(e-1) mod (q-1), alpha + alpha^e = g^a * (1 + g^d), so the
+    condition reads zech[d] = log 2 + a*e mod (q-1), and in characteristic 2
+    it reads 1 + g^d = 0."""
+    spec = make_field(t.p, t.r - t.s)
+    _, log, zech = ffield._zech_lists(spec)
+    q1 = spec.order() - 1
+    e = pow(t.p, t.s, q1)
+    if t.p == 2:
+        hits = sum(zech[a * (e - 1) % q1] is None for a in range(q1))
+    else:
+        log2 = log[spec.from_int(2).code]
+        hits = sum(zech[a * (e - 1) % q1] == (log2 + a * e) % q1 for a in range(q1))
+    return 1 + hits
+
+
+_LOGARITHM = [
+    (p, r, s)
+    for p in (2, 3, 5, 7, 11, 13)
+    for r in range(2, 16)
+    for s in range(1, r)
+    if p ** (r - s) <= 60000
+]
+
+
+@pytest.mark.parametrize("p,r,s", _LOGARITHM)
+def test_brute_count_matches_the_logarithm_count(p, r, s):
+    t = TowerParams(p, r, s)
+    assert brute_count_alternatives(t) == logarithm_count(t)
+
+
+@pytest.mark.parametrize("p", [n for n in range(2, 2000) if ffield.is_prime(n)] + [65521, 999983])
+def test_prime_field_count_matches_the_logarithm_count(p):
+    # n = 1 splits the residue into blocks of ceil(sqrt(p)); the last block
+    # stops at p - 1, and for p = 999983 a block that ran on to 999999
+    # would also count the residue 999984 - p = 1 a second time
+    t = TowerParams(p, 3, 2)
+    assert brute_count_alternatives(t) == logarithm_count(t) == 2
+
+
+def test_prime_field_count_takes_about_sqrt_p_steps_above_the_desk_ceiling():
+    p = 10**10 + 19  # prime; a count residue by residue would take hours
+    assert brute_count_alternatives(TowerParams(p, 2, 1), ceiling=p) == 2
+
+
 def test_brute_count_builds_no_field_element_tables(monkeypatch):
     # F_{3^10} is below TABLE_CEILING, so arithmetic there would build the
-    # tables; the count reads only the integer log and Zech lists
+    # tables; the count builds neither them nor the integer log and Zech
+    # lists, and never looks for a generator
     fresh = make_field.__wrapped__(3, 10)
 
     def refuse(spec):
-        raise AssertionError(f"FFElement tables built for {spec}")
+        raise AssertionError(f"tables or a generator asked for {spec}")
 
     monkeypatch.setattr(ffield, "_Tables", refuse)
+    monkeypatch.setattr(ffield, "_zech_lists", refuse)
+    monkeypatch.setattr(ffield, "multiplicative_generator", refuse)
     monkeypatch.setattr(newton, "make_field", lambda p, r: fresh)
     assert brute_count_alternatives(TowerParams(3, 11, 1)) == 4
-    assert "_tables" not in vars(fresh)
+    assert "_tables" not in vars(fresh) and "_logs" not in vars(fresh)
 
 
 @pytest.mark.parametrize(
