@@ -37,7 +37,8 @@ Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
 compute on the decoded coordinates with the same dense F_p[x] kernel
 (multiply, reduce by the modulus, power) as the modulus search; the tests
 check the tables against it, and the degree oracle of
-:mod:`schurlab.newton` builds its F_p-linear map with it, with no table.
+:mod:`schurlab.newton` builds its F_p-linear map with it and takes the
+map's rank mod p by Gaussian elimination, with no table.
 A larger prime field (r = 1) computes on its codes mod p.
 
 Both kinds of field answer one interface, which is all the rest of the
@@ -180,9 +181,10 @@ def prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate arithmetic over F_p.  Coefficient lists are low degree
-# first; the zero polynomial is the empty list.  Multiplication and
-# reduction sum exact integer products and reduce mod p once, at the end.
+# Dense arithmetic over F_p: univariate polynomials, and the rank of a
+# matrix.  Coefficient lists are low degree first; the zero polynomial is
+# the empty list.  Multiplication and reduction sum exact integer products
+# and reduce mod p once, at the end.
 
 def _trim(v: list[int]) -> list[int]:
     while v and v[-1] == 0:
@@ -275,6 +277,19 @@ def _is_irreducible(f: list[int], p: int) -> bool:
     if powers[r] != [0, 1]:
         return False
     return all(_frobenius_coprime(powers[r // q], f, p) for q in prime_factors(r))
+
+
+def _rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over F_p of the matrix with these int rows, by Gaussian elimination."""
+    rank = 0
+    while rows:
+        *rows, pivot = rows
+        col = next((j for j, c in enumerate(pivot) if c % p), None)
+        if col is not None:
+            inv = pow(pivot[col], -1, p)
+            rows = [[(a - row[col] * inv * b) % p for a, b in zip(row, pivot)] for row in rows]
+            rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +393,6 @@ class FieldSpec:
     def _tables(self) -> "_Tables | None":
         """The arithmetic tables, built on first use; None above TABLE_CEILING."""
         return _Tables(self) if self.order() <= TABLE_CEILING else None
-
-    @functools.cached_property
-    def _logs(self) -> "tuple[list[int], list, list] | None":
-        """The lists of :func:`_zech_lists`, built on first use; None above TABLE_CEILING."""
-        return _zech_lists(self) if self.order() <= TABLE_CEILING else None
 
     def _encode(self, coeffs) -> int:
         code = 0
@@ -628,7 +638,7 @@ class _Tables:
 
     def __init__(self, spec: FieldSpec):
         q, p = spec.order(), spec.p
-        powers, log, zech = spec._logs
+        powers, log, zech = _zech_lists(spec)
         elems = [FFElement._of(spec, code) for code in range(q)]
         exp = [elems[code] for code in powers]
         self.elems = elems

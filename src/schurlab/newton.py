@@ -13,7 +13,6 @@ and by an exact counting oracle.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -23,6 +22,7 @@ from .ffield import (
     CeilingError,
     FFElement,
     FieldSpec,
+    _rank_mod_p,
     _schoolbook_mul,
     _schoolbook_pow,
     check_ceiling,
@@ -282,36 +282,20 @@ def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int
     with Frobenius, so the condition reads L(gamma) = 2 for the F_p-linear
     L(v) = v + v^(p^s).  For odd p, v = 0 is no solution; for p = 2, where
     2 = 0, it is one and stands for alpha = 0.  So the count is
-    #{v : L(v) = 2}, plus 1 for odd p.  L has the columns
-    e_i + (x^(p^(s mod n)))^i on the power basis.  Each v is v_H + v_L
-    once, v_L on the first n // 2 coordinates, so the count sums over v_H
-    the v_L with L(v_H) = 2 - L(v_L) = 2 + L(-v_L): the multiplicity of
-    L(v_H) in a Counter of the 2 + L(v_L), O(p^ceil(n/2) * n) int work
-    with no field tables.  A prime field (n = 1, L(v) = 2v) splits the
-    residue v = h + l < p instead, h a multiple of m = ceil(sqrt(p)) and
-    l < m.  The count includes the trivial alpha = 0, 1 and is even.
+    #{v : L(v) = 2}, plus 1 for odd p.  Since L(1) = 1 + 1 = 2, the
+    solutions are 1 + ker L, and there are p^(n - rank L) of them in every
+    characteristic.  L has the columns e_i + (x^(p^(s mod n)))^i on the
+    power basis (at n = 1 the single entry 2), and its rank mod p takes
+    O(n^3) int work with no field tables.  The count includes the trivial
+    alpha = 0, 1 and is even.
     """
     p, n = t.p, t.r - t.s
     check_ceiling(p, n, ceiling)
-    if n == 1:
-        m = math.isqrt(p - 1) + 1
-        top = (p - 1) // m * m  # the last block, which stops at p - 1
-        lows, last = (Counter((2 - 2 * l) % p for l in range(k)) for k in (m, p - top))
-        return sum(lows[2 * h % p] for h in range(0, top, m)) + last[2 * top % p] + (p > 2)
     spec, zero = make_field(p, n), (0,) * n
     xe = _schoolbook_pow(spec, (0, 1) + zero[2:], p ** (t.s % n))
     powers = accumulate(range(n - 1), lambda x, _: _schoolbook_mul(spec, x, xe), initial=(1,) + zero[1:])
-    cols = [tuple((a + (j == i)) % p for j, a in enumerate(x)) for i, x in enumerate(powers)]
-    lows = Counter(_span((2 % p,) + zero[1:], cols[: n // 2], p))
-    return sum(lows[u] for u in _span(zero, cols[n // 2 :], p)) + (p > 2)
-
-
-def _span(start: tuple, cols: list, p: int) -> list[tuple[int, ...]]:
-    """start plus each F_p-combination of the vectors cols."""
-    vectors = [start]
-    for col in cols:
-        vectors = [tuple((a + k * b) % p for a, b in zip(v, col)) for v in vectors for k in range(p)]
-    return vectors
+    cols = [[a + (j == i) for j, a in enumerate(x)] for i, x in enumerate(powers)]
+    return p ** (n - _rank_mod_p(cols, p)) + (p > 2)
 
 
 def degree_of_extension(

@@ -18,6 +18,7 @@ from schurlab.ffield import (
     _frobenius_coprime,
     _is_irreducible,
     _poly_powmod,
+    _rank_mod_p,
     _schoolbook_mul,
     _schoolbook_pow,
     _zech_lists,
@@ -114,6 +115,42 @@ def test_modulus_is_the_first_irreducible_candidate(p, r):
     ordered = sorted(tuple(f) for f in _monic(p, r) if f[0])
     first = next(f for f in ordered if f not in reducible)
     assert make_field(p, r).modulus == first
+
+
+def _kernel_size(rows, p, n):
+    """The number of v in F_p^n with every row . v = 0 mod p, by enumeration."""
+    return sum(
+        all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+        for v in itertools.product(range(p), repeat=n)
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_rank_mod_p_matches_the_kernel_size(p):
+    # entries run over [-2p, 2p], so many lie outside [0, p); some rows are
+    # zero and some are combinations of earlier rows plus multiples of p
+    rng = random.Random(p)
+    for _ in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = []
+        for _ in range(m):
+            kind = rng.random()
+            if kind < 0.2:
+                row = [0] * n
+            elif kind < 0.5 and rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                k = rng.randrange(p)
+                row = [x + k * y + p * rng.randint(-1, 1) for x, y in zip(a, b)]
+            else:
+                row = [rng.randint(-2 * p, 2 * p) for _ in range(n)]
+            rows.append(row)
+        before = copy.deepcopy(rows)
+        rank = _rank_mod_p(rows, p)
+        assert rows == before
+        assert _kernel_size(rows, p, n) == p ** (n - rank), (rows, rank)
+    assert _rank_mod_p([], p) == 0
+    assert _rank_mod_p([[0, 0], [p, -p]], p) == 0
+    assert _rank_mod_p([[p + 1, 0, 0, 0]] * 4, p) == 1
 
 
 def test_modulus_search_of_a_large_prime_is_lazy():
@@ -688,14 +725,13 @@ def test_zech_lists_above_table_ceiling_match_schoolbook():
             assert plus_one == _schoolbook_pow(spec, g, zech[k])
     # built for the caller, the same on every call, and not kept on the spec
     assert _zech_lists(spec) == (powers, log, zech)
-    assert spec._logs is None and vars(spec).get("_tables") is None
+    assert vars(spec).get("_tables") is None
 
 
 def test_zech_logs_below_table_ceiling_are_kept_and_shared_with_the_tables():
     spec = make_field(3, 5)
-    _, log, zech = spec._logs
-    assert spec._logs[1] is log and (log, zech) == _zech_lists(spec)[1:]
-    assert spec._tables.log is log and spec._tables.zech == zech + zech
+    _, log, zech = _zech_lists(spec)
+    assert spec._tables.log == log and spec._tables.zech == zech + zech
 
 
 def test_equal_codes_of_different_moduli_never_mix():

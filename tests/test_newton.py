@@ -1,3 +1,7 @@
+import math
+from collections import Counter
+from itertools import accumulate
+
 import pytest
 
 from schurlab import ffield, newton
@@ -314,13 +318,63 @@ def test_brute_count_matches_the_logarithm_count(p, r, s):
     assert brute_count_alternatives(t) == logarithm_count(t)
 
 
+def meet_in_the_middle_count(t):
+    """Oracle for brute_count_alternatives: #{v : L(v) = 2}, plus 1 for odd
+    p, for L(v) = v + v^(p^s) on F_{p^n}, n = r - s, counted by meeting in
+    the middle.  Each v is v_H + v_L once, v_L on the first n // 2
+    coordinates, so the count sums over v_H the v_L with
+    L(v_H) = 2 + L(-v_L): the multiplicity of L(v_H) in a Counter of the
+    2 + L(v_L), O(p^ceil(n/2) * n) int work.  A prime field (n = 1,
+    L(v) = 2v) splits the residue v = h + l < p instead, h a multiple of
+    m = ceil(sqrt(p)) and l < m."""
+    p, n = t.p, t.r - t.s
+    if n == 1:
+        m = math.isqrt(p - 1) + 1
+        top = (p - 1) // m * m  # the last block, which stops at p - 1
+        lows, last = (Counter((2 - 2 * l) % p for l in range(k)) for k in (m, p - top))
+        return sum(lows[2 * h % p] for h in range(0, top, m)) + last[2 * top % p] + (p > 2)
+    spec, zero = make_field(p, n), (0,) * n
+    xe = ffield._schoolbook_pow(spec, (0, 1) + zero[2:], p ** (t.s % n))
+    powers = accumulate(
+        range(n - 1), lambda x, _: ffield._schoolbook_mul(spec, x, xe), initial=(1,) + zero[1:]
+    )
+    cols = [tuple((a + (j == i)) % p for j, a in enumerate(x)) for i, x in enumerate(powers)]
+    lows = Counter(_span((2 % p,) + zero[1:], cols[: n // 2], p))
+    return sum(lows[u] for u in _span(zero, cols[n // 2 :], p)) + (p > 2)
+
+
+def _span(start, cols, p):
+    """start plus each F_p-combination of the vectors cols."""
+    vectors = [start]
+    for col in cols:
+        vectors = [tuple((a + k * b) % p for a, b in zip(v, col)) for v in vectors for k in range(p)]
+    return vectors
+
+
+_MEET_IN_THE_MIDDLE = [
+    (p, r, s)
+    for p in (2, 3, 5, 7)
+    for r in range(2, 30)
+    for s in range(1, r)
+    if 60000 < p ** (r - s) <= ffield.DESK_CEILING
+]
+
+
+@pytest.mark.parametrize("p,r,s", _MEET_IN_THE_MIDDLE)
+def test_brute_count_matches_the_meet_in_the_middle_count(p, r, s):
+    # above the reach of logarithm_count, up to the desk ceiling
+    t = TowerParams(p, r, s)
+    assert brute_count_alternatives(t) == meet_in_the_middle_count(t)
+
+
 @pytest.mark.parametrize("p", [n for n in range(2, 2000) if ffield.is_prime(n)] + [65521, 999983])
 def test_prime_field_count_matches_the_logarithm_count(p):
-    # n = 1 splits the residue into blocks of ceil(sqrt(p)); the last block
-    # stops at p - 1, and for p = 999983 a block that ran on to 999999
-    # would also count the residue 999984 - p = 1 a second time
+    # meet_in_the_middle_count splits the residue into blocks of
+    # ceil(sqrt(p)); the last block stops at p - 1, and for p = 999983 a
+    # block that ran on to 999999 would also count the residue 999984 - p = 1
+    # a second time
     t = TowerParams(p, 3, 2)
-    assert brute_count_alternatives(t) == logarithm_count(t) == 2
+    assert brute_count_alternatives(t) == logarithm_count(t) == meet_in_the_middle_count(t) == 2
 
 
 def test_prime_field_count_takes_about_sqrt_p_steps_above_the_desk_ceiling():
@@ -342,15 +396,18 @@ def test_brute_count_builds_no_field_element_tables(monkeypatch):
     monkeypatch.setattr(ffield, "multiplicative_generator", refuse)
     monkeypatch.setattr(newton, "make_field", lambda p, r: fresh)
     assert brute_count_alternatives(TowerParams(3, 11, 1)) == 4
-    assert "_tables" not in vars(fresh) and "_logs" not in vars(fresh)
+    assert "_tables" not in vars(fresh)
 
 
 @pytest.mark.parametrize(
-    "p,r,s,value", [(3, 12, 1, 1), (3, 13, 1, 2), (2, 20, 1, 1), (5, 9, 1, 3)]
+    "p,r,s,value",
+    [(3, 12, 1, 1), (3, 13, 1, 2), (2, 20, 1, 1), (5, 9, 1, 3),
+     # far above the desk ceiling, with the ceiling raised to the field order
+     (3, 41, 1, 2), (2, 61, 7, 1), (5, 31, 3, 3), (3, 40, 2, 1)],
 )
 def test_oracle_agrees_with_the_formula_above_the_table_ceiling(p, r, s, value):
     assert p ** (r - s) > ffield.TABLE_CEILING
-    report = degree_of_extension(TowerParams(p, r, s), mode="both")
+    report = degree_of_extension(TowerParams(p, r, s), mode="both", ceiling=p ** (r - s))
     assert report.oracle_value == value and report.agree
 
 
