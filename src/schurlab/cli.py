@@ -375,7 +375,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, run, *required):
+    def need(sp, *names, type=int, **kw):
+        """Flags the command cannot run without; main refuses a run that lacks one."""
+        for name in names:
+            sp.add_argument(f"--{name}", type=type, default=None, **kw)
+        sp.set_defaults(required=(sp.get_default("required") or ()) + names)
+
+    def common(sp, run):
         """The flags every command takes, and its handler, required flags and config keys."""
         sp.add_argument("--format", choices=("json", "tsv", "text"), default="text",
                         help="output format (default text)")
@@ -383,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         keys = {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
         sp.add_argument("--config", default=None,
                         help="JSON file whose keys are this command's flags")
-        sp.set_defaults(run=run, required=required, config_keys=keys)
+        sp.set_defaults(run=run, required=sp.get_default("required") or (), config_keys=keys)
 
     def ceiling(sp):
         # a string default goes through the type, so a bad $SCHURLAB_CEILING exits 2
@@ -394,58 +400,45 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name in ("tpoly", "rpoly"):
         sp = sub.add_parser(name, help=f"print the {name[0].upper()} polynomial for (A, B)")
-        sp.add_argument("--A", type=int, default=None)
-        sp.add_argument("--B", type=int, default=None)
+        need(sp, "A", "B")
         sp.add_argument("--char", type=int, default=0, help="0 for rationals, else a prime")
         sp.add_argument("--ext", type=int, default=1, help="extension degree (default 1)")
-        common(sp, _cmd_poly, "A", "B")
+        common(sp, _cmd_poly)
 
     sp = sub.add_parser("schur", help="print the bialternant for a partition")
-    sp.add_argument("--l1", type=int, default=None)
-    sp.add_argument("--l2", type=int, default=None)
-    sp.add_argument("--l3", type=int, default=None)
+    need(sp, "l1", "l2", "l3")
     sp.add_argument("--d", type=int, default=1, help="evaluate at X^d, Y^d, Z^d (default 1)")
     sp.add_argument("--char", type=int, default=0)
     sp.add_argument("--ext", type=int, default=1)
-    common(sp, _cmd_poly, "l1", "l2", "l3")
+    common(sp, _cmd_poly)
 
     sp = sub.add_parser("factor", help="sweep linear factors of the (A, B) quotient over F_{p^r}")
-    sp.add_argument("--A", type=int, default=None)
-    sp.add_argument("--B", type=int, default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
+    need(sp, "A", "B", "p", "r")
     ceiling(sp)
-    common(sp, _cmd_factor, "A", "B", "p", "r")
+    common(sp, _cmd_factor)
 
     sp = sub.add_parser("signature", help="signature witnesses for the (A, B) quotient")
-    sp.add_argument("--A", type=int, default=None)
-    sp.add_argument("--B", type=int, default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    common(sp, _cmd_signature, "A", "B", "p", "r")
+    need(sp, "A", "B", "p", "r")
+    common(sp, _cmd_signature)
 
     sp = sub.add_parser("verify-fact", help="check a closed-form factorization")
-    sp.add_argument("--which", choices=tuple(_CLOSED_FORMS), default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
+    need(sp, "which", type=None, choices=tuple(_CLOSED_FORMS))
+    need(sp, "p", "r")
     ceiling(sp)
-    common(sp, _cmd_verify_fact, "which", "p", "r")
+    common(sp, _cmd_verify_fact)
 
     sp = sub.add_parser("counterexample", help="build the alternative pair and test identities")
-    sp.add_argument("--p", type=int, default=None)
+    need(sp, "p")
     sp.add_argument("--eta", type=int, default=None, help="override the scanned eta (odd p)")
-    sp.add_argument("--m", type=_parse_int_set, default=None,
-                    help="comma list of exponents, e.g. 1,4,28")
+    need(sp, "m", type=_parse_int_set, help="comma list of exponents, e.g. 1,4,28")
     sp.add_argument("--mode", choices=("direct", "frobenius_shortcut", "both"), default="both")
-    common(sp, _cmd_counterexample, "p", "m")
+    common(sp, _cmd_counterexample)
 
     sp = sub.add_parser("degree", help="extension degree by formula and/or counting oracle")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--r", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
+    need(sp, "p", "r", "s")
     sp.add_argument("--mode", choices=("formula", "oracle", "both"), default="both")
     ceiling(sp)
-    common(sp, _cmd_degree, "p", "r", "s")
+    common(sp, _cmd_degree)
 
     sp = sub.add_parser("identity", help="verify the construction identities on a grid")
     sp.add_argument("--max-a", dest="max_a", type=int, default=8)
@@ -456,8 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run a verification over a parameter grid")
     sp.add_argument("target", choices=tuple(_SWEEP_TARGETS))
     sp.add_argument("--which", choices=tuple(_CLOSED_FORMS), default=None)
-    sp.add_argument("--p", type=_parse_int_set, default=None, help="grid values, e.g. 2,3,5")
-    sp.add_argument("--r", type=_parse_int_set, default=None, help="grid values, e.g. 1:2")
+    need(sp, "p", type=_parse_int_set, help="grid values, e.g. 2,3,5")
+    need(sp, "r", type=_parse_int_set, help="grid values, e.g. 1:2")
     sp.add_argument("--s", type=_parse_int_set, default=None,
                     help="grid values; defaults to 1..r-1")
     sp.add_argument("--strict", action="store_true",
@@ -465,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility; has no effect, points run in order")
     ceiling(sp)
-    common(sp, _cmd_sweep, "p", "r")
+    common(sp, _cmd_sweep)
 
     return parser
 

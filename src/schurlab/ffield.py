@@ -32,14 +32,14 @@ shared objects and allocate nothing), ``log[code]``, the powers
 needs no reduction, and the Zech logarithms ``zech[k] = log(1 + g^k)``,
 None where 1 + g^k = 0.  Then x*y = exp[log x + log y] and
 g^i + g^j = exp[i + zech[j - i]]; negation, inversion, powers and
-Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
-1 + g^k only changes the top digit of the code of g^k.  Larger fields
-compute on the decoded coordinates with the same dense F_p[x] kernel
-(multiply, reduce by the modulus, power) as the modulus search; the tests
-check the tables against it, and the degree oracle of
-:mod:`schurlab.newton` builds its F_p-linear map with it and takes the
-map's rank mod p by Gaussian elimination, with no table.
-A larger prime field (r = 1) computes on its codes mod p.
+Frobenius are arithmetic on the exponent, and subtraction is the addition
+of the negation.  Since 1 is the code p^(r-1), 1 + g^k only changes the
+top digit of the code of g^k.  Larger fields compute on the decoded
+coordinates with the same dense F_p[x] kernel (multiply, reduce by the
+modulus, power) as the modulus search; the tests check the tables against
+it, and the degree oracle of :mod:`schurlab.newton` builds its F_p-linear
+map with it and takes the map's rank mod p by Gaussian elimination, with
+no table.  A larger prime field (r = 1) computes on its codes mod p.
 
 Both kinds of field answer one interface, which is all the rest of the
 package uses (except that :mod:`schurlab.mpoly` runs integral rational
@@ -57,7 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-#: Largest field size for which exhaustive enumeration is considered fine.
+#: Default field-size cap of every ``ceiling`` parameter and of the CLI's
+#: ``--ceiling``; work that would build or need a larger field is refused.
 DESK_CEILING = 10**6
 
 #: Largest field order whose arithmetic runs on log/antilog/Zech tables.
@@ -240,13 +241,11 @@ def _poly_powmod(a: list[int], e: int, f: list[int], p: int) -> list[int]:
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b up to a unit factor, not normalised to be monic."""
     while b:
         inv = pow(b[-1], p - 2, p)
         bm = [(c * inv) % p for c in b]
         a, b = b, _poly_mod(a, bm, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
     return a
 
 
@@ -389,6 +388,9 @@ class FieldSpec:
     def __str__(self) -> str:
         return f"F({self.p}^{self.r})" if self.r > 1 else f"F({self.p})"
 
+    def __reduce__(self):
+        return _spec, (self.p, self.r, self.modulus)  # never the cached tables
+
     @functools.cached_property
     def _tables(self) -> "_Tables | None":
         """The arithmetic tables, built on first use; None above TABLE_CEILING."""
@@ -509,6 +511,13 @@ def make_field(p: int, r: int) -> FieldSpec:
         if _is_irreducible(coeffs, p):
             return FieldSpec(p, r, tuple(coeffs))
     raise AssertionError("unreachable: irreducibles of every degree exist")
+
+
+def _spec(p: int, r: int, modulus: tuple[int, ...]) -> FieldSpec:
+    """A copied or unpickled FieldSpec: this process's make_field(p, r), with
+    its tables, when the modulus is the default one, else a new spec."""
+    spec = make_field(p, r)
+    return spec if spec.modulus == modulus else FieldSpec(p, r, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -752,18 +761,9 @@ class FFElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        t = spec._tables
-        if t is None:
+        if spec._tables is None:
             return _coordinatewise(self, other, -1)
-        a, b = self.code, other.code
-        if not b:
-            return self
-        log = t.log
-        if not a:
-            return t.exp[log[b] + t.half]
-        i = log[a]
-        z = t.zech[log[b] + t.half - i]  # a - b = g^i (1 + g^(log b + log(-1) - i))
-        return t.elems[0] if z is None else t.exp[i + z]
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)

@@ -93,11 +93,6 @@ def _ints(terms: dict) -> dict | None:
     return out if len(out) == len(terms) else None
 
 
-def _degree(terms: dict) -> int:
-    """The largest total degree of the monomials, 0 for none."""
-    return max(map(sum, terms), default=0)
-
-
 def _pack(terms: dict, s: int, domain) -> list[tuple[int, object]] | None:
     """The terms as (key, coefficient) pairs, each monomial packed into one
     int with slot width s and each coefficient taken into the domain: None
@@ -206,6 +201,9 @@ class MultiPoly:
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
+    def __reduce__(self):
+        return MultiPoly, (self.field, self._terms)
+
     @classmethod
     def _raw(cls, field: CoeffField, terms: dict) -> "MultiPoly":
         # trusted path: terms already canonical for this field
@@ -269,9 +267,7 @@ class MultiPoly:
 
     def total_degree(self):
         """Total degree, or None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(sum(m) for m in self._terms)
+        return max(map(sum, self._terms), default=None)
 
     def degree_in(self, var: str):
         """Degree in one variable, or None for the zero polynomial."""
@@ -303,7 +299,11 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             return self.field == other.field and self._terms == other._terms
         if is_scalar(other):
-            return self == MultiPoly.constant(self.field, other)
+            try:
+                other = MultiPoly.constant(self.field, other)
+            except FieldMismatchError:  # a scalar of another field
+                return False
+            return self == other
         return NotImplemented
 
     def __add__(self, other):
@@ -347,7 +347,7 @@ class MultiPoly:
             return NotImplemented
         self._check_same_field(other)
         left, right = self._terms, other._terms
-        bound = _degree(left) + _degree(right)
+        bound = (self.total_degree() or 0) + (other.total_degree() or 0)
         if bound >= EXPONENT_CAP and left and right:
             # the top exponent of a variable in the product is the sum of
             # its top exponents in the operands
@@ -429,7 +429,7 @@ class MultiPoly:
 
     # -- text / JSON forms -------------------------------------------------------
 
-    def to_text(self, names: tuple[str, str, str] = VARS) -> str:
+    def to_text(self) -> str:
         if not self._terms:
             return "0"
         pieces = []
@@ -439,7 +439,7 @@ class MultiPoly:
             if negative:
                 token = token[1:]
             factors = []
-            for name, e in zip(names, mon):
+            for name, e in zip(VARS, mon):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -482,13 +482,8 @@ class MultiPoly:
             if sign < 0:
                 coeff = -coeff
             key = tuple(mon)
-            prev = out.get(key)
-            coeff = coeff if prev is None else prev + coeff
-            if not coeff:
-                out.pop(key, None)
-            else:
-                out[key] = coeff
-        return cls._raw(field, out)
+            out[key] = out.get(key, field.zero()) + coeff
+        return cls(field, out)
 
     def to_json_terms(self) -> list:
         """JSON form: list of [coefficient token, [a, b, c]]."""
@@ -553,7 +548,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     if f.is_zero():
         return MultiPoly.zero(field)
     ginv = field.one() / g.leading()[1]
-    s = max(_degree(f._terms), _degree(g._terms)).bit_length() + 1
+    s = max(f.total_degree(), g.total_degree()).bit_length() + 1
     s2, mask = 2 * s, (1 << s) - 1
     guard = 1 << (s2 - 1) | 1 << (s - 1)  # of the X and Y slots
     unit = field is RATIONALS and ginv.denominator == 1  # g leads with +-1

@@ -124,7 +124,7 @@ def r_poly(e: ExponentPair) -> MultiPoly:
     return det
 
 
-def i_poly(e: ExponentPair, *, ceiling: int = DESK_CEILING) -> MultiPoly:
+def i_poly(e: ExponentPair) -> MultiPoly:
     """The intermediate quotient R / (X^d - Y^d).
 
     When the characteristic divides none of A, B, A - B, the quotient is
@@ -133,17 +133,17 @@ def i_poly(e: ExponentPair, *, ceiling: int = DESK_CEILING) -> MultiPoly:
     z^d != 1) + X^B Y^B prod(X - zY | z^(A-B) = 1, z^d != 1).  The check
     runs in the given field when it holds those roots, and otherwise in
     the smallest F_{p^k} that does; it is skipped with a warning only when
-    that field would exceed the ceiling.
+    that field would exceed DESK_CEILING.
     """
     field = e.field
     d = e.d
     divisor = MultiPoly(field, {(d, 0, 0): 1, (0, d, 0): -1})
     quotient = exact_divide(r_poly(e), divisor)
-    _i_poly_unity_check(e, quotient, ceiling)
+    _i_poly_unity_check(e, quotient)
     return quotient
 
 
-def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> None:
+def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly) -> None:
     p = e.field.p
     if p == 0:
         return  # the product form lives over roots of unity; finite fields only
@@ -155,7 +155,7 @@ def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly, ceiling: int) -> N
     if (big.order() - 1) % n:
         k = unity_degree(p, n)
         try:
-            check_ceiling(p, k, ceiling)
+            check_ceiling(p, k, DESK_CEILING)
         except CeilingError as exc:
             warnings.warn(
                 f"roots-of-unity cross-check skipped for (A,B)=({A},{B}): {exc}",

@@ -765,3 +765,13 @@ def test_sweep_records_failed_points_of_either_target(capsys, monkeypatch):
                    "--format", "json") == (1, (
         '{"command": "verify-fact", "factor_count": 7, "p": 3, "r": 1, "verdict": "fail", '
         '"which": "eq1"}\n'), "")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("sweep degree --p , --r 2", "schurlab sweep: error: argument --p: empty grid component ','\n"),
+    ("counterexample --p 3 --m 10001", "error: no applicable mode for m=10001\n"),
+])
+def test_refusals_before_any_output(capsys, argv, err):
+    status, out, got_err = run_cli(capsys, *argv.split())
+    assert (status, out) == (2, "")
+    assert got_err.endswith(err)

@@ -768,3 +768,15 @@ def test_grad_eval_identity_refusals():
         grad_eval_identity(7, F7.from_int(2), F7.from_int(4))  # p | k
     with pytest.raises(ValueError):
         grad_eval_identity(4, F7.from_int(2), make_field(5, 1).from_int(2))
+
+
+def test_factor_refusals():
+    T = t_poly(ExponentPair(3, 1, F3))
+    with pytest.raises(ValueError, match="lives over F\\(3\\), not F\\(5\\)"):
+        linear_factors_over(T, F5)
+    with pytest.raises(ValueError, match="P must be a nonzero linear form"):
+        eisenstein_like_check(T, LinearForm(F3, 0, 0))
+    X, Y, Z = MultiPoly.gens(F3)
+    assert eisenstein_like_check(X * Z + Y * Z, LinearForm(F3, 1, 1)) is False  # Z^0 part is 0
+    with pytest.raises(ValueError, match="nonzero homogeneous"):
+        singular_point_probe(X + Y * Y, (1, 0, 0))

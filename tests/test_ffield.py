@@ -728,7 +728,7 @@ def test_zech_lists_above_table_ceiling_match_schoolbook():
     assert vars(spec).get("_tables") is None
 
 
-def test_zech_logs_below_table_ceiling_are_kept_and_shared_with_the_tables():
+def test_tables_below_table_ceiling_hold_the_log_and_doubled_zech_lists():
     spec = make_field(3, 5)
     _, log, zech = _zech_lists(spec)
     assert spec._tables.log == log and spec._tables.zech == zech + zech
@@ -795,3 +795,16 @@ def test_prime_field_above_table_ceiling_computes_on_its_codes(spec, a, b, e):
             got["pow"] = x**e
     assert {k: v.code for k, v in got.items()} == expected
     assert vars(spec)["_tables"] is None
+
+
+def test_element_refusals():
+    F9 = make_field(3, 2)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        F9.roots_of_unity(0)
+    with pytest.raises(ValueError, match="malformed element token"):
+        F9.parse("3^2:1,2")
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        FFElement(F9, (1,))
+    with pytest.raises(ValueError, match="need p >= 2, got 1"):
+        ffield.p_power_exponent(8, 1)
+    assert RATIONALS.roots_of_unity(2) == [Fraction(1), Fraction(-1)]

@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from schurlab import vschur
-from schurlab.ffield import FieldMismatchError, make_field
+from schurlab.ffield import FieldMismatchError, FieldSpec, make_field
 from schurlab.mpoly import (
     EXPONENT_CAP,
     RATIONALS,
@@ -266,7 +268,6 @@ def test_text_format_examples():
     assert MultiPoly.from_text(f.to_text(), Q) == f
     assert MultiPoly.zero(Q).to_text() == "0"
     assert MultiPoly.from_text("0", Q).is_zero()
-    assert (X + Y + Z).to_text(names=("x", "y", "z")) == "x + y + z"
 
 
 def test_text_format_prime_field_uses_residues():
@@ -703,3 +704,55 @@ def test_log_route_of_exact_division_matches_the_element_route(operands):
             assert quotient == expected
             assert all(c is tables.elems[c.code] for c in quotient._terms.values())
     assert len(products) <= 1
+
+
+_PICKLED_FIELDS = [
+    (Q, Fraction(-5, 3)),
+    (make_field(13, 1), (5,)),
+    (F9, (1, 2)),  # below TABLE_CEILING: the tables are built first
+    (make_field(1000003, 1), (999999,)),
+    (FieldSpec(3, 2, (2, 2, 1)), (1, 2)),  # not the default modulus of F_9
+]
+
+
+@pytest.mark.parametrize("field, value", _PICKLED_FIELDS,
+                         ids=["Q", "F13", "F9", "F1000003", "F9-other-modulus"])
+def test_values_copy_and_pickle(field, value):
+    c = value if field is Q else field.element(value)
+    X, Y, _ = MultiPoly.gens(field)
+    f = c * X**2 - Y + 7
+    for original in (c, f, MultiPoly.zero(field)):
+        for clone in (pickle.loads(pickle.dumps(original)), copy.copy(original),
+                      copy.deepcopy(original)):
+            assert clone == original
+    if field is not Q:
+        assert "_tables" in vars(field)  # cached by the arithmetic above
+        spec = pickle.loads(pickle.dumps(f)).field
+        default = make_field(field.p, field.r)
+        if field.modulus == default.modulus:
+            assert spec is default
+        else:  # a new spec, which left the tables behind
+            assert spec == field and spec is not field and "_tables" not in vars(spec)
+
+
+def test_equality_with_a_scalar_of_another_field_is_false():
+    X, _, _ = gens()
+    assert (X == make_field(3, 2).one()) is False
+    assert (make_field(3, 2).one() == X) is False
+    assert (MultiPoly.one(F3) == Fraction(1, 2)) is False
+    assert MultiPoly.constant(Q, Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_construction_refusals():
+    X, _, _ = gens()
+    with pytest.raises(ValueError, match=r"bad monomial \(1, 2\)"):
+        MultiPoly(Q, {(1, 2): 1})
+    with pytest.raises(ValueError, match="bad monomial"):
+        MultiPoly(Q, {(1, 2, -1): 1})
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        X**-1
+    with pytest.raises(ValueError, match="zero polynomial has no leading term"):
+        MultiPoly.zero(Q).leading()
+    assert 3 - X == MultiPoly(Q, {(0, 0, 0): 3, (1, 0, 0): -1})
+    with pytest.raises(ValueError, match="multiplicity of the zero form"):
+        linear_multiplicity(X, LinearForm(Q, 0, 0))

@@ -377,7 +377,7 @@ def test_prime_field_count_matches_the_logarithm_count(p):
     assert brute_count_alternatives(t) == logarithm_count(t) == meet_in_the_middle_count(t) == 2
 
 
-def test_prime_field_count_takes_about_sqrt_p_steps_above_the_desk_ceiling():
+def test_prime_field_count_far_above_the_desk_ceiling_is_a_1x1_rank():
     p = 10**10 + 19  # prime; a count residue by residue would take hours
     assert brute_count_alternatives(TowerParams(p, 2, 1), ceiling=p) == 2
 
@@ -499,3 +499,8 @@ def test_alternative_pair_json():
     blob = build_alternative_pair(3).to_json()
     assert blob["alpha"] == "3^2:[2,1]"
     assert blob["ambient"]["p"] == 3 and blob["ambient"]["r"] == 2
+
+
+def test_jacobian_check_refuses_a_pair_out_of_order():
+    with pytest.raises(ValueError, match="need a > b >= 1, got \\(2, 3\\)"):
+        jacobian_nonzero_check(2, 3)

@@ -157,20 +157,21 @@ def test_i_poly_unity_check_refuses_a_coefficient_outside_the_prime_field():
     e = ExponentPair(5, 1, F9)
     quotient = i_poly(e) + MultiPoly(F9, {(1, 0, 0): F9.element((0, 1))})
     with pytest.raises(ArithmeticError, match="outside F_3"):
-        vschur._i_poly_unity_check(e, quotient, 10**6)
+        vschur._i_poly_unity_check(e, quotient)
 
 
 def test_i_poly_unity_cross_check_respects_ceiling():
+    # (11, 3) over F_5 needs the 264th roots of unity, first in F_{5^10}
     with pytest.warns(RuntimeWarning, match="ceiling"):
-        i_poly(ExponentPair(7, 5, F3), ceiling=100)
+        i_poly(ExponentPair(11, 3, F5))
 
 
 def test_i_poly_unity_skip_gives_the_ceiling_refusal_after_its_prefix():
     with pytest.warns(RuntimeWarning) as caught:
-        i_poly(ExponentPair(7, 5, F3), ceiling=100)
+        i_poly(ExponentPair(11, 3, F5))
     assert [str(w.message) for w in caught] == [
-        "roots-of-unity cross-check skipped for (A,B)=(7,5): "
-        "field order 3^12 exceeds the ceiling 100"
+        "roots-of-unity cross-check skipped for (A,B)=(11,3): "
+        "field order 5^10 exceeds the ceiling 1000000"
     ]
 
 
@@ -321,3 +322,8 @@ def test_sum_of_partials_identity():
                 + partial_derivative(T, "Z")
             )
             assert summed == k * t_poly(ExponentPair(k - 1, 1, field))
+
+
+def test_schur_bialternant_refuses_level_zero():
+    with pytest.raises(ValueError, match="need d >= 1, got 0"):
+        schur_bialternant(Partition3((1, 0, 0)), d=0)
