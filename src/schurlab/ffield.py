@@ -664,6 +664,12 @@ class FFElement:
 
     ``FFElement(spec, coeffs)`` takes the r coordinates in the power basis,
     low degree first; ``coeffs`` reads them back.
+
+    An element compared with an int is NotImplemented, so ``one() == 1`` is
+    False, though ``+``, ``-``, ``*`` and ``/`` coerce an int.  Equal
+    objects must hash equal, and F_p's 1 would equal every int congruent to
+    1 mod p, so no hash could agree with them all.  An unhashable
+    ``MultiPoly`` has no such bind, and its ``== 1`` is True.
     """
 
     __slots__ = ("spec", "code")

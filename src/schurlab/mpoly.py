@@ -15,8 +15,11 @@ and are handled only through that field's interface, with two exceptions:
   of the coefficients, read from the field's private log and Zech tables,
   and its quotient comes back as the tables' shared elements.
 
-Each kernel picks its coefficient domain once, on entry.  There is no
-floating point anywhere.
+Each kernel picks its coefficient domain once, on entry.  On ints a
+product adds every term pair into its key and drops the cancelled keys in
+one pass at the end, and an exact division keeps a remainder entry that
+cancels to zero until it comes off the heap (see :func:`exact_divide`).
+There is no floating point anywhere.
 
 The monomial order used throughout (leading terms, division, text output)
 is graded lexicographic with X > Y > Z.  Polynomials are immutable and in
@@ -87,9 +90,10 @@ def _order_key(mon: Monomial) -> tuple[int, int, int]:
 _INTS = "ints"
 
 
-def _ints(terms: dict) -> dict | None:
-    """Q coefficients as ints, or None when one of them is no integer."""
-    out = {m: c.numerator for m, c in terms.items() if c.denominator == 1}
+def _ints(terms: dict) -> list[int] | None:
+    """Q coefficients as ints, in the order of the terms, or None when one of
+    them is no integer."""
+    out = [n for n, q in map(Fraction.as_integer_ratio, terms.values()) if q == 1]
     return out if len(out) == len(terms) else None
 
 
@@ -104,7 +108,8 @@ def _pack(terms: dict, s: int, domain) -> list[tuple[int, object]] | None:
     if domain is None:
         return [((a + b + c) << s2 | a << s | b, v) for (a, b, c), v in items]
     if domain is _INTS:
-        out = [((a + b + c) << s2 | a << s | b, v.numerator) for (a, b, c), v in items if v.denominator == 1]
+        ratios = zip(terms, map(Fraction.as_integer_ratio, terms.values()))
+        out = [((a + b + c) << s2 | a << s | b, n) for (a, b, c), (n, q) in ratios if q == 1]
         return out if len(out) == len(terms) else None
     log = domain.log
     return [((a + b + c) << s2 | a << s | b, log[v.code]) for (a, b, c), v in items]
@@ -154,6 +159,18 @@ def _unpack(terms: dict, s: int, domain) -> dict:
     return out
 
 
+def _power_row(v, exponents, one) -> dict:
+    """v^e for each e in exponents, each power from the one below it: a
+    dense set of exponents costs one product each, and a sparse one no more
+    than raising v to each exponent."""
+    row, prev, power = {}, 0, one
+    for e in sorted(exponents):
+        power = power * v ** (e - prev)
+        row[e] = power
+        prev = e
+    return row
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """The bivariate linear form c_x*X + c_y*Y over one coefficient field."""
@@ -181,10 +198,10 @@ class MultiPoly:
     def __init__(self, field: CoeffField, terms=None):
         clean: dict[Monomial, object] = {}
         for mon, c in (terms or {}).items():
-            mon = tuple(operator.index(e) for e in mon)
-            if len(mon) != 3 or any(e < 0 for e in mon):
+            mon = tuple(map(operator.index, mon))
+            if len(mon) != 3 or min(mon) < 0:
                 raise ValueError(f"bad monomial {mon}")
-            if any(e >= EXPONENT_CAP for e in mon):
+            if max(mon) >= EXPONENT_CAP:
                 raise ExponentOverflowError(f"exponent too large in {mon}")
             c = field.coerce(c)
             if c:
@@ -358,17 +375,29 @@ class MultiPoly:
         # every slot of a product key, the total degree too, is below 2^s
         s = bound.bit_length()
         domain, (left, right) = _entry(s, (left, right), ints=self.field is RATIONALS)
+        if len(left) > len(right):
+            left, right = right, left  # the longer operand runs inside
         out: dict[int, object] = {}
-        for k1, c1 in left:
-            for k2, c2 in right:
-                k = k1 + k2
-                acc = out.get(k)
-                prod = c1 * c2
-                acc = prod if acc is None else acc + prod
-                if not acc:
-                    out.pop(k, None)
-                else:
-                    out[k] = acc
+        get = out.get
+        if domain is _INTS:
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+            out = {k: c for k, c in out.items() if c}  # drop the cancelled terms
+        else:
+            # a field element's add and truth test are Python calls, so a
+            # new key takes its product as it is and a cancelled one goes
+            for k1, c1 in left:
+                for k2, c2 in right:
+                    k = k1 + k2
+                    acc = get(k)
+                    prod = c1 * c2
+                    acc = prod if acc is None else acc + prod
+                    if not acc:
+                        out.pop(k, None)
+                    else:
+                        out[k] = acc
         return MultiPoly._raw(self.field, _unpack(out, s, domain))
 
     __rmul__ = __mul__
@@ -408,23 +437,26 @@ class MultiPoly:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, point):
-        """Evaluate at a triple of values from the coefficient field."""
-        vals = tuple(self.field.coerce(v) for v in point)
-        terms, total = self._terms, self.field.zero()
+        """Evaluate at a triple of values from the coefficient field.
+
+        Each variable's value has one row of powers, holding v^e for every
+        exponent e of that variable in the terms, each power taken from the
+        one before it by the gap between their exponents; a term then costs
+        one product of its coefficient and three row entries.  Over Q, when
+        the point and the coefficients are integers, the sum runs on ints
+        and comes back as a ``Fraction``.
+        """
+        field, terms = self.field, self._terms
+        vals = tuple(field.coerce(v) for v in point)
+        coeffs, total, one = terms.values(), field.zero(), field.one()
         ints = None
-        if self.field is RATIONALS and all(v.denominator == 1 for v in vals):
+        if field is RATIONALS and all(v.denominator == 1 for v in vals):
             ints = _ints(terms)
         if ints is not None:
-            terms, vals, total = ints, tuple(v.numerator for v in vals), 0
-        for (a, b, c), coeff in terms.items():
-            term = coeff
-            if a:
-                term = term * vals[0] ** a
-            if b:
-                term = term * vals[1] ** b
-            if c:
-                term = term * vals[2] ** c
-            total = total + term
+            coeffs, vals, total, one = ints, tuple(v.numerator for v in vals), 0, 1
+        px, py, pz = (_power_row(v, {m[i] for m in terms}, one) for i, v in enumerate(vals))
+        for (a, b, c), coeff in zip(terms, coeffs):
+            total = total + coeff * px[a] * py[b] * pz[c]
         return total if ints is None else Fraction(total)
 
     # -- text / JSON forms -------------------------------------------------------
@@ -523,10 +555,11 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     int or a guard bit set in the X or Y slot when a borrow occurs, and
     otherwise the key of the quotient monomial, whose Z exponent is then
     the total less those of X and Y.  A key whose monomial has cancelled
-    out of the remainder is skipped when it surfaces; a key is never
-    needed again once popped, because every term a step adds lies below
-    the term it removes.  The leading term of g would cancel the popped
-    term exactly, so it is never applied.
+    out of the remainder is skipped when it surfaces, before the guard
+    test, so an inexact division sticks at the first nonzero term that g
+    does not divide; a key is never needed again once popped, because
+    every term a step adds lies below the term it removes.  The leading
+    term of g would cancel the popped term exactly, so it is never applied.
 
     Over a field with tables the loop runs on discrete logarithms (see
     :mod:`schurlab.ffield`): on entry each coefficient c becomes log c,
@@ -539,7 +572,12 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     difference wraps by q - 1 as Python indexes from the end).  On exit
     each quotient log becomes the tables' shared element.  Over Q the loop
     runs on ints when every coefficient is an integer and g leads with
-    +-1 (see _entry), and otherwise on the field's own elements.
+    +-1 (see _entry), and otherwise on the field's own elements.  On ints
+    -1/lc(g), which is -lc(g), is folded into g's other coefficients once,
+    so a step adds lc * c to each remainder entry it reaches, and an entry
+    that cancels stays in the remainder as 0 until it surfaces; the key
+    was pushed once, when the entry was made, so nothing is pushed twice.
+    Elsewhere a cancelled entry leaves the remainder at once.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -557,13 +595,14 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     rem = dict(rem)
     lead = max(k2 for k2, _ in g_items)
     g_rest = [(k2, c2) for k2, c2 in g_items if k2 != lead]
-    logs = tables is not None
+    logs, ints = tables is not None, domain is _INTS
     if logs:
         qm1, zech = tables.qm1, tables.zech
         ginv = tables.log[ginv.code]
         g_rest = [(k2, (c2 + tables.half + ginv) % qm1) for k2, c2 in g_rest]
-    elif domain is _INTS:
-        ginv = ginv.numerator
+    elif ints:
+        ginv = ginv.numerator  # +-1
+        g_rest = [(k2, -c2 * ginv) for k2, c2 in g_rest]
     heap = [-k for k in rem]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -571,7 +610,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     while rem:
         k = -heappop(heap)
         lc = rem.pop(k, None)
-        if lc is None:
+        if lc is None or (ints and not lc):  # cancelled out of the remainder
             continue
         dk = k - lead
         # a borrow, then the Z exponent
@@ -594,6 +633,16 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                         del rem[tk]
                     else:
                         rem[tk] = (acc + z) % qm1
+        elif ints:
+            quot[dk] = lc * ginv
+            for k2, c2 in g_rest:
+                tk = dk + k2
+                acc = rem.get(tk)
+                if acc is None:
+                    rem[tk] = lc * c2
+                    heappush(heap, -tk)
+                else:
+                    rem[tk] = acc + lc * c2
         else:
             qc = lc * ginv
             quot[dk] = qc

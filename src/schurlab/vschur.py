@@ -222,15 +222,16 @@ def t_poly(e: ExponentPair) -> MultiPoly:
         raise ExponentOverflowError(f"exponent too large in the pair (A,B)=({e.A},{e.B})")
     field, d, partition = e.field, e.d, e.partition
     reduced = {}  # count -> its residue, or None where the residue is zero
+    missing = object()
     terms = {}
     total = 0
-    for (a, b, c), count in _weight_counts(partition):
+    for mon, count in _weight_counts(partition):
         total += count
-        if count not in reduced:
-            reduced[count] = field.from_int(count) or None
-        coeff = reduced[count]
+        coeff = reduced.get(count, missing)
+        if coeff is missing:
+            coeff = reduced[count] = field.from_int(count) or None
         if coeff is not None:
-            terms[(d * a, d * b, d * c)] = coeff
+            terms[mon if d == 1 else (d * mon[0], d * mon[1], d * mon[2])] = coeff
     l1, l2, l3 = partition.parts
     dimension = (l1 - l2 + 1) * (l1 - l3 + 2) * (l2 - l3 + 1) // 2
     if total != dimension:
@@ -255,8 +256,11 @@ def _weight_counts(partition: Partition3):
     for S in range(l2 + l3, l1 + l2 + 1):
         hi = min(l1, S - l3)
         lo = max(l2, S - l2)
+        c = n - S
         for a in range(S - hi, hi + 1):
-            yield (a, S - a, n - S), hi - max(lo, a, S - a) + 1
+            b = S - a
+            top = a if a > b else b
+            yield (a, b, c), hi + 1 - (top if top > lo else lo)
 
 
 def complete_homogeneous(k: int, field: CoeffField = RATIONALS) -> MultiPoly:

@@ -522,6 +522,16 @@ def _reference_exact_divide(f, g):
     return MultiPoly._raw(f.field, quot)
 
 
+def _reference_evaluate(f, point):
+    """Term by term, each value raised to its exponent, on the field's own
+    elements (Fraction over Q)."""
+    vals = tuple(f.field.coerce(v) for v in point)
+    total = f.field.zero()
+    for (a, b, c), coeff in f._terms.items():
+        total = total + coeff * vals[0] ** a * vals[1] ** b * vals[2] ** c
+    return total
+
+
 def _reference_mul(f, g):
     """Schoolbook product on the field's own elements (Fraction over Q)."""
     out = {}
@@ -591,6 +601,10 @@ def _division_operands(draw):
 @example(("Q non-unit lead", MultiPoly.from_text("2*X^2 - 8*X*Y + 8*Y^2", Q), MultiPoly.from_text("2*X - 4*Y", Q)))
 @example(("Q non-unit lead", MultiPoly.from_text("2*X^2 - 8*X*Y + Z", Q), MultiPoly.from_text("2*X - 4*Y", Q)))
 @example(("Q unit lead", MultiPoly.from_text("X^2 + Y", Q), MultiPoly.from_text("X - Y", Q)))
+# a remainder entry cancels to zero before it surfaces, above the monomial
+# the division sticks at: Y^2 of f here, then Y*Z, which the steps add
+@example(("Q unit lead", MultiPoly.from_text("X^2 - Y^2 + Z", Q), MultiPoly.from_text("X - Y", Q)))
+@example(("Q unit lead", MultiPoly.from_text("X^2 - 2*X*Z - Y^2", Q), MultiPoly.from_text("X - Y - Z", Q)))
 # zero times a divisor whose total degree is past EXPONENT_CAP
 @example(("Q unit lead", MultiPoly.zero(Q), MultiPoly.monomial(Q, (2**40, 2**61, 2**61))))
 def test_kernels_match_the_reference(operands):
@@ -619,6 +633,63 @@ def test_kernels_match_the_reference(operands):
         assert str(raised.value) == str(exc)
     else:
         assert exact_divide(f, g) == expected
+
+
+_EVALUATION_FIELDS = [Q, F9, make_field(13, 1), make_field(1000003, 1)]  # the last has no tables
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_matches_the_reference(data):
+    # the power rows against raising each value to each exponent; a top
+    # exponent of 0 draws constants, and no term the zero polynomial
+    field = data.draw(st.sampled_from(_EVALUATION_FIELDS), label="field")
+    top = data.draw(st.sampled_from([0, 3, 12]), label="top exponent")
+    n = data.draw(st.integers(0, 6), label="terms")
+    f = MultiPoly(field, {
+        tuple(data.draw(st.integers(0, top)) for _ in range(3)): data.draw(st.integers(-9, 9))
+        for _ in range(n)
+    })
+    values = st.integers(-30, 30)
+    if field is Q:
+        values = st.one_of(values, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    else:
+        values = st.one_of(values, _coefficients(field))
+    point = tuple(data.draw(values) for _ in range(3))
+    assert f.evaluate(point) == _reference_evaluate(f, point)
+
+
+def test_evaluate_at_a_sparse_huge_degree():
+    # a row holds only the exponents that occur, so X^(2^61) costs one power
+    f = MultiPoly(Q, {(2**61, 0, 3): 2, (0, 1, 0): -1, (0, 0, 0): 5})
+    assert f.evaluate((-1, 7, 2)) == 2 * 8 - 7 + 5
+    F = make_field(1000003, 1)
+    f = MultiPoly(F, dict.fromkeys([(2**61, 0, 3), (2**40, 2**40, 1), (0, 0, 0)], 3))
+    point = (F.from_int(2), F.from_int(5), F.from_int(11))
+    assert f.evaluate(point) == _reference_evaluate(f, point)
+
+
+@pytest.mark.parametrize("field", [Q, F3, F9], ids=["Q", "F3", "F9"])
+def test_products_that_cancel_store_no_zero(field):
+    # T * V = R cancels most of the term pairs; no zero may stay behind
+    for A, B in ((5, 1), (7, 2), (9, 3), (12, 8)):
+        e = vschur.ExponentPair(A, B, field)
+        product = vschur.t_poly(e) * vschur.vandermonde(e.d, field)
+        assert product._terms == vschur.r_poly(e)._terms
+        assert all(product._terms.values())
+    X, Y, _ = gens(field)
+    assert ((X + Y) * (X - Y))._terms == (X**2 - Y**2)._terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly_triples())
+def test_products_are_the_same_either_way_round(fgh):
+    # the operand with more terms runs inside, whichever side it is on
+    f, g, h = fgh
+    for u, v in ((f, g), (f, g * h), (g * h, f)):
+        product = u * v
+        assert product._terms == (v * u)._terms
+        assert all(product._terms.values())
 
 
 def _assert_fractions(poly):
@@ -741,6 +812,16 @@ def test_equality_with_a_scalar_of_another_field_is_false():
     assert (make_field(3, 2).one() == X) is False
     assert (MultiPoly.one(F3) == Fraction(1, 2)) is False
     assert MultiPoly.constant(Q, Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_a_field_element_is_never_equal_to_an_int():
+    # equal objects must hash equal, and F_p's 1 would equal every int
+    # congruent to 1 mod p, so an element compared with an int is
+    # NotImplemented; a polynomial is unhashable, so it may equal the int
+    assert (make_field(3, 1).one() == 1) is False
+    assert (MultiPoly.one(make_field(3, 1)) == 1) is True
+    with pytest.raises(TypeError):
+        hash(MultiPoly.one(Q))
 
 
 def test_construction_refusals():
