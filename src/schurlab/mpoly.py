@@ -17,8 +17,9 @@ and are handled only through that field's interface, with two exceptions:
 
 Each kernel picks its coefficient domain once, on entry.  On ints a
 product adds every term pair into its key and drops the cancelled keys in
-one pass at the end, and an exact division keeps a remainder entry that
-cancels to zero until it comes off the heap (see :func:`exact_divide`).
+one pass at the end.  An exact division on ints or on elements keeps a
+remainder entry that cancels to zero until it comes off the heap (see
+:func:`exact_divide`).
 There is no floating point anywhere.
 
 The monomial order used throughout (leading terms, division, text output)
@@ -439,15 +440,19 @@ class MultiPoly:
     def evaluate(self, point):
         """Evaluate at a triple of values from the coefficient field.
 
-        Each variable's value has one row of powers, holding v^e for every
-        exponent e of that variable in the terms, each power taken from the
-        one before it by the gap between their exponents; a term then costs
-        one product of its coefficient and three row entries.  Over Q, when
-        the point and the coefficients are integers, the sum runs on ints
-        and comes back as a ``Fraction``.
+        The point must hold exactly three values, one per variable X, Y, Z;
+        any other number raises ``ValueError``.  Each variable's value has
+        one row of powers, holding v^e for every exponent e of that
+        variable in the terms, each power taken from the one before it by
+        the gap between their exponents; a term then costs one product of
+        its coefficient and three row entries.  Over Q, when the point and
+        the coefficients are integers, the sum runs on ints and comes back
+        as a ``Fraction``.
         """
         field, terms = self.field, self._terms
         vals = tuple(field.coerce(v) for v in point)
+        if len(vals) != 3:
+            raise ValueError(f"a point has three values, not {len(vals)}")
         coeffs, total, one = terms.values(), field.zero(), field.one()
         ints = None
         if field is RATIONALS and all(v.denominator == 1 for v in vals):
@@ -572,12 +577,13 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     difference wraps by q - 1 as Python indexes from the end).  On exit
     each quotient log becomes the tables' shared element.  Over Q the loop
     runs on ints when every coefficient is an integer and g leads with
-    +-1 (see _entry), and otherwise on the field's own elements.  On ints
-    -1/lc(g), which is -lc(g), is folded into g's other coefficients once,
-    so a step adds lc * c to each remainder entry it reaches, and an entry
-    that cancels stays in the remainder as 0 until it surfaces; the key
-    was pushed once, when the entry was made, so nothing is pushed twice.
-    Elsewhere a cancelled entry leaves the remainder at once.
+    +-1 (see _entry), and otherwise on the field's own elements.  Off the
+    log route, on ints and elements alike, -1/lc(g) is folded into g's
+    other coefficients once, so a step adds lc * c to each remainder entry
+    it reaches, and an entry that cancels stays in the remainder as 0 until
+    it surfaces; the key was pushed once, when the entry was made, so
+    nothing is pushed twice.  On logs a cancelled entry leaves the
+    remainder at once, since no log stands for 0.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -595,13 +601,14 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     rem = dict(rem)
     lead = max(k2 for k2, _ in g_items)
     g_rest = [(k2, c2) for k2, c2 in g_items if k2 != lead]
-    logs, ints = tables is not None, domain is _INTS
+    logs = tables is not None
     if logs:
         qm1, zech = tables.qm1, tables.zech
         ginv = tables.log[ginv.code]
         g_rest = [(k2, (c2 + tables.half + ginv) % qm1) for k2, c2 in g_rest]
-    elif ints:
-        ginv = ginv.numerator  # +-1
+    else:
+        if domain is _INTS:
+            ginv = ginv.numerator  # +-1
         g_rest = [(k2, -c2 * ginv) for k2, c2 in g_rest]
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -610,7 +617,9 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     while rem:
         k = -heappop(heap)
         lc = rem.pop(k, None)
-        if lc is None or (ints and not lc):  # cancelled out of the remainder
+        # cancelled out of the remainder; log 0 is the element 1, so a log
+        # is never a cancelled entry
+        if lc is None or (not logs and not lc):
             continue
         dk = k - lead
         # a borrow, then the Z exponent
@@ -633,7 +642,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                         del rem[tk]
                     else:
                         rem[tk] = (acc + z) % qm1
-        elif ints:
+        else:
             quot[dk] = lc * ginv
             for k2, c2 in g_rest:
                 tk = dk + k2
@@ -643,22 +652,6 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                     heappush(heap, -tk)
                 else:
                     rem[tk] = acc + lc * c2
-        else:
-            qc = lc * ginv
-            quot[dk] = qc
-            for k2, c2 in g_rest:
-                tk = dk + k2
-                acc = rem.get(tk)
-                sub = qc * c2
-                if acc is None:
-                    rem[tk] = -sub
-                    heappush(heap, -tk)
-                else:
-                    acc = acc - sub
-                    if acc:
-                        rem[tk] = acc
-                    else:
-                        del rem[tk]
     return MultiPoly._raw(field, _unpack(quot, s, domain))
 
 

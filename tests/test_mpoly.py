@@ -29,6 +29,7 @@ F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2)
+F1000003 = make_field(1000003, 1)  # above TABLE_CEILING, so it has no tables
 
 
 def gens(field=Q):
@@ -605,6 +606,12 @@ def _division_operands(draw):
 # the division sticks at: Y^2 of f here, then Y*Z, which the steps add
 @example(("Q unit lead", MultiPoly.from_text("X^2 - Y^2 + Z", Q), MultiPoly.from_text("X - Y", Q)))
 @example(("Q unit lead", MultiPoly.from_text("X^2 - 2*X*Z - Y^2", Q), MultiPoly.from_text("X - Y - Z", Q)))
+# the same on the element route: Q with a non-unit lead, and a prime field
+# above TABLE_CEILING, which has no tables
+@example(("Q non-unit lead", MultiPoly.from_text("2*X^2 - 2*Y^2 + Z", Q), MultiPoly.from_text("2*X - 2*Y", Q)))
+@example(("F1000003", MultiPoly.from_text("X^2 - Y^2 + Z", F1000003), MultiPoly.from_text("X - Y", F1000003)))
+# a product whose left operand has more terms than the right
+@example(("Q unit lead", MultiPoly.from_text("X^2 + X*Y + Y^2 + Z^2 - 1", Q), MultiPoly.from_text("X - Y", Q)))
 # zero times a divisor whose total degree is past EXPONENT_CAP
 @example(("Q unit lead", MultiPoly.zero(Q), MultiPoly.monomial(Q, (2**40, 2**61, 2**61))))
 def test_kernels_match_the_reference(operands):
@@ -635,7 +642,7 @@ def test_kernels_match_the_reference(operands):
         assert exact_divide(f, g) == expected
 
 
-_EVALUATION_FIELDS = [Q, F9, make_field(13, 1), make_field(1000003, 1)]  # the last has no tables
+_EVALUATION_FIELDS = [Q, F9, make_field(13, 1), F1000003]
 
 
 @settings(max_examples=200, deadline=None)
@@ -679,17 +686,6 @@ def test_products_that_cancel_store_no_zero(field):
         assert all(product._terms.values())
     X, Y, _ = gens(field)
     assert ((X + Y) * (X - Y))._terms == (X**2 - Y**2)._terms
-
-
-@settings(max_examples=60, deadline=None)
-@given(poly_triples())
-def test_products_are_the_same_either_way_round(fgh):
-    # the operand with more terms runs inside, whichever side it is on
-    f, g, h = fgh
-    for u, v in ((f, g), (f, g * h), (g * h, f)):
-        product = u * v
-        assert product._terms == (v * u)._terms
-        assert all(product._terms.values())
 
 
 def _assert_fractions(poly):
@@ -834,6 +830,9 @@ def test_construction_refusals():
         X**-1
     with pytest.raises(ValueError, match="zero polynomial has no leading term"):
         MultiPoly.zero(Q).leading()
+    for point in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match=f"a point has three values, not {len(point)}"):
+            X.evaluate(point)
     assert 3 - X == MultiPoly(Q, {(0, 0, 0): 3, (1, 0, 0): -1})
     with pytest.raises(ValueError, match="multiplicity of the zero form"):
         linear_multiplicity(X, LinearForm(Q, 0, 0))
