@@ -11,7 +11,9 @@ or TSV rows, or terse text).  Exit codes:
 * 3 when an internal cross-check failed (the two ``r_poly`` routes, the
   ``i_poly`` unity check, ``counterexample`` modes, the oracle's parity).
 
-Output is byte-identical for identical configuration.
+Output is byte-identical for identical configuration.  The commands that
+build polynomials import ``vschur``, ``factor`` and ``mpoly`` when they
+run, so ``degree`` and ``sweep degree`` load none of them.
 
 A ``sweep`` target is one entry of ``_SWEEP_TARGETS``: the grid flag only
 it reads (with its values when it needs that flag), its grid, its point
@@ -36,22 +38,6 @@ import os
 import sys
 
 from .ffield import DESK_CEILING, CeilingError, check_ceiling, check_field, field_for, make_field
-from .mpoly import is_symmetric3
-from .vschur import (
-    ExponentPair,
-    Partition3,
-    complete_homogeneous,
-    r_poly,
-    schur_bialternant,
-    t_poly,
-    vandermonde,
-)
-from .factor import (
-    linear_factors_over,
-    signature_witness,
-    verify_fact_eq1,
-    verify_fact_eq2,
-)
 from .newton import (
     TowerParams,
     applicable_modes,
@@ -132,6 +118,8 @@ def _parse_int_set(text: str) -> list[int]:
 
 
 def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
+    from .vschur import ExponentPair, Partition3, r_poly, schur_bialternant, t_poly
+
     fieldv = field_for(args.char, args.ext)
     if args.command in ("tpoly", "rpoly"):
         e = ExponentPair(args.A, args.B, fieldv)
@@ -150,6 +138,9 @@ def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
+    from .factor import linear_factors_over
+    from .vschur import ExponentPair, t_poly
+
     check_ceiling(args.p, args.r, args.ceiling)  # before the field and T are built
     spec = make_field(args.p, args.r)
     e = ExponentPair(args.A, args.B, spec)
@@ -178,6 +169,9 @@ def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _cmd_signature(args: argparse.Namespace, emitter: Emitter) -> int:
+    from .factor import signature_witness
+    from .vschur import ExponentPair
+
     spec = make_field(args.p, args.r)
     e = ExponentPair(args.A, args.B, spec)
     witnesses = signature_witness(e)
@@ -203,13 +197,16 @@ def _cmd_signature(args: argparse.Namespace, emitter: Emitter) -> int:
     return EXIT_PASS if all_true else EXIT_FAIL
 
 
-#: The closed forms that verify-fact checks, by their --which value: the
-#: flag's choices and the text of the sweep's needed-flag refusal.
-_CLOSED_FORMS = {"eq1": verify_fact_eq1, "eq2": verify_fact_eq2}
+#: The closed forms that verify-fact checks, by their --which value, as
+#: names in schurlab.factor: the flag's choices and the text of the
+#: sweep's needed-flag refusal.
+_CLOSED_FORMS = {"eq1": "verify_fact_eq1", "eq2": "verify_fact_eq2"}
 
 
 def _verify_fact_point(which: str, p: int, r: int, ceiling: int) -> dict:
-    ok, report = _CLOSED_FORMS[which](p, r, ceiling)
+    from . import factor
+
+    ok, report = getattr(factor, _CLOSED_FORMS[which])(p, r, ceiling)
     return {"verdict": "pass" if ok else "fail", "factor_count": report.factor_count()}
 
 
@@ -258,6 +255,16 @@ def _cmd_degree(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
+    from .mpoly import is_symmetric3
+    from .vschur import (
+        ExponentPair,
+        complete_homogeneous,
+        r_poly,
+        schur_bialternant,
+        t_poly,
+        vandermonde,
+    )
+
     if args.max_a < 2:  # no pair A > B >= 1
         raise ValueError("the identity grid is empty")
     status = EXIT_PASS

@@ -7,7 +7,7 @@ of :func:`shared_fraction`).  A finite field is described by a
 ``r`` and a fixed monic irreducible modulus of degree ``r`` over F_p.  The
 modulus is chosen deterministically: the lexicographically smallest monic
 irreducible polynomial, comparing coefficient vectors low degree first.
-The search holds one candidate at a time and tests it by Rabin's test,
+The search holds one candidate at a time and tests it by Ben-Or's test,
 whose first step refuses a candidate with a root in F_p at O(log p) cost.
 Two specs built for the same ``(p, r)`` are therefore identical, which
 keeps every downstream artifact (root orderings, factor lists, serialized
@@ -257,25 +257,21 @@ def _frobenius_coprime(xpk: list[int], f: list[int], p: int) -> bool:
 
 
 def _is_irreducible(f: list[int], p: int) -> bool:
-    """Rabin's test for a monic polynomial of degree r >= 1 over F_p.
+    """Ben-Or's test for a monic polynomial of degree r >= 1 over F_p.
 
-    For r >= 2, f is irreducible exactly when x^(p^r) = x mod f and
-    gcd(x^(p^(r/q)) - x, f) = 1 for every prime q dividing r.  The powers
-    x^(p^k) come from one chain of p-th powers, O(r log p) products mod f,
-    and the first link already refuses every f with a root in F_p.
+    A reducible f has an irreducible factor of degree k <= r/2, and then
+    gcd(x^(p^k) - x, f) != 1; so f is irreducible exactly when these gcds
+    are 1 for k = 1 .. r/2 (M. Ben-Or, FOCS 1981).  Each k takes one more
+    p-th power of x mod f, O(log p) products, and the test stops at the
+    first k that fails: k = 1 refuses every f with a root in F_p, and most
+    reducible candidates have a small factor.
     """
-    r = len(f) - 1
-    if r == 1:
-        return True
-    xpk = _poly_powmod([0, 1], p, f, p)
-    if not _frobenius_coprime(xpk, f, p):
-        return False
-    powers = [[0, 1], xpk]  # powers[k] = x^(p^k) mod f
-    for _ in range(r - 1):
-        powers.append(_poly_powmod(powers[-1], p, f, p))
-    if powers[r] != [0, 1]:
-        return False
-    return all(_frobenius_coprime(powers[r // q], f, p) for q in prime_factors(r))
+    xpk = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        xpk = _poly_powmod(xpk, p, f, p)
+        if not _frobenius_coprime(xpk, f, p):
+            return False
+    return True
 
 
 def _rank_mod_p(rows: list[list[int]], p: int) -> int:

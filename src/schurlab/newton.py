@@ -32,11 +32,16 @@ from .ffield import (
     make_field,
     p_power_exponent,
 )
-from .mpoly import CoeffField, LinearForm, MultiPoly, partial_derivative
+
+# The functions that build polynomials import schurlab.mpoly (whose types
+# the annotations name) when called, so the degree formula and its
+# counting oracle load no polynomial layer.
 
 
 def newton_poly(m: int, field: CoeffField = RATIONALS) -> MultiPoly:
     """The power sum x^m + y^m (kept in the first two variable slots)."""
+    from .mpoly import MultiPoly
+
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     return MultiPoly(field, {(m, 0, 0): 1, (0, m, 0): 1})
@@ -68,6 +73,8 @@ def jacobian_nonzero_check(a: int, b: int, p: int = 0) -> bool:
     Computed symbolically from the partial derivatives; over characteristic
     p this is equivalent to p dividing neither a nor b.
     """
+    from .mpoly import partial_derivative
+
     if not (a > b >= 1):
         raise ValueError(f"need a > b >= 1, got ({a}, {b})")
     field = field_for(p)
@@ -127,6 +134,8 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
     verified here.  For p = 2, alpha is the first primitive cube root of
     unity, and an eta is refused.
     """
+    from .mpoly import LinearForm
+
     check_field(p)  # a non-field is refused before any eta is judged
     if p == 2:
         if eta is not None:

@@ -1,10 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from schurlab import cli
+from schurlab import cli, factor, mpoly, vschur
 from schurlab.cli import main
 from schurlab.ffield import FieldSpec
 from schurlab.mpoly import MultiPoly
@@ -192,7 +196,7 @@ def test_factor_refuses_over_the_ceiling_before_building_the_field(capsys, monke
         raise AssertionError("the field or T was built before the ceiling check")
 
     monkeypatch.setattr(cli, "make_field", unreachable)
-    monkeypatch.setattr(cli, "t_poly", unreachable)
+    monkeypatch.setattr(vschur, "t_poly", unreachable)
     args = ["factor", "--A", "3", "--B", "1", "--p", "3", "--r", "80", "--ceiling", "1000000"]
     status, out, err = run_cli(capsys, *args)
     assert (status, out, built) == (2, "", [])
@@ -602,7 +606,7 @@ def test_degree_disagreement_exits_1(capsys, monkeypatch):
 
 
 def test_failed_identity_record_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "is_symmetric3", lambda poly: False)
+    monkeypatch.setattr(mpoly, "is_symmetric3", lambda poly: False)
     status, out, _ = run_cli(capsys, "identity", "--chars", "0", "--max-a", "3")
     assert status == 1
     assert out.splitlines() == [
@@ -756,7 +760,7 @@ def test_sweep_records_failed_points_of_either_target(capsys, monkeypatch):
         "target=degree p=3 r=3 s=1 verdict=fail formula=2 oracle=3\n"
         "target=degree p=3 r=3 s=2 verdict=pass formula=1 oracle=1\n"
         "command=sweep target=degree pass=1 fail=2 skip=0 points=3\n"), "")
-    monkeypatch.setitem(cli._CLOSED_FORMS, "eq1", lambda p, r, ceiling: (p != 3, _Count()))
+    monkeypatch.setattr(factor, "verify_fact_eq1", lambda p, r, ceiling: (p != 3, _Count()))
     assert run_cli(capsys, "sweep", "verify-fact", "--which", "eq1", "--p", "2,3", "--r", "1") == (
         1, ("target=verify-fact which=eq1 p=2 r=1 verdict=pass factor_count=7\n"
             "target=verify-fact which=eq1 p=3 r=1 verdict=fail factor_count=7\n"
@@ -775,3 +779,26 @@ def test_refusals_before_any_output(capsys, argv, err):
     status, out, got_err = run_cli(capsys, *argv.split())
     assert (status, out) == (2, "")
     assert got_err.endswith(err)
+
+
+_POLYNOMIAL_LAYERS = {"schurlab.mpoly", "schurlab.vschur", "schurlab.factor"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    ("degree --p 3 --r 3 --s 1 --mode formula", set()),
+    ("degree --p 3 --r 4 --s 1", set()),
+    ("sweep degree --p 2,3 --r 2:4 --format json", set()),
+    ("tpoly --A 3 --B 1", {"schurlab.mpoly", "schurlab.vschur"}),
+    ("verify-fact --which eq1 --p 3 --r 1", _POLYNOMIAL_LAYERS),
+])
+def test_a_command_loads_only_the_layers_it_runs(argv, layers):
+    # a fresh interpreter through the real entry point, package __init__
+    # included; -X importtime names every module the process imports
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "schurlab.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"schurlab.ffield", "schurlab.newton"} <= imported
+    assert imported & _POLYNOMIAL_LAYERS == layers

@@ -105,16 +105,42 @@ def _reducible_by_products(p, r):
     return out
 
 
+def _rabin_irreducible(f, p):
+    """Oracle: Rabin's test for a monic f of degree r >= 1 over F_p.  For
+    r >= 2, f is irreducible exactly when x^(p^r) = x mod f and
+    gcd(x^(p^(r/q)) - x, f) = 1 for every prime q dividing r; the powers
+    x^(p^k) come from one chain of r p-th powers, whose first link
+    refuses every f with a root in F_p."""
+    r = len(f) - 1
+    if r == 1:
+        return True
+    powers = [[0, 1], _poly_powmod([0, 1], p, f, p)]  # powers[k] = x^(p^k) mod f
+    if not _frobenius_coprime(powers[1], f, p):
+        return False
+    for _ in range(r - 1):
+        powers.append(_poly_powmod(powers[-1], p, f, p))
+    if powers[r] != [0, 1]:
+        return False
+    return all(_frobenius_coprime(powers[r // q], f, p) for q in prime_factors(r))
+
+
 @pytest.mark.parametrize("p,r", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4),
                                  (5, 2), (5, 3), (5, 4), (7, 3)])
 def test_modulus_is_the_first_irreducible_candidate(p, r):
     # candidates run with the constant coefficient most significant, from c0 = 1
     reducible = _reducible_by_products(p, r)
     for f in _monic(p, r):
-        assert _is_irreducible(f, p) is (tuple(f) not in reducible), f
+        assert _is_irreducible(f, p) is _rabin_irreducible(f, p) is (tuple(f) not in reducible), f
     ordered = sorted(tuple(f) for f in _monic(p, r) if f[0])
     first = next(f for f in ordered if f not in reducible)
     assert make_field(p, r).modulus == first
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_ben_or_and_rabin_choose_the_same_modulus(p, monkeypatch):
+    chosen = {r: make_field(p, r).modulus for r in range(1, 30)}
+    monkeypatch.setattr(ffield, "_is_irreducible", _rabin_irreducible)
+    assert {r: make_field.__wrapped__(p, r).modulus for r in range(1, 30)} == chosen
 
 
 def _kernel_size(rows, p, n):
