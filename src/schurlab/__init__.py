@@ -79,7 +79,8 @@ _EXPORTS = {
     for name in names
 }
 
-__all__ = list(_EXPORTS)
+#: the public names, then the submodules that define them
+__all__ = [*_EXPORTS, *dict.fromkeys(_EXPORTS.values())]
 
 __version__ = "0.1.0"
 

@@ -11,8 +11,10 @@ _SUBMODULES = ("ffield", "mpoly", "vschur", "factor", "newton")
 
 
 def test_every_public_name_is_its_defining_modules_object():
-    assert len(schurlab.__all__) == len(set(schurlab.__all__)) == 54
-    for name in schurlab.__all__:
+    names = [name for name in schurlab.__all__ if name not in _SUBMODULES]
+    assert schurlab.__all__ == names + list(_SUBMODULES)
+    assert len(set(names)) == 54
+    for name in names:
         module = importlib.import_module(f"schurlab.{schurlab._EXPORTS[name]}")
         assert getattr(schurlab, name) is vars(module)[name], name
     assert set(schurlab.__all__) <= set(dir(schurlab))
@@ -27,6 +29,8 @@ def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from schurlab import *", namespace)
     del namespace["__builtins__"]
+    # the 54 public names and the five submodules, as when the package
+    # imported every submodule eagerly
     assert set(namespace) == set(schurlab.__all__)
     assert all(value is getattr(schurlab, name) for name, value in namespace.items())
 
