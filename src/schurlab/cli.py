@@ -8,8 +8,9 @@ or TSV rows, or terse text).  Exit codes:
   skipped over the ceiling);
 * 2 on usage or configuration errors, a refusal over ``--ceiling`` outside
   a sweep, and input too large to represent;
-* 3 when an internal cross-check failed (the two ``r_poly`` routes, the
-  ``i_poly`` unity check, ``counterexample`` modes, the oracle's parity).
+* 3 when an internal cross-check failed (the two ``r_poly`` routes,
+  ``i_poly`` against the determinant, ``counterexample`` modes, the
+  oracle's parity).
 
 Output is byte-identical for identical configuration.  The commands that
 build polynomials import ``vschur``, ``factor`` and ``mpoly`` when they

@@ -368,9 +368,11 @@ class FieldSpec:
                 f"need extension degree {needed} over F_{self.p}",
                 required_degree=needed,
             )
-        g = multiplicative_generator(self)
-        step = q1 // n if n > 1 else 0
-        roots = {g ** (step * k) for k in range(n)} if n > 1 else {self.one()}
+        # h has order exactly n, so its powers are the n roots
+        h = _first_unit_reaching(self, n) ** (q1 // n)
+        roots = [self.one()]
+        for _ in range(n - 1):
+            roots.append(roots[-1] * h)
         return sorted(roots, key=lambda e: e.code)
 
     def elements(self) -> Iterator["FFElement"]:
@@ -535,26 +537,34 @@ def _schoolbook_pow(spec: FieldSpec, a, e: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def multiplicative_generator(spec: FieldSpec) -> "FFElement":
-    """First element (by coordinate vector) generating the unit group.
+    """First element (by coordinate vector) generating the unit group."""
+    return _first_unit_reaching(spec, spec.order() - 1)
+
+
+def _first_unit_reaching(spec: FieldSpec, n: int) -> "FFElement":
+    """First unit y (by coordinate vector) with y^((q-1)/ell) != 1 for every
+    prime ell dividing n, for n | q - 1; then y^((q-1)/n) has order exactly
+    n.  Only n is factored, so roots of a small order cost little in a
+    field whose q - 1 has large prime factors.
 
     A nonzero h is c*y, with c in F_p^* its first nonzero coordinate and y
-    scaled so that its own is 1.  With q - 1 = (p - 1)*n, so n = r mod p - 1,
+    scaled so that its own is 1.  With q - 1 = (p - 1)*m, so m = r mod p - 1,
     and ell a prime factor of q - 1: if ell does not divide p - 1, then
     h^((q-1)/ell) = y^((q-1)/ell), as c^(p-1) = 1; if it does, then
-    h^((q-1)/ell) = (c^r * N(y))^((p-1)/ell), where N(y) = y^n lies in F_p.
+    h^((q-1)/ell) = (c^r * N(y))^((p-1)/ell), where N(y) = y^m lies in F_p.
     So the field powers are taken once per class y, and each code in the
     scan costs only powers of ints mod p.  When ell also divides r, c^r is
     an ell-th power, so N(y) alone can rule out every c.
     """
     p, r, q = spec.p, spec.r, spec.order()
-    ells = prime_factors(q - 1) if q > 2 else []
+    ells = prime_factors(n)
     class_checks = [(q - 1) // ell for ell in ells if (p - 1) % ell]
     base_checks = [(p - 1) // ell for ell in ells if (p - 1) % ell == 0]
     norm_checks = [(p - 1) // ell for ell in ells if (p - 1) % ell == 0 and r % ell == 0]
     one = spec._decode(q // p)
 
     @functools.cache
-    def norm(y):  # N(y) mod p, or None when no c makes c*y a generator
+    def norm(y):  # N(y) mod p, or None when no c makes c*y reach order n
         if any(_schoolbook_pow(spec, y, e) == one for e in class_checks):
             return None
         m = _schoolbook_pow(spec, y, (q - 1) // (p - 1))[0] if base_checks else 1

@@ -13,28 +13,20 @@ The quotient T(A, B) is built from that Schur polynomial, whose
 coefficients are Gelfand-Tsetlin pattern counts, with no division; the
 bialternant route, the determinant divided by the Vandermonde, stays in
 :func:`schur_bialternant` as the second route the identity checks compare.
+The intermediate quotient I(A, B) = R/(X^d - Y^d) is built from its closed
+form too, and checked by one product against the determinant.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .ffield import (
-    DESK_CEILING,
-    RATIONALS,
-    CeilingError,
-    FieldSpec,
-    check_ceiling,
-    make_field,
-    unity_degree,
-)
+from .ffield import RATIONALS
 from .mpoly import (
     EXPONENT_CAP,
     CoeffField,
     ExponentOverflowError,
-    LinearForm,
     MultiPoly,
     exact_divide,
 )
@@ -125,75 +117,32 @@ def r_poly(e: ExponentPair) -> MultiPoly:
 
 
 def i_poly(e: ExponentPair) -> MultiPoly:
-    """The intermediate quotient R / (X^d - Y^d).
+    """The intermediate quotient I = R / (X^d - Y^d), built from its closed form.
 
-    When the characteristic divides none of A, B, A - B, the quotient is
-    additionally cross-checked against its product expansion over roots of
-    unity: Z^A prod(X - zY | z^B = 1, z^d != 1) - Z^B prod(X - zY | z^A = 1,
-    z^d != 1) + X^B Y^B prod(X - zY | z^(A-B) = 1, z^d != 1).  The check
-    runs in the given field when it holds those roots, and otherwise in
-    the smallest F_{p^k} that does; it is skipped with a warning only when
-    that field would exceed DESK_CEILING.
+    With G_n = (X^n - Y^n)/(X^d - Y^d) = sum over 0 <= k < n/d of
+    X^(n-d-kd) Y^(kd), dividing the three terms of R's closed form gives
+
+        I = Z^A G_B - Z^B G_A + X^B Y^B G_(A-B).
+
+    The Z-powers A, B and 0 differ, so I has exactly 2A/d terms, each
+    +-1, in every characteristic.  It is cross-checked in every field by
+    the one product I * (X^d - Y^d) == R; a mismatch raises ArithmeticError.
     """
-    field = e.field
-    d = e.d
-    divisor = MultiPoly(field, {(d, 0, 0): 1, (0, d, 0): -1})
-    quotient = exact_divide(r_poly(e), divisor)
-    _i_poly_unity_check(e, quotient)
-    return quotient
-
-
-def _i_poly_unity_check(e: ExponentPair, quotient: MultiPoly) -> None:
-    p = e.field.p
-    if p == 0:
-        return  # the product form lives over roots of unity; finite fields only
-    A, B, d = e.A, e.B, e.d
-    if A % p == 0 or B % p == 0 or (A - B) % p == 0:
-        return
-    n = math.lcm(A, B, A - B)
-    big = e.field
-    if (big.order() - 1) % n:
-        k = unity_degree(p, n)
-        try:
-            check_ceiling(p, k, DESK_CEILING)
-        except CeilingError as exc:
-            warnings.warn(
-                f"roots-of-unity cross-check skipped for (A,B)=({A},{B}): {exc}",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
-        big = make_field(p, k)
-    # R has coefficients +-1 and X^d - Y^d is monic, so every coefficient of
-    # the quotient lies in F_p, and moves into any F_{p^k} as its residue
-    moved = {}
-    for m, c in quotient._terms.items():
-        residue, *higher = c.coeffs
-        if any(higher):
-            raise ArithmeticError(
-                f"quotient for (A,B)=({A},{B}) has a coefficient {c} outside F_{p}"
-            )
-        moved[m] = big.from_int(residue)
-    if MultiPoly(big, moved) != _unity_product_form(A, B, d, big):
+    A, B, d, field = e.A, e.B, e.d, e.field
+    R = r_poly(e)
+    one, minus_one = field.one(), field.from_int(-1)
+    terms = {}
+    # (n, power of Z, sign, power of X and Y in front of G_n)
+    for n, z, sign, shift in ((B, A, one, 0), (A, B, minus_one, 0), (A - B, 0, one, B)):
+        for k in range(0, n, d):
+            terms[(shift + n - d - k, shift + k, z)] = sign
+    quotient = MultiPoly._raw(field, terms)
+    divisor = MultiPoly._raw(field, {(d, 0, 0): one, (0, d, 0): minus_one})
+    if quotient * divisor != R:
         raise ArithmeticError(
-            f"quotient and roots-of-unity product disagree for (A,B)=({A},{B})"
+            f"closed form of I times X^d - Y^d is not R for (A,B)=({A},{B})"
         )
-
-
-def _unity_product_form(A: int, B: int, d: int, spec: FieldSpec) -> MultiPoly:
-    unit = spec.one()
-
-    def prod_over(n: int) -> MultiPoly:
-        out = MultiPoly.one(spec)
-        for zeta in spec.roots_of_unity(n):
-            if zeta**d != unit:
-                out = out * LinearForm(spec, 1, -zeta).as_poly()
-        return out
-
-    ZA = MultiPoly.monomial(spec, (0, 0, A))
-    ZB = MultiPoly.monomial(spec, (0, 0, B))
-    XBYB = MultiPoly.monomial(spec, (B, B, 0))
-    return ZA * prod_over(B) - ZB * prod_over(A) + XBYB * prod_over(A - B)
+    return quotient
 
 
 def t_poly(e: ExponentPair) -> MultiPoly:

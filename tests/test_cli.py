@@ -132,9 +132,19 @@ def test_signature_refusal_names_the_degree_that_holds_every_root(capsys):
     status, out, err = run_cli(capsys, "signature", "--A", "13", "--B", "5", "--p", "7", "--r", "1")
     assert (status, out) == (2, "")
     assert err == "error: 40 does not divide 7 - 1; need extension degree 4 over F_7\n"
-    with pytest.warns(RuntimeWarning, match="ceiling"):  # the check needs F_{7^12}
-        status, _, _ = run_cli(capsys, "signature", "--A", "13", "--B", "5", "--p", "7", "--r", "4")
-    assert status == 0
+    status, out, err = run_cli(capsys, "signature", "--A", "13", "--B", "5", "--p", "7", "--r", "4")
+    assert (status, err) == (0, "")
+    assert out == "witnesses=11 lower=7 upper=4 all_verdicts_true=true\n"
+
+
+def test_signature_reports_a_failed_check_of_the_quotient_as_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(vschur, "r_poly", lambda e: MultiPoly.zero(e.field))
+    status, out, err = run_cli(capsys, "signature", "--A", "5", "--B", "2", "--p", "7", "--r", "1")
+    assert (status, out) == (3, "")
+    assert err == (
+        "error: internal check failed: "
+        "closed form of I times X^d - Y^d is not R for (A,B)=(5,2)\n"
+    )
 
 
 def test_factor_command_tsv(capsys):

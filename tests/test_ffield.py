@@ -412,6 +412,47 @@ def test_roots_of_unity_form_cyclic_group():
     assert max(orders) == 4
 
 
+@pytest.mark.parametrize(
+    "p, r, orders",
+    # F_49 computes on tables, F_{5^20} without; 5^20 - 1 has the prime factor 9161
+    [(7, 2, (1, 2, 3, 4, 8, 16, 48)), (5, 20, (1, 2, 3, 4, 11, 13, 41, 71))],
+)
+def test_roots_of_unity_factor_their_order_not_q_minus_1(monkeypatch, p, r, orders):
+    spec = make_field(p, r)
+    spec.one() * spec.one()  # builds the tables, if the field has any, first
+    seen = []
+
+    def recording(n):
+        seen.append(n)
+        return prime_factors(n)
+
+    monkeypatch.setattr(ffield, "prime_factors", recording)
+    for n in orders:
+        seen.clear()
+        roots = spec.roots_of_unity(n)
+        assert len(set(roots)) == n and all(z**n == spec.one() for z in roots)
+        assert seen == [n]
+
+
+def test_roots_of_unity_are_the_powers_of_the_generator():
+    # every field with q <= 2^12 and every order n | q - 1; each field's tables
+    # are dropped after it, so that 604 fields do not hold theirs at once
+    fields = [(p, r) for p in range(2, 2**12) if is_prime(p) for r in range(1, 13) if p**r <= 2**12]
+    assert len(fields) == 604
+    for p, r in fields:
+        spec = make_field(p, r)
+        q1 = spec.order() - 1
+        g = multiplicative_generator(spec)
+        powers = [spec.one()]
+        for _ in range(q1 - 1):
+            powers.append(powers[-1] * g)
+        for n in range(1, q1 + 1):
+            if q1 % n == 0:
+                want = sorted(powers[:: q1 // n], key=lambda z: z.code)
+                assert spec.roots_of_unity(n) == want, (p, r, n)
+        vars(spec).pop("_tables")
+
+
 def _reference_generator(spec):
     """Oracle: the first code x with x^((q-1)/ell) != 1 for every prime ell | q - 1."""
     q1 = spec.order() - 1

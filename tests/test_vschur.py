@@ -1,10 +1,11 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from schurlab import cli, vschur
-from schurlab.ffield import make_field
+from schurlab.ffield import make_field, unity_degree
 from schurlab.mpoly import (
     EXPONENT_CAP,
     RATIONALS,
@@ -114,7 +115,7 @@ def test_i_poly_division_structure_over_f5():
 
 
 def test_i_poly_unity_cross_check_runs_in_field():
-    # F7 already contains the 2nd/3rd/5th roots needed for (5, 2): no warning
+    # F7 holds the 2nd, 3rd and 5th roots of the product form for (5, 2): no warning
     import warnings
 
     with warnings.catch_warnings():
@@ -123,7 +124,7 @@ def test_i_poly_unity_cross_check_runs_in_field():
 
 
 def test_i_poly_unity_cross_check_builds_extension():
-    # (7, 5) over F_3 needs the 2nd, 5th and 7th roots: minimal level is 3^12
+    # F3 lacks the 2nd, 5th and 7th roots for (7, 5), first in F_{3^12}: no warning
     import warnings
 
     with warnings.catch_warnings():
@@ -131,48 +132,84 @@ def test_i_poly_unity_cross_check_builds_extension():
         i_poly(ExponentPair(7, 5, F3))
 
 
-def test_i_poly_unity_check_in_a_field_that_holds_the_roots(monkeypatch):
-    # F7 holds the 6th roots of unity that (3, 2) needs, so nothing is lifted
-    e = ExponentPair(3, 2, F7)
-    i_poly(e)
-    monkeypatch.setattr(vschur, "_unity_product_form", lambda A, B, d, spec: MultiPoly.zero(spec))
-    with pytest.raises(ArithmeticError, match="roots-of-unity product disagree"):
+def _unity_product_form(A, B, d, spec):
+    """Oracle for I: Z^A prod(X - zY | z^B = 1, z^d != 1)
+    - Z^B prod(X - zY | z^A = 1, z^d != 1)
+    + X^B Y^B prod(X - zY | z^(A-B) = 1, z^d != 1), in a field holding the roots."""
+    unit = spec.one()
+
+    def prod_over(n):
+        out = MultiPoly.one(spec)
+        for zeta in spec.roots_of_unity(n):
+            if zeta**d != unit:
+                out = out * LinearForm(spec, 1, -zeta).as_poly()
+        return out
+
+    ZA, ZB, XBYB = (MultiPoly.monomial(spec, m) for m in ((0, 0, A), (0, 0, B), (B, B, 0)))
+    return ZA * prod_over(B) - ZB * prod_over(A) + XBYB * prod_over(A - B)
+
+
+def test_i_poly_equals_its_roots_of_unity_product():
+    # where p divides none of A, B, A - B the roots are distinct, and I splits
+    # over F_{p^k}, the least field holding the lcm(A, B, A - B)-th roots
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for A in range(2, 21):
+            for B in range(1, A):
+                if A * B * (A - B) % p == 0:
+                    continue
+                k = unity_degree(p, math.lcm(A, B, A - B))
+                if p**k > 2**17:
+                    continue
+                e = ExponentPair(A, B, make_field(p, k))
+                assert i_poly(e) == _unity_product_form(A, B, e.d, e.field), (p, A, B)
+                checked += 1
+    assert checked == 126
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3, F5, F7, F9], ids=str)
+def test_i_poly_is_the_exact_quotient_with_2A_over_d_unit_terms(field):
+    # every pair, the characteristic dividing A * B * (A - B) included
+    one, minus_one = field.one(), -field.one()
+    X, Y, _ = MultiPoly.gens(field)
+    for A in range(2, 25):
+        for B in range(1, A):
+            e = ExponentPair(A, B, field)
+            I = i_poly(e)
+            assert I == exact_divide(r_poly(e), X**e.d - Y**e.d), (A, B)
+            assert I.num_terms() == 2 * A // e.d, (A, B)
+            assert all(c == one or c == minus_one for _, c in I.terms()), (A, B)
+
+
+@pytest.mark.parametrize(
+    "A, B, field",
+    # over Q; in fields that hold the roots of unity and that lack them;
+    # and at (11, 3) over F_5, whose roots lie first in F_{5^10}
+    [(3, 2, Q), (7, 3, Q), (3, 2, F7), (5, 1, F9), (11, 3, F5), (6, 4, F2)],
+    ids=str,
+)
+def test_i_poly_checks_its_closed_form_against_r_in_every_field(monkeypatch, A, B, field):
+    e = ExponentPair(A, B, field)
+    monkeypatch.setattr(vschur, "r_poly", lambda e: MultiPoly.zero(e.field))
+    with pytest.raises(ArithmeticError) as exc:
         i_poly(e)
+    assert str(exc.value) == f"closed form of I times X^d - Y^d is not R for (A,B)=({A},{B})"
 
 
-def test_i_poly_unity_check_runs_in_an_extension_field_without_the_roots(monkeypatch):
-    # (5, 1) needs the 20th roots of unity, which F9 lacks: the quotient moves
-    # into F_{3^4} and is compared there, with no warning
+def test_i_poly_gives_no_warning_where_the_roots_lie_far_above_the_ceiling():
+    # (11, 3) over F_5 needs the 264th roots of unity, first in F_{5^10}
     import warnings
 
-    e = ExponentPair(5, 1, F9)
-    monkeypatch.setattr(vschur, "_unity_product_form", lambda A, B, d, spec: MultiPoly.zero(spec))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError, match="roots-of-unity product disagree"):
-            i_poly(e)
+        I = i_poly(ExponentPair(11, 3, F5))
+    assert I.num_terms() == 22
 
 
-def test_i_poly_unity_check_refuses_a_coefficient_outside_the_prime_field():
-    e = ExponentPair(5, 1, F9)
-    quotient = i_poly(e) + MultiPoly(F9, {(1, 0, 0): F9.element((0, 1))})
-    with pytest.raises(ArithmeticError, match="outside F_3"):
-        vschur._i_poly_unity_check(e, quotient)
-
-
-def test_i_poly_unity_cross_check_respects_ceiling():
-    # (11, 3) over F_5 needs the 264th roots of unity, first in F_{5^10}
-    with pytest.warns(RuntimeWarning, match="ceiling"):
-        i_poly(ExponentPair(11, 3, F5))
-
-
-def test_i_poly_unity_skip_gives_the_ceiling_refusal_after_its_prefix():
-    with pytest.warns(RuntimeWarning) as caught:
-        i_poly(ExponentPair(11, 3, F5))
-    assert [str(w.message) for w in caught] == [
-        "roots-of-unity cross-check skipped for (A,B)=(11,3): "
-        "field order 5^10 exceeds the ceiling 1000000"
-    ]
+def test_i_poly_refuses_a_huge_exponent_before_enumerating():
+    # the closed form of (EXPONENT_CAP, 1) would have 2^63 terms
+    with pytest.raises(ExponentOverflowError):
+        i_poly(ExponentPair(EXPONENT_CAP, 1))
 
 
 def test_t_poly_degenerate_pair_is_one():
