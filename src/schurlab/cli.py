@@ -20,7 +20,8 @@ A ``sweep`` target is one entry of ``_SWEEP_TARGETS``: the grid flag only
 it reads (with its values when it needs that flag), its grid, its point
 runner and its result keys.  ``sweep`` refuses, in this order: a flag the
 target needs and lacks, a flag of another entry, a grid value the library
-refuses (``check_field``, then ``TowerParams``), and an empty grid.
+refuses (``check_field``, then ``TowerParams`` or, under the ceiling,
+``factor.check_closed_form``), and an empty grid.
 
 Examples::
 
@@ -303,10 +304,18 @@ def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _verify_fact_grid(args: argparse.Namespace) -> list[dict]:
+    from .factor import check_closed_form
+
     for pp in args.p:
         for rr in args.r:
             check_field(pp, rr)
-    return [{"which": args.which, "p": pp, "r": rr} for pp in args.p for rr in args.r]
+    points = [{"which": args.which, "p": pp, "r": rr} for pp in args.p for rr in args.r]
+    for pt in points:  # an exponent past the cap is refused before the first record
+        try:
+            check_closed_form(**pt, ceiling=args.ceiling)
+        except CeilingError:
+            pass  # the point is a skip, as its record will say
+    return points
 
 
 def _degree_grid(args: argparse.Namespace) -> list[dict]:

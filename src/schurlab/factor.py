@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 from .ffield import DESK_CEILING, FieldSpec, check_ceiling, field_of, make_field
 from .mpoly import (
+    EXPONENT_CAP,
     ZERO_POLY,
+    ExponentOverflowError,
     InexactDivisionError,
     LinearForm,
     MultiPoly,
@@ -281,6 +283,20 @@ def _splitting_report(e: ExponentPair, forms: _Forms, ok: bool) -> tuple[bool, F
     )
 
 
+def check_closed_form(which: str, p: int, r: int, ceiling: int = DESK_CEILING) -> None:
+    """The refusals of the closed-form check ``which`` ("eq1" or "eq2") over
+    F_q, q = p^r, building nothing: CeilingError when q exceeds the ceiling,
+    then ExponentOverflowError when the check writes an exponent at or above
+    EXPONENT_CAP (eq1's Moore determinant holds Y^(q+1), and eq2's
+    X*Y^(q+1)*Z*R holds Y^(q^2+q))."""
+    check_ceiling(p, r, ceiling)
+    q = p**r
+    if {"eq1": q + 1, "eq2": q * q + q}[which] >= EXPONENT_CAP:
+        raise ExponentOverflowError(
+            f"exponent too large: the {which} check for q = {p}^{r} writes exponents of "
+            f"2^{EXPONENT_CAP.bit_length() - 1} or more")
+
+
 def verify_fact_eq1(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, FactorReport]:
     """Check that the quotient for (p^r, 1) splits into its closed-form factors.
 
@@ -292,9 +308,9 @@ def verify_fact_eq1(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, 
     and V_1 != 0 cancels in the integral domain F_q[X,Y,Z], T = P exactly
     when R = det(u, v).  Both sides have O(1) terms at every q: T is never
     built and nothing is divided.  The tests multiply the forms out as the
-    oracle.  Raises CeilingError when p^r exceeds the ceiling.
+    oracle.  Refuses as check_closed_form does, before the field is built.
     """
-    check_ceiling(p, r, ceiling)
+    check_closed_form("eq1", p, r, ceiling)
     spec = make_field(p, r)
     q, one = spec.order(), spec.one()
     X, Y, Z = MultiPoly.gens(spec)
@@ -318,9 +334,9 @@ def verify_fact_eq2(p: int, r: int, ceiling: int = DESK_CEILING) -> tuple[bool, 
     cancels in the integral domain F_q[X,Y,Z], T = P exactly when
     X*Y^(q+1)*Z*R = det(Y*u, Y*v), with O(1) terms at every q.  The
     report generates its (q - 1)^2 forms only when they are read, so the
-    ceiling is on q, as for eq1: raises CeilingError when p^r exceeds it.
+    ceiling is on q, and the refusals are those of check_closed_form.
     """
-    check_ceiling(p, r, ceiling)
+    check_closed_form("eq2", p, r, ceiling)
     spec = make_field(p, r)
     q = spec.order()
     X, Y, Z = MultiPoly.gens(spec)
@@ -365,8 +381,9 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
         raise ValueError(
             f"characteristic {p} divides B or A - B; signatures degenerate"
         )
-    # one FieldTooSmallError, naming the degree that holds every root, before any work
-    e.field.roots_of_unity(math.lcm(B, A - B))
+    # one scan, and one FieldTooSmallError naming the degree that holds
+    # every root, before any work; each family takes its roots from it
+    roots = e.field.roots_of_unity(math.lcm(B, A - B))
     one = e.field.one()
     # (kind, length, root order, Z powers of the checked coefficients; deg_Z I = A)
     families = (
@@ -376,8 +393,8 @@ def signature_witness(e: ExponentPair) -> list[SignatureWitness]:
     I = i_poly(e)
     witnesses = []
     for kind, length, order, z_powers in families:
-        for root in e.field.roots_of_unity(order):
-            if root**d == one:
+        for root in roots:
+            if root**order != one or root**d == one:
                 continue
             form = LinearForm(e.field, 1, -root)
             checks = tuple(

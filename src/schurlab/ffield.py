@@ -32,14 +32,14 @@ shared objects and allocate nothing), ``log[code]``, the powers
 needs no reduction, and the Zech logarithms ``zech[k] = log(1 + g^k)``,
 None where 1 + g^k = 0.  Then x*y = exp[log x + log y] and
 g^i + g^j = exp[i + zech[j - i]]; negation, inversion, powers and
-Frobenius are arithmetic on the exponent, and subtraction is the addition
-of the negation.  Since 1 is the code p^(r-1), 1 + g^k only changes the
-top digit of the code of g^k.  Larger fields compute on the decoded
-coordinates with the same dense F_p[x] kernel (multiply, reduce by the
-modulus, power) as the modulus search; the tests check the tables against
-it, and the degree oracle of :mod:`schurlab.newton` builds its F_p-linear
-map with it and takes the map's rank mod p by Gaussian elimination, with
-no table.  A larger prime field (r = 1) computes on its codes mod p.
+Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
+1 + g^k only changes the top digit of the code of g^k.  Larger fields
+compute on the decoded coordinates with the same dense F_p[x] kernel
+(multiply, reduce by the modulus, power) as the modulus search; the tests
+check the tables against it, and the degree oracle of
+:mod:`schurlab.newton` builds its F_p-linear map with it and takes the
+map's rank mod p by Gaussian elimination, with no table.  A larger prime
+field (r = 1) computes on its codes mod p.
 
 Both kinds of field answer one interface, which is all the rest of the
 package uses (except that :mod:`schurlab.mpoly` runs integral rational
@@ -671,6 +671,9 @@ class FFElement:
     ``FFElement(spec, coeffs)`` takes the r coordinates in the power basis,
     low degree first; ``coeffs`` reads them back.
 
+    In every field, with tables or without, ``x + y`` with a zero operand
+    returns the other operand itself, and ``x - y`` is ``x + -y``.
+
     An element compared with an int is NotImplemented, so ``one() == 1`` is
     False, though ``+``, ``-``, ``*`` and ``/`` coerce an int.  Equal
     objects must hash equal, and F_p's 1 would equal every int congruent to
@@ -746,14 +749,14 @@ class FFElement:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        t = spec._tables
-        if t is None:
-            return _coordinatewise(self, other, 1)
         a, b = self.code, other.code
         if not a:
             return other
         if not b:
             return self
+        t = spec._tables
+        if t is None:
+            return _coordinatewise(self, other, 1)
         log = t.log
         i = log[a]
         z = t.zech[log[b] - i]
@@ -768,13 +771,9 @@ class FFElement:
         return t.exp[t.log[self.code] + t.half] if self.code else self
 
     def __sub__(self, other):
-        spec = self.spec
-        if other.__class__ is not FFElement or other.spec is not spec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        if spec._tables is None:
-            return _coordinatewise(self, other, -1)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self + -other
 
     def __rsub__(self, other):

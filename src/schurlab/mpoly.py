@@ -15,10 +15,12 @@ and are handled only through that field's interface, with two exceptions:
   of the coefficients, read from the field's private log and Zech tables,
   and its quotient comes back as the tables' shared elements.
 
-Each kernel picks its coefficient domain once, on entry.  On ints a
-product adds every term pair into its key and drops the cancelled keys in
-one pass at the end.  An exact division on ints or on elements keeps a
-remainder entry that cancels to zero until it comes off the heap (see
+Each kernel picks its coefficient domain once, on entry.  Terms are
+summed by one rule: every sum is taken, then one pass drops the monomials
+that cancelled.  A product, in every domain, adds each term pair into its
+key from the domain's zero, and the constructor, ``+`` and ``from_text``
+merge through one helper.  An exact division on ints or on elements keeps
+a remainder entry that cancels to zero until it comes off the heap (see
 :func:`exact_divide`).
 There is no floating point anywhere.
 
@@ -105,15 +107,15 @@ def _pack(terms: dict, s: int, domain) -> list[tuple[int, object]] | None:
     field's tables take its elements to their discrete logarithms.  Returns
     None when the domain is _INTS and a coefficient is no integer."""
     s2 = 2 * s
-    items = terms.items()
-    if domain is None:
-        return [((a + b + c) << s2 | a << s | b, v) for (a, b, c), v in items]
+    values = terms.values()
     if domain is _INTS:
-        ratios = zip(terms, map(Fraction.as_integer_ratio, terms.values()))
-        out = [((a + b + c) << s2 | a << s | b, n) for (a, b, c), (n, q) in ratios if q == 1]
-        return out if len(out) == len(terms) else None
-    log = domain.log
-    return [((a + b + c) << s2 | a << s | b, log[v.code]) for (a, b, c), v in items]
+        values = _ints(terms)
+        if values is None:
+            return None
+    elif domain is not None:
+        log = domain.log
+        values = [log[v.code] for v in values]
+    return [((a + b + c) << s2 | a << s | b, v) for (a, b, c), v in zip(terms, values)]
 
 
 def _entry(s: int, operands: tuple, ints: bool, tables=None):
@@ -160,6 +162,19 @@ def _unpack(terms: dict, s: int, domain) -> dict:
     return out
 
 
+def _merge(terms: dict, items) -> dict:
+    """terms with each (monomial, coefficient) of items added in: every sum
+    is taken first, then one pass drops the monomials that cancelled.  A
+    monomial new to terms keeps its coefficient object, so coefficients
+    the field shares stay shared."""
+    out = dict(terms)
+    get = out.get
+    for mon, c in items:
+        acc = get(mon)
+        out[mon] = c if acc is None else acc + c
+    return {mon: c for mon, c in out.items() if c}
+
+
 def _power_row(v, exponents, one) -> dict:
     """v^e for each e in exponents, each power from the one below it: a
     dense set of exponents costs one product each, and a sparse one no more
@@ -197,24 +212,16 @@ class MultiPoly:
     __slots__ = ("field", "_terms")
 
     def __init__(self, field: CoeffField, terms=None):
-        clean: dict[Monomial, object] = {}
+        items = []
         for mon, c in (terms or {}).items():
             mon = tuple(map(operator.index, mon))
             if len(mon) != 3 or min(mon) < 0:
                 raise ValueError(f"bad monomial {mon}")
             if max(mon) >= EXPONENT_CAP:
                 raise ExponentOverflowError(f"exponent too large in {mon}")
-            c = field.coerce(c)
-            if c:
-                prev = clean.get(mon)
-                if prev is not None:
-                    c = prev + c
-                    if not c:
-                        del clean[mon]
-                        continue
-                clean[mon] = c
+            items.append((mon, field.coerce(c)))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _merge({}, items))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -330,15 +337,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_field(other)
-        out = dict(self._terms)
-        for mon, c in other._terms.items():
-            acc = out.get(mon)
-            acc = c if acc is None else acc + c
-            if not acc:
-                out.pop(mon, None)
-            else:
-                out[mon] = acc
-        return MultiPoly._raw(self.field, out)
+        return MultiPoly._raw(self.field, _merge(self._terms, other._terms.items()))
 
     __radd__ = __add__
 
@@ -378,27 +377,14 @@ class MultiPoly:
         domain, (left, right) = _entry(s, (left, right), ints=self.field is RATIONALS)
         if len(left) > len(right):
             left, right = right, left  # the longer operand runs inside
+        zero = 0 if domain is _INTS else self.field.zero()
         out: dict[int, object] = {}
         get = out.get
-        if domain is _INTS:
-            for k1, c1 in left:
-                for k2, c2 in right:
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
-            out = {k: c for k, c in out.items() if c}  # drop the cancelled terms
-        else:
-            # a field element's add and truth test are Python calls, so a
-            # new key takes its product as it is and a cancelled one goes
-            for k1, c1 in left:
-                for k2, c2 in right:
-                    k = k1 + k2
-                    acc = get(k)
-                    prod = c1 * c2
-                    acc = prod if acc is None else acc + prod
-                    if not acc:
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                out[k] = get(k, zero) + c1 * c2
+        out = {k: c for k, c in out.items() if c}  # drop the cancelled terms
         return MultiPoly._raw(self.field, _unpack(out, s, domain))
 
     __rmul__ = __mul__
@@ -498,16 +484,14 @@ class MultiPoly:
         text = text.strip()
         if text == "0":
             return cls.zero(field)
-        out: dict[Monomial, object] = {}
+        terms = []
         for chunk in text.replace("- ", "+ -").split("+ "):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            sign = 1
-            if chunk.startswith("-"):
-                sign = -1
-                chunk = chunk[1:]
             coeff = field.one()
+            if chunk.startswith("-"):
+                coeff, chunk = -coeff, chunk[1:]
             mon = [0, 0, 0]
             for factor in chunk.split("*"):
                 factor = factor.strip()
@@ -516,11 +500,8 @@ class MultiPoly:
                     mon[_VAR_INDEX[base]] += int(exp) if exp else 1
                 else:
                     coeff = coeff * field.parse(factor)
-            if sign < 0:
-                coeff = -coeff
-            key = tuple(mon)
-            out[key] = out.get(key, field.zero()) + coeff
-        return cls(field, out)
+            terms.append((tuple(mon), coeff))
+        return cls(field, _merge({}, terms))
 
     def to_json_terms(self) -> list:
         """JSON form: list of [coefficient token, [a, b, c]]."""

@@ -70,17 +70,9 @@ class Partition3:
 def _generalized_vandermonde(exps: tuple[int, int, int], d: int, field: CoeffField) -> MultiPoly:
     """det of the matrix with rows (X^(e*d), Y^(e*d), Z^(e*d)) for e in exps."""
     e1, e2, e3 = (e * d for e in exps)
-    terms = {}
-    for (a, b, c), sign in (
-        ((e1, e2, e3), 1),
-        ((e1, e3, e2), -1),
-        ((e2, e3, e1), 1),
-        ((e2, e1, e3), -1),
-        ((e3, e1, e2), 1),
-        ((e3, e2, e1), -1),
-    ):
-        terms[(a, b, c)] = terms.get((a, b, c), 0) + sign
-    return MultiPoly(field, terms)
+    # every caller passes distinct exponents, so the six monomials are distinct
+    return MultiPoly(field, {(e1, e2, e3): 1, (e1, e3, e2): -1, (e2, e3, e1): 1,
+                             (e2, e1, e3): -1, (e3, e1, e2): 1, (e3, e2, e1): -1})
 
 
 def vandermonde(d: int, field: CoeffField = RATIONALS) -> MultiPoly:

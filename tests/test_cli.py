@@ -473,6 +473,23 @@ def test_a_huge_characteristic_is_refused_at_once(capsys):
     assert err.startswith("error: characteristic must be below ") and err.endswith(f"got {p}\n")
 
 
+@pytest.mark.parametrize(
+    "which, r, q, points",
+    [("eq1", "60:63", "2^62", 4), ("eq2", "29:31", "2^31", 3)],
+    ids=["eq1", "eq2"],
+)
+def test_a_sweep_past_the_exponent_cap_is_refused_before_its_first_record(capsys, which, r, q, points):
+    # the points below the cap would pass; the grid refuses before any runs
+    argv = ("sweep", "verify-fact", "--which", which, "--p", "2", "--r", r)
+    status, out, err = run_cli(capsys, *argv, "--ceiling", str(10**23))
+    assert (status, out) == (2, "")
+    assert err == f"error: exponent too large: the {which} check for q = {q} writes exponents of 2^62 or more\n"
+    # under the default ceiling every point is a skip, as before
+    status, out, err = run_cli(capsys, *argv)
+    assert (status, err) == (0, "")
+    assert out.count("verdict=skip reason=ceiling") == points
+
+
 def test_verify_fact_builds_no_form(capsys, monkeypatch):
     """The records read factor_count alone, so no command enumerates a field."""
 

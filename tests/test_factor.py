@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurlab import factor, mpoly
+from schurlab import factor, ffield, mpoly
 from schurlab.ffield import (
     TABLE_CEILING, CeilingError, FieldSpec, FieldTooSmallError, is_prime, make_field
 )
@@ -15,6 +16,7 @@ from schurlab.factor import (
     _candidate_forms,
     _monomial_free,
     _z_coefficients,
+    check_closed_form,
     divides,
     eisenstein_like_check,
     grad_eval_identity,
@@ -26,6 +28,7 @@ from schurlab.factor import (
 )
 from schurlab.mpoly import (
     RATIONALS,
+    ExponentOverflowError,
     InexactDivisionError,
     LinearForm,
     MultiPoly,
@@ -466,6 +469,48 @@ def test_verify_fact_fails_on_a_wrong_quotient(monkeypatch, verify, p, r):
     assert report.factor_count() == T.degree_in("Z")
 
 
+@pytest.mark.parametrize(
+    "verify, p, r",
+    [(verify_fact_eq1, 3, 2), (verify_fact_eq1, 2, 3), (verify_fact_eq2, 3, 1), (verify_fact_eq2, 2, 2)],
+    ids=["eq1-3-2", "eq1-2-3", "eq2-3-1", "eq2-2-2"],
+)
+def test_closed_form_exponent_check_is_the_top_exponent_the_check_writes(monkeypatch, verify, p, r):
+    """With the cap moved to the top exponent the check refuses, before the
+    field is built, exactly where the construction would overflow."""
+    which = "eq1" if verify is verify_fact_eq1 else "eq2"
+    q = p**r
+    top = q + 1 if which == "eq1" else q * q + q
+    monkeypatch.setattr(mpoly, "EXPONENT_CAP", top + 1)
+    monkeypatch.setattr(factor, "EXPONENT_CAP", top + 1)
+    assert verify(p, r)[0]
+    monkeypatch.setattr(mpoly, "EXPONENT_CAP", top)
+    with monkeypatch.context() as patch:
+        patch.setattr(factor, "check_closed_form", lambda *args: None)
+        with pytest.raises(ExponentOverflowError):
+            verify(p, r)
+    monkeypatch.setattr(factor, "EXPONENT_CAP", top)
+
+    def unreachable(*args):
+        raise AssertionError("the field was built before the exponent check")
+
+    monkeypatch.setattr(factor, "make_field", unreachable)
+    with pytest.raises(ExponentOverflowError, match=rf"^exponent too large: the {which} check"):
+        verify(p, r)
+
+
+def test_closed_form_check_at_the_real_cap():
+    ceiling = 10**40
+    check_closed_form("eq1", 2, 61, ceiling)
+    check_closed_form("eq2", 2, 30, ceiling)
+    for which, p, r in (("eq1", 2, 62), ("eq2", 2, 31), ("eq2", 3, 39)):
+        with pytest.raises(ExponentOverflowError, match=rf"q = {p}\^{r} writes exponents of 2\^62"):
+            check_closed_form(which, p, r, ceiling)
+    # over the ceiling is the first refusal
+    for which in ("eq1", "eq2"):
+        with pytest.raises(CeilingError):
+            check_closed_form(which, 2, 62)
+
+
 def test_verify_fact_never_builds_t_and_never_divides(monkeypatch):
     """Both splittings are decided by one product identity on R."""
 
@@ -676,6 +721,36 @@ def test_signature_witness_refuses_bad_characteristic():
 def test_signature_witness_field_too_small():
     with pytest.raises(FieldTooSmallError):
         signature_witness(ExponentPair(5, 2, F5))  # needs cube roots, 3 does not divide 4
+
+
+@pytest.mark.parametrize(
+    "A, B, p, r, count, digest",
+    [
+        (5, 2, 7, 1, 3, "28e09a21100a83a5"),
+        (10, 4, 13, 1, 6, "eea3f78d7358e59c"),
+        (13, 5, 7, 4, 11, "94db1d7937a84115"),
+        (5, 2, 5, 2, 3, "5fd04fcfdde7224e"),
+        (7, 2, 1000003, 4, 5, "090d7f4ce79bdb00"),  # no tables
+    ],
+    ids=["5-2-F7", "10-4-F13", "13-5-F7^4", "5-2-F25", "7-2-F1000003^4"],
+)
+def test_signature_witness_scans_for_its_roots_once(monkeypatch, A, B, p, r, count, digest):
+    # both families take their roots from the one list of lcm(B, A - B)-th
+    # roots; the witnesses keep the digest of their JSON from before
+    spec = make_field(p, r)
+    spec._tables  # built first, since the tables' generator scans too
+    scanned = []
+    scan = ffield._first_unit_reaching
+
+    def counted(spec, n):
+        scanned.append(n)
+        return scan(spec, n)
+
+    monkeypatch.setattr(ffield, "_first_unit_reaching", counted)
+    ws = signature_witness(ExponentPair(A, B, spec))
+    assert scanned == [math.lcm(B, A - B)]
+    blob = json.dumps([w.to_json() for w in ws], sort_keys=True)
+    assert (len(ws), hashlib.sha256(blob.encode()).hexdigest()[:16]) == (count, digest)
 
 
 def test_signature_witness_json():

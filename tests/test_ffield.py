@@ -762,7 +762,9 @@ def test_field_above_table_ceiling_builds_no_tables(xc, yc):
     assert x + y == y + x
     assert x * y == y * x
     assert x * (y + one) == x * y + x
-    assert x + _BIG.zero() == x and x * one == x
+    # a zero operand returns the other operand itself, as with tables
+    zero = _BIG.zero()
+    assert zero + x is x and (not x or x + zero is x) and x * one == x
     assert _bits((x * y).coeffs) == _gf2_mul(_bits(xc), _bits(yc))
     assert x ** _BIG.order() == x
     # x^(2^17) by square and multiply, squared by the oracle, is x again
@@ -861,6 +863,8 @@ def test_prime_field_above_table_ceiling_computes_on_its_codes(spec, a, b, e):
         if "pow" in expected:
             got["pow"] = x**e
     assert {k: v.code for k, v in got.items()} == expected
+    zero = spec.zero()
+    assert zero + x is x and (not a % p or x + zero is x)
     assert vars(spec)["_tables"] is None
 
 

@@ -30,6 +30,7 @@ F3 = make_field(3, 1)
 F5 = make_field(5, 1)
 F9 = make_field(3, 2)
 F1000003 = make_field(1000003, 1)  # above TABLE_CEILING, so it has no tables
+F1000003_2 = make_field(1000003, 2)
 
 
 def gens(field=Q):
@@ -676,7 +677,11 @@ def test_evaluate_at_a_sparse_huge_degree():
     assert f.evaluate(point) == _reference_evaluate(f, point)
 
 
-@pytest.mark.parametrize("field", [Q, F3, F9], ids=["Q", "F3", "F9"])
+_CANCEL_FIELDS = [Q, F3, F9, F1000003, F1000003_2]
+_CANCEL_IDS = ["Q", "F3", "F9", "F1000003", "F1000003^2"]
+
+
+@pytest.mark.parametrize("field", _CANCEL_FIELDS, ids=_CANCEL_IDS)
 def test_products_that_cancel_store_no_zero(field):
     # T * V = R cancels most of the term pairs; no zero may stay behind
     for A, B in ((5, 1), (7, 2), (9, 3), (12, 8)):
@@ -686,6 +691,28 @@ def test_products_that_cancel_store_no_zero(field):
         assert all(product._terms.values())
     X, Y, _ = gens(field)
     assert ((X + Y) * (X - Y))._terms == (X**2 - Y**2)._terms
+    # over Q a coefficient 1/2 sends the product to Fractions
+    half = field.one() / field.from_int(2)
+    assert ((half * X + Y) * (half * X - Y))._terms == (half * half * X**2 - Y**2)._terms
+
+
+class _One:
+    """The exponent 1 as a dict key that is not the key 1."""
+
+    def __index__(self):
+        return 1
+
+
+@pytest.mark.parametrize("field", _CANCEL_FIELDS, ids=_CANCEL_IDS)
+def test_sums_that_cancel_store_no_zero(field):
+    X, Y, _ = gens(field)
+    one = field.one()
+    assert MultiPoly(field, {(1, 0, 0): 0, (0, 1, 0): one})._terms == Y._terms
+    assert MultiPoly(field, {(1, 0, 0): one, (_One(), 0, 0): -one, (0, 1, 0): one})._terms == Y._terms
+    assert (X + Y + -X)._terms == Y._terms
+    assert (X + -X)._terms == {}
+    assert MultiPoly.from_text("X + Y - X", field)._terms == Y._terms
+    assert MultiPoly.from_text("X - X", field)._terms == {}
 
 
 def _assert_fractions(poly):
