@@ -13,8 +13,9 @@ or TSV rows, or terse text).  Exit codes:
   oracle's parity).
 
 Output is byte-identical for identical configuration.  The commands that
-build polynomials import ``vschur``, ``factor`` and ``mpoly`` when they
-run, so ``degree`` and ``sweep degree`` load none of them.
+build fields or polynomials import ``ffield``, ``vschur``, ``factor`` and
+``mpoly`` when they run, so ``degree`` and ``sweep degree`` load none of
+them: only ``newton`` and its F_p kernel ``modp``.
 
 A ``sweep`` target is one entry of ``_SWEEP_TARGETS``: the grid flag only
 it reads (with its values when it needs that flag), its grid, its point
@@ -39,7 +40,7 @@ import json
 import os
 import sys
 
-from .ffield import DESK_CEILING, CeilingError, check_ceiling, check_field, field_for, make_field
+from .modp import DESK_CEILING, CeilingError, check_ceiling, check_field
 from .newton import (
     TowerParams,
     applicable_modes,
@@ -68,7 +69,9 @@ class Emitter:
         self.out = out
         self._tsv_keys = None
 
-    def emit(self, record: dict, text: str):
+    def emit(self, record: dict, text: str | None = None):
+        """Write one record; its text line is ``text``, or the record's
+        ``key=value`` pairs when text is None."""
         if self.fmt == "json":
             self.out.write(json.dumps(record, sort_keys=True) + "\n")
         elif self.fmt == "tsv":
@@ -78,7 +81,7 @@ class Emitter:
                 self.out.write("\t".join(keys) + "\n")
             self.out.write("\t".join(_tsv_cell(record[k]) for k in keys) + "\n")
         else:
-            self.out.write(text + "\n")
+            self.out.write((_kv(record) if text is None else text) + "\n")
 
 
 def _tsv_cell(value) -> str:
@@ -95,8 +98,15 @@ def _kv(record: dict) -> str:
     return " ".join(f"{k}={_tsv_cell(v)}" for k, v in record.items() if v is not None)
 
 
+#: Most values the lo:hi ranges of one grid flag may hold; a range that
+#: would pass it is refused before it is expanded, so a typo cannot
+#: exhaust memory.
+MAX_RANGE = 10**6
+
+
 def _parse_int_set(text: str) -> list[int]:
-    """Comma lists and lo:hi inclusive ranges: '2,3,5' or '1:4' or '1:2,7'."""
+    """Comma lists and lo:hi inclusive ranges: '2,3,5' or '1:4' or '1:2,7'.
+    A range that would take the values past MAX_RANGE is refused."""
     out = set()
     for chunk in str(text).split(","):
         chunk = chunk.strip()
@@ -107,6 +117,10 @@ def _parse_int_set(text: str) -> list[int]:
             lo, hi = int(lo), int(hi)
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {chunk!r}")
+            if len(out) + hi - lo >= MAX_RANGE:
+                raise argparse.ArgumentTypeError(
+                    f"range {chunk!r} holds {hi - lo + 1} values; a grid flag takes at most "
+                    f"{MAX_RANGE}")
             out.update(range(lo, hi + 1))
         else:
             out.add(int(chunk))
@@ -120,6 +134,7 @@ def _parse_int_set(text: str) -> list[int]:
 
 
 def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
+    from .ffield import field_for
     from .vschur import ExponentPair, Partition3, r_poly, schur_bialternant, t_poly
 
     fieldv = field_for(args.char, args.ext)
@@ -141,6 +156,7 @@ def _cmd_poly(args: argparse.Namespace, emitter: Emitter) -> int:
 
 def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
     from .factor import linear_factors_over
+    from .ffield import make_field
     from .vschur import ExponentPair, t_poly
 
     check_ceiling(args.p, args.r, args.ceiling)  # before the field and T are built
@@ -172,6 +188,7 @@ def _cmd_factor(args: argparse.Namespace, emitter: Emitter) -> int:
 
 def _cmd_signature(args: argparse.Namespace, emitter: Emitter) -> int:
     from .factor import signature_witness
+    from .ffield import make_field
     from .vschur import ExponentPair
 
     spec = make_field(args.p, args.r)
@@ -257,6 +274,7 @@ def _cmd_degree(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
+    from .ffield import field_for
     from .mpoly import is_symmetric3
     from .vschur import (
         ExponentPair,
@@ -364,9 +382,9 @@ def _cmd_sweep(args: argparse.Namespace, emitter: Emitter) -> int:
         except CeilingError:
             record.update(verdict="skip", reason="ceiling")
         summary[record["verdict"]] += 1
-        emitter.emit(record, _kv(record))
+        emitter.emit(record)
     summary_record = {"command": "sweep", "target": target, **summary, "points": len(points)}
-    emitter.emit(summary_record, _kv(summary_record))
+    emitter.emit(summary_record)
     return EXIT_FAIL if summary["fail"] or (args.strict and summary["skip"]) else EXIT_PASS
 
 

@@ -509,7 +509,7 @@ class MultiPoly:
 
     @classmethod
     def from_json_terms(cls, data, field: CoeffField) -> "MultiPoly":
-        return cls(field, {tuple(mon): field.parse(tok) for tok, mon in data})
+        return cls(field, _merge({}, ((tuple(mon), field.parse(tok)) for tok, mon in data)))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.field}, {self.to_text()})"

@@ -13,38 +13,37 @@ and by an exact counting oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
-from .ffield import (
+from .modp import (
     DESK_CEILING,
-    RATIONALS,
     CeilingError,
-    FFElement,
-    FieldSpec,
+    _poly_mod,
+    _poly_mul,
+    _poly_powmod,
     _rank_mod_p,
-    _schoolbook_mul,
-    _schoolbook_pow,
     check_ceiling,
     check_field,
-    field_for,
-    frobenius,
-    make_field,
+    irreducible_modulus,
     p_power_exponent,
 )
 
-# The functions that build polynomials import schurlab.mpoly (whose types
-# the annotations name) when called, so the degree formula and its
-# counting oracle load no polynomial layer.
+# The functions that build field elements import schurlab.ffield, and those
+# that build polynomials schurlab.mpoly (whose types the annotations name),
+# when called, so the degree formula and its counting oracle load neither:
+# the oracle's count is a rank mod p over the F_p[x] kernel of modp.
 
 
-def newton_poly(m: int, field: CoeffField = RATIONALS) -> MultiPoly:
-    """The power sum x^m + y^m (kept in the first two variable slots)."""
+def newton_poly(m: int, field: CoeffField | None = None) -> MultiPoly:
+    """The power sum x^m + y^m (kept in the first two variable slots), over
+    ``field``, the rationals when it is None."""
+    from .ffield import RATIONALS
     from .mpoly import MultiPoly
 
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    return MultiPoly(field, {(m, 0, 0): 1, (0, m, 0): 1})
+    return MultiPoly(RATIONALS if field is None else field, {(m, 0, 0): 1, (0, m, 0): 1})
 
 
 def two_generator_degree(a: int, b: int, p: int = 0) -> int:
@@ -73,6 +72,7 @@ def jacobian_nonzero_check(a: int, b: int, p: int = 0) -> bool:
     Computed symbolically from the partial derivatives; over characteristic
     p this is equivalent to p dividing neither a nor b.
     """
+    from .ffield import field_for
     from .mpoly import partial_derivative
 
     if not (a > b >= 1):
@@ -106,14 +106,11 @@ def _rootless(eta: int, p: int) -> bool:
     return pow(eta * eta - eta, (p - 1) // 2, p) == p - 1
 
 
-@dataclass(frozen=True)
-class AlternativePair:
-    """The pair z = alpha*x + (1-alpha)*y, w = (1-alpha)*x + alpha*y."""
+class AlternativePair(namedtuple("AlternativePair", "alpha z w ambient")):
+    """The pair z = alpha*x + (1-alpha)*y, w = (1-alpha)*x + alpha*y, with
+    alpha an FFElement, z and w LinearForms over the FieldSpec ambient."""
 
-    alpha: FFElement
-    z: LinearForm
-    w: LinearForm
-    ambient: FieldSpec
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -134,6 +131,7 @@ def build_alternative_pair(p: int, eta: int | None = None) -> AlternativePair:
     verified here.  For p = 2, alpha is the first primitive cube root of
     unity, and an eta is refused.
     """
+    from .ffield import frobenius, make_field
     from .mpoly import LinearForm
 
     check_field(p)  # a non-field is refused before any eta is judged
@@ -235,41 +233,37 @@ def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") 
     return lhs == newton_poly(m, field)
 
 
-@dataclass(frozen=True)
-class TowerParams:
+class TowerParams(namedtuple("TowerParams", "p r s")):
     """Exponent data (p, r, s) of the three indices p^r + 1, p^s + 1, 1.
 
-    Construction refuses a p that is not prime (see ffield.check_field)
+    Construction refuses a p that is not prime (see modp.check_field)
     and enforces r > s >= 1, the hypotheses of both the degree formula and
     the counting oracle, so neither checks them again.
     """
 
-    p: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_field(self.p)
-        if not (self.r > self.s >= 1):
-            raise ValueError(f"need r > s >= 1, got r={self.r}, s={self.s}")
+    def __new__(cls, p: int, r: int, s: int):
+        check_field(p)
+        if not (r > s >= 1):
+            raise ValueError(f"need r > s >= 1, got r={r}, s={s}")
+        return super().__new__(cls, p, r, s)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def m(self) -> int:
         return math.gcd(self.r, self.s)
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    """Extension degree by closed formula and/or by the counting oracle."""
+class DegreeReport(namedtuple("DegreeReport", "p r s m formula_value oracle_count "
+                                              "oracle_value agree")):
+    """Extension degree by closed formula and/or by the counting oracle; a
+    value the mode did not compute is None."""
 
-    p: int
-    r: int
-    s: int
-    m: int
-    formula_value: int | None
-    oracle_count: int | None
-    oracle_value: int | None
-    agree: bool | None
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -294,16 +288,17 @@ def brute_count_alternatives(t: TowerParams, ceiling: int = DESK_CEILING) -> int
     #{v : L(v) = 2}, plus 1 for odd p.  Since L(1) = 1 + 1 = 2, the
     solutions are 1 + ker L, and there are p^(n - rank L) of them in every
     characteristic.  L has the columns e_i + (x^(p^(s mod n)))^i on the
-    power basis (at n = 1 the single entry 2), and its rank mod p takes
-    O(n^3) int work with no field tables.  The count includes the trivial
-    alpha = 0, 1 and is even.
+    power basis of F_p[x]/(f), f = irreducible_modulus(p, n) (at n = 1 the
+    single entry 2), and its rank mod p takes O(n^3) int work on int lists,
+    with no field built.  The count includes the trivial alpha = 0, 1 and
+    is even.
     """
     p, n = t.p, t.r - t.s
     check_ceiling(p, n, ceiling)
-    spec, zero = make_field(p, n), (0,) * n
-    xe = _schoolbook_pow(spec, (0, 1) + zero[2:], p ** (t.s % n))
-    powers = accumulate(range(n - 1), lambda x, _: _schoolbook_mul(spec, x, xe), initial=(1,) + zero[1:])
-    cols = [[a + (j == i) for j, a in enumerate(x)] for i, x in enumerate(powers)]
+    f = irreducible_modulus(p, n)
+    xe = _poly_powmod([0, 1], p ** (t.s % n), f, p)
+    powers = accumulate(range(n - 1), lambda x, _: _poly_mod(_poly_mul(x, xe, p), f, p), initial=[1])
+    cols = [[a + (j == i) for j, a in enumerate(x + [0] * (n - len(x)))] for i, x in enumerate(powers)]
     return p ** (n - _rank_mod_p(cols, p)) + (p > 2)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -8,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from schurlab import cli, factor, mpoly, vschur
+from schurlab import cli, factor, ffield, mpoly, vschur
 from schurlab.cli import main
 from schurlab.ffield import FieldSpec
 from schurlab.mpoly import MultiPoly
@@ -205,7 +204,7 @@ def test_factor_refuses_over_the_ceiling_before_building_the_field(capsys, monke
         built.append(args)
         raise AssertionError("the field or T was built before the ceiling check")
 
-    monkeypatch.setattr(cli, "make_field", unreachable)
+    monkeypatch.setattr(ffield, "make_field", unreachable)
     monkeypatch.setattr(vschur, "t_poly", unreachable)
     args = ["factor", "--A", "3", "--B", "1", "--p", "3", "--r", "80", "--ceiling", "1000000"]
     status, out, err = run_cli(capsys, *args)
@@ -350,6 +349,46 @@ def test_empty_grid_is_usage_error(capsys):
     status, _, err = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "5:4")
     assert status == 2
     assert "empty" in err
+
+
+def test_a_range_past_the_cap_is_refused_before_it_is_expanded(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_RANGE", 5)
+    assert cli._parse_int_set("3:7,9") == [3, 4, 5, 6, 7, 9]
+    for r, err_tail in (("2:7", "range '2:7' holds 6 values"),
+                        ("2:4,5:7", "range '5:7' holds 3 values")):  # 3 + 3 values in all
+        status, out, err = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", r)
+        assert (status, out) == (2, "")
+        assert err.endswith(f"error: argument --r: {err_tail}; a grid flag takes at most 5\n")
+
+
+def test_a_huge_range_is_refused_in_bounded_memory():
+    # a fresh interpreter limited to 1 GB of address space; expanding the
+    # range would take tens of gigabytes
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "schurlab.cli", "sweep", "degree", "--p", "3",
+                           "--r", "60:1000000000"], capture_output=True, text=True, env=env,
+                          timeout=60, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        "error: argument --r: range '60:1000000000' holds 999999941 values; "
+        "a grid flag takes at most 1000000\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_a_sweep_builds_no_text_line_outside_text_format(capsys, monkeypatch, fmt):
+    argv = ("sweep", "degree", "--p", "2,3", "--r", "2:4", "--format", fmt)
+    expected = run_cli(capsys, *argv)
+
+    def refuse(record):
+        raise AssertionError(f"a text line built in {fmt} format")
+
+    monkeypatch.setattr(cli, "_kv", refuse)
+    assert run_cli(capsys, *argv) == expected
 
 
 @pytest.mark.parametrize(
@@ -779,7 +818,7 @@ def test_sweep_records_failed_points_of_either_target(capsys, monkeypatch):
         report = degree_of_extension(tower, mode=mode, ceiling=ceiling)
         if tower.s > 1:
             return report
-        return dataclasses.replace(report, oracle_value=report.formula_value + 1, agree=False)
+        return report._replace(oracle_value=report.formula_value + 1, agree=False)
 
     monkeypatch.setattr(cli, "degree_of_extension", disagree)
     assert run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "2:3") == (1, (
@@ -809,14 +848,16 @@ def test_refusals_before_any_output(capsys, argv, err):
 
 
 _POLYNOMIAL_LAYERS = {"schurlab.mpoly", "schurlab.vschur", "schurlab.factor"}
+# the coefficient fields and the standard modules only they need
+_FIELD_LAYER = {"schurlab.ffield", "fractions", "dataclasses"}
 
 
 @pytest.mark.parametrize("argv, layers", [
     ("degree --p 3 --r 3 --s 1 --mode formula", set()),
     ("degree --p 3 --r 4 --s 1", set()),
     ("sweep degree --p 2,3 --r 2:4 --format json", set()),
-    ("tpoly --A 3 --B 1", {"schurlab.mpoly", "schurlab.vschur"}),
-    ("verify-fact --which eq1 --p 3 --r 1", _POLYNOMIAL_LAYERS),
+    ("tpoly --A 3 --B 1", _FIELD_LAYER | {"schurlab.mpoly", "schurlab.vschur"}),
+    ("verify-fact --which eq1 --p 3 --r 1", _FIELD_LAYER | _POLYNOMIAL_LAYERS),
 ])
 def test_a_command_loads_only_the_layers_it_runs(argv, layers):
     # a fresh interpreter through the real entry point, package __init__
@@ -827,5 +868,5 @@ def test_a_command_loads_only_the_layers_it_runs(argv, layers):
     assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
-    assert {"schurlab.ffield", "schurlab.newton"} <= imported
-    assert imported & _POLYNOMIAL_LAYERS == layers
+    assert {"schurlab.modp", "schurlab.newton"} <= imported
+    assert imported & (_FIELD_LAYER | _POLYNOMIAL_LAYERS) == layers

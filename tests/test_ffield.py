@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurlab import ffield
+from schurlab import ffield, modp
 from schurlab.ffield import (
     RATIONALS,
     TABLE_CEILING,
@@ -139,8 +139,8 @@ def test_modulus_is_the_first_irreducible_candidate(p, r):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_ben_or_and_rabin_choose_the_same_modulus(p, monkeypatch):
     chosen = {r: make_field(p, r).modulus for r in range(1, 30)}
-    monkeypatch.setattr(ffield, "_is_irreducible", _rabin_irreducible)
-    assert {r: make_field.__wrapped__(p, r).modulus for r in range(1, 30)} == chosen
+    monkeypatch.setattr(modp, "_is_irreducible", _rabin_irreducible)
+    assert {r: modp.irreducible_modulus.__wrapped__(p, r) for r in range(1, 30)} == chosen
 
 
 def _kernel_size(rows, p, n):
@@ -273,7 +273,7 @@ def test_check_field_refuses_a_huge_characteristic_before_any_primality_work(mon
     def refuse(n):
         raise AssertionError("primality work on a characteristic past the bound")
 
-    monkeypatch.setattr(ffield, "is_prime", refuse)
+    monkeypatch.setattr(modp, "is_prime", refuse)
     monkeypatch.setattr(ffield, "prime_factors", refuse)
     for p in (ffield._SPRP_BOUND, 2**89 - 1, 2**127 - 1):
         with pytest.raises(ValueError) as exc:

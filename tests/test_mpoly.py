@@ -294,6 +294,19 @@ def test_json_terms_roundtrip():
     assert MultiPoly.from_json_terms(data, Q) == f
 
 
+def test_json_terms_merge_like_the_constructor():
+    # a repeated monomial sums and one that cancels leaves no term, as in
+    # MultiPoly(...) and from_text
+    X, Y, Z = gens()
+    data = [["1", [2, 0, 0]], ["2", [2, 0, 0]], ["1", [0, 1, 0]], ["1/2", [0, 0, 1]],
+            ["-1/2", [0, 0, 1]]]
+    f = MultiPoly.from_json_terms(data, Q)
+    assert f == 3 * X**2 + Y == MultiPoly.from_text("X^2 + 2*X^2 + Y", Q)
+    assert list(f.terms()) == [((2, 0, 0), 3), ((0, 1, 0), 1)]
+    g = MultiPoly.from_json_terms([["1", [1, 0, 0]], ["2", [1, 0, 0]]], F3)
+    assert g.is_zero() and not list(g.terms())
+
+
 # -- randomized structure checks -------------------------------------------
 
 _FIELDS = [Q, F2, F3, F5]

@@ -1,4 +1,5 @@
 import math
+import pickle
 from collections import Counter
 from itertools import accumulate
 
@@ -29,6 +30,7 @@ Q = RATIONALS
 def test_newton_poly_basics():
     X, Y, _ = MultiPoly.gens(Q)
     assert newton_poly(1) == X + Y
+    assert newton_poly(1).field is newton_poly(1, None).field is Q
     assert newton_poly(2) == X**2 + Y**2
     with pytest.raises(ValueError):
         newton_poly(0)
@@ -384,19 +386,38 @@ def test_prime_field_count_far_above_the_desk_ceiling_is_a_1x1_rank():
 
 def test_brute_count_builds_no_field_element_tables(monkeypatch):
     # F_{3^10} is below TABLE_CEILING, so arithmetic there would build the
-    # tables; the count builds neither them nor the integer log and Zech
-    # lists, and never looks for a generator
-    fresh = make_field.__wrapped__(3, 10)
+    # tables; the count builds no field at all, so neither them nor the
+    # integer log and Zech lists, and never looks for a generator
+    def refuse(*args):
+        raise AssertionError(f"a field, its tables or a generator asked for {args}")
 
-    def refuse(spec):
-        raise AssertionError(f"tables or a generator asked for {spec}")
-
+    monkeypatch.setattr(ffield, "make_field", refuse)
     monkeypatch.setattr(ffield, "_Tables", refuse)
     monkeypatch.setattr(ffield, "_zech_lists", refuse)
     monkeypatch.setattr(ffield, "multiplicative_generator", refuse)
-    monkeypatch.setattr(newton, "make_field", lambda p, r: fresh)
     assert brute_count_alternatives(TowerParams(3, 11, 1)) == 4
-    assert "_tables" not in vars(fresh)
+
+
+def fieldspec_count(t):
+    """Oracle for brute_count_alternatives: the same rank, with the columns
+    of L taken as coordinate vectors of the FieldSpec of F_{p^n}."""
+    p, n = t.p, t.r - t.s
+    spec, zero = make_field(p, n), (0,) * n
+    xe = ffield._schoolbook_pow(spec, (0, 1) + zero[2:], p ** (t.s % n))
+    powers = accumulate(range(n - 1), lambda x, _: ffield._schoolbook_mul(spec, x, xe),
+                        initial=(1,) + zero[1:])
+    cols = [[a + (j == i) for j, a in enumerate(x)] for i, x in enumerate(powers)]
+    return p ** (n - ffield._rank_mod_p(cols, p)) + (p > 2)
+
+
+# every n = r - s up to 8, with s from 1 to 2n, so s mod n takes every value
+_FIELDSPEC = [(p, s + n, s) for p in (2, 3, 5, 7) for n in range(1, 9) for s in range(1, 2 * n + 1)]
+
+
+@pytest.mark.parametrize("p,r,s", _FIELDSPEC)
+def test_brute_count_matches_the_fieldspec_route(p, r, s):
+    t = TowerParams(p, r, s)
+    assert brute_count_alternatives(t, ceiling=p ** (r - s)) == fieldspec_count(t)
 
 
 @pytest.mark.parametrize(
@@ -459,6 +480,24 @@ def test_tower_params_validation():
     with pytest.raises(ValueError):
         TowerParams(3, 1, 1)
     assert TowerParams(3, 6, 4).m == 2
+    assert TowerParams(p=3, s=4, r=6) == TowerParams(3, 6, 4)
+    assert TowerParams(3, 6, 4)._replace(s=5) == TowerParams(3, 6, 5)
+    with pytest.raises(ValueError, match=r"need r > s >= 1, got r=6, s=0"):
+        TowerParams(3, 6, 4)._replace(s=0)
+    with pytest.raises(ValueError, match="characteristic must be prime, got 4"):
+        TowerParams._make((4, 6, 4))
+
+
+@pytest.mark.parametrize("value", [
+    TowerParams(3, 6, 4),
+    degree_of_extension(TowerParams(3, 3, 1)),
+    build_alternative_pair(3),
+])
+def test_records_are_immutable_and_carry_no_instance_dict(value):
+    with pytest.raises(AttributeError):
+        setattr(value, value._fields[0], None)
+    assert not hasattr(value, "__dict__")
+    assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_tower_params_needs_s_at_least_one():
