@@ -11,9 +11,8 @@ bound at the time of the lookup.
 _EXPORTS = {
     name: module
     for module, names in (
+        ("modp", ("DESK_CEILING", "CeilingError")),
         ("ffield", (
-            "DESK_CEILING",
-            "CeilingError",
             "FFElement",
             "FieldMismatchError",
             "FieldSpec",
@@ -79,8 +78,8 @@ _EXPORTS = {
     for name in names
 }
 
-#: the public names, then the submodules that define them
-__all__ = [*_EXPORTS, *dict.fromkeys(_EXPORTS.values())]
+#: the public names, then the submodules a star import binds (modp is none)
+__all__ = [*_EXPORTS, "ffield", "mpoly", "vschur", "factor", "newton"]
 
 __version__ = "0.1.0"
 

@@ -17,12 +17,13 @@ build fields or polynomials import ``ffield``, ``vschur``, ``factor`` and
 ``mpoly`` when they run, so ``degree`` and ``sweep degree`` load none of
 them: only ``newton`` and its F_p kernel ``modp``.
 
-A ``sweep`` target is one entry of ``_SWEEP_TARGETS``: the grid flag only
-it reads (with its values when it needs that flag), its grid, its point
-runner and its result keys.  ``sweep`` refuses, in this order: a flag the
-target needs and lacks, a flag of another entry, a grid value the library
-refuses (``check_field``, then ``TowerParams`` or, under the ceiling,
-``factor.check_closed_form``), and an empty grid.
+A ``sweep`` target is one entry of ``_SWEEP_TARGETS``, which alone decides
+its grid flags: those it needs (with the values its refusal names, if any)
+and those it may read, then its grid, point runner and result keys.
+``sweep`` refuses, in this order: a needed flag it lacks, a grid flag it
+does not read, a grid value the library refuses (``check_field``, then
+``TowerParams`` or, under the ceiling, ``factor.check_closed_form``), and
+an empty grid.
 
 Examples::
 
@@ -104,6 +105,13 @@ def _kv(record: dict) -> str:
 MAX_RANGE = 10**6
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _parse_int_set(text: str) -> list[int]:
     """Comma lists and lo:hi inclusive ranges: '2,3,5' or '1:4' or '1:2,7'.
     A range that would take the values past MAX_RANGE is refused."""
@@ -113,8 +121,7 @@ def _parse_int_set(text: str) -> list[int]:
         if not chunk:
             continue
         if ":" in chunk:
-            lo, hi = chunk.split(":", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = map(_int, chunk.split(":", 1))
             if hi < lo:
                 raise argparse.ArgumentTypeError(f"empty range {chunk!r}")
             if len(out) + hi - lo >= MAX_RANGE:
@@ -123,7 +130,7 @@ def _parse_int_set(text: str) -> list[int]:
                     f"{MAX_RANGE}")
             out.update(range(lo, hi + 1))
         else:
-            out.add(int(chunk))
+            out.add(_int(chunk))
     if not out:
         raise argparse.ArgumentTypeError(f"empty grid component {text!r}")
     return sorted(out)
@@ -324,10 +331,9 @@ def _cmd_identity(args: argparse.Namespace, emitter: Emitter) -> int:
 def _verify_fact_grid(args: argparse.Namespace) -> list[dict]:
     from .factor import check_closed_form
 
-    for pp in args.p:
-        for rr in args.r:
-            check_field(pp, rr)
     points = [{"which": args.which, "p": pp, "r": rr} for pp in args.p for rr in args.r]
+    for pt in points:  # every field before any closed form
+        check_field(pt["p"], pt["r"])
     for pt in points:  # an exponent past the cap is refused before the first record
         try:
             check_closed_form(**pt, ceiling=args.ceiling)
@@ -352,24 +358,34 @@ def _degree_sweep_point(p: int, r: int, s: int, ceiling: int) -> dict:
             "formula": result["formula"], "oracle": result["oracle"]}
 
 
-#: target: (own flag, its values if needed, grid, point runner, result keys)
+#: target: (the grid flags it needs, each with the values its refusal names
+#: or None, the grid flags it may read, grid, point runner, result keys)
 _SWEEP_TARGETS = {
-    "verify-fact": ("which", "|".join(_CLOSED_FORMS), _verify_fact_grid, _verify_fact_point,
-                    ("factor_count",)),
-    "degree": ("s", None, _degree_grid, _degree_sweep_point, ("formula", "oracle")),
+    "verify-fact": ({"which": "|".join(_CLOSED_FORMS), "p": None, "r": None}, (),
+                    _verify_fact_grid, _verify_fact_point, ("factor_count",)),
+    "degree": ({"p": None, "r": None}, ("s",), _degree_grid, _degree_sweep_point,
+               ("formula", "oracle")),
 }
+
+#: every grid flag of the table, in the order the sweep refuses them
+_GRID_FLAGS = dict.fromkeys(
+    flag for needs, reads, *_ in _SWEEP_TARGETS.values() for flag in (*needs, *reads))
 
 
 def _cmd_sweep(args: argparse.Namespace, emitter: Emitter) -> int:
     """Run every grid point in order; a point the library refuses with
     CeilingError is a skip, and skips fail the run under --strict."""
     target = args.target
-    flag, needs, grid, run, result_keys = _SWEEP_TARGETS[target]
-    if needs and getattr(args, flag) is None:
-        raise ValueError(f"sweep {target} needs --{flag} {needs}")
-    for unread, *_ in _SWEEP_TARGETS.values():
-        if unread != flag and getattr(args, unread) is not None:
-            raise ValueError(f"sweep {target} does not read --{unread}")
+    needs, reads, grid, run, result_keys = _SWEEP_TARGETS[target]
+    lacking = [flag for flag in needs if getattr(args, flag) is None]
+    missing = [flag for flag in lacking if needs[flag] is None]
+    if missing:
+        raise ValueError(f"missing required parameters: {', '.join(missing)}")
+    if lacking:  # a needed flag whose refusal names its values
+        raise ValueError(f"sweep {target} needs --{lacking[0]} {needs[lacking[0]]}")
+    for flag in _GRID_FLAGS:
+        if flag not in needs and flag not in reads and getattr(args, flag) is not None:
+            raise ValueError(f"sweep {target} does not read --{flag}")
     points = grid(args)
     if not points:
         raise ValueError("the sweep grid is empty")
@@ -393,10 +409,7 @@ def _cmd_sweep(args: argparse.Namespace, emitter: Emitter) -> int:
 
 
 def _ceiling_value(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    value = _int(text)
     if value < 2:
         raise argparse.ArgumentTypeError(f"must be at least 2, got {value}")
     return value
@@ -420,8 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
         """The flags every command takes, and its handler, required flags and config keys."""
         sp.add_argument("--format", choices=("json", "tsv", "text"), default="text",
                         help="output format (default text)")
-        # the config keys: every flag declared so far but argparse's own --help
-        keys = {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+        # config key -> whether its flag is bare, for every flag so far but --help
+        keys = {a.dest: a.nargs == 0 for a in sp._actions if a.option_strings and a.dest != "help"}
         sp.add_argument("--config", default=None,
                         help="JSON file whose keys are this command's flags")
         sp.set_defaults(run=run, required=sp.get_default("required") or (), config_keys=keys)
@@ -484,8 +497,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="run a verification over a parameter grid")
     sp.add_argument("target", choices=tuple(_SWEEP_TARGETS))
     sp.add_argument("--which", choices=tuple(_CLOSED_FORMS), default=None)
-    need(sp, "p", type=_parse_int_set, help="grid values, e.g. 2,3,5")
-    need(sp, "r", type=_parse_int_set, help="grid values, e.g. 1:2")
+    sp.add_argument("--p", type=_parse_int_set, default=None, help="grid values, e.g. 2,3,5")
+    sp.add_argument("--r", type=_parse_int_set, default=None, help="grid values, e.g. 1:2")
     sp.add_argument("--s", type=_parse_int_set, default=None,
                     help="grid values; defaults to 1..r-1")
     sp.add_argument("--strict", action="store_true",
@@ -502,12 +515,13 @@ def _parse_args(argv) -> argparse.Namespace:
     """Parse argv; a --config file reads as flags placed before the user's own.
 
     Each key of the file's JSON object names a flag of the command: a list
-    becomes its comma text, ``true`` the bare flag (``"strict": true``),
-    ``false`` nothing (the flag keeps its default) and any other value its
-    ``str``.  These tokens go between the subcommand name and the user's
-    arguments and the line is parsed once more, so every file value meets
-    its flag's type and choices, and a flag on the command line beats the
-    file, which beats the declared default.
+    becomes its comma text, ``true`` the bare flag (``"strict": true``, and a
+    bare flag takes only a boolean), ``false`` nothing (the flag keeps its
+    default), ``null`` a refusal and any other value its ``str``.  These
+    tokens go between the subcommand name and the user's arguments and the
+    line is parsed once more, so every file value meets its flag's type and
+    choices, and a flag on the command line beats the file, which beats the
+    declared default.
     """
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -523,10 +537,14 @@ def _parse_args(argv) -> argparse.Namespace:
         dest = key.replace("-", "_")
         if dest not in args.config_keys:
             raise ValueError(f"unknown config key {key!r}")
+        bare = args.config_keys[dest]
+        if val is None or bare and not isinstance(val, bool):
+            raise ValueError(f"config key {key!r} takes {'true or false' if bare else 'a value'}, "
+                             f"got {json.dumps(val)}")
         if val is False:
             continue  # the flag is left out, so it takes its default
         flag = "--" + dest.replace("_", "-")
-        if val is True:
+        if bare:
             tokens.append(flag)
         elif isinstance(val, list):
             tokens += [flag, ",".join(map(str, val))]

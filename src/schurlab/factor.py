@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ffield import DESK_CEILING, FieldSpec, check_ceiling, field_of, make_field
+from .ffield import FieldSpec, field_of, make_field
+from .modp import DESK_CEILING, check_ceiling
 from .mpoly import (
     EXPONENT_CAP,
     ZERO_POLY,

@@ -35,10 +35,11 @@ Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
 1 + g^k only changes the top digit of the code of g^k.  Larger fields
 compute on the decoded coordinates with the dense F_p[x] kernel of
 :mod:`schurlab.modp` (multiply, reduce by the modulus, power), which the
-modulus search runs on too; the tests check the tables against it.  The
-degree oracle of :mod:`schurlab.newton` builds its F_p-linear map with that
-kernel alone and never loads this module.  A larger prime field (r = 1)
-computes on its codes mod p.
+modulus search runs on too; the tests check the tables against it.  It
+imports only the names it calls from :mod:`schurlab.modp`, re-exporting
+none.  The degree oracle of :mod:`schurlab.newton` builds its F_p-linear
+map with that kernel alone and never loads this module.  A larger prime
+field (r = 1) computes on its codes mod p.
 
 Both kinds of field answer one interface, which is all the rest of the
 package uses (except that :mod:`schurlab.mpoly` runs integral rational
@@ -56,28 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-# The dense F_p kernel and the field checks live in schurlab.modp; they are
-# bound here too, so schurlab.ffield.X keeps naming each of them.
-from .modp import (
-    _SPRP_BASES,
-    _SPRP_BOUND,
-    DESK_CEILING,
-    CeilingError,
-    _frobenius_coprime,
-    _is_irreducible,
-    _poly_gcd,
-    _poly_mod,
-    _poly_mul,
-    _poly_powmod,
-    _poly_sub,
-    _rank_mod_p,
-    _trim,
-    check_ceiling,
-    check_field,
-    irreducible_modulus,
-    is_prime,
-    p_power_exponent,
-)
+from .modp import _poly_mod, _poly_mul, _poly_powmod, irreducible_modulus
 
 #: Largest field order whose arithmetic runs on log/antilog/Zech tables.
 TABLE_CEILING = 2**17

@@ -59,9 +59,9 @@ from .ffield import (
     FieldSpec,
     Rationals,
     is_scalar,
-    p_power_exponent,
     shared_fraction,
 )
+from .modp import p_power_exponent
 
 #: Distinguished verdict of :func:`is_homogeneous` for the zero polynomial.
 ZERO_POLY = "zero"

@@ -465,22 +465,26 @@ def test_byte_identical_reruns(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, config",
+    "argv, config, message",
     [
-        (("verify-fact",), {"which": "eq3", "p": 3, "r": 1}),
-        (("verify-fact",), {"which": "eq1", "p": 3, "r": 1, "format": "xml"}),
-        (("sweep", "degree"), {"p": ["a"], "r": 2}),
-        (("tpoly",), {"A": 3.5, "B": 1}),
-        (("sweep", "degree"), {"p": 3, "r": 2, "strict": "no"}),
+        (("verify-fact",), {"which": "eq3", "p": 3, "r": 1},
+         "argument --which: invalid choice: 'eq3'"),
+        (("verify-fact",), {"which": "eq1", "p": 3, "r": 1, "format": "xml"},
+         "argument --format: invalid choice: 'xml'"),
+        (("sweep", "degree"), {"p": ["a"], "r": 2}, "argument --p: not an integer: 'a'"),
+        (("tpoly",), {"A": 3.5, "B": 1}, "argument --A: invalid int value: '3.5'"),
+        (("sweep", "degree"), {"p": 3, "r": 2, "strict": "no"},
+         'error: config key \'strict\' takes true or false, got "no"'),
     ],
     ids=["which", "format", "grid-element", "float", "strict"],
 )
-def test_config_values_meet_their_flags_checks(capsys, tmp_path, argv, config):
+def test_config_values_meet_their_flags_checks(capsys, tmp_path, argv, config, message):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
-    status, out, _ = run_cli(capsys, *argv, "--config", str(cfg))
+    status, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert status == 2
     assert out == ""
+    assert message in err
 
 
 def test_config_list_reads_as_the_flags_comma_text(capsys, tmp_path):
@@ -629,8 +633,18 @@ DEGREE_ARGV = ("degree", "--p", "3", "--r", "3", "--s", "1")
          "error: sweep verify-fact does not read --s\n"),
         (("sweep", "degree", "--p", "3", "--r", "3"), {"which": "eq1"},
          "error: sweep degree does not read --which\n"),
+        # a bare flag takes true or false, and no flag takes null
+        (("sweep", "degree", "--p", "3", "--r", "3"), {"strict": 1},
+         "error: config key 'strict' takes true or false, got 1\n"),
+        (("sweep", "--p", "3", "--r", "3", "degree"), {"strict": "verify-fact"},
+         "error: config key 'strict' takes true or false, got \"verify-fact\"\n"),
+        (("sweep", "degree", "--p", "3", "--r", "3"), {"strict": None},
+         "error: config key 'strict' takes true or false, got null\n"),
+        (("sweep", "degree", "--r", "3"), {"p": None},
+         "error: config key 'p' takes a value, got null\n"),
     ],
-    ids=["list", "run", "required", "target", "s-to-verify-fact", "which-to-degree"],
+    ids=["list", "run", "required", "target", "s-to-verify-fact", "which-to-degree",
+         "strict-int", "strict-target", "strict-null", "p-null"],
 )
 def test_config_file_must_be_an_object_of_flags(capsys, tmp_path, argv, config, message):
     cfg = tmp_path / "run.json"
@@ -658,6 +672,88 @@ def test_config_file_must_be_an_object_of_flags(capsys, tmp_path, argv, config, 
 def test_missing_parameters_are_listed_in_flag_order(capsys, argv, missing):
     status, out, err = run_cli(capsys, *argv)
     assert (status, out, err) == (2, "", f"error: missing required parameters: {missing}\n")
+
+
+#: every subset of --which eq1, --p 3, --r 2 and --s 1 for both sweep
+#: targets: the exit code and the last line printed, stderr on a refusal and
+#: the summary otherwise
+_SWEEP_FLAG_SUBSETS = [
+    ('verify-fact', 2, 'error: missing required parameters: p, r'),
+    ('verify-fact --which eq1', 2, 'error: missing required parameters: p, r'),
+    ('verify-fact --p 3', 2, 'error: missing required parameters: r'),
+    ('verify-fact --r 2', 2, 'error: missing required parameters: p'),
+    ('verify-fact --s 1', 2, 'error: missing required parameters: p, r'),
+    ('verify-fact --which eq1 --p 3', 2, 'error: missing required parameters: r'),
+    ('verify-fact --which eq1 --r 2', 2, 'error: missing required parameters: p'),
+    ('verify-fact --which eq1 --s 1', 2, 'error: missing required parameters: p, r'),
+    ('verify-fact --p 3 --r 2', 2, 'error: sweep verify-fact needs --which eq1|eq2'),
+    ('verify-fact --p 3 --s 1', 2, 'error: missing required parameters: r'),
+    ('verify-fact --r 2 --s 1', 2, 'error: missing required parameters: p'),
+    ('verify-fact --which eq1 --p 3 --r 2', 0, 
+     'command=sweep target=verify-fact pass=1 fail=0 skip=0 points=1'),
+    ('verify-fact --which eq1 --p 3 --s 1', 2, 'error: missing required parameters: r'),
+    ('verify-fact --which eq1 --r 2 --s 1', 2, 'error: missing required parameters: p'),
+    ('verify-fact --p 3 --r 2 --s 1', 2, 'error: sweep verify-fact needs --which eq1|eq2'),
+    ('verify-fact --which eq1 --p 3 --r 2 --s 1', 2, 'error: sweep verify-fact does not read --s'),
+    ('degree', 2, 'error: missing required parameters: p, r'),
+    ('degree --which eq1', 2, 'error: missing required parameters: p, r'),
+    ('degree --p 3', 2, 'error: missing required parameters: r'),
+    ('degree --r 2', 2, 'error: missing required parameters: p'),
+    ('degree --s 1', 2, 'error: missing required parameters: p, r'),
+    ('degree --which eq1 --p 3', 2, 'error: missing required parameters: r'),
+    ('degree --which eq1 --r 2', 2, 'error: missing required parameters: p'),
+    ('degree --which eq1 --s 1', 2, 'error: missing required parameters: p, r'),
+    ('degree --p 3 --r 2', 0, 'command=sweep target=degree pass=1 fail=0 skip=0 points=1'),
+    ('degree --p 3 --s 1', 2, 'error: missing required parameters: r'),
+    ('degree --r 2 --s 1', 2, 'error: missing required parameters: p'),
+    ('degree --which eq1 --p 3 --r 2', 2, 'error: sweep degree does not read --which'),
+    ('degree --which eq1 --p 3 --s 1', 2, 'error: missing required parameters: r'),
+    ('degree --which eq1 --r 2 --s 1', 2, 'error: missing required parameters: p'),
+    ('degree --p 3 --r 2 --s 1', 0, 'command=sweep target=degree pass=1 fail=0 skip=0 points=1'),
+    ('degree --which eq1 --p 3 --r 2 --s 1', 2, 'error: sweep degree does not read --which'),
+]
+
+
+@pytest.mark.parametrize("argv, status, last", _SWEEP_FLAG_SUBSETS,
+                         ids=[argv for argv, *_ in _SWEEP_FLAG_SUBSETS])
+def test_the_sweep_refuses_its_flags_in_one_order(capsys, tmp_path, argv, status, last):
+    target, *flags = argv.split()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(dict(zip((f[2:] for f in flags[::2]), flags[1::2]))))
+    for call in ([target, *flags], [target, "--config", str(cfg)]):
+        got, out, err = run_cli(capsys, "sweep", *call)
+        assert (got, bool(out), bool(err)) == (status, status == 0, status != 0), call
+        assert (err or out).splitlines()[-1] == last, call
+
+
+def test_a_target_refuses_every_grid_flag_it_does_not_read(capsys, monkeypatch):
+    grid_and_runner = cli._SWEEP_TARGETS["degree"][2:]
+    monkeypatch.setitem(cli._SWEEP_TARGETS, "degree", ({"p": None}, (), *grid_and_runner))
+    for flag in ("--r", "--s"):
+        assert run_cli(capsys, "sweep", "degree", "--p", "3", flag, "2") == (
+            2, "", f"error: sweep degree does not read {flag}\n")
+
+
+def test_the_sweep_help_keeps_its_option_lines(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["sweep", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out[out.index("options:\n"):] == """\
+options:
+  -h, --help            show this help message and exit
+  --which {eq1,eq2}
+  --p P                 grid values, e.g. 2,3,5
+  --r R                 grid values, e.g. 1:2
+  --s S                 grid values; defaults to 1..r-1
+  --strict              treat points skipped over the ceiling as failures
+  --jobs JOBS           accepted for compatibility; has no effect, points run
+                        in order
+  --ceiling CEILING     field-size cap, at least 2 (default $SCHURLAB_CEILING
+                        or 1000000)
+  --format {json,tsv,text}
+                        output format (default text)
+  --config CONFIG       JSON file whose keys are this command's flags
+"""
 
 
 def test_degree_disagreement_exits_1(capsys, monkeypatch):
@@ -840,6 +936,12 @@ def test_sweep_records_failed_points_of_either_target(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, err", [
     ("sweep degree --p , --r 2", "schurlab sweep: error: argument --p: empty grid component ','\n"),
     ("counterexample --p 3 --m 10001", "error: no applicable mode for m=10001\n"),
+    # a grid value that is no integer is named as one
+    ("sweep degree --p x --r 2", "schurlab sweep: error: argument --p: not an integer: 'x'\n"),
+    ("sweep degree --p 3 --r 2:x", "schurlab sweep: error: argument --r: not an integer: 'x'\n"),
+    ("counterexample --p 3 --m a",
+     "schurlab counterexample: error: argument --m: not an integer: 'a'\n"),
+    ("identity --chars 0,b", "schurlab identity: error: argument --chars: not an integer: 'b'\n"),
 ])
 def test_refusals_before_any_output(capsys, argv, err):
     status, out, got_err = run_cli(capsys, *argv.split())

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurlab import factor, ffield, mpoly
-from schurlab.ffield import (
-    TABLE_CEILING, CeilingError, FieldSpec, FieldTooSmallError, is_prime, make_field
-)
+from schurlab.ffield import TABLE_CEILING, FieldSpec, FieldTooSmallError, make_field
+from schurlab.modp import CeilingError, is_prime
 from schurlab.factor import (
     FactorReport,
     _candidate_forms,

@@ -1,7 +1,11 @@
 import copy
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,27 +14,29 @@ from schurlab import ffield, modp
 from schurlab.ffield import (
     RATIONALS,
     TABLE_CEILING,
-    CeilingError,
     FFElement,
     FieldMismatchError,
     FieldSpec,
     FieldTooSmallError,
-    _frobenius_coprime,
-    _is_irreducible,
-    _poly_powmod,
-    _rank_mod_p,
     _schoolbook_mul,
     _schoolbook_pow,
     _zech_lists,
-    check_ceiling,
-    check_field,
     frobenius,
     in_subfield,
-    is_prime,
     make_field,
     multiplicative_generator,
     prime_factors,
     unity_degree,
+)
+from schurlab.modp import (
+    CeilingError,
+    _frobenius_coprime,
+    _is_irreducible,
+    _poly_powmod,
+    _rank_mod_p,
+    check_ceiling,
+    check_field,
+    is_prime,
 )
 
 
@@ -256,31 +262,59 @@ def test_check_field_names_exactly_the_fields_and_builds_none():
     assert make_field.cache_info().currsize == built
 
 
-@pytest.mark.parametrize("n", [ffield._SPRP_BOUND, 2**89 - 1, 2**127 - 1])
-def test_prime_test_refuses_at_once_where_it_does_not_decide(monkeypatch, n):
-    def refuse(m):
-        raise AssertionError("factoring past the bound")
+class _NoBases:
+    """Stands for modp._SPRP_BASES where no strong-probable-prime test may run."""
 
-    monkeypatch.setattr(ffield, "prime_factors", refuse)
+    def __iter__(self):
+        raise AssertionError("a strong-probable-prime test past the bound")
+
+
+@pytest.mark.parametrize("n", [modp._SPRP_BOUND, 2**89 - 1, 2**127 - 1])
+def test_prime_test_refuses_at_once_where_it_does_not_decide(monkeypatch, n):
+    monkeypatch.setattr(modp, "_SPRP_BASES", _NoBases())
     with pytest.raises(ValueError) as exc:
         is_prime(n)
-    assert str(exc.value) == f"primality is decided only below {ffield._SPRP_BOUND}, got {n}"
+    assert str(exc.value) == f"primality is decided only below {modp._SPRP_BOUND}, got {n}"
+    with pytest.raises(AssertionError, match="strong-probable-prime test"):
+        is_prime(modp._SPRP_BOUND - 2)  # the guard fires wherever the test runs
 
 
 def test_check_field_refuses_a_huge_characteristic_before_any_primality_work(monkeypatch):
-    below = next(n for n in range(ffield._SPRP_BOUND - 1, 0, -1) if is_prime(n))
+    below = next(n for n in range(modp._SPRP_BOUND - 1, 0, -1) if is_prime(n))
 
     def refuse(n):
         raise AssertionError("primality work on a characteristic past the bound")
 
     monkeypatch.setattr(modp, "is_prime", refuse)
-    monkeypatch.setattr(ffield, "prime_factors", refuse)
-    for p in (ffield._SPRP_BOUND, 2**89 - 1, 2**127 - 1):
+    monkeypatch.setattr(modp, "_SPRP_BASES", _NoBases())
+    for p in (modp._SPRP_BOUND, 2**89 - 1, 2**127 - 1):
         with pytest.raises(ValueError) as exc:
             check_field(p, 3)
-        assert str(exc.value) == f"characteristic must be below {ffield._SPRP_BOUND}, got {p}"
+        assert str(exc.value) == f"characteristic must be below {modp._SPRP_BOUND}, got {p}"
     monkeypatch.undo()
     check_field(below, 3)
+
+
+def test_ffield_binds_only_the_modp_names_it_calls():
+    # the names both modules bind, but for the two imports they share
+    shared = {name for name in vars(ffield).keys() & vars(modp).keys()
+              if not name.startswith("__")} - {"annotations", "functools"}
+    assert shared == {"_poly_mod", "_poly_mul", "_poly_powmod", "irreducible_modulus"}
+    assert all(vars(ffield)[name] is vars(modp)[name] for name in shared)
+
+
+def test_the_ceiling_names_of_the_package_load_no_field_layer():
+    # sys.modules, not -X importtime: a name the package resolves on lookup
+    # does not always show in that log
+    code = ("import sys\n"
+            "from schurlab import CeilingError, DESK_CEILING\n"
+            "from schurlab import modp\n"
+            "assert (CeilingError, DESK_CEILING) == (modp.CeilingError, modp.DESK_CEILING)\n"
+            "print(sorted({'schurlab.ffield', 'fractions', 'dataclasses'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(modp.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_frobenius_fixes_prime_field():
@@ -877,5 +911,5 @@ def test_element_refusals():
     with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
         FFElement(F9, (1,))
     with pytest.raises(ValueError, match="need p >= 2, got 1"):
-        ffield.p_power_exponent(8, 1)
+        modp.p_power_exponent(8, 1)
     assert RATIONALS.roots_of_unity(2) == [Fraction(1), Fraction(-1)]

@@ -5,8 +5,9 @@ from itertools import accumulate
 
 import pytest
 
-from schurlab import ffield, newton
-from schurlab.ffield import CeilingError, frobenius, make_field
+from schurlab import ffield, modp, newton
+from schurlab.ffield import frobenius, make_field
+from schurlab.modp import CeilingError
 from schurlab.mpoly import LinearForm, MultiPoly, RATIONALS, substitute
 from schurlab.newton import (
     DIRECT_EXPANSION_CAP,
@@ -58,7 +59,7 @@ def test_two_generator_degree_values():
         (lambda: two_generator_degree(3, 2, 4), 4),
         (lambda: find_irreducible_eta(9), 9),
         (lambda: build_alternative_pair(9, eta=1), 9),
-        (lambda: ffield.check_ceiling(4, 80, 10**6), 4),
+        (lambda: modp.check_ceiling(4, 80, 10**6), 4),
     ],
     ids=["make_field", "TowerParams", "two_generator_degree", "find_irreducible_eta",
          "build_alternative_pair", "check_ceiling"],
@@ -130,7 +131,7 @@ def test_build_alternative_pair_p2():
 
 def test_build_alternative_pair_matches_the_scan_of_the_quadratic_extension():
     # oracle: the rootless test and the first root by code, both by scanning
-    for p in (n for n in range(3, 60) if ffield.is_prime(n)):
+    for p in (n for n in range(3, 60) if modp.is_prime(n)):
         F = make_field(p, 2)
         for eta in range(p):
             rootless = all((x * x - 2 * eta * x + eta) % p for x in range(p))
@@ -152,7 +153,7 @@ def scanned_quadratic_root(ambient, eta):
 
 
 def test_quadratic_root_matches_the_scan_for_every_odd_prime_below_3000():
-    for p in (n for n in range(3, 3000) if ffield.is_prime(n)):
+    for p in (n for n in range(3, 3000) if modp.is_prime(n)):
         ambient = make_field(p, 2)
         eta = find_irreducible_eta(p)
         assert newton._quadratic_root(ambient, eta) == scanned_quadratic_root(ambient, eta), p
@@ -358,7 +359,7 @@ _MEET_IN_THE_MIDDLE = [
     for p in (2, 3, 5, 7)
     for r in range(2, 30)
     for s in range(1, r)
-    if 60000 < p ** (r - s) <= ffield.DESK_CEILING
+    if 60000 < p ** (r - s) <= modp.DESK_CEILING
 ]
 
 
@@ -369,7 +370,7 @@ def test_brute_count_matches_the_meet_in_the_middle_count(p, r, s):
     assert brute_count_alternatives(t) == meet_in_the_middle_count(t)
 
 
-@pytest.mark.parametrize("p", [n for n in range(2, 2000) if ffield.is_prime(n)] + [65521, 999983])
+@pytest.mark.parametrize("p", [n for n in range(2, 2000) if modp.is_prime(n)] + [65521, 999983])
 def test_prime_field_count_matches_the_logarithm_count(p):
     # meet_in_the_middle_count splits the residue into blocks of
     # ceil(sqrt(p)); the last block stops at p - 1, and for p = 999983 a
@@ -407,7 +408,7 @@ def fieldspec_count(t):
     powers = accumulate(range(n - 1), lambda x, _: ffield._schoolbook_mul(spec, x, xe),
                         initial=(1,) + zero[1:])
     cols = [[a + (j == i) for j, a in enumerate(x)] for i, x in enumerate(powers)]
-    return p ** (n - ffield._rank_mod_p(cols, p)) + (p > 2)
+    return p ** (n - modp._rank_mod_p(cols, p)) + (p > 2)
 
 
 # every n = r - s up to 8, with s from 1 to 2n, so s mod n takes every value
