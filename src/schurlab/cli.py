@@ -8,9 +8,9 @@ or TSV rows, or terse text).  Exit codes:
   skipped over the ceiling);
 * 2 on usage or configuration errors, a refusal over ``--ceiling`` outside
   a sweep, and input too large to represent;
-* 3 when an internal cross-check failed (the two ``r_poly`` routes,
-  ``i_poly`` against the determinant, ``counterexample`` modes, the
-  oracle's parity).
+* 3 when an internal cross-check failed (``i_poly``'s product against the
+  determinant, ``t_poly``'s Weyl sum, ``counterexample`` modes, the
+  oracle's parity, the alternative pair's conjugate invariant).
 
 Output is byte-identical for identical configuration.  The commands that
 build fields or polynomials import ``ffield``, ``vschur``, ``factor`` and
@@ -511,17 +511,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(val) -> str:
+    """A config value as flag text: a string as it stands, anything else as JSON."""
+    return val if isinstance(val, str) else json.dumps(val)
+
+
 def _parse_args(argv) -> argparse.Namespace:
     """Parse argv; a --config file reads as flags placed before the user's own.
 
     Each key of the file's JSON object names a flag of the command: a list
     becomes its comma text, ``true`` the bare flag (``"strict": true``, and a
     bare flag takes only a boolean), ``false`` nothing (the flag keeps its
-    default), ``null`` a refusal and any other value its ``str``.  These
-    tokens go between the subcommand name and the user's arguments and the
-    line is parsed once more, so every file value meets its flag's type and
-    choices, and a flag on the command line beats the file, which beats the
-    declared default.
+    default), ``null`` or an object a refusal, a string itself and any other
+    value its JSON text, so a refusal quotes the value as the file wrote it.
+    These tokens go between the subcommand name and the user's arguments and
+    the line is parsed once more, so every file value meets its flag's type
+    and choices, and a flag on the command line beats the file, which beats
+    the declared default.
     """
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -538,7 +544,7 @@ def _parse_args(argv) -> argparse.Namespace:
         if dest not in args.config_keys:
             raise ValueError(f"unknown config key {key!r}")
         bare = args.config_keys[dest]
-        if val is None or bare and not isinstance(val, bool):
+        if val is None or isinstance(val, dict) or bare and not isinstance(val, bool):
             raise ValueError(f"config key {key!r} takes {'true or false' if bare else 'a value'}, "
                              f"got {json.dumps(val)}")
         if val is False:
@@ -547,9 +553,9 @@ def _parse_args(argv) -> argparse.Namespace:
         if bare:
             tokens.append(flag)
         elif isinstance(val, list):
-            tokens += [flag, ",".join(map(str, val))]
+            tokens += [flag, ",".join(map(_json_text, val))]
         else:
-            tokens += [flag, str(val)]
+            tokens += [flag, _json_text(val)]
     return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 

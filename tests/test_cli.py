@@ -1,9 +1,5 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -206,10 +202,12 @@ def test_factor_refuses_over_the_ceiling_before_building_the_field(capsys, monke
 
     monkeypatch.setattr(ffield, "make_field", unreachable)
     monkeypatch.setattr(vschur, "t_poly", unreachable)
-    args = ["factor", "--A", "3", "--B", "1", "--p", "3", "--r", "80", "--ceiling", "1000000"]
-    status, out, err = run_cli(capsys, *args)
-    assert (status, out, built) == (2, "", [])
-    assert err == "error: field order 3^80 exceeds the ceiling 1000000\n"
+    monkeypatch.delenv(cli.CEILING_ENV, raising=False)
+    args = ["factor", "--A", "3", "--B", "1", "--p", "3", "--r", "80"]
+    for ceiling in ([], ["--ceiling", "1000000"]):  # the default, then the same cap named
+        status, out, err = run_cli(capsys, *args, *ceiling)
+        assert (status, out, built) == (2, "", [])
+        assert err == "error: field order 3^80 exceeds the ceiling 1000000\n"
 
 
 def test_sweep_verify_fact(capsys):
@@ -361,24 +359,6 @@ def test_a_range_past_the_cap_is_refused_before_it_is_expanded(capsys, monkeypat
         assert err.endswith(f"error: argument --r: {err_tail}; a grid flag takes at most 5\n")
 
 
-def test_a_huge_range_is_refused_in_bounded_memory():
-    # a fresh interpreter limited to 1 GB of address space; expanding the
-    # range would take tens of gigabytes
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "schurlab.cli", "sweep", "degree", "--p", "3",
-                           "--r", "60:1000000000"], capture_output=True, text=True, env=env,
-                          timeout=60, preexec_fn=limit)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.endswith(
-        "error: argument --r: range '60:1000000000' holds 999999941 values; "
-        "a grid flag takes at most 1000000\n")
-
-
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_a_sweep_builds_no_text_line_outside_text_format(capsys, monkeypatch, fmt):
     argv = ("sweep", "degree", "--p", "2,3", "--r", "2:4", "--format", fmt)
@@ -475,8 +455,15 @@ def test_byte_identical_reruns(capsys):
         (("tpoly",), {"A": 3.5, "B": 1}, "argument --A: invalid int value: '3.5'"),
         (("sweep", "degree"), {"p": 3, "r": 2, "strict": "no"},
          'error: config key \'strict\' takes true or false, got "no"'),
+        # a value that is no string is quoted as the file wrote it
+        (("sweep", "degree"), {"p": [3, None], "r": 2}, "argument --p: not an integer: 'null'"),
+        (("verify-fact",), {"which": True, "p": 3, "r": 1},
+         "argument --which: invalid choice: 'true'"),
+        (("sweep", "degree"), {"p": {"a": 1}, "r": 2},
+         'error: config key \'p\' takes a value, got {"a": 1}'),
     ],
-    ids=["which", "format", "grid-element", "float", "strict"],
+    ids=["which", "format", "grid-element", "float", "strict", "grid-null", "which-true",
+         "object"],
 )
 def test_config_values_meet_their_flags_checks(capsys, tmp_path, argv, config, message):
     cfg = tmp_path / "run.json"
@@ -642,9 +629,11 @@ DEGREE_ARGV = ("degree", "--p", "3", "--r", "3", "--s", "1")
          "error: config key 'strict' takes true or false, got null\n"),
         (("sweep", "degree", "--r", "3"), {"p": None},
          "error: config key 'p' takes a value, got null\n"),
+        (("sweep", "degree", "--p", "3", "--r", "2"), {"strict": "no"},
+         "error: config key 'strict' takes true or false, got \"no\"\n"),
     ],
     ids=["list", "run", "required", "target", "s-to-verify-fact", "which-to-degree",
-         "strict-int", "strict-target", "strict-null", "p-null"],
+         "strict-int", "strict-target", "strict-null", "p-null", "strict-string"],
 )
 def test_config_file_must_be_an_object_of_flags(capsys, tmp_path, argv, config, message):
     cfg = tmp_path / "run.json"
@@ -850,6 +839,8 @@ _PAST_BOUND = f"error: characteristic must be below 3317044064679887385961981, g
          2, _EMPTY, "error: need r > s >= 1, got r=3, s=0\n"),
         ("sweep degree --p 3 --r 1 --s 0", None,
          2, _EMPTY, "error: need r > s >= 1, got r=1, s=0\n"),
+        ("sweep degree --p 3 --r 3 --s 0", None,
+         2, _EMPTY, "error: need r > s >= 1, got r=3, s=0\n"),
         ("sweep degree --p 3 --r 0:1", None,
          2, _EMPTY, "error: the sweep grid is empty\n"),
         (f"sweep degree --p {_HUGE} --r 1", None,
@@ -961,14 +952,129 @@ _FIELD_LAYER = {"schurlab.ffield", "fractions", "dataclasses"}
     ("tpoly --A 3 --B 1", _FIELD_LAYER | {"schurlab.mpoly", "schurlab.vschur"}),
     ("verify-fact --which eq1 --p 3 --r 1", _FIELD_LAYER | _POLYNOMIAL_LAYERS),
 ])
-def test_a_command_loads_only_the_layers_it_runs(argv, layers):
+def test_a_command_loads_only_the_layers_it_runs(fresh_python, argv, layers):
     # a fresh interpreter through the real entry point, package __init__
     # included; -X importtime names every module the process imports
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "schurlab.cli", *argv.split()],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = fresh_python("-X", "importtime", "-m", "schurlab.cli", *argv.split())
     assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert {"schurlab.modp", "schurlab.newton"} <= imported
     assert imported & (_FIELD_LAYER | _POLYNOMIAL_LAYERS) == layers
+
+
+class _Length:
+    """Equal to any list of n items: a JSON field too long to write out."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __eq__(self, other):
+        return isinstance(other, list) and len(other) == self.n
+
+    def __repr__(self):
+        return f"<a list of {self.n}>"
+
+
+def _last_line(text):
+    return text.splitlines()[-1] if text else None
+
+
+_2GB = 2_000_000  # KiB
+_BOTH = ["direct", "frobenius_shortcut"]
+_SHORTCUT = ["frobenius_shortcut"]
+_SWEEP_PASS = "command=sweep target=verify-fact pass={0} fail=0 skip=0 points={0}"
+_SIGNATURE_5_2 = "witnesses=3 lower=2 upper=1 all_verdicts_true=true"
+
+#: the real entry point in a fresh interpreter, under an address-space limit
+#: (KiB, as ``ulimit -v`` counts) and a timeout (s): the exit code, then the
+#: last stdout line or the fields of each JSON record in turn, and the last
+#: stderr line (None for no output)
+_BOUNDED_RUNS = [
+    ("tpoly --A 3 --B 1 --char 0", _2GB, 60, 0, "X + Y + Z", None),
+    ("degree --p 3 --r 3 --s 1 --mode formula", _2GB, 60, 0, "formula=2", None),
+    # 1 GiB, where expanding the range would take tens of gigabytes
+    ("sweep degree --p 3 --r 60:1000000000", 1 << 20, 60, 2, None,
+     "schurlab sweep: error: argument --r: range '60:1000000000' holds 999999941 values; "
+     "a grid flag takes at most 1000000"),
+    # the roots of order 6 in F_{5^80} factor 6, not 5^80 - 1
+    ("signature --A 5 --B 2 --p 7 --r 2", _2GB, 60, 0, _SIGNATURE_5_2, None),
+    ("signature --A 7 --B 2 --p 1000003 --r 4", _2GB, 60, 0,
+     "witnesses=5 lower=4 upper=1 all_verdicts_true=true", None),
+    ("signature --A 5 --B 2 --p 5 --r 80", _2GB, 20, 0, _SIGNATURE_5_2, None),
+    # primality near 10^18 and past the strong-probable-prime bound, and the
+    # modulus search over a large prime
+    ("degree --p 1000000000000000003 --r 3 --s 1 --mode formula", _2GB, 20, 0,
+     "formula=500000000000000002", None),
+    (f"degree --p {_HUGE} --r 3 --s 1 --mode formula", _2GB, 5, 2, None, _PAST_BOUND.strip()),
+    # x^2 + y^2 is no member of the family, so the verdict is false and the exit 1
+    ("counterexample --p 1000000000000000003 --m 2", _2GB, 5, 1,
+     "m=2 identity_holds=false modes=direct", None),
+    ("tpoly --A 3 --B 1 --char 1000000007 --ext 2", _2GB, 20, 0,
+     "1000000007^2:[1,0]*X + 1000000007^2:[1,0]*Y + 1000000007^2:[1,0]*Z", None),
+    # the int kernels over Q and the pattern counts mod p, past the sizes the
+    # in-process tests reach
+    ("identity --chars 0,2,3,5 --max-a 16 --format json", _2GB, 60, 0,
+     [{"verdict": "pass"}] * 480, None),
+    ("identity --chars 0 --max-a 30 --format json", _2GB, 60, 0, [{"verdict": "pass"}] * 435, None),
+    ("tpoly --A 400 --B 1 --char 0 --format json", _2GB, 60, 0, [{"terms": _Length(79800)}], None),
+    # linear-factor sweeps: a zero set, no linear factor, a cube, the
+    # three-point gate on T(125,1) and exact division on logarithms in
+    # characteristic 2
+    ("factor --A 16 --B 1 --p 2 --r 4 --format json", _2GB, 60, 0,
+     [{"factor_count": 14, "fully_split": True}], None),
+    ("factor --A 11 --B 4 --p 13 --r 1 --format json", _2GB, 60, 0,
+     [{"factor_count": 0, "residual_degree_in_z": 9, "fully_split": False}], None),
+    ("factor --A 9 --B 3 --p 3 --r 1 --format json", _2GB, 60, 0,
+     [{"factors": [{"alpha": "3^1:[2]", "beta": "3^1:[2]", "multiplicity": 3}],
+       "factor_count": 3, "fully_split": True}], None),
+    ("factor --A 125 --B 1 --p 5 --r 3 --format json", _2GB, 60, 0,
+     [{"factor_count": 123, "residual_degree_in_z": 0, "fully_split": True}], None),
+    ("factor --A 128 --B 1 --p 2 --r 7 --format json", _2GB, 60, 0,
+     [{"factor_count": 126, "residual_degree_in_z": 0, "fully_split": True}], None),
+    # the Moore splitting and determinant routes, up to q = 5^8 and 3^12
+    ("verify-fact --which eq2 --p 3 --r 3 --format json", _2GB, 60, 0,
+     [{"verdict": "pass", "factor_count": 676}], None),
+    ("sweep verify-fact --which eq2 --p 2,3,5,7 --r 1:2", _2GB, 60, 0, _SWEEP_PASS.format(8), None),
+    ("sweep verify-fact --which eq1 --p 2 --r 1:14 --strict", _2GB, 60, 0,
+     _SWEEP_PASS.format(14), None),
+    ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:8 --strict", _2GB, 120, 0,
+     _SWEEP_PASS.format(24), None),
+    ("sweep verify-fact --which eq2 --p 2,3 --r 1:12 --strict", _2GB, 60, 0,
+     _SWEEP_PASS.format(24), None),
+    ("verify-fact --which eq1 --p 2 --r 20 --ceiling 1048576", _2GB, 30, 0,
+     "verdict=pass which=eq1 p=2 r=20 factor_count=1048574", None),
+    # the Frobenius power route; past DIRECT_EXPANSION_CAP = 10^4 only the
+    # shortcut applies
+    ("counterexample --p 3 --m 4,28,244,19684 --format json", _2GB, 60, 0,
+     [{"alpha": "3^2:[2,1]", "m": None}]
+     + [{"m": m, "identity_holds": True, "modes": _BOTH} for m in (4, 28, 244)]
+     + [{"m": 19684, "identity_holds": True, "modes": _SHORTCUT}], None),
+    ("counterexample --p 2 --m 5,17,65537 --format json", _2GB, 60, 0,
+     [{"alpha": "2^2:[0,1]", "m": None}]
+     + [{"m": m, "identity_holds": True, "modes": _BOTH} for m in (5, 17)]
+     + [{"m": 65537, "identity_holds": True, "modes": _SHORTCUT}], None),
+    # the degree oracle over F_{3^12}, above TABLE_CEILING = 2^17; over F_{7^7},
+    # whose log and Zech lists would not fit in 80 MB, as one 7x7 rank mod 7;
+    # and over F_{3^40}, about 1.2e19 elements, as one 40x40 rank mod 3
+    ("degree --p 3 --r 13 --s 1", _2GB, 20, 0, "formula=2 oracle=2 agree=true", None),
+    ("degree --p 7 --r 8 --s 1 --mode oracle", 80_000, 10, 0, "oracle=1", None),
+    ("degree --p 3 --r 41 --s 1 --ceiling 100000000000000000000", 200_000, 10, 0,
+     "formula=2 oracle=2 agree=true", None),
+]
+
+
+@pytest.mark.parametrize("argv, limit_kib, timeout, status, out, err", _BOUNDED_RUNS,
+                         ids=[row[0] for row in _BOUNDED_RUNS])
+def test_the_entry_point_runs_within_its_bounds(
+    fresh_python, monkeypatch, argv, limit_kib, timeout, status, out, err
+):
+    monkeypatch.delenv(cli.CEILING_ENV, raising=False)
+    proc = fresh_python("-m", "schurlab.cli", *argv.split(), limit_kib=limit_kib, timeout=timeout)
+    assert (proc.returncode, _last_line(proc.stderr)) == (status, err)
+    if isinstance(out, list):
+        records = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert len(records) == len(out)
+        assert [{key: r.get(key) for key in want} for r, want in zip(records, out)] == out
+    else:
+        assert _last_line(proc.stdout) == out

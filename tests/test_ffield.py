@@ -1,11 +1,7 @@
 import copy
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,7 +299,7 @@ def test_ffield_binds_only_the_modp_names_it_calls():
     assert all(vars(ffield)[name] is vars(modp)[name] for name in shared)
 
 
-def test_the_ceiling_names_of_the_package_load_no_field_layer():
+def test_the_ceiling_names_of_the_package_load_no_field_layer(fresh_python):
     # sys.modules, not -X importtime: a name the package resolves on lookup
     # does not always show in that log
     code = ("import sys\n"
@@ -311,9 +307,7 @@ def test_the_ceiling_names_of_the_package_load_no_field_layer():
             "from schurlab import modp\n"
             "assert (CeilingError, DESK_CEILING) == (modp.CeilingError, modp.DESK_CEILING)\n"
             "print(sorted({'schurlab.ffield', 'fractions', 'dataclasses'} & set(sys.modules)))\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(modp.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+    proc = fresh_python("-c", code)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 

@@ -842,6 +842,41 @@ def test_values_copy_and_pickle(field, value):
             assert spec == field and spec is not field and "_tables" not in vars(spec)
 
 
+_PICKLE_ACROSS_INTERPRETERS = """
+import pickle, sys
+from schurlab.ffield import RATIONALS, make_field
+from schurlab.mpoly import MultiPoly
+
+def build():
+    F9 = make_field(3, 2)
+    a = F9.element((1, 2))
+    X, Y, _ = MultiPoly.gens(F9)
+    f = a * X**2 - Y  # the arithmetic builds the tables of F_9
+    return [a, f, MultiPoly.from_text("3*X^2*Y - 5/2*Z + 7", RATIONALS),
+            make_field(1000003, 1).from_int(999999)]
+
+mode, path = sys.argv[1:]
+if mode == "dump":
+    values = build()
+    assert "_tables" in vars(make_field(3, 2))
+    with open(path, "wb") as fh:
+        pickle.dump(values, fh)
+else:  # unpickled first, into a cold make_field cache
+    with open(path, "rb") as fh:
+        loaded = pickle.load(fh)
+    assert loaded == build() and loaded[0].spec is make_field(3, 2), loaded
+    print(len(loaded))
+"""
+
+
+def test_values_pickled_in_one_interpreter_load_in_another(fresh_python, tmp_path):
+    path = str(tmp_path / "values.pickle")
+    dump = fresh_python("-c", _PICKLE_ACROSS_INTERPRETERS, "dump", path)
+    assert (dump.returncode, dump.stdout, dump.stderr) == (0, "", "")
+    load = fresh_python("-c", _PICKLE_ACROSS_INTERPRETERS, "load", path)
+    assert (load.returncode, load.stdout, load.stderr) == (0, "4\n", "")
+
+
 def test_equality_with_a_scalar_of_another_field_is_false():
     X, _, _ = gens()
     assert (X == make_field(3, 2).one()) is False

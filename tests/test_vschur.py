@@ -81,9 +81,13 @@ def test_r_poly_classical_case():
 
 
 def test_r_poly_matches_displayed_form():
-    X, Y, Z = MultiPoly.gens(Q)
-    expected = Z**3 * (X - Y) - Z * (X**3 - Y**3) + X * Y * (X**2 - Y**2)
-    assert r_poly(ExponentPair(3, 1)) == expected
+    # the closed form, multiplied out, at every 1 <= B < A <= 12
+    for field in (Q, F2, F3, F4):
+        X, Y, Z = MultiPoly.gens(field)
+        for A, B in itertools.combinations(range(12, 0, -1), 2):
+            expected = (Z**A * (X**B - Y**B) - Z**B * (X**A - Y**A)
+                        + X**B * Y**B * (X**(A - B) - Y**(A - B)))
+            assert r_poly(ExponentPair(A, B, field)) == expected, (field, A, B)
 
 
 def test_r_poly_vanishes_on_equal_columns():
