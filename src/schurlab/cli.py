@@ -522,8 +522,9 @@ def _parse_args(argv) -> argparse.Namespace:
     Each key of the file's JSON object names a flag of the command: a list
     becomes its comma text, ``true`` the bare flag (``"strict": true``, and a
     bare flag takes only a boolean), ``false`` nothing (the flag keeps its
-    default), ``null`` or an object a refusal, a string itself and any other
-    value its JSON text, so a refusal quotes the value as the file wrote it.
+    default), ``null``, an object, or a list that is empty or holds a list or
+    an object a refusal, a string itself and any other value its JSON text,
+    so a refusal quotes the value as the file wrote it.
     These tokens go between the subcommand name and the user's arguments and
     the line is parsed once more, so every file value meets its flag's type
     and choices, and a flag on the command line beats the file, which beats
@@ -544,7 +545,10 @@ def _parse_args(argv) -> argparse.Namespace:
         if dest not in args.config_keys:
             raise ValueError(f"unknown config key {key!r}")
         bare = args.config_keys[dest]
-        if val is None or isinstance(val, dict) or bare and not isinstance(val, bool):
+        # a list becomes comma text, so it holds one value or more and no list or object
+        bad_list = isinstance(val, list) and (
+            not val or any(isinstance(v, (list, dict)) for v in val))
+        if val is None or isinstance(val, dict) or bad_list or bare and not isinstance(val, bool):
             raise ValueError(f"config key {key!r} takes {'true or false' if bare else 'a value'}, "
                              f"got {json.dumps(val)}")
         if val is False:

@@ -90,9 +90,7 @@ def r_poly(e: ExponentPair) -> MultiPoly:
     the cofactor expansion along the row (1, 1, 1): six distinct monomials,
     each +-1, since A > B >= 1.
     """
-    A, B = e.A, e.B
-    return MultiPoly(e.field, {(B, 0, A): 1, (0, B, A): -1, (A, 0, B): -1,
-                               (0, A, B): 1, (A, B, 0): 1, (B, A, 0): -1})
+    return _generalized_vandermonde((e.A, e.B, 0), 1, e.field)
 
 
 def i_poly(e: ExponentPair) -> MultiPoly:

@@ -15,100 +15,6 @@ def run_cli(capsys, *argv):
     return status, captured.out, captured.err
 
 
-def test_tpoly_prints_polynomial(capsys):
-    status, out, _ = run_cli(capsys, "tpoly", "--A", "3", "--B", "1", "--char", "0")
-    assert status == 0
-    assert out == "X + Y + Z\n"
-
-
-def test_rpoly_over_f2(capsys):
-    status, out, _ = run_cli(capsys, "rpoly", "--A", "3", "--B", "1", "--char", "2")
-    assert status == 0
-    assert "X^3*Y" in out
-
-
-def test_schur_command(capsys):
-    status, out, _ = run_cli(capsys, "schur", "--l1", "1", "--l2", "0", "--l3", "0")
-    assert status == 0
-    assert out == "X + Y + Z\n"
-
-
-def test_verify_fact_pass(capsys):
-    status, out, _ = run_cli(capsys, "verify-fact", "--which", "eq1", "--p", "3", "--r", "1")
-    assert status == 0
-    assert "verdict=pass" in out and "factor_count=1" in out
-
-
-def test_degree_both_mode(capsys):
-    status, out, _ = run_cli(capsys, "degree", "--p", "3", "--r", "3", "--s", "1", "--mode", "both")
-    assert status == 0
-    assert out.strip() == "formula=2 oracle=2 agree=true"
-
-
-def test_degree_json_record(capsys):
-    status, out, _ = run_cli(
-        capsys, "degree", "--p", "3", "--r", "3", "--s", "1", "--mode", "both",
-        "--format", "json",
-    )
-    assert status == 0
-    record = json.loads(out)
-    assert record["formula"] == 2 and record["oracle"] == 2 and record["agree"] is True
-
-
-def test_counterexample_family(capsys):
-    status, out, _ = run_cli(capsys, "counterexample", "--p", "3", "--m", "1,4,28")
-    assert status == 0
-    assert out.count("identity_holds=true") == 3
-
-
-def test_counterexample_negative_control_fails(capsys):
-    status, out, _ = run_cli(capsys, "counterexample", "--p", "3", "--m", "10")
-    assert status == 1
-    assert "identity_holds=false" in out
-
-
-def test_counterexample_single_mode_refusals_come_from_the_library(capsys):
-    status, out, err = run_cli(
-        capsys, "counterexample", "--p", "3", "--m", "10001", "--mode", "direct"
-    )
-    assert status == 2
-    assert "m=10001 is too large to expand directly" in err
-    assert "identity_holds" not in out
-    status, out, err = run_cli(
-        capsys, "counterexample", "--p", "3", "--m", "7", "--mode", "frobenius_shortcut"
-    )
-    assert status == 2
-    assert "shortcut mode needs m = 3^j + 1" in err
-    assert "identity_holds" not in out
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("identity", "--chars", "0,4"),
-        ("counterexample", "--p", "3", "--m", "4,0"),
-        ("counterexample", "--p", "3", "--m", "4,10001", "--mode", "direct"),
-    ],
-    ids=["identity-chars-0-4", "counterexample-m-4-0", "counterexample-m-4-10001-direct"],
-)
-def test_bad_value_after_good_ones_is_a_usage_error_before_any_output(capsys, argv):
-    """A bad value late in a list refuses the whole run before the first record."""
-    status, out, err = run_cli(capsys, *argv)
-    assert (status, out) == (2, "")
-    assert err.startswith("error: ")
-
-
-def test_signature_command_json(capsys):
-    status, out, _ = run_cli(
-        capsys, "signature", "--A", "5", "--B", "2", "--p", "7", "--r", "1",
-        "--format", "json",
-    )
-    assert status == 0
-    record = json.loads(out)
-    assert record["all_verdicts_true"] is True
-    assert len(record["witnesses"]) == 3
-
-
 def test_signature_refuses_a_small_field_before_any_work(capsys, monkeypatch):
     from schurlab import factor
 
@@ -121,17 +27,6 @@ def test_signature_refuses_a_small_field_before_any_work(capsys, monkeypatch):
     assert err == "error: 10 does not divide 3 - 1; need extension degree 4 over F_3\n"
 
 
-def test_signature_refusal_names_the_degree_that_holds_every_root(capsys):
-    # (13, 5) needs the 5th and 8th roots: F_7 lacks both, F_49 holds only the
-    # 8th, and F_{7^4} holds the 40th
-    status, out, err = run_cli(capsys, "signature", "--A", "13", "--B", "5", "--p", "7", "--r", "1")
-    assert (status, out) == (2, "")
-    assert err == "error: 40 does not divide 7 - 1; need extension degree 4 over F_7\n"
-    status, out, err = run_cli(capsys, "signature", "--A", "13", "--B", "5", "--p", "7", "--r", "4")
-    assert (status, err) == (0, "")
-    assert out == "witnesses=11 lower=7 upper=4 all_verdicts_true=true\n"
-
-
 def test_signature_reports_a_failed_check_of_the_quotient_as_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(vschur, "r_poly", lambda e: MultiPoly.zero(e.field))
     status, out, err = run_cli(capsys, "signature", "--A", "5", "--B", "2", "--p", "7", "--r", "1")
@@ -140,17 +35,6 @@ def test_signature_reports_a_failed_check_of_the_quotient_as_exit_3(capsys, monk
         "error: internal check failed: "
         "closed form of I times X^d - Y^d is not R for (A,B)=(5,2)\n"
     )
-
-
-def test_factor_command_tsv(capsys):
-    status, out, _ = run_cli(
-        capsys, "factor", "--A", "3", "--B", "1", "--p", "3", "--r", "1",
-        "--format", "tsv",
-    )
-    assert status == 0
-    header, row = out.strip().split("\n")
-    assert header.split("\t")[0] == "command"
-    assert "3^1:[2]" in row
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
@@ -183,16 +67,6 @@ def test_tpoly_text_format_builds_no_terms_list(capsys, monkeypatch):
         run_cli(capsys, "tpoly", "--A", "4", "--B", "1", "--char", "3", "--format", "json")
 
 
-def test_factor_obeys_ceiling_above_512(capsys):
-    args = ["factor", "--A", "11", "--B", "4", "--p", "521", "--r", "1"]
-    status, out, _ = run_cli(capsys, *args)
-    assert status == 0
-    assert "factors=0" in out
-    status, out, err = run_cli(capsys, *args, "--ceiling", "520")
-    assert status == 2 and not out
-    assert "exceeds the ceiling 520" in err
-
-
 def test_factor_refuses_over_the_ceiling_before_building_the_field(capsys, monkeypatch):
     built = []
 
@@ -210,48 +84,6 @@ def test_factor_refuses_over_the_ceiling_before_building_the_field(capsys, monke
         assert err == "error: field order 3^80 exceeds the ceiling 1000000\n"
 
 
-def test_sweep_verify_fact(capsys):
-    status, out, _ = run_cli(
-        capsys, "sweep", "verify-fact", "--which", "eq1", "--p", "2,3,5", "--r", "1:2"
-    )
-    assert status == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 7  # 6 grid points + summary
-    assert lines[-1] == "command=sweep target=verify-fact pass=6 fail=0 skip=0 points=6"
-
-
-def test_sweep_degree_defaults_s_range(capsys):
-    status, out, _ = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "2:5")
-    assert status == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 1 + sum(r - 1 for r in range(2, 6))
-    assert all("verdict=pass" in line for line in lines[:-1])
-
-
-def test_sweep_ceiling_skip_and_strict(capsys, monkeypatch):
-    args = ["sweep", "degree", "--p", "3", "--r", "13:13", "--s", "1", "--ceiling", "1000"]
-    status, out, _ = run_cli(capsys, *args)
-    assert status == 0
-    assert "verdict=skip" in out and "reason=ceiling" in out
-    status, out, _ = run_cli(capsys, *args, "--strict")
-    assert status == 1
-
-
-def test_sweep_jobs_deterministic(capsys):
-    base = ["sweep", "degree", "--p", "2,3", "--r", "2:4", "--format", "json"]
-    _, out1, _ = run_cli(capsys, *base)
-    _, out2, _ = run_cli(capsys, *base, "--jobs", "4")
-    assert out1 == out2
-
-
-def test_identity_command(capsys):
-    status, out, _ = run_cli(capsys, "identity", "--max-a", "5", "--chars", "0,2,5")
-    assert status == 0
-    lines = out.strip().split("\n")
-    assert len(lines) == 3 * 10
-    assert all(line.endswith("verdict=pass") for line in lines)
-
-
 def test_identity_determinism(capsys):
     base = ["identity", "--max-a", "4", "--chars", "3", "--format", "json"]
     status1, out1, _ = run_cli(capsys, *base)
@@ -259,94 +91,6 @@ def test_identity_determinism(capsys):
     assert (status1, status2) == (0, 0)
     assert len(out1.splitlines()) == 1 + 2 + 3  # the pairs A > B >= 1 with A <= 4
     assert out1 == out2
-
-
-@pytest.mark.parametrize("flag, value", [("--seed", "7"), ("--samples", "2")])
-def test_identity_takes_no_randomness_flags(capsys, flag, value):
-    status, out, err = run_cli(capsys, "identity", flag, value)
-    assert (status, out) == (2, "")
-    assert "unrecognized arguments" in err
-
-
-def test_identity_json_record_keys_are_the_exact_checks(capsys):
-    status, out, _ = run_cli(capsys, "identity", "--max-a", "3", "--chars", "0,3",
-                             "--format", "json")
-    assert status == 0
-    records = [json.loads(line) for line in out.splitlines()]
-    assert len(records) == 2 * 3
-    base = {"A", "B", "char", "command", "roundtrip", "schur", "symmetric", "verdict"}
-    for record in records:
-        want = base | {"complete_homogeneous"} if record["B"] == 1 else base
-        assert set(record) == want
-
-
-def test_config_file_supplies_parameters(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"A": 3, "B": 1, "char": 0}))
-    status, out, _ = run_cli(capsys, "tpoly", "--config", str(cfg))
-    assert status == 0
-    assert out == "X + Y + Z\n"
-
-
-def test_config_flag_wins_over_file(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"A": 3, "B": 1, "char": 0}))
-    status, out, _ = run_cli(capsys, "tpoly", "--A", "4", "--config", str(cfg))
-    assert status == 0
-    assert out == "X^2 + X*Y + X*Z + Y^2 + Y*Z + Z^2\n"
-
-
-def test_config_file_can_set_strict(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"strict": True}))
-    args = ["sweep", "degree", "--p", "3", "--r", "13:13", "--s", "1", "--ceiling", "1000"]
-    status, out, _ = run_cli(capsys, *args, "--config", str(cfg))
-    assert "reason=ceiling" in out
-    assert status == 1
-
-
-def test_config_false_leaves_the_flag_at_its_default(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"strict": False}))
-    args = ["sweep", "degree", "--p", "3", "--r", "13:13", "--s", "1", "--ceiling", "1000"]
-    _, plain, _ = run_cli(capsys, *args)
-    status, out, err = run_cli(capsys, *args, "--config", str(cfg))
-    assert (status, out, err) == (0, plain, "")
-    assert out.endswith("command=sweep target=degree pass=0 fail=0 skip=1 points=1\n")
-
-
-def test_config_integer_grid_value_reads_as_the_flag(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"p": 3, "r": "2:3"}))
-    _, from_flags, _ = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "2:3")
-    status, out, _ = run_cli(capsys, "sweep", "degree", "--config", str(cfg))
-    assert status == 0
-    assert out == from_flags
-
-
-def test_config_unknown_key_rejected(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    status, _, err = run_cli(capsys, "tpoly", "--A", "3", "--B", "1", "--config", str(cfg))
-    assert status == 2
-    assert "unknown config key" in err
-
-
-def test_missing_parameter_is_usage_error(capsys):
-    status, _, err = run_cli(capsys, "tpoly", "--A", "3")
-    assert status == 2
-    assert "missing required" in err
-
-
-def test_unknown_flag_is_usage_error(capsys):
-    status, _, _ = run_cli(capsys, "tpoly", "--A", "3", "--B", "1", "--frobnicate")
-    assert status == 2
-
-
-def test_empty_grid_is_usage_error(capsys):
-    status, _, err = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "5:4")
-    assert status == 2
-    assert "empty" in err
 
 
 def test_a_range_past_the_cap_is_refused_before_it_is_expanded(capsys, monkeypatch):
@@ -371,62 +115,6 @@ def test_a_sweep_builds_no_text_line_outside_text_format(capsys, monkeypatch, fm
     assert run_cli(capsys, *argv) == expected
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("sweep", "degree", "--p", "4,3", "--r", "2:3"),
-        ("sweep", "verify-fact", "--which", "eq1", "--p", "6", "--r", "1:2"),
-    ],
-    ids=["degree", "verify-fact"],
-)
-def test_non_prime_p_in_sweep_grid_is_usage_error(capsys, argv):
-    status, out, err = run_cli(capsys, *argv)
-    assert status == 2
-    assert out == ""  # no grid point ran
-    assert "characteristic must be prime, got" in err
-
-
-@pytest.mark.parametrize(
-    "argv, p",
-    [
-        (("tpoly", "--A", "3", "--B", "1", "--char", "4"), 4),
-        (("factor", "--A", "3", "--B", "1", "--p", "4", "--r", "80"), 4),
-        (("factor", "--A", "3", "--B", "1", "--p", "4", "--r", "1"), 4),
-        (("signature", "--A", "5", "--B", "2", "--p", "4", "--r", "1"), 4),
-        (("verify-fact", "--which", "eq1", "--p", "4", "--r", "80"), 4),
-        (("verify-fact", "--which", "eq2", "--p", "6", "--r", "5"), 6),
-        (("sweep", "verify-fact", "--which", "eq1", "--p", "4", "--r", "1"), 4),
-        (("sweep", "degree", "--p", "4", "--r", "2", "--s", "5"), 4),
-        (("degree", "--p", "4", "--r", "3", "--s", "1"), 4),
-        (("counterexample", "--p", "9", "--m", "4"), 9),
-        (("counterexample", "--p", "9", "--eta", "1", "--m", "4"), 9),
-    ],
-    ids=["tpoly", "factor-over-ceiling", "factor", "signature", "eq1-over-ceiling",
-         "eq2-over-ceiling", "sweep-verify-fact", "sweep-degree-empty-grid", "degree",
-         "counterexample", "counterexample-eta"],
-)
-def test_a_non_field_is_refused_as_one_at_every_entry_point(capsys, argv, p):
-    status, out, err = run_cli(capsys, *argv)
-    assert (status, out, err) == (2, "", f"error: characteristic must be prime, got {p}\n")
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("sweep", "verify-fact", "--which", "eq1", "--p", "3", "--r", "0:1"),
-         "extension degree must be >= 1, got 0"),
-        (("sweep", "degree", "--p", "3", "--r", "2:4", "--s", "0:1"),
-         "need r > s >= 1, got r=2, s=0"),
-    ],
-    ids=["verify-fact-r", "degree-s"],
-)
-def test_bad_grid_value_is_usage_error(capsys, argv, message):
-    status, out, err = run_cli(capsys, *argv)
-    assert status == 2
-    assert out == ""  # no grid point ran
-    assert message in err
-
-
 def test_ceiling_env_default(capsys, monkeypatch):
     monkeypatch.setenv("SCHURLAB_CEILING", "1000")
     status, out, _ = run_cli(capsys, "sweep", "degree", "--p", "3", "--r", "13:13", "--s", "1")
@@ -444,82 +132,6 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
-@pytest.mark.parametrize(
-    "argv, config, message",
-    [
-        (("verify-fact",), {"which": "eq3", "p": 3, "r": 1},
-         "argument --which: invalid choice: 'eq3'"),
-        (("verify-fact",), {"which": "eq1", "p": 3, "r": 1, "format": "xml"},
-         "argument --format: invalid choice: 'xml'"),
-        (("sweep", "degree"), {"p": ["a"], "r": 2}, "argument --p: not an integer: 'a'"),
-        (("tpoly",), {"A": 3.5, "B": 1}, "argument --A: invalid int value: '3.5'"),
-        (("sweep", "degree"), {"p": 3, "r": 2, "strict": "no"},
-         'error: config key \'strict\' takes true or false, got "no"'),
-        # a value that is no string is quoted as the file wrote it
-        (("sweep", "degree"), {"p": [3, None], "r": 2}, "argument --p: not an integer: 'null'"),
-        (("verify-fact",), {"which": True, "p": 3, "r": 1},
-         "argument --which: invalid choice: 'true'"),
-        (("sweep", "degree"), {"p": {"a": 1}, "r": 2},
-         'error: config key \'p\' takes a value, got {"a": 1}'),
-    ],
-    ids=["which", "format", "grid-element", "float", "strict", "grid-null", "which-true",
-         "object"],
-)
-def test_config_values_meet_their_flags_checks(capsys, tmp_path, argv, config, message):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(config))
-    status, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-    assert status == 2
-    assert out == ""
-    assert message in err
-
-
-def test_config_list_reads_as_the_flags_comma_text(capsys, tmp_path):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"p": [3, 2], "r": [2, 3]}))
-    base = ("sweep", "verify-fact", "--which", "eq1")
-    _, from_flags, _ = run_cli(capsys, *base, "--p", "3,2", "--r", "2,3")
-    status, out, _ = run_cli(capsys, *base, "--config", str(cfg))
-    assert status == 0
-    assert out == from_flags
-
-
-def test_verify_fact_honours_the_ceiling(capsys):
-    point = ("--which", "eq2", "--p", "3", "--r", "1", "--ceiling", "2")
-    status, out, err = run_cli(capsys, "verify-fact", *point)
-    assert status == 2
-    assert out == ""
-    assert err == "error: field order 3^1 exceeds the ceiling 2\n"
-    status, out, _ = run_cli(capsys, "sweep", "verify-fact", *point)
-    assert status == 0
-    assert out.splitlines()[0] == "target=verify-fact which=eq2 p=3 r=1 verdict=skip reason=ceiling"
-
-
-def test_a_huge_characteristic_is_refused_at_once(capsys):
-    p = 2**89 - 1  # a Mersenne prime past the bound of the strong-probable-prime test
-    status, out, err = run_cli(capsys, "degree", "--p", str(p), "--r", "3", "--s", "1",
-                               "--mode", "formula")
-    assert (status, out) == (2, "")
-    assert err.startswith("error: characteristic must be below ") and err.endswith(f"got {p}\n")
-
-
-@pytest.mark.parametrize(
-    "which, r, q, points",
-    [("eq1", "60:63", "2^62", 4), ("eq2", "29:31", "2^31", 3)],
-    ids=["eq1", "eq2"],
-)
-def test_a_sweep_past_the_exponent_cap_is_refused_before_its_first_record(capsys, which, r, q, points):
-    # the points below the cap would pass; the grid refuses before any runs
-    argv = ("sweep", "verify-fact", "--which", which, "--p", "2", "--r", r)
-    status, out, err = run_cli(capsys, *argv, "--ceiling", str(10**23))
-    assert (status, out) == (2, "")
-    assert err == f"error: exponent too large: the {which} check for q = {q} writes exponents of 2^62 or more\n"
-    # under the default ceiling every point is a skip, as before
-    status, out, err = run_cli(capsys, *argv)
-    assert (status, err) == (0, "")
-    assert out.count("verdict=skip reason=ceiling") == points
-
-
 def test_verify_fact_builds_no_form(capsys, monkeypatch):
     """The records read factor_count alone, so no command enumerates a field."""
 
@@ -535,19 +147,6 @@ def test_verify_fact_builds_no_form(capsys, monkeypatch):
     records = [json.loads(line) for line in out.splitlines()]
     assert status == 0 and records[-1]["pass"] == 6
     assert [r["factor_count"] for r in records[:-1]] == [0, 2, 6, 1, 7, 25]
-
-
-def test_flag_where_it_does_nothing_is_usage_error(capsys):
-    status, out, _ = run_cli(capsys, "tpoly", "--A", "3", "--B", "1", "--seed", "0")
-    assert status == 2
-    assert out == ""
-
-
-def test_input_too_large_is_usage_error(capsys):
-    status, out, err = run_cli(capsys, "tpoly", "--A", str(2**62), "--B", "1")
-    assert status == 2
-    assert out == ""
-    assert "exponent too large" in err
 
 
 def test_failed_internal_check_exits_3(capsys, monkeypatch):
@@ -570,97 +169,6 @@ def test_only_a_ceiling_refusal_is_a_skip(capsys, monkeypatch):
     assert status == 2
     assert "verdict=skip" not in out
     assert "not a ceiling" in err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("tpoly", "--A", "3", "--B", "1", "--char", "0", "--ext", "2"),
-         "error: characteristic must be prime, got 0\n"),
-        (("sweep", "verify-fact", "--p", "3", "--r", "1"),
-         "error: sweep verify-fact needs --which eq1|eq2\n"),
-        (("sweep", "degree", "--p", "3", "--r", "2", "--s", "5"),
-         "error: the sweep grid is empty\n"),
-        (("sweep", "verify-fact", "--which", "eq1", "--p", "3", "--r", "1:2", "--s", "5"),
-         "error: sweep verify-fact does not read --s\n"),
-        (("sweep", "degree", "--which", "eq1", "--p", "3", "--r", "3"),
-         "error: sweep degree does not read --which\n"),
-        (("identity", "--max-a", "1"), "error: the identity grid is empty\n"),
-        (("counterexample", "--p", "2", "--eta", "1", "--m", "5"),
-         "error: eta applies only to odd p; characteristic 2 uses a cube root of unity\n"),
-        (("degree", "--p", "3", "--r", "3", "--s", "1", "--ceiling", "x"),
-         "error: argument --ceiling: not an integer: 'x'\n"),
-        (("degree", "--p", "3", "--r", "3", "--s", "1", "--ceiling", "1"),
-         "error: argument --ceiling: must be at least 2, got 1\n"),
-    ],
-    ids=["ext-over-Q", "sweep-without-which", "empty-s-grid", "s-to-verify-fact",
-         "which-to-degree", "empty-identity-grid",
-         "eta-at-p-2", "ceiling-not-int", "ceiling-below-2"],
-)
-def test_usage_errors_exit_2_before_any_output(capsys, argv, message):
-    status, out, err = run_cli(capsys, *argv)
-    assert (status, out) == (2, "")
-    assert err.endswith(message)
-
-
-DEGREE_ARGV = ("degree", "--p", "3", "--r", "3", "--s", "1")
-
-
-@pytest.mark.parametrize(
-    "argv, config, message",
-    [
-        (DEGREE_ARGV, [1, 2], "error: --config must hold a JSON object\n"),
-        (DEGREE_ARGV, {"run": "degree"}, "error: unknown config key 'run'\n"),
-        (DEGREE_ARGV, {"required": []}, "error: unknown config key 'required'\n"),
-        # the positional's dest is no flag, so the file cannot name it
-        (("sweep", "degree"), {"target": "degree", "p": 3, "r": 3},
-         "error: unknown config key 'target'\n"),
-        # a flag of the command that the sweep target never reads
-        (("sweep", "verify-fact", "--which", "eq1", "--p", "3", "--r", "1:2"), {"s": 5},
-         "error: sweep verify-fact does not read --s\n"),
-        (("sweep", "degree", "--p", "3", "--r", "3"), {"which": "eq1"},
-         "error: sweep degree does not read --which\n"),
-        # a bare flag takes true or false, and no flag takes null
-        (("sweep", "degree", "--p", "3", "--r", "3"), {"strict": 1},
-         "error: config key 'strict' takes true or false, got 1\n"),
-        (("sweep", "--p", "3", "--r", "3", "degree"), {"strict": "verify-fact"},
-         "error: config key 'strict' takes true or false, got \"verify-fact\"\n"),
-        (("sweep", "degree", "--p", "3", "--r", "3"), {"strict": None},
-         "error: config key 'strict' takes true or false, got null\n"),
-        (("sweep", "degree", "--r", "3"), {"p": None},
-         "error: config key 'p' takes a value, got null\n"),
-        (("sweep", "degree", "--p", "3", "--r", "2"), {"strict": "no"},
-         "error: config key 'strict' takes true or false, got \"no\"\n"),
-    ],
-    ids=["list", "run", "required", "target", "s-to-verify-fact", "which-to-degree",
-         "strict-int", "strict-target", "strict-null", "p-null", "strict-string"],
-)
-def test_config_file_must_be_an_object_of_flags(capsys, tmp_path, argv, config, message):
-    cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(config))
-    status, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-    assert (status, out, err) == (2, "", message)
-
-
-@pytest.mark.parametrize(
-    "argv, missing",
-    [
-        (("tpoly",), "A, B"),
-        (("rpoly", "--A", "3"), "B"),
-        (("schur", "--l2", "1"), "l1, l3"),
-        (("factor",), "A, B, p, r"),
-        (("signature", "--B", "1"), "A, p, r"),
-        (("verify-fact",), "which, p, r"),
-        (("counterexample",), "p, m"),
-        (("degree", "--r", "3"), "p, s"),
-        (("sweep", "degree"), "p, r"),
-    ],
-    ids=["tpoly", "rpoly", "schur", "factor", "signature", "verify-fact", "counterexample",
-         "degree", "sweep"],
-)
-def test_missing_parameters_are_listed_in_flag_order(capsys, argv, missing):
-    status, out, err = run_cli(capsys, *argv)
-    assert (status, out, err) == (2, "", f"error: missing required parameters: {missing}\n")
 
 
 #: every subset of --which eq1, --p 3, --r 2 and --s 1 for both sweep
@@ -767,132 +275,6 @@ def test_failed_identity_record_exits_1(capsys, monkeypatch):
     ]
 
 
-_EMPTY = "e3b0c44298fc1c14"  # no output
-_HUGE = 2**89 - 1
-_PAST_BOUND = f"error: characteristic must be below 3317044064679887385961981, got {_HUGE}\n"
-
-
-@pytest.mark.parametrize(
-    "argv, config, status, stdout_sha, err",
-    [
-        # sweep verify-fact: every format, skips over the ceiling, --strict
-        ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2", None,
-         0, "6cb4538b2f3c7388", ""),
-        ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2 --format json", None,
-         0, "76ff9dfb760c5eb2", ""),
-        ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2 --format tsv", None,
-         0, "4b9339b1b0b8937b", ""),
-        ("sweep verify-fact --which eq2 --p 2,3 --r 1:3 --format json", None,
-         0, "6e5d93d126132736", ""),
-        ("sweep verify-fact --which eq1 --p 2,3 --r 1:11 --ceiling 1000", None,
-         0, "c5629add6f5210cb", ""),
-        ("sweep verify-fact --which eq1 --p 2,3 --r 1:11 --ceiling 1000 --strict", None,
-         1, "c5629add6f5210cb", ""),
-        ("sweep verify-fact --which eq2 --p 5,7 --r 1:3 --ceiling 30 --format tsv", None,
-         0, "d5ebb5601266a358", ""),
-        # sweep degree: every format, the default s range, skips, --strict, --jobs
-        ("sweep degree --p 2,3 --r 2:4", None,
-         0, "1199dc83828043bd", ""),
-        ("sweep degree --p 2,3 --r 2:4 --format json", None,
-         0, "33e03342c7dbfb03", ""),
-        ("sweep degree --p 2,3 --r 2:4 --format tsv", None,
-         0, "742df5ebef256a21", ""),
-        ("sweep degree --p 2,3,5 --r 2:6 --s 1,2 --ceiling 100", None,
-         0, "266a856b47e97d62", ""),
-        ("sweep degree --p 2,3,5 --r 2:6 --s 1,2 --ceiling 100 --strict --format json", None,
-         1, "1c64e246113fd4ed", ""),
-        ("sweep degree --p 3 --r 3:4 --s 1:5 --jobs 2 --format tsv", None,
-         0, "d9ca047d1240399f", ""),
-        # --config files
-        ("sweep verify-fact", {"which": "eq2", "p": [2, 3], "r": "1:2", "format": "json"},
-         0, "f6ec423d44cb5484", ""),
-        ("sweep degree --r 2:3", {"p": 3, "r": "9", "strict": True, "ceiling": 10},
-         0, "92fab847c434f3e2", ""),
-        ("sweep degree --p 3 --r 3", {"target": "degree"},
-         2, _EMPTY, "error: unknown config key 'target'\n"),
-        ("sweep verify-fact --p 3 --r 1", {"s": "1"},
-         2, _EMPTY, "error: sweep verify-fact needs --which eq1|eq2\n"),
-        ("verify-fact --format tsv", {"which": "eq1", "p": 5, "r": 2},
-         0, "e56258c318155924", ""),
-        ("degree", {"p": 2, "r": 5, "s": 2, "mode": "oracle", "format": "json"},
-         0, "cd8a952603e9ca39", ""),
-        # refusals with two faults, where the check order decides the message
-        ("sweep verify-fact --p 3 --r 1 --s 1", None,
-         2, _EMPTY, "error: sweep verify-fact needs --which eq1|eq2\n"),
-        ("sweep verify-fact --p 4 --r 0", None,
-         2, _EMPTY, "error: sweep verify-fact needs --which eq1|eq2\n"),
-        ("sweep verify-fact --which eq1 --p 4 --r 1 --s 1", None,
-         2, _EMPTY, "error: sweep verify-fact does not read --s\n"),
-        ("sweep verify-fact --which eq1 --p 3,4 --r 0:1", None,
-         2, _EMPTY, "error: extension degree must be >= 1, got 0\n"),
-        ("sweep verify-fact --which eq1 --p 4,3 --r 0:1", None,
-         2, _EMPTY, "error: extension degree must be >= 1, got 0\n"),
-        (f"sweep verify-fact --which eq1 --p {_HUGE} --r 0", None,
-         2, _EMPTY, _PAST_BOUND),
-        ("sweep degree --which eq1 --p 4 --r 2 --s 5", None,
-         2, _EMPTY, "error: sweep degree does not read --which\n"),
-        ("sweep degree --p 4 --r 2 --s 5", None,
-         2, _EMPTY, "error: characteristic must be prime, got 4\n"),
-        ("sweep degree --p 3,4 --r 1", None,
-         2, _EMPTY, "error: characteristic must be prime, got 4\n"),
-        ("sweep degree --p 3 --r 3 --s 0,5", None,
-         2, _EMPTY, "error: need r > s >= 1, got r=3, s=0\n"),
-        ("sweep degree --p 3 --r 1 --s 0", None,
-         2, _EMPTY, "error: need r > s >= 1, got r=1, s=0\n"),
-        ("sweep degree --p 3 --r 3 --s 0", None,
-         2, _EMPTY, "error: need r > s >= 1, got r=3, s=0\n"),
-        ("sweep degree --p 3 --r 0:1", None,
-         2, _EMPTY, "error: the sweep grid is empty\n"),
-        (f"sweep degree --p {_HUGE} --r 1", None,
-         2, _EMPTY, _PAST_BOUND),
-        ("sweep degree --r 3 --s 7 --which eq2", None,
-         2, _EMPTY, "error: missing required parameters: p\n"),
-        # the single commands the sweep shares its points with
-        ("verify-fact --which eq1 --p 3 --r 2", None,
-         0, "a97686191c4d6637", ""),
-        ("verify-fact --which eq2 --p 2 --r 3 --format json", None,
-         0, "69d906020e303890", ""),
-        ("verify-fact --which eq1 --p 2 --r 20", None,
-         2, _EMPTY, "error: field order 2^20 exceeds the ceiling 1000000\n"),
-        ("verify-fact --which eq1 --p 4 --r 2", None,
-         2, _EMPTY, "error: characteristic must be prime, got 4\n"),
-        ("degree --p 3 --r 3 --s 1", None,
-         0, "c05832e80670d8bd", ""),
-        ("degree --p 3 --r 4 --s 2 --format tsv", None,
-         0, "8e4de0469617aa2a", ""),
-        ("degree --p 2 --r 20 --s 1", None,
-         0, "4da092789a3d2d7b", ""),
-        ("degree --p 2 --r 20 --s 1 --mode formula --format json", None,
-         0, "5542697617e2ae40", ""),
-        ("degree --p 3 --r 2 --s 2", None,
-         2, _EMPTY, "error: need r > s >= 1, got r=2, s=2\n"),
-        # the degree oracle over fields above TABLE_CEILING, a prime field near
-        # the desk ceiling, and a grid of 198 points with six skips
-        ("sweep degree --p 3 --r 13:15 --s 1:3", None,
-         0, "6e5102fd7fd2fd80", ""),
-        ("degree --p 999983 --r 2 --s 1", None,
-         0, "4da092789a3d2d7b", ""),
-        ("sweep degree --p 2,3,5 --r 2:12 --format json", None,
-         0, "3d65ff092261b483", ""),
-    ],
-)
-def test_sweep_targets_and_their_commands_keep_their_bytes(
-    capsys, monkeypatch, tmp_path, argv, config, status, stdout_sha, err
-):
-    """Exit code, stdout (the first 16 hex digits of its sha256) and stderr,
-    pinned for both sweep targets, the single commands that share their
-    points, --config files, and the order of the sweep's refusals."""
-    monkeypatch.delenv(cli.CEILING_ENV, raising=False)
-    argv = argv.split()
-    if config is not None:
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
-    got_status, out, got_err = run_cli(capsys, *argv)
-    assert (got_status, hashlib.sha256(out.encode()).hexdigest()[:16], got_err) == (
-        status, stdout_sha, err)
-
-
 class _Count:
     def factor_count(self):
         return 7
@@ -922,22 +304,6 @@ def test_sweep_records_failed_points_of_either_target(capsys, monkeypatch):
                    "--format", "json") == (1, (
         '{"command": "verify-fact", "factor_count": 7, "p": 3, "r": 1, "verdict": "fail", '
         '"which": "eq1"}\n'), "")
-
-
-@pytest.mark.parametrize("argv, err", [
-    ("sweep degree --p , --r 2", "schurlab sweep: error: argument --p: empty grid component ','\n"),
-    ("counterexample --p 3 --m 10001", "error: no applicable mode for m=10001\n"),
-    # a grid value that is no integer is named as one
-    ("sweep degree --p x --r 2", "schurlab sweep: error: argument --p: not an integer: 'x'\n"),
-    ("sweep degree --p 3 --r 2:x", "schurlab sweep: error: argument --r: not an integer: 'x'\n"),
-    ("counterexample --p 3 --m a",
-     "schurlab counterexample: error: argument --m: not an integer: 'a'\n"),
-    ("identity --chars 0,b", "schurlab identity: error: argument --chars: not an integer: 'b'\n"),
-])
-def test_refusals_before_any_output(capsys, argv, err):
-    status, out, got_err = run_cli(capsys, *argv.split())
-    assert (status, out) == (2, "")
-    assert got_err.endswith(err)
 
 
 _POLYNOMIAL_LAYERS = {"schurlab.mpoly", "schurlab.vschur", "schurlab.factor"}
@@ -976,8 +342,349 @@ class _Length:
         return f"<a list of {self.n}>"
 
 
+class _Sha:
+    """Equal to any text whose sha256 starts with these 16 hex digits: stdout
+    too long to write out."""
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+
+    def __eq__(self, other):
+        return (isinstance(other, str)
+                and hashlib.sha256(other.encode()).hexdigest()[:16] == self.prefix)
+
+    def __repr__(self):
+        return f"<text of sha256 {self.prefix}...>"
+
+
 def _last_line(text):
     return text.splitlines()[-1] if text else None
+
+
+_HUGE = 2**89 - 1
+_PAST_BOUND = f"error: characteristic must be below 3317044064679887385961981, got {_HUGE}"
+
+
+#: every in-process call of main(argv) whose outcome is pinned: the argv, the
+#: --config object written to a file and named last (None for no file), the
+#: exit code, all of stdout (exact, or by _Sha where it runs past a few
+#: lines) and the last stderr line (None for no output)
+_CALLS = [
+    # one call of each command, and the refusals its library makes
+    ("tpoly --A 3 --B 1 --char 0", None, 0, "X + Y + Z\n", None),
+    ("rpoly --A 3 --B 1 --char 2", None,
+     0, "X^3*Y + X^3*Z + X*Y^3 + X*Z^3 + Y^3*Z + Y*Z^3\n", None),
+    ("schur --l1 1 --l2 0 --l3 0", None, 0, "X + Y + Z\n", None),
+    ("factor --A 3 --B 1 --p 3 --r 1 --format tsv", None, 0,
+     "command\tA\tB\tp\tr\tfactors\tfactor_count\tresidual_degree_in_z\tfully_split\n"
+     'factor\t3\t1\t3\t1\t[{"alpha": "3^1:[2]", "beta": "3^1:[2]", "multiplicity": 1}]\t'
+     "1\t0\ttrue\n", None),
+    ("factor --A 11 --B 4 --p 521 --r 1", None,
+     0, "factors=0 residual_degree=9 fully_split=false\n", None),
+    ("factor --A 11 --B 4 --p 521 --r 1 --ceiling 520", None,
+     2, "", "error: field order 521^1 exceeds the ceiling 520"),
+    ("signature --A 5 --B 2 --p 7 --r 1 --format json", None, 0, _Sha("196ec2ba545ec708"), None),
+    # (13, 5) needs the 5th and 8th roots: F_7 lacks both, F_49 holds only the
+    # 8th, and F_{7^4} holds the 40th
+    ("signature --A 13 --B 5 --p 7 --r 1", None,
+     2, "", "error: 40 does not divide 7 - 1; need extension degree 4 over F_7"),
+    ("signature --A 13 --B 5 --p 7 --r 4", None,
+     0, "witnesses=11 lower=7 upper=4 all_verdicts_true=true\n", None),
+    ("identity --max-a 5 --chars 0,2,5", None, 0, _Sha("821972a1a480e7e5"), None),
+    ("identity --max-a 3 --chars 0,3 --format json", None, 0, _Sha("cf42a91a802f3c8d"), None),
+    # the Frobenius identities at m = 3^j + 1, a negative control, and the
+    # refusals of a mode that does not apply
+    ("counterexample --p 3 --m 1,4,28", None, 0, _Sha("9d0d512e5cf4c021"), None),
+    ("counterexample --p 3 --m 10", None, 1,
+     "p=3 alpha=3^2:[2,1]\n"
+     "m=10 identity_holds=false modes=direct,frobenius_shortcut\n", None),
+    ("counterexample --p 3 --m 10001 --mode direct", None,
+     2, "", "error: m=10001 is too large to expand directly; use frobenius_shortcut"),
+    ("counterexample --p 3 --m 7 --mode frobenius_shortcut", None,
+     2, "", "error: shortcut mode needs m = 3^j + 1 with j >= 1, got m=7"),
+    ("counterexample --p 3 --m 10001", None, 2, "", "error: no applicable mode for m=10001"),
+    # the single commands the sweep shares its points with
+    ("verify-fact --which eq1 --p 3 --r 1", None,
+     0, "verdict=pass which=eq1 p=3 r=1 factor_count=1\n", None),
+    ("verify-fact --which eq1 --p 3 --r 2", None,
+     0, "verdict=pass which=eq1 p=3 r=2 factor_count=7\n", None),
+    ("verify-fact --which eq2 --p 2 --r 3 --format json", None, 0,
+     '{"command": "verify-fact", "factor_count": 49, "p": 2, "r": 3, "verdict": "pass", '
+     '"which": "eq2"}\n', None),
+    ("verify-fact --which eq1 --p 2 --r 20", None,
+     2, "", "error: field order 2^20 exceeds the ceiling 1000000"),
+    ("verify-fact --which eq2 --p 3 --r 1 --ceiling 2", None,
+     2, "", "error: field order 3^1 exceeds the ceiling 2"),
+    ("degree --p 3 --r 3 --s 1 --mode both", None, 0, "formula=2 oracle=2 agree=true\n", None),
+    ("degree --p 3 --r 3 --s 1 --mode both --format json", None, 0,
+     '{"agree": true, "command": "degree", "formula": 2, "m": 1, "mode": "both", '
+     '"oracle": 2, "oracle_count": 4, "p": 3, "r": 3, "s": 1}\n', None),
+    ("degree --p 3 --r 3 --s 1", None, 0, "formula=2 oracle=2 agree=true\n", None),
+    ("degree --p 3 --r 4 --s 2 --format tsv", None, 0,
+     "command\tp\tr\ts\tm\tformula\toracle_count\toracle\tagree\tmode\n"
+     "degree\t3\t4\t2\t2\t1\t2\t1\ttrue\tboth\n", None),
+    ("degree --p 2 --r 20 --s 1", None, 0, "formula=1 oracle=1 agree=true\n", None),
+    ("degree --p 2 --r 20 --s 1 --mode formula --format json", None, 0,
+     '{"agree": null, "command": "degree", "formula": 1, "m": 1, "mode": "formula", '
+     '"oracle": null, "oracle_count": null, "p": 2, "r": 20, "s": 1}\n', None),
+    ("degree --p 3 --r 2 --s 2", None, 2, "", "error: need r > s >= 1, got r=2, s=2"),
+    # the degree oracle over a prime field near the desk ceiling
+    ("degree --p 999983 --r 2 --s 1", None, 0, "formula=1 oracle=1 agree=true\n", None),
+    # sweep verify-fact: every format, skips over the ceiling, --strict
+    ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2", None, 0, _Sha("6cb4538b2f3c7388"), None),
+    ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2 --format json", None,
+     0, _Sha("76ff9dfb760c5eb2"), None),
+    ("sweep verify-fact --which eq1 --p 2,3,5 --r 1:2 --format tsv", None,
+     0, _Sha("4b9339b1b0b8937b"), None),
+    ("sweep verify-fact --which eq2 --p 2,3 --r 1:3 --format json", None,
+     0, _Sha("6e5d93d126132736"), None),
+    ("sweep verify-fact --which eq1 --p 2,3 --r 1:11 --ceiling 1000", None,
+     0, _Sha("c5629add6f5210cb"), None),
+    ("sweep verify-fact --which eq1 --p 2,3 --r 1:11 --ceiling 1000 --strict", None,
+     1, _Sha("c5629add6f5210cb"), None),
+    ("sweep verify-fact --which eq2 --p 5,7 --r 1:3 --ceiling 30 --format tsv", None,
+     0, _Sha("d5ebb5601266a358"), None),
+    ("sweep verify-fact --which eq2 --p 3 --r 1 --ceiling 2", None, 0,
+     "target=verify-fact which=eq2 p=3 r=1 verdict=skip reason=ceiling\n"
+     "command=sweep target=verify-fact pass=0 fail=0 skip=1 points=1\n", None),
+    ("sweep verify-fact --which eq1 --p 3,2 --r 2,3", None, 0, _Sha("a200175117035936"), None),
+    # past the exponent cap the grid refuses before its first record, though
+    # the points below the cap would pass; under the default ceiling every
+    # point is a skip
+    (f"sweep verify-fact --which eq1 --p 2 --r 60:63 --ceiling {10**23}", None, 2, "",
+     "error: exponent too large: the eq1 check for q = 2^62 writes exponents of 2^62 or more"),
+    ("sweep verify-fact --which eq1 --p 2 --r 60:63", None, 0, _Sha("034e1531bd5fccaa"), None),
+    (f"sweep verify-fact --which eq2 --p 2 --r 29:31 --ceiling {10**23}", None, 2, "",
+     "error: exponent too large: the eq2 check for q = 2^31 writes exponents of 2^62 or more"),
+    ("sweep verify-fact --which eq2 --p 2 --r 29:31", None, 0, _Sha("fca668fcb2f377e3"), None),
+    # sweep degree: every format, the default s range, skips, --strict, --jobs
+    ("sweep degree --p 2,3 --r 2:4", None, 0, _Sha("1199dc83828043bd"), None),
+    ("sweep degree --p 2,3 --r 2:4 --format json", None, 0, _Sha("33e03342c7dbfb03"), None),
+    ("sweep degree --p 2,3 --r 2:4 --format json --jobs 4", None,
+     0, _Sha("33e03342c7dbfb03"), None),
+    ("sweep degree --p 2,3 --r 2:4 --format tsv", None, 0, _Sha("742df5ebef256a21"), None),
+    ("sweep degree --p 3 --r 2:5", None, 0, _Sha("97401e7cbea9d2f5"), None),
+    ("sweep degree --p 3 --r 2:3", None, 0, _Sha("92fab847c434f3e2"), None),
+    ("sweep degree --p 2,3,5 --r 2:6 --s 1,2 --ceiling 100", None,
+     0, _Sha("266a856b47e97d62"), None),
+    ("sweep degree --p 2,3,5 --r 2:6 --s 1,2 --ceiling 100 --strict --format json", None,
+     1, _Sha("1c64e246113fd4ed"), None),
+    ("sweep degree --p 3 --r 13:13 --s 1 --ceiling 1000", None, 0,
+     "target=degree p=3 r=13 s=1 verdict=skip reason=ceiling\n"
+     "command=sweep target=degree pass=0 fail=0 skip=1 points=1\n", None),
+    ("sweep degree --p 3 --r 13:13 --s 1 --ceiling 1000 --strict", None, 1,
+     "target=degree p=3 r=13 s=1 verdict=skip reason=ceiling\n"
+     "command=sweep target=degree pass=0 fail=0 skip=1 points=1\n", None),
+    ("sweep degree --p 3 --r 3:4 --s 1:5 --jobs 2 --format tsv", None,
+     0, _Sha("d9ca047d1240399f"), None),
+    # the degree oracle over fields above TABLE_CEILING, and a grid of 198
+    # points with six skips
+    ("sweep degree --p 3 --r 13:15 --s 1:3", None, 0, _Sha("6e5102fd7fd2fd80"), None),
+    ("sweep degree --p 2,3,5 --r 2:12 --format json", None, 0, _Sha("3d65ff092261b483"), None),
+    # --config files: a key reads as its flag, and a flag on the command line
+    # beats the file
+    ("tpoly", {"A": 3, "B": 1, "char": 0}, 0, "X + Y + Z\n", None),
+    ("tpoly --A 4", {"A": 3, "B": 1, "char": 0}, 0, "X^2 + X*Y + X*Z + Y^2 + Y*Z + Z^2\n", None),
+    ("sweep verify-fact", {"which": "eq2", "p": [2, 3], "r": "1:2", "format": "json"},
+     0, _Sha("f6ec423d44cb5484"), None),
+    ("sweep verify-fact --which eq1", {"p": [3, 2], "r": [2, 3]},
+     0, _Sha("a200175117035936"), None),
+    ("sweep degree", {"p": 3, "r": "2:3"}, 0, _Sha("92fab847c434f3e2"), None),
+    ("sweep degree --r 2:3", {"p": 3, "r": "9", "strict": True, "ceiling": 10},
+     0, _Sha("92fab847c434f3e2"), None),
+    ("sweep degree --p 3 --r 13:13 --s 1 --ceiling 1000", {"strict": True}, 1,
+     "target=degree p=3 r=13 s=1 verdict=skip reason=ceiling\n"
+     "command=sweep target=degree pass=0 fail=0 skip=1 points=1\n", None),
+    ("sweep degree --p 3 --r 13:13 --s 1 --ceiling 1000", {"strict": False}, 0,
+     "target=degree p=3 r=13 s=1 verdict=skip reason=ceiling\n"
+     "command=sweep target=degree pass=0 fail=0 skip=1 points=1\n", None),
+    ("verify-fact --format tsv", {"which": "eq1", "p": 5, "r": 2}, 0,
+     "command\twhich\tp\tr\tverdict\tfactor_count\n"
+     "verify-fact\teq1\t5\t2\tpass\t23\n", None),
+    ("degree", {"p": 2, "r": 5, "s": 2, "mode": "oracle", "format": "json"}, 0,
+     '{"agree": null, "command": "degree", "formula": null, "m": 1, "mode": "oracle", '
+     '"oracle": 1, "oracle_count": 2, "p": 2, "r": 5, "s": 2}\n', None),
+    # a --config file holds an object whose keys are flags the command reads
+    ("degree --p 3 --r 3 --s 1", [1, 2], 2, "", "error: --config must hold a JSON object"),
+    ("degree --p 3 --r 3 --s 1", {"run": "degree"}, 2, "", "error: unknown config key 'run'"),
+    ("degree --p 3 --r 3 --s 1", {"required": []}, 2, "", "error: unknown config key 'required'"),
+    ("tpoly --A 3 --B 1", {"bogus": 1}, 2, "", "error: unknown config key 'bogus'"),
+    # the positional's dest is no flag, so the file cannot name it
+    ("sweep degree", {"target": "degree", "p": 3, "r": 3},
+     2, "", "error: unknown config key 'target'"),
+    ("sweep degree --p 3 --r 3", {"target": "degree"},
+     2, "", "error: unknown config key 'target'"),
+    # a flag of the command that the sweep target never reads
+    ("sweep verify-fact --which eq1 --p 3 --r 1:2", {"s": 5},
+     2, "", "error: sweep verify-fact does not read --s"),
+    ("sweep degree --p 3 --r 3", {"which": "eq1"},
+     2, "", "error: sweep degree does not read --which"),
+    ("sweep verify-fact --p 3 --r 1", {"s": "1"},
+     2, "", "error: sweep verify-fact needs --which eq1|eq2"),
+    # a bare flag takes true or false, and no flag takes null, an object, or a
+    # list that is empty or holds a list or an object
+    ("sweep degree --p 3 --r 3", {"strict": 1},
+     2, "", "error: config key 'strict' takes true or false, got 1"),
+    ("sweep --p 3 --r 3 degree", {"strict": "verify-fact"},
+     2, "", 'error: config key \'strict\' takes true or false, got "verify-fact"'),
+    ("sweep degree --p 3 --r 3", {"strict": None},
+     2, "", "error: config key 'strict' takes true or false, got null"),
+    ("sweep degree --p 3 --r 2", {"strict": "no"},
+     2, "", 'error: config key \'strict\' takes true or false, got "no"'),
+    ("sweep degree", {"p": 3, "r": 2, "strict": "no"},
+     2, "", 'error: config key \'strict\' takes true or false, got "no"'),
+    ("sweep degree --r 3", {"p": None}, 2, "", "error: config key 'p' takes a value, got null"),
+    ("sweep degree", {"p": {"a": 1}, "r": 2},
+     2, "", 'error: config key \'p\' takes a value, got {"a": 1}'),
+    ("sweep degree", {"p": [3, {"a": 1}], "r": 2},
+     2, "", 'error: config key \'p\' takes a value, got [3, {"a": 1}]'),
+    ("sweep degree", {"p": [3, [5, 7]]},
+     2, "", "error: config key 'p' takes a value, got [3, [5, 7]]"),
+    ("sweep degree", {"p": []}, 2, "", "error: config key 'p' takes a value, got []"),
+    # every other value meets its flag's type and choices, quoted as the file
+    # wrote it
+    ("verify-fact", {"which": "eq3", "p": 3, "r": 1}, 2, "",
+     "schurlab verify-fact: error: argument --which: invalid choice: 'eq3' "
+     "(choose from 'eq1', 'eq2')"),
+    ("verify-fact", {"which": True, "p": 3, "r": 1}, 2, "",
+     "schurlab verify-fact: error: argument --which: invalid choice: 'true' "
+     "(choose from 'eq1', 'eq2')"),
+    ("verify-fact", {"which": "eq1", "p": 3, "r": 1, "format": "xml"}, 2, "",
+     "schurlab verify-fact: error: argument --format: invalid choice: 'xml' "
+     "(choose from 'json', 'tsv', 'text')"),
+    ("sweep degree", {"p": ["a"], "r": 2},
+     2, "", "schurlab sweep: error: argument --p: not an integer: 'a'"),
+    ("sweep degree", {"p": [3, None], "r": 2},
+     2, "", "schurlab sweep: error: argument --p: not an integer: 'null'"),
+    ("tpoly", {"A": 3.5, "B": 1},
+     2, "", "schurlab tpoly: error: argument --A: invalid int value: '3.5'"),
+    # missing parameters, listed in flag order
+    ("tpoly", None, 2, "", "error: missing required parameters: A, B"),
+    ("tpoly --A 3", None, 2, "", "error: missing required parameters: B"),
+    ("rpoly --A 3", None, 2, "", "error: missing required parameters: B"),
+    ("schur --l2 1", None, 2, "", "error: missing required parameters: l1, l3"),
+    ("factor", None, 2, "", "error: missing required parameters: A, B, p, r"),
+    ("signature --B 1", None, 2, "", "error: missing required parameters: A, p, r"),
+    ("verify-fact", None, 2, "", "error: missing required parameters: which, p, r"),
+    ("counterexample", None, 2, "", "error: missing required parameters: p, m"),
+    ("degree --r 3", None, 2, "", "error: missing required parameters: p, s"),
+    ("sweep degree", None, 2, "", "error: missing required parameters: p, r"),
+    # flags a command does not take, and values its flags refuse
+    ("tpoly --A 3 --B 1 --frobnicate", None,
+     2, "", "schurlab: error: unrecognized arguments: --frobnicate"),
+    ("tpoly --A 3 --B 1 --seed 0", None,
+     2, "", "schurlab: error: unrecognized arguments: --seed 0"),
+    ("identity --seed 7", None, 2, "", "schurlab: error: unrecognized arguments: --seed 7"),
+    ("identity --samples 2", None, 2, "", "schurlab: error: unrecognized arguments: --samples 2"),
+    ("degree --p 3 --r 3 --s 1 --ceiling x", None,
+     2, "", "schurlab degree: error: argument --ceiling: not an integer: 'x'"),
+    ("degree --p 3 --r 3 --s 1 --ceiling 1", None,
+     2, "", "schurlab degree: error: argument --ceiling: must be at least 2, got 1"),
+    ("sweep degree --p , --r 2", None,
+     2, "", "schurlab sweep: error: argument --p: empty grid component ','"),
+    # a value that is no integer is named as one
+    ("sweep degree --p x --r 2", None,
+     2, "", "schurlab sweep: error: argument --p: not an integer: 'x'"),
+    ("sweep degree --p 3 --r 2:x", None,
+     2, "", "schurlab sweep: error: argument --r: not an integer: 'x'"),
+    ("counterexample --p 3 --m a", None,
+     2, "", "schurlab counterexample: error: argument --m: not an integer: 'a'"),
+    ("identity --chars 0,b", None,
+     2, "", "schurlab identity: error: argument --chars: not an integer: 'b'"),
+    # input too large to represent
+    (f"tpoly --A {2**62} --B 1", None,
+     2, "", "error: exponent too large in the pair (A,B)=(4611686018427387904,1)"),
+    (f"degree --p {_HUGE} --r 3 --s 1 --mode formula", None, 2, "", _PAST_BOUND),
+    # a bad value after good ones refuses the whole run before the first record
+    ("identity --chars 0,4", None, 2, "", "error: characteristic must be prime, got 4"),
+    ("counterexample --p 3 --m 4,0", None, 2, "", "error: need m >= 1, got 0"),
+    ("counterexample --p 3 --m 4,10001 --mode direct", None,
+     2, "", "error: m=10001 is too large to expand directly; use frobenius_shortcut"),
+    # a non-field, refused as one at every entry point
+    ("tpoly --A 3 --B 1 --char 4", None, 2, "", "error: characteristic must be prime, got 4"),
+    ("factor --A 3 --B 1 --p 4 --r 80", None, 2, "", "error: characteristic must be prime, got 4"),
+    ("factor --A 3 --B 1 --p 4 --r 1", None, 2, "", "error: characteristic must be prime, got 4"),
+    ("signature --A 5 --B 2 --p 4 --r 1", None,
+     2, "", "error: characteristic must be prime, got 4"),
+    ("verify-fact --which eq1 --p 4 --r 80", None,
+     2, "", "error: characteristic must be prime, got 4"),
+    ("verify-fact --which eq2 --p 6 --r 5", None,
+     2, "", "error: characteristic must be prime, got 6"),
+    ("verify-fact --which eq1 --p 4 --r 2", None,
+     2, "", "error: characteristic must be prime, got 4"),
+    ("sweep verify-fact --which eq1 --p 4 --r 1", None,
+     2, "", "error: characteristic must be prime, got 4"),
+    ("sweep verify-fact --which eq1 --p 6 --r 1:2", None,
+     2, "", "error: characteristic must be prime, got 6"),
+    ("sweep degree --p 4 --r 2 --s 5", None, 2, "", "error: characteristic must be prime, got 4"),
+    ("sweep degree --p 4,3 --r 2:3", None, 2, "", "error: characteristic must be prime, got 4"),
+    ("sweep degree --p 3,4 --r 1", None, 2, "", "error: characteristic must be prime, got 4"),
+    ("degree --p 4 --r 3 --s 1", None, 2, "", "error: characteristic must be prime, got 4"),
+    ("counterexample --p 9 --m 4", None, 2, "", "error: characteristic must be prime, got 9"),
+    ("counterexample --p 9 --eta 1 --m 4", None,
+     2, "", "error: characteristic must be prime, got 9"),
+    ("tpoly --A 3 --B 1 --char 0 --ext 2", None,
+     2, "", "error: characteristic must be prime, got 0"),
+    # the refusals the library makes of a grid, and of an empty grid
+    ("sweep verify-fact --which eq1 --p 3 --r 0:1", None,
+     2, "", "error: extension degree must be >= 1, got 0"),
+    ("sweep degree --p 3 --r 2:4 --s 0:1", None, 2, "", "error: need r > s >= 1, got r=2, s=0"),
+    ("sweep degree --p 3 --r 3 --s 0,5", None, 2, "", "error: need r > s >= 1, got r=3, s=0"),
+    ("sweep degree --p 3 --r 1 --s 0", None, 2, "", "error: need r > s >= 1, got r=1, s=0"),
+    ("sweep degree --p 3 --r 3 --s 0", None, 2, "", "error: need r > s >= 1, got r=3, s=0"),
+    ("sweep degree --p 3 --r 5:4", None,
+     2, "", "schurlab sweep: error: argument --r: empty range '5:4'"),
+    ("sweep degree --p 3 --r 2 --s 5", None, 2, "", "error: the sweep grid is empty"),
+    ("sweep degree --p 3 --r 0:1", None, 2, "", "error: the sweep grid is empty"),
+    ("identity --max-a 1", None, 2, "", "error: the identity grid is empty"),
+    ("counterexample --p 2 --eta 1 --m 5", None,
+     2, "", "error: eta applies only to odd p; characteristic 2 uses a cube root of unity"),
+    # the sweep's own refusals, and refusals with two faults, where the check
+    # order decides the message
+    ("sweep verify-fact --p 3 --r 1", None,
+     2, "", "error: sweep verify-fact needs --which eq1|eq2"),
+    ("sweep verify-fact --which eq1 --p 3 --r 1:2 --s 5", None,
+     2, "", "error: sweep verify-fact does not read --s"),
+    ("sweep degree --which eq1 --p 3 --r 3", None,
+     2, "", "error: sweep degree does not read --which"),
+    ("sweep verify-fact --p 3 --r 1 --s 1", None,
+     2, "", "error: sweep verify-fact needs --which eq1|eq2"),
+    ("sweep verify-fact --p 4 --r 0", None,
+     2, "", "error: sweep verify-fact needs --which eq1|eq2"),
+    ("sweep verify-fact --which eq1 --p 4 --r 1 --s 1", None,
+     2, "", "error: sweep verify-fact does not read --s"),
+    ("sweep verify-fact --which eq1 --p 3,4 --r 0:1", None,
+     2, "", "error: extension degree must be >= 1, got 0"),
+    ("sweep verify-fact --which eq1 --p 4,3 --r 0:1", None,
+     2, "", "error: extension degree must be >= 1, got 0"),
+    (f"sweep verify-fact --which eq1 --p {_HUGE} --r 0", None, 2, "", _PAST_BOUND),
+    ("sweep degree --which eq1 --p 4 --r 2 --s 5", None,
+     2, "", "error: sweep degree does not read --which"),
+    (f"sweep degree --p {_HUGE} --r 1", None, 2, "", _PAST_BOUND),
+    ("sweep degree --r 3 --s 7 --which eq2", None, 2, "", "error: missing required parameters: p"),
+]
+# a row with a config file is named by its object and then its argv, so rows
+# that differ only in their config differ at the head of their ids
+_CALL_IDS = [argv if config is None else f"{json.dumps(config)} {argv}"
+             for argv, config, *_ in _CALLS]
+assert len(set(_CALL_IDS)) == len(_CALL_IDS), "two rows of _CALLS make one call"
+
+
+@pytest.mark.parametrize("argv, config, status, out, err", _CALLS, ids=_CALL_IDS)
+def test_a_call_keeps_its_exit_code_and_output(
+    capsys, monkeypatch, tmp_path, argv, config, status, out, err
+):
+    monkeypatch.delenv(cli.CEILING_ENV, raising=False)
+    argv = argv.split()
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    got_status, got_out, got_err = run_cli(capsys, *argv)
+    assert (got_status, got_out, _last_line(got_err)) == (status, out, err)
+    # the error line ends stderr, and only argparse's usage block comes before it
+    assert got_err in ("", f"{err}\n") or (
+        got_err.startswith("usage: ") and got_err.endswith(f"\n{err}\n"))
 
 
 _2GB = 2_000_000  # KiB
