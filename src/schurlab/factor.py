@@ -13,6 +13,16 @@ deliberately distinct:
   dividing the Z^1 coefficient is irreducible.
 
 Absence of linear factors alone never yields an "irreducible" verdict.
+
+The linear-factor sweep (:func:`linear_factors_over`) computes in one
+domain, picked once from the field: the discrete logarithms of its tables
+(order at most :data:`~schurlab.ffield.TABLE_CEILING`), with None for 0,
+and else the field's own elements.  Its residual is packed once by
+:mod:`schurlab.mpoly`, which alone knows the key layout, and stays packed
+through every exact division, each run by that module's one division
+loop; its Z-coefficient lists, zero sets and three-point gate run on the
+same domain.  The candidate pairs, their sums and the reported factors
+stay field elements.
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ from .mpoly import (
     InexactDivisionError,
     LinearForm,
     MultiPoly,
+    _divide,
+    _pack,
     exact_divide,
     is_homogeneous,
     linear_multiplicity,
@@ -143,13 +155,20 @@ class ProbeReport:
         }
 
 
-def _z_coefficients(f: MultiPoly) -> tuple[list, list, list]:
-    """f's Z-coefficients at (X, Y) = (1, 0), (0, 1) and (1, 1), top power first.
+def _in_domain(x, tables):
+    """The element x in the sweep's domain: its discrete logarithm on the
+    tables, None for 0, or x itself when there are none."""
+    return x if tables is None else tables.log[x.code]
+
+
+def _z_coefficients(f: MultiPoly, tables) -> tuple[list, list, list]:
+    """f's Z-coefficients at (X, Y) = (1, 0), (0, 1) and (1, 1), top power
+    first, in the domain of tables (see _in_domain).
 
     At these points X^i Y^j is 1 or 0, so one pass over the terms sums
     each coefficient into the lists it reaches, with no product: a term
     without Y into the first, without X into the second, every term into
-    the third.
+    the third.  The sums are taken on elements, once per sweep.
     """
     zero = f.field.zero()
     top = f.degree_in("Z")
@@ -161,15 +180,37 @@ def _z_coefficients(f: MultiPoly) -> tuple[list, list, list]:
             at_x[k] = at_x[k] + c
         if not i:
             at_y[k] = at_y[k] + c
-    return at_x, at_y, at_xy
+    return tuple([_in_domain(c, tables) for c in lists] for lists in (at_x, at_y, at_xy))
 
 
-def _horner(coeffs: list, z):
-    """The value at z of the polynomial with coefficients coeffs, top power first."""
+def _horner(coeffs: list, z, tables) -> list:
+    """Horner's rule at z on coeffs, top power first, in the domain of tables
+    (see _in_domain): the partial values, the last of which is the value at
+    z, and the others, top power first, the coefficients of the quotient by
+    Z - z (synthetic division).
+
+    On logs a product is a sum of logs and a sum is one Zech lookup,
+    g^a + g^c = g^a * (1 + g^(c-a)); each log is reduced mod q - 1, so
+    every index is in range of the doubled tables.
+    """
     acc = coeffs[0]
+    out = [acc]
+    if tables is None:
+        for c in coeffs[1:]:
+            acc = acc * z + c
+            out.append(acc)
+        return out
+    qm1, zech = tables.qm1, tables.zech
     for c in coeffs[1:]:
-        acc = acc * z + c
-    return acc
+        if acc is None or z is None:  # acc * z = 0
+            acc = c
+        else:
+            acc = (acc + z) % qm1
+            if c is not None:
+                d = zech[c - acc]
+                acc = None if d is None else (acc + d) % qm1
+        out.append(acc)
+    return out
 
 
 def _monomial_free(f: MultiPoly) -> MultiPoly:
@@ -185,21 +226,25 @@ def _monomial_free(f: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.field, {(a - i, b - j, c): v for (a, b, c), v in f._terms.items()})
 
 
-def _candidate_forms(z_lists: tuple[list, list, list], spec: FieldSpec):
+def _candidate_forms(z_lists: tuple[list, list, list], spec: FieldSpec, tables):
     """The (alpha, beta) that may give a divisor Z - alpha*X - beta*Y of g.
 
-    z_lists is _z_coefficients(g) for a g that neither X nor Y divides
-    (see _monomial_free).  A divisor makes g vanish at (1, 0, alpha),
+    z_lists is _z_coefficients(g, tables) for a g that neither X nor Y
+    divides (see _monomial_free).  A divisor makes g vanish at (1, 0, alpha),
     (0, 1, beta) and (1, 1, alpha + beta), so every other pair is rejected
     exactly: alpha runs over the zeros of g(1, 0, Z), beta over those of
     g(0, 1, Z), and a pair passes only if alpha + beta is a zero of
-    g(1, 1, Z).  Each zero set is Horner's rule on one of the lists,
-    deg_Z g products per field element.  For homogeneous g the first two
-    sets hold at most deg_Z g elements.  Pairs come lexicographically by
-    coordinate vectors.
+    g(1, 1, Z).  Each zero set is Horner's rule on one of the lists, in
+    the domain of tables, deg_Z g steps per field element.  For
+    homogeneous g the first two sets hold at most deg_Z g elements.  Pairs
+    come lexicographically by coordinate vectors.
     """
     elements = list(spec.elements())
-    alphas, betas, sums = ([z for z in elements if not _horner(c, z)] for c in z_lists)
+    zero = _in_domain(spec.zero(), tables)
+    points = [_in_domain(z, tables) for z in elements]
+    alphas, betas, sums = (
+        [z for z, v in zip(elements, points) if _horner(c, v, tables)[-1] == zero] for c in z_lists
+    )
     sums = set(sums)
     for alpha in alphas:
         for beta in betas:
@@ -211,17 +256,30 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     """Sweep the (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
 
     The loop state is the residual, first f with its monomial factor
-    divided out (see _monomial_free), and the residual's _z_coefficients,
-    recomputed only after an exact division.  Each pair first meets a
-    zero-set filter on the first lists (see _candidate_forms), valid for
-    the whole sweep because every later residual divides the first.  On a
-    homogeneous f, such as a quotient T(A, B), the sweep is linear in the
-    field order.  While Horner's rule on the lists finds the residual zero
-    at (1, 0, alpha), (0, 1, beta) and (1, 1, alpha + beta), as a multiple
-    of the form is, the residual is divided by the form, and the exact
-    division decides: the count of exact ones is the multiplicity
-    (substitution is only the tests' oracle).  The factor list is
-    lexicographic by coordinate vectors.
+    divided out (see _monomial_free), and the residual's _z_coefficients.
+    Each pair first meets a zero-set filter on the first lists (see
+    _candidate_forms), valid for the whole sweep because every later
+    residual divides the first.  On a homogeneous f, such as a quotient
+    T(A, B), the sweep is linear in the field order.  While Horner's rule
+    on the lists finds the residual zero at (1, 0, alpha), (0, 1, beta)
+    and (1, 1, alpha + beta), as a multiple of the form is, the residual
+    is divided by the form, and the exact division decides: the count of
+    exact ones is the multiplicity (substitution is only the tests'
+    oracle).  The lists are summed from the terms once: when the residual
+    is the form times a quotient, the residual at (1, 0, Z) is
+    (Z - alpha) times the quotient at (1, 0, Z), and likewise at the other
+    two points, so the quotient's lists are the partial values of the
+    gate's three Horner runs.  The factor list is lexicographic by
+    coordinate vectors.
+
+    The domain is picked once, on entry: the discrete logarithms of
+    spec's tables when it has them (order at most TABLE_CEILING), and else
+    the field's own elements.  The residual is packed once, in that
+    domain, and stays packed through every division, each run by the
+    division loop of :mod:`schurlab.mpoly` (_divide) on the residual as it
+    stands; the lists, the zero sets and the gate run on the same domain.
+    What stays on elements: the candidate pairs, their sums alpha + beta
+    and the report's factors.
     Raises CeilingError (see check_ceiling) when spec's order exceeds the ceiling.
     """
     if f.is_zero():
@@ -231,22 +289,32 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     check_ceiling(spec.p, spec.r, ceiling)
     leading = f.coeff_of("Z", f.degree_in("Z"))
     residual = _monomial_free(f)
-    z_lists = _z_coefficients(residual)
+    tables = spec._tables
+    zero = _in_domain(spec.zero(), tables)
+    # exact_divide's slot width for the residual and a divisor of degree 1;
+    # residual degrees only fall, so it serves every division of the sweep
+    s = max(residual.total_degree(), 1).bit_length() + 1
+    packed = _pack(residual._terms, s, tables)
+    z_lists = _z_coefficients(residual, tables)
     factors = []
-    for alpha, beta in _candidate_forms(z_lists, spec):
+    for alpha, beta in _candidate_forms(z_lists, spec, tables):
         divisor = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
-        values = (alpha, beta, alpha + beta)
+        divisor_items = _pack(divisor._terms, s, tables)
+        points = [_in_domain(v, tables) for v in (alpha, beta, alpha + beta)]
         mult = 0
-        while not any(map(_horner, z_lists, values)):
+        while True:
+            runs = [_horner(c, v, tables) for c, v in zip(z_lists, points)]
+            if any(run[-1] != zero for run in runs):
+                break
             try:
-                residual = exact_divide(residual, divisor)
+                packed = _divide(packed, divisor, divisor_items, s, tables)
             except InexactDivisionError:
                 break
-            z_lists = _z_coefficients(residual)
+            z_lists = tuple(run[:-1] for run in runs)
             mult += 1
         if mult:
             factors.append(((alpha, beta), mult))
-    residual_deg = residual.degree_in("Z")
+    residual_deg = len(z_lists[0]) - 1
     return FactorReport(
         input=f,
         field=spec,

@@ -40,8 +40,13 @@ operands' degree bound so that no slot overflows, and on exit the keys
 are unpacked into exponent triples again.  The key of a product monomial
 is the sum of its factors' keys, and integer order of keys is the graded
 lex order, the total degree deciding first, then the exponent of X, then
-that of Y.  The packing is private to these two kernels; every
-polynomial holds exponent triples.
+that of Y.  The layout is known to this module alone, and every
+polynomial holds exponent triples.  Exact division has one loop, the
+private ``_divide`` on packed terms: :func:`exact_divide` packs its
+operands, runs the loop and unpacks the quotient, and the linear-factor
+sweep of :mod:`schurlab.factor` packs its residual once, with ``_pack``,
+and runs the loop on it at every division, keeping each quotient packed as
+its next residual.
 """
 
 from __future__ import annotations
@@ -552,11 +557,11 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     and each coefficient of g other than the lead becomes the log of
     -c/lc(g), using log(-1) = (q-1)/2, or 0 in characteristic 2.  A
     product is then a sum of logs, and adding g^t to a remainder
-    coefficient g^a is one Zech lookup, g^a * (1 + g^(t-a)).  Stored logs
-    are reduced mod q - 1 and sums of two stay below 2(q - 1), the length
-    of the doubled tables, so every index is in range (a negative
-    difference wraps by q - 1 as Python indexes from the end).  On exit
-    each quotient log becomes the tables' shared element.  Over Q the loop
+    coefficient g^a is one Zech lookup, g^a * (1 + g^(t-a)).  Stored logs,
+    the quotient's too, are reduced mod q - 1 and sums of two stay below
+    2(q - 1), the length of the doubled tables, so every index is in range
+    (a negative difference wraps by q - 1 as Python indexes from the end).
+    On exit each quotient log becomes the tables' shared element.  Over Q the loop
     runs on ints when every coefficient is an integer and g leads with
     +-1 (see _entry), and otherwise on the field's own elements.  Off the
     log route, on ints and elements alike, -1/lc(g) is folded into g's
@@ -565,6 +570,10 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     it surfaces; the key was pushed once, when the entry was made, so
     nothing is pushed twice.  On logs a cancelled entry leaves the
     remainder at once, since no log stands for 0.
+
+    The loop itself is _divide, on packed terms: this function packs f and
+    g, runs it and unpacks the quotient, and the linear-factor sweep of
+    :mod:`schurlab.factor` runs it on a residual it keeps packed.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -572,24 +581,32 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     field = f.field
     if f.is_zero():
         return MultiPoly.zero(field)
-    ginv = field.one() / g.leading()[1]
     s = max(f.total_degree(), g.total_degree()).bit_length() + 1
-    s2, mask = 2 * s, (1 << s) - 1
-    guard = 1 << (s2 - 1) | 1 << (s - 1)  # of the X and Y slots
-    unit = field is RATIONALS and ginv.denominator == 1  # g leads with +-1
+    unit = field is RATIONALS and g.leading()[1].numerator in (1, -1)
     tables = None if field is RATIONALS else field._tables
     domain, (rem, g_items) = _entry(s, (f._terms, g._terms), ints=unit, tables=tables)
-    rem = dict(rem)
-    lead = max(k2 for k2, _ in g_items)
+    return MultiPoly._raw(field, _unpack(_divide(rem, g, g_items, s, domain), s, domain))
+
+
+def _divide(terms, g: MultiPoly, g_items: list, s: int, domain) -> dict:
+    """The one division loop (see exact_divide): the packed quotient of the
+    packed terms by g, whose packed terms are g_items, with slot width s in
+    one domain (see _entry).  The terms are left as they were, so a caller
+    that keeps them packed can divide them again when the division is
+    inexact, and a quotient on logs holds reduced logs, so it can be divided
+    in turn.  Raises InexactDivisionError, naming g, when g does not divide."""
+    s2, mask = 2 * s, (1 << s) - 1
+    guard = 1 << (s2 - 1) | 1 << (s - 1)  # of the X and Y slots
+    rem = dict(terms)
+    lead, lc_g = max(g_items)  # keys are distinct, so no coefficient is compared
     g_rest = [(k2, c2) for k2, c2 in g_items if k2 != lead]
-    logs = tables is not None
+    logs = domain is not None and domain is not _INTS
     if logs:
-        qm1, zech = tables.qm1, tables.zech
-        ginv = tables.log[ginv.code]
-        g_rest = [(k2, (c2 + tables.half + ginv) % qm1) for k2, c2 in g_rest]
+        qm1, zech = domain.qm1, domain.zech
+        ginv = -lc_g % qm1  # the log of 1/lc(g)
+        g_rest = [(k2, (c2 + domain.half + ginv) % qm1) for k2, c2 in g_rest]
     else:
-        if domain is _INTS:
-            ginv = ginv.numerator  # +-1
+        ginv = lc_g if domain is _INTS else g.field.one() / lc_g  # on ints lc(g) is +-1
         g_rest = [(k2, -c2 * ginv) for k2, c2 in g_rest]
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -609,7 +626,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                 f"{g.to_text()} does not divide exactly (stuck at {_unpack_key(k, s)})"
             )
         if logs:
-            quot[dk] = lc + ginv
+            quot[dk] = (lc + ginv) % qm1
             for k2, c2 in g_rest:
                 tk = dk + k2
                 acc = rem.get(tk)
@@ -633,7 +650,7 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
                     heappush(heap, -tk)
                 else:
                     rem[tk] = acc + lc * c2
-    return MultiPoly._raw(field, _unpack(quot, s, domain))
+    return quot
 
 
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from schurlab import factor, ffield, mpoly
 from schurlab.ffield import TABLE_CEILING, FieldSpec, FieldTooSmallError, make_field
-from schurlab.modp import CeilingError, is_prime
+from schurlab.modp import CeilingError, irreducible_modulus, is_prime
 from schurlab.factor import (
     FactorReport,
     _candidate_forms,
@@ -142,9 +142,27 @@ def unfiltered_linear_factors(f, spec):
 _SMALL_FIELDS = [(p, r) for p in range(2, 33) if is_prime(p) for r in range(1, 6) if p**r <= 32]
 
 
-@pytest.mark.parametrize("p,r", _SMALL_FIELDS)
-def test_filtered_sweep_matches_unfiltered_oracle(p, r):
-    spec = make_field(p, r)
+def without_tables(p, r):
+    """A fresh F_{p^r} whose tables are pinned to None, as above TABLE_CEILING:
+    its arithmetic, and the sweep over it, run on elements."""
+    spec = FieldSpec(p, r, irreducible_modulus(p, r))
+    vars(spec)["_tables"] = None
+    return spec
+
+
+def with_and_without_tables(fields, without):
+    """Parameters (make, p, r): each field as make_field builds it, under its
+    own id, then each of without with its tables pinned to None."""
+    return [pytest.param(make_field, p, r, id=f"{p}-{r}") for p, r in fields] + [
+        pytest.param(without_tables, p, r, id=f"{p}-{r}-no-tables") for p, r in without
+    ]
+
+
+@pytest.mark.parametrize(
+    "make,p,r", with_and_without_tables(_SMALL_FIELDS, [(2, 1), (3, 1), (2, 2), (3, 2)])
+)
+def test_filtered_sweep_matches_unfiltered_oracle(make, p, r):
+    spec = make(p, r)
     grid = [(3, 1), (4, 1), (4, 3), (5, 1), (5, 2)]
     # the splitting quotients T(p, 1) and T(q, 1), where the oracle stays quick
     grid += [(A, 1) for A in sorted({p, p**r}) if 5 < A <= 16]
@@ -215,7 +233,8 @@ def test_filtered_sweep_on_random_linear_products(case):
 
 def candidate_forms(f, spec):
     """The forms that pass the sweep's zero-set filter on f."""
-    return _candidate_forms(_z_coefficients(_monomial_free(f)), spec)
+    tables = spec._tables
+    return _candidate_forms(_z_coefficients(_monomial_free(f), tables), spec, tables)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
@@ -243,20 +262,22 @@ def test_jet_passes_only_the_divisors_of_the_splitting_quotient(p, r):
 
 
 def record_exact_divisions(monkeypatch):
-    """A list that gets (divisor, exact) for every exact division the sweep runs."""
+    """A list that gets (divisor, exact) for every exact division the sweep
+    runs: each goes through the division loop on the packed residual, in
+    the domain the sweep picked."""
     divisions = []
-    original = factor.exact_divide
+    original = factor._divide
 
-    def recorded(f, g):
+    def recorded(terms, g, *packing):
         try:
-            quotient = original(f, g)
+            quotient = original(terms, g, *packing)
         except InexactDivisionError:
             divisions.append((g, False))
             raise
         divisions.append((g, True))
         return quotient
 
-    monkeypatch.setattr(factor, "exact_divide", recorded)
+    monkeypatch.setattr(factor, "_divide", recorded)
     return divisions
 
 
@@ -336,17 +357,26 @@ def test_a_passing_gate_leaves_the_verdict_to_the_division(monkeypatch):
     assert [exact for g, exact in divisions if g == form] == [True, True, False]
 
 
-@pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
-def test_a_gate_that_always_passes_changes_no_verdict(monkeypatch, p, r):
+@pytest.mark.parametrize("make,p,r", with_and_without_tables([(2, 2), (5, 1), (3, 2)], [(5, 1)]))
+def test_a_gate_that_always_passes_changes_no_verdict(monkeypatch, make, p, r):
     # with every Horner value zero, the filter and the gate pass every form,
-    # and the exact divisions alone give the oracle's factors
-    spec = make_field(p, r)
+    # and the exact divisions alone give the oracle's factors; the partial
+    # values stay Horner's, so after an exact division they are still the
+    # quotient's lists
+    spec = make(p, r)
     X, _, Z = MultiPoly.gens(spec)
     cases = [t_poly(ExponentPair(A, B, spec)) for A, B in [(4, 1), (5, 2), (spec.order(), 1)]]
     cases.append(X * (Z - X) ** 3 * (Z**2 + X * Z + 1))
     expected = [unfiltered_linear_factors(f, spec).to_json() for f in cases]
-    monkeypatch.setattr(factor, "_horner", lambda coeffs, z: spec.zero())
+    horner, runs = factor._horner, []
+
+    def always_zero(coeffs, z, tables):
+        runs.append(tables)
+        return horner(coeffs, z, tables)[:-1] + [None if tables else spec.zero()]
+
+    monkeypatch.setattr(factor, "_horner", always_zero)
     assert [linear_factors_over(f, spec).to_json() for f in cases] == expected
+    assert runs and all(tables is spec._tables for tables in runs)
 
 
 _GATE_FIELDS = [(5, 1), (2, 2), (3, 2), (13, 1)]
