@@ -17,12 +17,10 @@ Absence of linear factors alone never yields an "irreducible" verdict.
 The linear-factor sweep (:func:`linear_factors_over`) computes in one
 domain, picked once from the field: the discrete logarithms of its tables
 (order at most :data:`~schurlab.ffield.TABLE_CEILING`), with None for 0,
-and else the field's own elements.  Its residual is packed once by
-:mod:`schurlab.mpoly`, which alone knows the key layout, and stays packed
-through every exact division, each run by that module's one division
-loop; its Z-coefficient lists, zero sets and three-point gate run on the
-same domain.  The candidate pairs, their sums and the reported factors
-stay field elements.
+and else the field's own elements.  It holds its residual as
+Z-coefficients keyed by packed (X, Y) exponents and divides it by each
+form with Horner's rule in Z (see _synthetic_divide).  The candidate
+pairs, their sums and the reported factors stay field elements.
 """
 
 from __future__ import annotations
@@ -39,8 +37,6 @@ from .mpoly import (
     InexactDivisionError,
     LinearForm,
     MultiPoly,
-    _divide,
-    _pack,
     exact_divide,
     is_homogeneous,
     linear_multiplicity,
@@ -161,26 +157,27 @@ def _in_domain(x, tables):
     return x if tables is None else tables.log[x.code]
 
 
-def _z_coefficients(f: MultiPoly, tables) -> tuple[list, list, list]:
-    """f's Z-coefficients at (X, Y) = (1, 0), (0, 1) and (1, 1), top power
-    first, in the domain of tables (see _in_domain).
-
-    At these points X^i Y^j is 1 or 0, so one pass over the terms sums
-    each coefficient into the lists it reaches, with no product: a term
-    without Y into the first, without X into the second, every term into
-    the third.  The sums are taken on elements, once per sweep.
+def _z_coefficients(f: MultiPoly, s: int, tables) -> tuple[list, tuple]:
+    """f's Z-coefficients, top power first, in the domain of tables (see
+    _in_domain): as levels, dicts from the key a << s | b of X^a Y^b to a
+    coefficient, and as three lists, their values at (X, Y) = (1, 0),
+    (0, 1) and (1, 1).  There X^a Y^b is 1 or 0, so the one pass sums a
+    term without Y into the first list, without X into the second and every
+    term into the third, with no product, on elements, once per sweep.
     """
     zero = f.field.zero()
     top = f.degree_in("Z")
+    levels = [{} for _ in range(top + 1)]
     at_x, at_y, at_xy = [zero] * (top + 1), [zero] * (top + 1), [zero] * (top + 1)
-    for (i, j, k), c in f._terms.items():
+    for (a, b, k), c in f._terms.items():
         k = top - k
+        levels[k][a << s | b] = _in_domain(c, tables)
         at_xy[k] = at_xy[k] + c
-        if not j:
+        if not b:
             at_x[k] = at_x[k] + c
-        if not i:
+        if not a:
             at_y[k] = at_y[k] + c
-    return tuple([_in_domain(c, tables) for c in lists] for lists in (at_x, at_y, at_xy))
+    return levels, tuple([_in_domain(c, tables) for c in lists] for lists in (at_x, at_y, at_xy))
 
 
 def _horner(coeffs: list, z, tables) -> list:
@@ -213,6 +210,49 @@ def _horner(coeffs: list, z, tables) -> list:
     return out
 
 
+def _synthetic_divide(levels: list, alpha, beta, s: int, tables) -> list:
+    """The quotient of levels (see _z_coefficients) by Z - alpha*X - beta*Y,
+    as levels; raises InexactDivisionError when the form does not divide.
+
+    This is _horner with bivariate coefficients, at Z = alpha*X + beta*Y:
+    Q_(top-1) = C_top, Q_(k-1) = C_k + alpha*X*Q_k + beta*Y*Q_k, exact
+    exactly when the last sum is empty.  The gate's three runs are its
+    images at (X, Y) = (1, 0), (0, 1) and (1, 1), so the quotient's lists
+    are their partial values.  A product by X (Y) adds 1 << s (1) to a key,
+    as no exponent passes the levels' total degree, and is skipped when
+    alpha (beta) is 0.  On logs a product is a sum of logs and a sum one
+    Zech lookup, None deleting the entry; on elements the zeros are
+    dropped after each level.
+    """
+    passes = [(shift, _in_domain(c, tables)) for shift, c in ((1 << s, alpha), (1, beta)) if c]
+    logs = tables is not None
+    if logs:
+        qm1, zech = tables.qm1, tables.zech
+    acc, out = levels[0], []
+    for level in levels[1:]:
+        out.append(acc)
+        nxt = dict(level)
+        get = nxt.get
+        for shift, c in passes:
+            for key, v in acc.items():
+                key += shift
+                old = get(key)
+                if not logs:
+                    nxt[key] = c * v if old is None else old + c * v
+                elif old is None:
+                    nxt[key] = (c + v) % qm1
+                else:
+                    z = zech[c + v - old]  # g^old + g^(c+v) = g^old * (1 + g^(c+v-old))
+                    if z is None:
+                        del nxt[key]
+                    else:
+                        nxt[key] = (old + z) % qm1
+        acc = nxt if logs else {key: v for key, v in nxt.items() if v}
+    if acc:
+        raise InexactDivisionError(f"Z - ({alpha})*X - ({beta})*Y does not divide exactly")
+    return out
+
+
 def _monomial_free(f: MultiPoly) -> MultiPoly:
     """f with its largest monomial factor X^i Y^j divided out.
 
@@ -229,7 +269,7 @@ def _monomial_free(f: MultiPoly) -> MultiPoly:
 def _candidate_forms(z_lists: tuple[list, list, list], spec: FieldSpec, tables):
     """The (alpha, beta) that may give a divisor Z - alpha*X - beta*Y of g.
 
-    z_lists is _z_coefficients(g, tables) for a g that neither X nor Y
+    z_lists holds the lists of _z_coefficients for a g that neither X nor Y
     divides (see _monomial_free).  A divisor makes g vanish at (1, 0, alpha),
     (0, 1, beta) and (1, 1, alpha + beta), so every other pair is rejected
     exactly: alpha runs over the zeros of g(1, 0, Z), beta over those of
@@ -256,30 +296,22 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     """Sweep the (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
 
     The loop state is the residual, first f with its monomial factor
-    divided out (see _monomial_free), and the residual's _z_coefficients.
-    Each pair first meets a zero-set filter on the first lists (see
-    _candidate_forms), valid for the whole sweep because every later
-    residual divides the first.  On a homogeneous f, such as a quotient
+    divided out (see _monomial_free), as its _z_coefficients, in the domain
+    picked once, on entry: the discrete logarithms of spec's tables when it
+    has them (order at most TABLE_CEILING), and else the field's own
+    elements.  Each pair first meets a zero-set filter on the first lists
+    (see _candidate_forms), valid for the whole sweep because every later
+    residual divides the first; on a homogeneous f, such as a quotient
     T(A, B), the sweep is linear in the field order.  While Horner's rule
-    on the lists finds the residual zero at (1, 0, alpha), (0, 1, beta)
-    and (1, 1, alpha + beta), as a multiple of the form is, the residual
-    is divided by the form, and the exact division decides: the count of
-    exact ones is the multiplicity (substitution is only the tests'
-    oracle).  The lists are summed from the terms once: when the residual
-    is the form times a quotient, the residual at (1, 0, Z) is
-    (Z - alpha) times the quotient at (1, 0, Z), and likewise at the other
-    two points, so the quotient's lists are the partial values of the
-    gate's three Horner runs.  The factor list is lexicographic by
-    coordinate vectors.
-
-    The domain is picked once, on entry: the discrete logarithms of
-    spec's tables when it has them (order at most TABLE_CEILING), and else
-    the field's own elements.  The residual is packed once, in that
-    domain, and stays packed through every division, each run by the
-    division loop of :mod:`schurlab.mpoly` (_divide) on the residual as it
-    stands; the lists, the zero sets and the gate run on the same domain.
-    What stays on elements: the candidate pairs, their sums alpha + beta
-    and the report's factors.
+    on the lists finds the residual zero at (1, 0, alpha), (0, 1, beta) and
+    (1, 1, alpha + beta), as a multiple of the form is, the residual is
+    divided by the form by Horner's rule in Z (_synthetic_divide), and the
+    exact division decides: the count of exact ones is the multiplicity
+    (substitution is only the tests' oracle).  A quotient's lists are the
+    gate's partial values, and the first residual's slot width serves
+    every division, since residual degrees only fall.  The pairs, their
+    sums and the report's factors stay elements, and the factor list is
+    lexicographic by coordinate vectors.
     Raises CeilingError (see check_ceiling) when spec's order exceeds the ceiling.
     """
     if f.is_zero():
@@ -291,15 +323,10 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     residual = _monomial_free(f)
     tables = spec._tables
     zero = _in_domain(spec.zero(), tables)
-    # exact_divide's slot width for the residual and a divisor of degree 1;
-    # residual degrees only fall, so it serves every division of the sweep
-    s = max(residual.total_degree(), 1).bit_length() + 1
-    packed = _pack(residual._terms, s, tables)
-    z_lists = _z_coefficients(residual, tables)
+    s = max(residual.total_degree(), 1).bit_length()
+    levels, z_lists = _z_coefficients(residual, s, tables)
     factors = []
     for alpha, beta in _candidate_forms(z_lists, spec, tables):
-        divisor = MultiPoly(spec, {(0, 0, 1): 1, (1, 0, 0): -alpha, (0, 1, 0): -beta})
-        divisor_items = _pack(divisor._terms, s, tables)
         points = [_in_domain(v, tables) for v in (alpha, beta, alpha + beta)]
         mult = 0
         while True:
@@ -307,7 +334,7 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
             if any(run[-1] != zero for run in runs):
                 break
             try:
-                packed = _divide(packed, divisor, divisor_items, s, tables)
+                levels = _synthetic_divide(levels, alpha, beta, s, tables)
             except InexactDivisionError:
                 break
             z_lists = tuple(run[:-1] for run in runs)

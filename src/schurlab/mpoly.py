@@ -40,13 +40,8 @@ operands' degree bound so that no slot overflows, and on exit the keys
 are unpacked into exponent triples again.  The key of a product monomial
 is the sum of its factors' keys, and integer order of keys is the graded
 lex order, the total degree deciding first, then the exponent of X, then
-that of Y.  The layout is known to this module alone, and every
-polynomial holds exponent triples.  Exact division has one loop, the
-private ``_divide`` on packed terms: :func:`exact_divide` packs its
-operands, runs the loop and unpacks the quotient, and the linear-factor
-sweep of :mod:`schurlab.factor` packs its residual once, with ``_pack``,
-and runs the loop on it at every division, keeping each quotient packed as
-its next residual.
+that of Y.  The packing is private to these two kernels; every
+polynomial holds exponent triples.
 """
 
 from __future__ import annotations
@@ -570,10 +565,6 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     it surfaces; the key was pushed once, when the entry was made, so
     nothing is pushed twice.  On logs a cancelled entry leaves the
     remainder at once, since no log stands for 0.
-
-    The loop itself is _divide, on packed terms: this function packs f and
-    g, runs it and unpacks the quotient, and the linear-factor sweep of
-    :mod:`schurlab.factor` runs it on a residual it keeps packed.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -585,19 +576,9 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     unit = field is RATIONALS and g.leading()[1].numerator in (1, -1)
     tables = None if field is RATIONALS else field._tables
     domain, (rem, g_items) = _entry(s, (f._terms, g._terms), ints=unit, tables=tables)
-    return MultiPoly._raw(field, _unpack(_divide(rem, g, g_items, s, domain), s, domain))
-
-
-def _divide(terms, g: MultiPoly, g_items: list, s: int, domain) -> dict:
-    """The one division loop (see exact_divide): the packed quotient of the
-    packed terms by g, whose packed terms are g_items, with slot width s in
-    one domain (see _entry).  The terms are left as they were, so a caller
-    that keeps them packed can divide them again when the division is
-    inexact, and a quotient on logs holds reduced logs, so it can be divided
-    in turn.  Raises InexactDivisionError, naming g, when g does not divide."""
     s2, mask = 2 * s, (1 << s) - 1
     guard = 1 << (s2 - 1) | 1 << (s - 1)  # of the X and Y slots
-    rem = dict(terms)
+    rem = dict(rem)
     lead, lc_g = max(g_items)  # keys are distinct, so no coefficient is compared
     g_rest = [(k2, c2) for k2, c2 in g_items if k2 != lead]
     logs = domain is not None and domain is not _INTS
@@ -606,7 +587,7 @@ def _divide(terms, g: MultiPoly, g_items: list, s: int, domain) -> dict:
         ginv = -lc_g % qm1  # the log of 1/lc(g)
         g_rest = [(k2, (c2 + domain.half + ginv) % qm1) for k2, c2 in g_rest]
     else:
-        ginv = lc_g if domain is _INTS else g.field.one() / lc_g  # on ints lc(g) is +-1
+        ginv = lc_g if domain is _INTS else field.one() / lc_g  # on ints lc(g) is +-1
         g_rest = [(k2, -c2 * ginv) for k2, c2 in g_rest]
     heap = [-k for k in rem]
     heapq.heapify(heap)
@@ -650,7 +631,7 @@ def _divide(terms, g: MultiPoly, g_items: list, s: int, domain) -> dict:
                     heappush(heap, -tk)
                 else:
                     rem[tk] = acc + lc * c2
-    return quot
+    return MultiPoly._raw(field, _unpack(quot, s, domain))
 
 
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:

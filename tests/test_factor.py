@@ -233,8 +233,9 @@ def test_filtered_sweep_on_random_linear_products(case):
 
 def candidate_forms(f, spec):
     """The forms that pass the sweep's zero-set filter on f."""
-    tables = spec._tables
-    return _candidate_forms(_z_coefficients(_monomial_free(f), tables), spec, tables)
+    tables, g = spec._tables, _monomial_free(f)
+    _, z_lists = _z_coefficients(g, max(g.total_degree(), 1).bit_length(), tables)
+    return _candidate_forms(z_lists, spec, tables)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
@@ -262,22 +263,22 @@ def test_jet_passes_only_the_divisors_of_the_splitting_quotient(p, r):
 
 
 def record_exact_divisions(monkeypatch):
-    """A list that gets (divisor, exact) for every exact division the sweep
-    runs: each goes through the division loop on the packed residual, in
-    the domain the sweep picked."""
+    """A list that gets ((alpha, beta), exact) for every exact division the
+    sweep runs: each is Horner's rule in Z on the residual's levels, in the
+    domain the sweep picked, by the form Z - alpha*X - beta*Y."""
     divisions = []
-    original = factor._divide
+    original = factor._synthetic_divide
 
-    def recorded(terms, g, *packing):
+    def recorded(levels, alpha, beta, *packing):
         try:
-            quotient = original(terms, g, *packing)
+            quotient = original(levels, alpha, beta, *packing)
         except InexactDivisionError:
-            divisions.append((g, False))
+            divisions.append(((alpha, beta), False))
             raise
-        divisions.append((g, True))
+        divisions.append(((alpha, beta), True))
         return quotient
 
-    monkeypatch.setattr(factor, "_divide", recorded)
+    monkeypatch.setattr(factor, "_synthetic_divide", recorded)
     return divisions
 
 
@@ -296,7 +297,7 @@ def forms_reaching_the_exact_test(monkeypatch, f, spec):
     """The distinct forms that linear_factors_over tries to divide out of f."""
     divisions = record_exact_divisions(monkeypatch)
     report = linear_factors_over(f, spec)
-    return report, {(-g.coefficient((1, 0, 0)), -g.coefficient((0, 1, 0))) for g, _ in divisions}
+    return report, {form for form, _ in divisions}
 
 
 def test_monomial_factors_leave_one_form_for_the_exact_test(monkeypatch):
@@ -349,12 +350,59 @@ def test_a_passing_gate_leaves_the_verdict_to_the_division(monkeypatch):
     # the cubic vanishes at (1, 0, 2), (0, 1, 3) and (1, 1, 0), as Z - 2X - 3Y
     # does, and is not its multiple, so the gate lets the third division run
     X, Y, Z = MultiPoly.gens(F5)
-    form = linear(F5, F5.from_int(2), F5.from_int(3))
+    pair = (F5.from_int(2), F5.from_int(3))
+    form = linear(F5, *pair)
     divisions = record_exact_divisions(monkeypatch)
     report = linear_factors_over(form**2 * (X * Y * (X - Y) + form * Z**2), F5)
-    assert report.linear_factors == (((F5.from_int(2), F5.from_int(3)), 2),)
+    assert report.linear_factors == ((pair, 2),)
     assert report.residual_degree_in_z == 3
-    assert [exact for g, exact in divisions if g == form] == [True, True, False]
+    assert [exact for tried, exact in divisions if tried == pair] == [True, True, False]
+
+
+def from_levels(levels, s, spec):
+    """The polynomial whose Z-coefficients are levels (see _z_coefficients)."""
+    tables, mask, top = spec._tables, (1 << s) - 1, len(levels) - 1
+    terms = {}
+    for k, level in enumerate(levels):
+        for key, c in level.items():
+            terms[key >> s, key & mask, top - k] = c if tables is None else tables.exp[c]
+    return MultiPoly(spec, terms)
+
+
+_DIVISION_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 1)]
+
+
+@pytest.mark.parametrize("make,p,r", with_and_without_tables(_DIVISION_FIELDS, _DIVISION_FIELDS))
+def test_synthetic_division_matches_exact_divide(make, p, r):
+    """Horner's rule in Z gives exact_divide's quotient by Z - a*X - b*Y,
+    and raises exactly when exact_divide raises, division after division
+    on the first residual's slot width, as in the sweep."""
+    spec = make(p, r)
+    X, Y, Z = MultiPoly.gens(spec)
+    zero, *nonzero = spec.elements()
+    a, b = nonzero[-1], nonzero[0]
+    pairs = [(zero, zero), (zero, b), (a, zero), (a, b)]  # Z, Z - b*Y, Z - a*X and both
+    for pair in pairs:
+        form = linear(spec, *pair)
+        # homogeneous, non-homogeneous, and one that vanishes at the gate's
+        # three points of the form without its dividing
+        cofactors = [MultiPoly.one(spec), X**2 + Y * Z, Z**2 + Y**3 + X + 1,
+                     X * Y * (X - Y) + form * Z**2]
+        for g, m in itertools.product(cofactors, range(3)):
+            f = form**m * g
+            s = max(f.total_degree(), 1).bit_length()
+            for divisor in pairs:
+                levels, _ = _z_coefficients(f, s, spec._tables)
+                quotient = f
+                while True:
+                    try:
+                        quotient = exact_divide(quotient, linear(spec, *divisor))
+                    except InexactDivisionError:
+                        with pytest.raises(InexactDivisionError):
+                            factor._synthetic_divide(levels, *divisor, s, spec._tables)
+                        break
+                    levels = factor._synthetic_divide(levels, *divisor, s, spec._tables)
+                    assert from_levels(levels, s, spec) == quotient, (f, divisor)
 
 
 @pytest.mark.parametrize("make,p,r", with_and_without_tables([(2, 2), (5, 1), (3, 2)], [(5, 1)]))
