@@ -19,7 +19,6 @@ _EXPORTS = {
             "FieldTooSmallError",
             "RATIONALS",
             "frobenius",
-            "in_subfield",
             "make_field",
             "multiplicative_generator",
         )),
@@ -50,14 +49,12 @@ _EXPORTS = {
         )),
         ("factor", (
             "FactorReport",
-            "ProbeReport",
             "SignatureWitness",
             "divides",
             "eisenstein_like_check",
             "grad_eval_identity",
             "linear_factors_over",
             "signature_witness",
-            "singular_point_probe",
             "verify_fact_eq1",
             "verify_fact_eq2",
         )),
@@ -69,8 +66,6 @@ _EXPORTS = {
             "build_alternative_pair",
             "degree_of_extension",
             "find_irreducible_eta",
-            "jacobian_nonzero_check",
-            "newton_poly",
             "two_generator_degree",
             "verify_newton_identity",
         )),

@@ -131,26 +131,6 @@ class FactorReport:
         }
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    """Values of a polynomial and its three partials at one point."""
-
-    point: tuple
-    value: object
-    partials: tuple  # values of the X, Y, Z partials
-    vanishing: tuple  # (f, dX, dY, dZ) zero-flags
-    singular: bool
-
-    def to_json(self) -> dict:
-        return {
-            "point": [str(v) for v in self.point],
-            "value": str(self.value),
-            "partials": [str(v) for v in self.partials],
-            "vanishing": list(self.vanishing),
-            "singular": self.singular,
-        }
-
-
 def _in_domain(x, tables):
     """The element x in the sweep's domain: its discrete logarithm on the
     tables, None for 0, or x itself when there are none."""
@@ -527,26 +507,6 @@ def eisenstein_like_check(f: MultiPoly, P: LinearForm) -> bool:
     if k < 1 or k != f0.total_degree():
         return False
     return linear_multiplicity(f.coeff_of("Z", 1), P) == 0
-
-
-def singular_point_probe(f: MultiPoly, point) -> ProbeReport:
-    """Evaluate f and its three partials at a point; singular iff all vanish."""
-    hom = is_homogeneous(f)
-    if hom is None or hom == ZERO_POLY:
-        raise ValueError("the probe applies to nonzero homogeneous polynomials")
-    values = tuple(f.field.coerce(v) for v in point)
-    if not any(values):
-        raise ValueError("the zero point is not a projective point")
-    value = f.evaluate(values)
-    partials = tuple(partial_derivative(f, v).evaluate(values) for v in ("X", "Y", "Z"))
-    vanishing = (not value,) + tuple(not v for v in partials)
-    return ProbeReport(
-        point=values,
-        value=value,
-        partials=partials,
-        vanishing=vanishing,
-        singular=all(vanishing),
-    )
 
 
 def grad_eval_identity(k: int, phi, psi) -> bool:

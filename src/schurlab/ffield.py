@@ -43,8 +43,8 @@ field (r = 1) computes on its codes mod p.
 
 Both kinds of field answer one interface, which is all the rest of the
 package uses (except that :mod:`schurlab.mpoly` runs integral rational
-operands on ints, and exact division over a field with tables on the
-tables' logarithms): ``p``, ``zero()``, ``one()``, ``from_int(n)``,
+operands on ints, and the linear-factor sweep of :mod:`schurlab.factor`
+runs on the tables' logarithms): ``p``, ``zero()``, ``one()``, ``from_int(n)``,
 ``coerce(value)``, ``token(c)``/``parse(token)`` and ``roots_of_unity(n)``.
 Elements are tested for zero by their truthiness, and :func:`is_scalar`
 says which values a field can be asked to coerce.
@@ -642,10 +642,3 @@ def frobenius(x: FFElement, k: int) -> FFElement:
     if k < 0:
         raise ValueError("Frobenius iteration count must be >= 0")
     return x ** (x.spec.p ** (k % x.spec.r))
-
-
-def in_subfield(x: FFElement, m: int) -> bool:
-    """True iff x lies in the subfield F_{p^m}; m must divide r."""
-    if m < 1 or x.spec.r % m != 0:
-        raise ValueError(f"subfield degree {m} does not divide {x.spec.r}")
-    return frobenius(x, m) == x

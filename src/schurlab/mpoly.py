@@ -4,24 +4,19 @@ Monomials are exponent triples for the fixed variable order (X, Y, Z);
 two-variable work simply leaves the unused slot at zero.  Coefficients
 live in one field from :mod:`schurlab.ffield`, either
 :data:`~schurlab.ffield.RATIONALS` or a :class:`~schurlab.ffield.FieldSpec`,
-and are handled only through that field's interface, with two exceptions:
+and are handled only through that field's interface, with one exception:
 
 * when every coefficient of a product, an exact division (whose divisor
   then leads with +-1) or an evaluation is an integer of Q, the operation
   runs on ints inside this module and its result comes back as
-  ``Fraction``;
-* an exact division over a field with tables (order at most
-  :data:`~schurlab.ffield.TABLE_CEILING`) runs on the discrete logarithms
-  of the coefficients, read from the field's private log and Zech tables,
-  and its quotient comes back as the tables' shared elements.
+  ``Fraction``.
 
 Each kernel picks its coefficient domain once, on entry.  Terms are
 summed by one rule: every sum is taken, then one pass drops the monomials
-that cancelled.  A product, in every domain, adds each term pair into its
+that cancelled.  A product, in either domain, adds each term pair into its
 key from the domain's zero, and the constructor, ``+`` and ``from_text``
-merge through one helper.  An exact division on ints or on elements keeps
-a remainder entry that cancels to zero until it comes off the heap (see
-:func:`exact_divide`).
+merge through one helper.  An exact division keeps a remainder entry that
+cancels to zero until it comes off the heap (see :func:`exact_divide`).
 There is no floating point anywhere.
 
 The monomial order used throughout (leading terms, division, text output)
@@ -89,10 +84,6 @@ def _order_key(mon: Monomial) -> tuple[int, int, int]:
     return (mon[0] + mon[1] + mon[2], mon[0], mon[1])
 
 
-#: The coefficient domain of integral Q operands inside the kernels: ints.
-_INTS = "ints"
-
-
 def _ints(terms: dict) -> list[int] | None:
     """Q coefficients as ints, in the order of the terms, or None when one of
     them is no integer."""
@@ -100,43 +91,33 @@ def _ints(terms: dict) -> list[int] | None:
     return out if len(out) == len(terms) else None
 
 
-def _pack(terms: dict, s: int, domain) -> list[tuple[int, object]] | None:
+def _pack(terms: dict, s: int, values) -> list[tuple[int, object]]:
     """The terms as (key, coefficient) pairs, each monomial packed into one
-    int with slot width s and each coefficient taken into the domain: None
-    keeps the field's elements, _INTS takes Q coefficients to ints, and a
-    field's tables take its elements to their discrete logarithms.  Returns
-    None when the domain is _INTS and a coefficient is no integer."""
+    int with slot width s and the coefficients taken from values in the
+    order of the terms."""
     s2 = 2 * s
-    values = terms.values()
-    if domain is _INTS:
-        values = _ints(terms)
-        if values is None:
-            return None
-    elif domain is not None:
-        log = domain.log
-        values = [log[v.code] for v in values]
     return [((a + b + c) << s2 | a << s | b, v) for (a, b, c), v in zip(terms, values)]
 
 
-def _entry(s: int, operands: tuple, ints: bool, tables=None):
+def _entry(s: int, operands: tuple, ints: bool) -> tuple[bool, list]:
     """The kernels' one entry step: the coefficient domain, picked once, and
-    every operand's terms packed in it (see _pack), as (domain, packs).
+    every operand's terms packed in it (see _pack), as (on_ints, packs).
 
-    The domain is _INTS when ints is set (Q operands) and every coefficient
+    The domain is ints when ints is set (Q operands) and every coefficient
     is an integer: each operand is walked once, and the first one holding a
-    non-integer sends them all to Fractions.  Otherwise it is the tables
-    when given, and else the field's own elements.
+    non-integer sends them all to Fractions.  Otherwise it is the field's
+    own elements.
     """
     if ints:
         packs = []
         for terms in operands:
-            pack = _pack(terms, s, _INTS)
-            if pack is None:
+            values = _ints(terms)
+            if values is None:
                 break
-            packs.append(pack)
+            packs.append(_pack(terms, s, values))
         else:
-            return _INTS, packs
-    return tables, [_pack(terms, s, tables) for terms in operands]
+            return True, packs
+    return False, [_pack(terms, s, terms.values()) for terms in operands]
 
 
 def _unpack_key(k: int, s: int) -> Monomial:
@@ -145,16 +126,11 @@ def _unpack_key(k: int, s: int) -> Monomial:
     return (a, b, (k >> 2 * s) - a - b)
 
 
-def _unpack(terms: dict, s: int, domain) -> dict:
+def _unpack(terms: dict, s: int, on_ints: bool) -> dict:
     """Packed terms back into exponent triples, with each coefficient out of
-    the domain of _pack: ints into shared Fractions, logarithms into the
-    tables' shared elements."""
+    the domain of _entry: ints into shared Fractions, elements as they are."""
     s2, mask = 2 * s, (1 << s) - 1
-    values = terms.values()
-    if domain is _INTS:
-        values = map(shared_fraction, values)
-    elif domain is not None:
-        values = map(domain.exp.__getitem__, values)
+    values = map(shared_fraction, terms.values()) if on_ints else terms.values()
     out = {}
     for k, v in zip(terms, values):
         a, b = k >> s & mask, k & mask
@@ -374,10 +350,10 @@ class MultiPoly:
                     raise ExponentOverflowError(f"exponent overflow: {var}^{top}")
         # every slot of a product key, the total degree too, is below 2^s
         s = bound.bit_length()
-        domain, (left, right) = _entry(s, (left, right), ints=self.field is RATIONALS)
+        on_ints, (left, right) = _entry(s, (left, right), ints=self.field is RATIONALS)
         if len(left) > len(right):
             left, right = right, left  # the longer operand runs inside
-        zero = 0 if domain is _INTS else self.field.zero()
+        zero = 0 if on_ints else self.field.zero()
         out: dict[int, object] = {}
         get = out.get
         for k1, c1 in left:
@@ -385,7 +361,7 @@ class MultiPoly:
                 k = k1 + k2
                 out[k] = get(k, zero) + c1 * c2
         out = {k: c for k, c in out.items() if c}  # drop the cancelled terms
-        return MultiPoly._raw(self.field, _unpack(out, s, domain))
+        return MultiPoly._raw(self.field, _unpack(out, s, on_ints))
 
     __rmul__ = __mul__
 
@@ -507,10 +483,6 @@ class MultiPoly:
         """JSON form: list of [coefficient token, [a, b, c]]."""
         return [[self.field.token(c), list(mon)] for mon, c in self.terms()]
 
-    @classmethod
-    def from_json_terms(cls, data, field: CoeffField) -> "MultiPoly":
-        return cls(field, _merge({}, ((tuple(mon), field.parse(tok)) for tok, mon in data)))
-
     def __repr__(self) -> str:
         return f"MultiPoly({self.field}, {self.to_text()})"
 
@@ -547,24 +519,13 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     every term a step adds lies below the term it removes.  The leading
     term of g would cancel the popped term exactly, so it is never applied.
 
-    Over a field with tables the loop runs on discrete logarithms (see
-    :mod:`schurlab.ffield`): on entry each coefficient c becomes log c,
-    and each coefficient of g other than the lead becomes the log of
-    -c/lc(g), using log(-1) = (q-1)/2, or 0 in characteristic 2.  A
-    product is then a sum of logs, and adding g^t to a remainder
-    coefficient g^a is one Zech lookup, g^a * (1 + g^(t-a)).  Stored logs,
-    the quotient's too, are reduced mod q - 1 and sums of two stay below
-    2(q - 1), the length of the doubled tables, so every index is in range
-    (a negative difference wraps by q - 1 as Python indexes from the end).
-    On exit each quotient log becomes the tables' shared element.  Over Q the loop
-    runs on ints when every coefficient is an integer and g leads with
-    +-1 (see _entry), and otherwise on the field's own elements.  Off the
-    log route, on ints and elements alike, -1/lc(g) is folded into g's
-    other coefficients once, so a step adds lc * c to each remainder entry
-    it reaches, and an entry that cancels stays in the remainder as 0 until
+    Over Q the loop runs on ints when every coefficient is an integer and
+    g leads with +-1 (see _entry), and otherwise on the field's own
+    elements.  In both domains -1/lc(g) is folded into g's other
+    coefficients once, so a step adds lc * c to each remainder entry it
+    reaches, and an entry that cancels stays in the remainder as 0 until
     it surfaces; the key was pushed once, when the entry was made, so
-    nothing is pushed twice.  On logs a cancelled entry leaves the
-    remainder at once, since no log stands for 0.
+    nothing is pushed twice, and the heap holds the keys of the remainder.
     """
     if g.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -574,31 +535,21 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return MultiPoly.zero(field)
     s = max(f.total_degree(), g.total_degree()).bit_length() + 1
     unit = field is RATIONALS and g.leading()[1].numerator in (1, -1)
-    tables = None if field is RATIONALS else field._tables
-    domain, (rem, g_items) = _entry(s, (f._terms, g._terms), ints=unit, tables=tables)
+    on_ints, (rem, g_items) = _entry(s, (f._terms, g._terms), ints=unit)
     s2, mask = 2 * s, (1 << s) - 1
     guard = 1 << (s2 - 1) | 1 << (s - 1)  # of the X and Y slots
     rem = dict(rem)
     lead, lc_g = max(g_items)  # keys are distinct, so no coefficient is compared
-    g_rest = [(k2, c2) for k2, c2 in g_items if k2 != lead]
-    logs = domain is not None and domain is not _INTS
-    if logs:
-        qm1, zech = domain.qm1, domain.zech
-        ginv = -lc_g % qm1  # the log of 1/lc(g)
-        g_rest = [(k2, (c2 + domain.half + ginv) % qm1) for k2, c2 in g_rest]
-    else:
-        ginv = lc_g if domain is _INTS else field.one() / lc_g  # on ints lc(g) is +-1
-        g_rest = [(k2, -c2 * ginv) for k2, c2 in g_rest]
+    ginv = lc_g if on_ints else field.one() / lc_g  # on ints lc(g) is +-1
+    g_rest = [(k2, -c2 * ginv) for k2, c2 in g_items if k2 != lead]
     heap = [-k for k in rem]
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     quot: dict[int, object] = {}
     while rem:
         k = -heappop(heap)
-        lc = rem.pop(k, None)
-        # cancelled out of the remainder; log 0 is the element 1, so a log
-        # is never a cancelled entry
-        if lc is None or (not logs and not lc):
+        lc = rem.pop(k)
+        if not lc:  # cancelled out of the remainder
             continue
         dk = k - lead
         # a borrow, then the Z exponent
@@ -606,32 +557,16 @@ def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
             raise InexactDivisionError(
                 f"{g.to_text()} does not divide exactly (stuck at {_unpack_key(k, s)})"
             )
-        if logs:
-            quot[dk] = (lc + ginv) % qm1
-            for k2, c2 in g_rest:
-                tk = dk + k2
-                acc = rem.get(tk)
-                t = lc + c2  # the log of the term this step adds
-                if acc is None:
-                    rem[tk] = t % qm1
-                    heappush(heap, -tk)
-                else:
-                    z = zech[t - acc]  # g^acc + g^t = g^acc * (1 + g^(t - acc))
-                    if z is None:
-                        del rem[tk]
-                    else:
-                        rem[tk] = (acc + z) % qm1
-        else:
-            quot[dk] = lc * ginv
-            for k2, c2 in g_rest:
-                tk = dk + k2
-                acc = rem.get(tk)
-                if acc is None:
-                    rem[tk] = lc * c2
-                    heappush(heap, -tk)
-                else:
-                    rem[tk] = acc + lc * c2
-    return MultiPoly._raw(field, _unpack(quot, s, domain))
+        quot[dk] = lc * ginv
+        for k2, c2 in g_rest:
+            tk = dk + k2
+            acc = rem.get(tk)
+            if acc is None:
+                rem[tk] = lc * c2
+                heappush(heap, -tk)
+            else:
+                rem[tk] = acc + lc * c2
+    return MultiPoly._raw(field, _unpack(quot, s, on_ints))
 
 
 def substitute(f: MultiPoly, var: str, form: LinearForm) -> MultiPoly:

@@ -29,21 +29,11 @@ from .modp import (
     p_power_exponent,
 )
 
-# The functions that build field elements import schurlab.ffield, and those
-# that build polynomials schurlab.mpoly (whose types the annotations name),
-# when called, so the degree formula and its counting oracle load neither:
-# the oracle's count is a rank mod p over the F_p[x] kernel of modp.
-
-
-def newton_poly(m: int, field: CoeffField | None = None) -> MultiPoly:
-    """The power sum x^m + y^m (kept in the first two variable slots), over
-    ``field``, the rationals when it is None."""
-    from .ffield import RATIONALS
-    from .mpoly import MultiPoly
-
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    return MultiPoly(RATIONALS if field is None else field, {(m, 0, 0): 1, (0, m, 0): 1})
+# The functions that build field elements import schurlab.ffield (whose
+# types the annotations name), and those that build polynomials
+# schurlab.mpoly, when called, so the degree formula and its counting
+# oracle load neither: the oracle's count is a rank mod p over the F_p[x]
+# kernel of modp.
 
 
 def two_generator_degree(a: int, b: int, p: int = 0) -> int:
@@ -64,25 +54,6 @@ def two_generator_degree(a: int, b: int, p: int = 0) -> int:
                 f"characteristic {p} divides an index; the formula does not apply"
             )
     return a * b // 2 if (a * b) % 2 == 0 else (a - 1) * b // 2
-
-
-def jacobian_nonzero_check(a: int, b: int, p: int = 0) -> bool:
-    """Whether the Jacobian of (x, y) -> (x^a + y^a, x^b + y^b) is nonzero.
-
-    Computed symbolically from the partial derivatives; over characteristic
-    p this is equivalent to p dividing neither a nor b.
-    """
-    from .ffield import field_for
-    from .mpoly import partial_derivative
-
-    if not (a > b >= 1):
-        raise ValueError(f"need a > b >= 1, got ({a}, {b})")
-    field = field_for(p)
-    na, nb = newton_poly(a, field), newton_poly(b, field)
-    jac = partial_derivative(na, "X") * partial_derivative(nb, "Y") - partial_derivative(
-        na, "Y"
-    ) * partial_derivative(nb, "X")
-    return not jac.is_zero()
 
 
 def find_irreducible_eta(p: int) -> int:
@@ -225,12 +196,14 @@ def verify_newton_identity(pair: AlternativePair, m: int, mode: str = "direct") 
         if mode == "direct":
             raise CeilingError(f"m={m} is too large to expand directly; use frobenius_shortcut")
         raise ValueError(f"shortcut mode needs m = {field.p}^j + 1 with j >= 1, got m={m}")
+    from .mpoly import MultiPoly
+
     z, w = pair.z.as_poly(), pair.w.as_poly()
     if mode == "direct":
         lhs = z**m + w**m
     else:
         lhs = z ** (m - 1) * z + w ** (m - 1) * w
-    return lhs == newton_poly(m, field)
+    return lhs == MultiPoly(field, {(m, 0, 0): 1, (0, m, 0): 1})
 
 
 class TowerParams(namedtuple("TowerParams", "p r s")):

@@ -3,6 +3,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -28,3 +29,30 @@ def fresh_python():
                               preexec_fn=limit if limit_kib else None)
 
     return run
+
+
+class Probe(NamedTuple):
+    value: object
+    partials: tuple  # the values of the X, Y and Z partials
+    vanishing: tuple  # (f, dX, dY, dZ) zero-flags
+    singular: bool
+
+
+@pytest.fixture
+def singular_point_probe():
+    """``probe(f, point)``: f and its three partials evaluated at a
+    projective point, which is a singular point of f = 0 when all four
+    vanish.  f must be nonzero and homogeneous."""
+    from schurlab.mpoly import ZERO_POLY, is_homogeneous, partial_derivative
+
+    def probe(f, point):
+        if is_homogeneous(f) in (None, ZERO_POLY):
+            raise ValueError("the probe applies to nonzero homogeneous polynomials")
+        if not any(f.field.coerce(v) for v in point):
+            raise ValueError("the zero point is not a projective point")
+        value = f.evaluate(point)
+        partials = tuple(partial_derivative(f, v).evaluate(point) for v in "XYZ")
+        vanishing = (not value, *(not v for v in partials))
+        return Probe(value, partials, vanishing, all(vanishing))
+
+    return probe

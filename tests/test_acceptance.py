@@ -23,7 +23,6 @@ from schurlab.factor import (
     divides,
     grad_eval_identity,
     signature_witness,
-    singular_point_probe,
     verify_fact_eq1,
     verify_fact_eq2,
 )
@@ -162,7 +161,7 @@ def test_criterion_9_inversion_duality():
     _ok(9, "reflection duality for (A,d) in {(5,1),(7,1),(8,2),(9,3)}")
 
 
-def test_criterion_10_singularity_probe():
+def test_criterion_10_singularity_probe(singular_point_probe):
     F2 = make_field(2, 1)
     report = singular_point_probe(t_poly(ExponentPair(5, 1, F2)), (1, 1, 1))
     assert report.singular

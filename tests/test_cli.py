@@ -726,8 +726,8 @@ _BOUNDED_RUNS = [
     ("identity --chars 0 --max-a 30 --format json", _2GB, 60, 0, [{"verdict": "pass"}] * 435, None),
     ("tpoly --A 400 --B 1 --char 0 --format json", _2GB, 60, 0, [{"terms": _Length(79800)}], None),
     # linear-factor sweeps: a zero set, no linear factor, a cube, the
-    # three-point gate on T(125,1) and exact division on logarithms in
-    # characteristic 2
+    # three-point gate on T(125,1) and the sweep's synthetic division on
+    # logarithms in characteristic 2
     ("factor --A 16 --B 1 --p 2 --r 4 --format json", _2GB, 60, 0,
      [{"factor_count": 14, "fully_split": True}], None),
     ("factor --A 11 --B 4 --p 13 --r 1 --format json", _2GB, 60, 0,

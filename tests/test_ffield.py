@@ -18,7 +18,6 @@ from schurlab.ffield import (
     _schoolbook_pow,
     _zech_lists,
     frobenius,
-    in_subfield,
     make_field,
     multiplicative_generator,
     prime_factors,
@@ -338,34 +337,6 @@ def test_frobenius_rejects_negative():
     F4 = make_field(2, 2)
     with pytest.raises(ValueError):
         frobenius(F4.one(), -1)
-
-
-def test_in_subfield_trivial_cases():
-    F8 = make_field(2, 3)
-    for m in (1, 3):
-        assert in_subfield(F8.zero(), m)
-        assert in_subfield(F8.one(), m)
-    for x in F8.elements():
-        assert in_subfield(x, 3)
-
-
-def test_in_subfield_generator_not_in_prime_field():
-    F4 = make_field(2, 2)
-    alpha = F4.element((0, 1))
-    assert not in_subfield(alpha, 1)
-
-
-def test_in_subfield_requires_divisor_degree():
-    F4 = make_field(2, 2)
-    with pytest.raises(ValueError):
-        in_subfield(F4.one(), 3)
-
-
-def test_in_subfield_gcd_property():
-    F64 = make_field(2, 6)
-    for x in F64.elements():
-        if in_subfield(x, 2) and in_subfield(x, 3):
-            assert in_subfield(x, 1)
 
 
 def test_roots_of_unity_trivial():

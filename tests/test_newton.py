@@ -8,7 +8,7 @@ import pytest
 from schurlab import ffield, modp, newton
 from schurlab.ffield import frobenius, make_field
 from schurlab.modp import CeilingError
-from schurlab.mpoly import LinearForm, MultiPoly, RATIONALS, substitute
+from schurlab.mpoly import LinearForm, MultiPoly, substitute
 from schurlab.newton import (
     DIRECT_EXPANSION_CAP,
     AlternativePair,
@@ -18,30 +18,27 @@ from schurlab.newton import (
     build_alternative_pair,
     degree_of_extension,
     find_irreducible_eta,
-    jacobian_nonzero_check,
-    newton_poly,
     two_generator_degree,
     verify_newton_identity,
 )
 from schurlab.vschur import ExponentPair, t_poly
 
-Q = RATIONALS
-
 
 def test_newton_poly_basics():
-    X, Y, _ = MultiPoly.gens(Q)
-    assert newton_poly(1) == X + Y
-    assert newton_poly(1).field is newton_poly(1, None).field is Q
-    assert newton_poly(2) == X**2 + Y**2
-    with pytest.raises(ValueError):
-        newton_poly(0)
+    # verify_newton_identity compares z^m + w^m with X^m + Y^m, and
+    # z + w = X + Y for every alternative pair
+    for p in (2, 3, 5):
+        assert verify_newton_identity(build_alternative_pair(p), 1, "direct")
+    with pytest.raises(ValueError, match="need m >= 1, got 0"):
+        verify_newton_identity(build_alternative_pair(3), 0, "direct")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_power_sum_frobenius_relation(p):
     spec = make_field(p, 1)
+    X, Y, _ = MultiPoly.gens(spec)
     for m in range(1, 21):
-        assert newton_poly(p * m, spec) == newton_poly(m, spec) ** p
+        assert X ** (p * m) + Y ** (p * m) == (X**m + Y**m) ** p
 
 
 def test_two_generator_degree_values():
@@ -78,13 +75,6 @@ def test_two_generator_degree_refusals():
         two_generator_degree(3, 2, p=3)  # p divides a
     with pytest.raises(ValueError):
         two_generator_degree(2, 3)  # order
-
-
-def test_jacobian_nonzero_check():
-    assert jacobian_nonzero_check(3, 2, 5)
-    assert not jacobian_nonzero_check(3, 2, 3)
-    assert jacobian_nonzero_check(3, 2, 0)
-    assert not jacobian_nonzero_check(4, 2, 2)
 
 
 def test_find_irreducible_eta_frozen_values():
@@ -539,8 +529,3 @@ def test_alternative_pair_json():
     blob = build_alternative_pair(3).to_json()
     assert blob["alpha"] == "3^2:[2,1]"
     assert blob["ambient"]["p"] == 3 and blob["ambient"]["r"] == 2
-
-
-def test_jacobian_check_refuses_a_pair_out_of_order():
-    with pytest.raises(ValueError, match="need a > b >= 1, got \\(2, 3\\)"):
-        jacobian_nonzero_check(2, 3)
