@@ -14,11 +14,11 @@ deliberately distinct:
 
 Absence of linear factors alone never yields an "irreducible" verdict.
 
-The linear-factor sweep (:func:`linear_factors_over`) computes in one
-domain, picked once from the field: the discrete logarithms of its tables
-(order at most :data:`~schurlab.ffield.TABLE_CEILING`), with None for 0,
-and else the field's own elements.  It holds its residual as
-Z-coefficients keyed by packed (X, Y) exponents and divides it by each
+The linear-factor sweep (:func:`linear_factors_over`) computes on discrete
+logarithms in every field, with None for 0: the log and Zech lists of the
+field's tables (order at most :data:`~schurlab.ffield.TABLE_CEILING`), and
+above that the same lists built for the one sweep.  It holds its residual
+as Z-coefficients keyed by packed (X, Y) exponents and divides it by each
 form with Horner's rule in Z (see _synthetic_divide).  The candidate
 pairs, their sums and the reported factors stay field elements.
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ffield import FieldSpec, field_of, make_field
+from .ffield import FieldSpec, _zech_lists, field_of, make_field
 from .modp import DESK_CEILING, check_ceiling
 from .mpoly import (
     EXPONENT_CAP,
@@ -131,53 +131,53 @@ class FactorReport:
         }
 
 
-def _in_domain(x, tables):
-    """The element x in the sweep's domain: its discrete logarithm on the
-    tables, None for 0, or x itself when there are none."""
-    return x if tables is None else tables.log[x.code]
+def _logs(spec: FieldSpec) -> tuple[list, list, int]:
+    """The sweep's domain on spec: log, the doubled zech and q - 1 (see
+    _zech_lists), read from spec's tables when it has them (order at most
+    TABLE_CEILING), and else built for the one call and not kept."""
+    tables = spec._tables
+    if tables is not None:
+        return tables.log, tables.zech, tables.qm1
+    _, log, zech = _zech_lists(spec)
+    return log, zech, spec.order() - 1
 
 
-def _z_coefficients(f: MultiPoly, s: int, tables) -> tuple[list, tuple]:
-    """f's Z-coefficients, top power first, in the domain of tables (see
-    _in_domain): as levels, dicts from the key a << s | b of X^a Y^b to a
-    coefficient, and as three lists, their values at (X, Y) = (1, 0),
-    (0, 1) and (1, 1).  There X^a Y^b is 1 or 0, so the one pass sums a
-    term without Y into the first list, without X into the second and every
-    term into the third, with no product, on elements, once per sweep.
+def _z_coefficients(f: MultiPoly, s: int, logs: tuple) -> tuple[list, tuple]:
+    """f's Z-coefficients, top power first, in the domain logs (see _logs):
+    as levels, dicts from the key a << s | b of X^a Y^b to a coefficient,
+    and as three lists, their values at (X, Y) = (1, 0), (0, 1) and (1, 1).
+    There X^a Y^b is 1 or 0, so the one pass sums a term without Y into the
+    first list, without X into the second and every term into the third,
+    with no product, on elements, once per sweep.
     """
-    zero = f.field.zero()
+    log, zero = logs[0], f.field.zero()
     top = f.degree_in("Z")
     levels = [{} for _ in range(top + 1)]
     at_x, at_y, at_xy = [zero] * (top + 1), [zero] * (top + 1), [zero] * (top + 1)
     for (a, b, k), c in f._terms.items():
         k = top - k
-        levels[k][a << s | b] = _in_domain(c, tables)
+        levels[k][a << s | b] = log[c.code]
         at_xy[k] = at_xy[k] + c
         if not b:
             at_x[k] = at_x[k] + c
         if not a:
             at_y[k] = at_y[k] + c
-    return levels, tuple([_in_domain(c, tables) for c in lists] for lists in (at_x, at_y, at_xy))
+    return levels, tuple([log[c.code] for c in lists] for lists in (at_x, at_y, at_xy))
 
 
-def _horner(coeffs: list, z, tables) -> list:
-    """Horner's rule at z on coeffs, top power first, in the domain of tables
-    (see _in_domain): the partial values, the last of which is the value at
-    z, and the others, top power first, the coefficients of the quotient by
+def _horner(coeffs: list, z, logs: tuple) -> list:
+    """Horner's rule at z on coeffs, top power first, in the domain logs
+    (see _logs): the partial values, the last of which is the value at z,
+    and the others, top power first, the coefficients of the quotient by
     Z - z (synthetic division).
 
-    On logs a product is a sum of logs and a sum is one Zech lookup,
+    A product is a sum of logs and a sum is one Zech lookup,
     g^a + g^c = g^a * (1 + g^(c-a)); each log is reduced mod q - 1, so
-    every index is in range of the doubled tables.
+    every index is in range of the doubled zech.
     """
+    _, zech, qm1 = logs
     acc = coeffs[0]
     out = [acc]
-    if tables is None:
-        for c in coeffs[1:]:
-            acc = acc * z + c
-            out.append(acc)
-        return out
-    qm1, zech = tables.qm1, tables.zech
     for c in coeffs[1:]:
         if acc is None or z is None:  # acc * z = 0
             acc = c
@@ -190,9 +190,10 @@ def _horner(coeffs: list, z, tables) -> list:
     return out
 
 
-def _synthetic_divide(levels: list, alpha, beta, s: int, tables) -> list:
+def _synthetic_divide(levels: list, alpha, beta, s: int, logs: tuple) -> list:
     """The quotient of levels (see _z_coefficients) by Z - alpha*X - beta*Y,
-    as levels; raises InexactDivisionError when the form does not divide.
+    as levels, in the domain logs (see _logs); raises InexactDivisionError
+    when the form does not divide.
 
     This is _horner with bivariate coefficients, at Z = alpha*X + beta*Y:
     Q_(top-1) = C_top, Q_(k-1) = C_k + alpha*X*Q_k + beta*Y*Q_k, exact
@@ -200,14 +201,11 @@ def _synthetic_divide(levels: list, alpha, beta, s: int, tables) -> list:
     images at (X, Y) = (1, 0), (0, 1) and (1, 1), so the quotient's lists
     are their partial values.  A product by X (Y) adds 1 << s (1) to a key,
     as no exponent passes the levels' total degree, and is skipped when
-    alpha (beta) is 0.  On logs a product is a sum of logs and a sum one
-    Zech lookup, None deleting the entry; on elements the zeros are
-    dropped after each level.
+    alpha (beta) is 0.  A product is a sum of logs and a sum one Zech
+    lookup, None deleting the entry.
     """
-    passes = [(shift, _in_domain(c, tables)) for shift, c in ((1 << s, alpha), (1, beta)) if c]
-    logs = tables is not None
-    if logs:
-        qm1, zech = tables.qm1, tables.zech
+    log, zech, qm1 = logs
+    passes = [(shift, log[c.code]) for shift, c in ((1 << s, alpha), (1, beta)) if c]
     acc, out = levels[0], []
     for level in levels[1:]:
         out.append(acc)
@@ -217,9 +215,7 @@ def _synthetic_divide(levels: list, alpha, beta, s: int, tables) -> list:
             for key, v in acc.items():
                 key += shift
                 old = get(key)
-                if not logs:
-                    nxt[key] = c * v if old is None else old + c * v
-                elif old is None:
+                if old is None:
                     nxt[key] = (c + v) % qm1
                 else:
                     z = zech[c + v - old]  # g^old + g^(c+v) = g^old * (1 + g^(c+v-old))
@@ -227,7 +223,7 @@ def _synthetic_divide(levels: list, alpha, beta, s: int, tables) -> list:
                         del nxt[key]
                     else:
                         nxt[key] = (old + z) % qm1
-        acc = nxt if logs else {key: v for key, v in nxt.items() if v}
+        acc = nxt
     if acc:
         raise InexactDivisionError(f"Z - ({alpha})*X - ({beta})*Y does not divide exactly")
     return out
@@ -246,7 +242,7 @@ def _monomial_free(f: MultiPoly) -> MultiPoly:
     return MultiPoly._raw(f.field, {(a - i, b - j, c): v for (a, b, c), v in f._terms.items()})
 
 
-def _candidate_forms(z_lists: tuple[list, list, list], spec: FieldSpec, tables):
+def _candidate_forms(z_lists: tuple[list, list, list], spec: FieldSpec, logs: tuple):
     """The (alpha, beta) that may give a divisor Z - alpha*X - beta*Y of g.
 
     z_lists holds the lists of _z_coefficients for a g that neither X nor Y
@@ -255,15 +251,14 @@ def _candidate_forms(z_lists: tuple[list, list, list], spec: FieldSpec, tables):
     exactly: alpha runs over the zeros of g(1, 0, Z), beta over those of
     g(0, 1, Z), and a pair passes only if alpha + beta is a zero of
     g(1, 1, Z).  Each zero set is Horner's rule on one of the lists, in
-    the domain of tables, deg_Z g steps per field element.  For
-    homogeneous g the first two sets hold at most deg_Z g elements.  Pairs
-    come lexicographically by coordinate vectors.
+    the domain logs (see _logs), deg_Z g steps per field element, each
+    element met beside its logarithm.  For homogeneous g the first two sets
+    hold at most deg_Z g elements.  Pairs come lexicographically by
+    coordinate vectors.
     """
-    elements = list(spec.elements())
-    zero = _in_domain(spec.zero(), tables)
-    points = [_in_domain(z, tables) for z in elements]
     alphas, betas, sums = (
-        [z for z, v in zip(elements, points) if _horner(c, v, tables)[-1] == zero] for c in z_lists
+        [z for z, v in zip(spec.elements(), logs[0]) if _horner(c, v, logs)[-1] is None]
+        for c in z_lists
     )
     sums = set(sums)
     for alpha in alphas:
@@ -276,11 +271,12 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     """Sweep the (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
 
     The loop state is the residual, first f with its monomial factor
-    divided out (see _monomial_free), as its _z_coefficients, in the domain
-    picked once, on entry: the discrete logarithms of spec's tables when it
-    has them (order at most TABLE_CEILING), and else the field's own
-    elements.  Each pair first meets a zero-set filter on the first lists
-    (see _candidate_forms), valid for the whole sweep because every later
+    divided out (see _monomial_free), as its _z_coefficients, on discrete
+    logarithms in every field: the log and Zech lists are read once, on
+    entry, from spec's tables when it has them (order at most
+    TABLE_CEILING), and else built for this call (see _logs).  Each pair
+    first meets a zero-set filter on the first lists (see
+    _candidate_forms), valid for the whole sweep because every later
     residual divides the first; on a homogeneous f, such as a quotient
     T(A, B), the sweep is linear in the field order.  While Horner's rule
     on the lists finds the residual zero at (1, 0, alpha), (0, 1, beta) and
@@ -301,20 +297,20 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     check_ceiling(spec.p, spec.r, ceiling)
     leading = f.coeff_of("Z", f.degree_in("Z"))
     residual = _monomial_free(f)
-    tables = spec._tables
-    zero = _in_domain(spec.zero(), tables)
+    logs = _logs(spec)
+    log = logs[0]
     s = max(residual.total_degree(), 1).bit_length()
-    levels, z_lists = _z_coefficients(residual, s, tables)
+    levels, z_lists = _z_coefficients(residual, s, logs)
     factors = []
-    for alpha, beta in _candidate_forms(z_lists, spec, tables):
-        points = [_in_domain(v, tables) for v in (alpha, beta, alpha + beta)]
+    for alpha, beta in _candidate_forms(z_lists, spec, logs):
+        points = [log[v.code] for v in (alpha, beta, alpha + beta)]
         mult = 0
         while True:
-            runs = [_horner(c, v, tables) for c, v in zip(z_lists, points)]
-            if any(run[-1] != zero for run in runs):
+            runs = [_horner(c, v, logs) for c, v in zip(z_lists, points)]
+            if any(run[-1] is not None for run in runs):
                 break
             try:
-                levels = _synthetic_divide(levels, alpha, beta, s, tables)
+                levels = _synthetic_divide(levels, alpha, beta, s, logs)
             except InexactDivisionError:
                 break
             z_lists = tuple(run[:-1] for run in runs)

@@ -29,7 +29,7 @@ q the field order, they hold every element once (operations return these
 shared objects and allocate nothing), ``log[code]``, the powers
 ``exp[k] = g^k`` for 0 <= k < 2(q-1), so that a sum of two logarithms
 needs no reduction, and the Zech logarithms ``zech[k] = log(1 + g^k)``,
-None where 1 + g^k = 0.  Then x*y = exp[log x + log y] and
+None where 1 + g^k = 0, doubled too (see :func:`_zech_lists`).  Then x*y = exp[log x + log y] and
 g^i + g^j = exp[i + zech[j - i]]; negation, inversion, powers and
 Frobenius are arithmetic on the exponent.  Since 1 is the code p^(r-1),
 1 + g^k only changes the top digit of the code of g^k.  Larger fields
@@ -44,8 +44,10 @@ field (r = 1) computes on its codes mod p.
 Both kinds of field answer one interface, which is all the rest of the
 package uses (except that :mod:`schurlab.mpoly` runs integral rational
 operands on ints, and the linear-factor sweep of :mod:`schurlab.factor`
-runs on the tables' logarithms): ``p``, ``zero()``, ``one()``, ``from_int(n)``,
-``coerce(value)``, ``token(c)``/``parse(token)`` and ``roots_of_unity(n)``.
+runs on the integer log and Zech lists, the tables' own or, above
+:data:`TABLE_CEILING`, lists built for the one sweep): ``p``, ``zero()``,
+``one()``, ``from_int(n)``, ``coerce(value)``, ``token(c)``/``parse(token)``
+and ``roots_of_unity(n)``.
 Elements are tested for zero by their truthiness, and :func:`is_scalar`
 says which values a field can be asked to coerce.
 """
@@ -433,7 +435,9 @@ def _power_codes(spec: FieldSpec, g) -> list[int]:
 def _zech_lists(spec: FieldSpec) -> tuple[list[int], list, list]:
     """The integer part of the tables: the codes of g^k for 0 <= k < q-1,
     ``log[code]`` (None at 0) and ``zech[k] = log(1 + g^k)`` (None where
-    1 + g^k = 0), with g the multiplicative generator and q the field order.
+    1 + g^k = 0) for 0 <= k < 2(q-1), with g the multiplicative generator
+    and q the field order.  zech is doubled, so that a difference of two
+    logarithms indexes it with no reduction.
     """
     q, p = spec.order(), spec.p
     powers = _power_codes(spec, multiplicative_generator(spec).coeffs)
@@ -445,7 +449,7 @@ def _zech_lists(spec: FieldSpec) -> tuple[list[int], list, list]:
     one = q // p
     wrap = (p - 1) * one
     zech = [log[c + one if c < wrap else c - wrap] for c in powers]
-    return powers, log, zech
+    return powers, log, zech + zech
 
 
 class _Tables:
@@ -460,9 +464,9 @@ class _Tables:
         exp = [elems[code] for code in powers]
         self.elems = elems
         self.log = log
-        # doubled, so that log sums index exp and log differences wrap in zech
+        # doubled, so that log sums index exp
         self.exp = exp + exp
-        self.zech = zech + zech
+        self.zech = zech
         self.qm1 = q - 1
         self.half = (q - 1) // 2 if p > 2 else 0  # log(-1)
 

@@ -5,10 +5,8 @@ criterion.  Every check here is an exact polynomial or integer identity;
 there are no tolerances to tune.
 """
 
-import pytest
-
 from schurlab.ffield import make_field
-from schurlab.mpoly import RATIONALS, LinearForm, MultiPoly, partial_derivative
+from schurlab.mpoly import RATIONALS, LinearForm, partial_derivative
 from schurlab.vschur import (
     ExponentPair,
     complete_homogeneous,

@@ -383,6 +383,10 @@ _CALLS = [
      0, "factors=0 residual_degree=9 fully_split=false\n", None),
     ("factor --A 11 --B 4 --p 521 --r 1 --ceiling 520", None,
      2, "", "error: field order 521^1 exceeds the ceiling 520"),
+    # the smallest prime above TABLE_CEILING: F_131101 has no tables, so the
+    # sweep runs on log and Zech lists built for the one call
+    ("factor --A 3 --B 1 --p 131101 --r 1", None,
+     0, "factors=1 residual_degree=0 fully_split=true\n", None),
     ("signature --A 5 --B 2 --p 7 --r 1 --format json", None, 0, _Sha("196ec2ba545ec708"), None),
     # (13, 5) needs the 5th and 8th roots: F_7 lacks both, F_49 holds only the
     # 8th, and F_{7^4} holds the 40th

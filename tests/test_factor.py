@@ -13,6 +13,7 @@ from schurlab.modp import CeilingError, irreducible_modulus, is_prime
 from schurlab.factor import (
     FactorReport,
     _candidate_forms,
+    _logs,
     _monomial_free,
     _z_coefficients,
     check_closed_form,
@@ -143,7 +144,8 @@ _SMALL_FIELDS = [(p, r) for p in range(2, 33) if is_prime(p) for r in range(1, 6
 
 def without_tables(p, r):
     """A fresh F_{p^r} whose tables are pinned to None, as above TABLE_CEILING:
-    its arithmetic, and the sweep over it, run on elements."""
+    its arithmetic runs on elements, and the sweep over it on log and Zech
+    lists built for the one call."""
     spec = FieldSpec(p, r, irreducible_modulus(p, r))
     vars(spec)["_tables"] = None
     return spec
@@ -232,9 +234,9 @@ def test_filtered_sweep_on_random_linear_products(case):
 
 def candidate_forms(f, spec):
     """The forms that pass the sweep's zero-set filter on f."""
-    tables, g = spec._tables, _monomial_free(f)
-    _, z_lists = _z_coefficients(g, max(g.total_degree(), 1).bit_length(), tables)
-    return _candidate_forms(z_lists, spec, tables)
+    logs, g = _logs(spec), _monomial_free(f)
+    _, z_lists = _z_coefficients(g, max(g.total_degree(), 1).bit_length(), logs)
+    return _candidate_forms(z_lists, spec, logs)
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
@@ -263,8 +265,8 @@ def test_jet_passes_only_the_divisors_of_the_splitting_quotient(p, r):
 
 def record_exact_divisions(monkeypatch):
     """A list that gets ((alpha, beta), exact) for every exact division the
-    sweep runs: each is Horner's rule in Z on the residual's levels, in the
-    domain the sweep picked, by the form Z - alpha*X - beta*Y."""
+    sweep runs: each is Horner's rule in Z on the residual's levels, on
+    discrete logarithms, by the form Z - alpha*X - beta*Y."""
     divisions = []
     original = factor._synthetic_divide
 
@@ -359,12 +361,13 @@ def test_a_passing_gate_leaves_the_verdict_to_the_division(monkeypatch):
 
 
 def from_levels(levels, s, spec):
-    """The polynomial whose Z-coefficients are levels (see _z_coefficients)."""
-    tables, mask, top = spec._tables, (1 << s) - 1, len(levels) - 1
+    """The polynomial whose Z-coefficients are levels (see _z_coefficients),
+    each the discrete logarithm of the multiplicative generator's power."""
+    g, mask, top = ffield.multiplicative_generator(spec), (1 << s) - 1, len(levels) - 1
     terms = {}
     for k, level in enumerate(levels):
         for key, c in level.items():
-            terms[key >> s, key & mask, top - k] = c if tables is None else tables.exp[c]
+            terms[key >> s, key & mask, top - k] = g**c
     return MultiPoly(spec, terms)
 
 
@@ -377,6 +380,7 @@ def test_synthetic_division_matches_exact_divide(make, p, r):
     and raises exactly when exact_divide raises, division after division
     on the first residual's slot width, as in the sweep."""
     spec = make(p, r)
+    logs = _logs(spec)
     X, Y, Z = MultiPoly.gens(spec)
     zero, *nonzero = spec.elements()
     a, b = nonzero[-1], nonzero[0]
@@ -391,16 +395,16 @@ def test_synthetic_division_matches_exact_divide(make, p, r):
             f = form**m * g
             s = max(f.total_degree(), 1).bit_length()
             for divisor in pairs:
-                levels, _ = _z_coefficients(f, s, spec._tables)
+                levels, _ = _z_coefficients(f, s, logs)
                 quotient = f
                 while True:
                     try:
                         quotient = exact_divide(quotient, linear(spec, *divisor))
                     except InexactDivisionError:
                         with pytest.raises(InexactDivisionError):
-                            factor._synthetic_divide(levels, *divisor, s, spec._tables)
+                            factor._synthetic_divide(levels, *divisor, s, logs)
                         break
-                    levels = factor._synthetic_divide(levels, *divisor, s, spec._tables)
+                    levels = factor._synthetic_divide(levels, *divisor, s, logs)
                     assert from_levels(levels, s, spec) == quotient, (f, divisor)
 
 
@@ -417,13 +421,44 @@ def test_a_gate_that_always_passes_changes_no_verdict(monkeypatch, make, p, r):
     expected = [unfiltered_linear_factors(f, spec).to_json() for f in cases]
     horner, runs = factor._horner, []
 
-    def always_zero(coeffs, z, tables):
-        runs.append(tables)
-        return horner(coeffs, z, tables)[:-1] + [None if tables else spec.zero()]
+    def always_zero(coeffs, z, logs):
+        runs.append(logs)
+        return horner(coeffs, z, logs)[:-1] + [None]
 
     monkeypatch.setattr(factor, "_horner", always_zero)
     assert [linear_factors_over(f, spec).to_json() for f in cases] == expected
-    assert runs and all(tables is spec._tables for tables in runs)
+    assert runs and all(logs == _logs(spec) for logs in runs)
+
+
+@pytest.mark.parametrize(
+    "p,r", [(p, r) for p in range(2, 65) if is_prime(p) for r in range(1, 7) if p**r <= 64]
+)
+def test_logs_built_on_demand_are_the_tables_lists(p, r):
+    tables = make_field(p, r)._tables
+    assert _logs(without_tables(p, r)) == (tables.log, tables.zech, tables.qm1)
+
+
+def test_a_sweep_reads_the_tables_lists_and_builds_its_own_only_without_tables(monkeypatch):
+    spec = make_field(3, 2)
+    T = t_poly(ExponentPair(9, 1, spec))  # its arithmetic builds the tables
+    expected = linear_factors_over(T, spec).to_json()
+
+    def refuse(spec):
+        raise AssertionError(f"a sweep over {spec} built its own lists")
+
+    monkeypatch.setattr(factor, "_zech_lists", refuse)
+    assert linear_factors_over(T, spec).to_json() == expected
+    # without tables, the lists are built on every sweep and kept nowhere
+    bare, built = without_tables(3, 2), []
+
+    def counted(spec):
+        built.append(spec)
+        return ffield._zech_lists(spec)
+
+    monkeypatch.setattr(factor, "_zech_lists", counted)
+    T = t_poly(ExponentPair(9, 1, bare))
+    assert [linear_factors_over(T, bare).to_json() for _ in range(2)] == [expected] * 2
+    assert built == [bare, bare] and vars(bare)["_tables"] is None
 
 
 _GATE_FIELDS = [(5, 1), (2, 2), (3, 2), (13, 1)]

@@ -11,7 +11,6 @@ from schurlab.modp import CeilingError
 from schurlab.mpoly import LinearForm, MultiPoly, substitute
 from schurlab.newton import (
     DIRECT_EXPANSION_CAP,
-    AlternativePair,
     TowerParams,
     applicable_modes,
     brute_count_alternatives,

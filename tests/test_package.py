@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ import schurlab
 from schurlab import vschur
 
 _SUBMODULES = ("ffield", "mpoly", "vschur", "factor", "newton")
+_ROOT = Path(__file__).parents[1]
 
 
 def test_every_public_name_is_its_defining_modules_object():
@@ -50,7 +52,33 @@ def test_submodules_import_from_the_package():
 
 
 def test_the_readme_example_runs():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
     example = next(block for block in blocks if "from schurlab import (" in block)
     exec(example, {})
+
+
+def _unused_imports(path, exempt) -> list[str]:
+    """The names path imports, bar those from __future__ and exempt, that
+    it never reads, as ``file:line name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exempt)
+    return [f"{path.relative_to(_ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a name in a module's __all__ is imported to be exported
+    unused = []
+    for path in sorted((_ROOT / "src" / "schurlab").glob("*.py")):
+        module = importlib.import_module("schurlab" if path.stem == "__init__" else f"schurlab.{path.stem}")
+        unused += _unused_imports(path, getattr(module, "__all__", ()))
+    for path in sorted((_ROOT / "tests").glob("*.py")):
+        unused += _unused_imports(path, ())
+    assert unused == []

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
