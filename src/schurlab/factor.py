@@ -14,13 +14,15 @@ deliberately distinct:
 
 Absence of linear factors alone never yields an "irreducible" verdict.
 
-The linear-factor sweep (:func:`linear_factors_over`) computes on discrete
-logarithms in every field, with None for 0: the log and Zech lists of the
-field's tables (order at most :data:`~schurlab.ffield.TABLE_CEILING`), and
-above that the same lists built for the one sweep.  It holds its residual
-as Z-coefficients keyed by packed (X, Y) exponents and divides it by each
-form with Horner's rule in Z (see _synthetic_divide).  The candidate
-pairs, their sums and the reported factors stay field elements.
+The linear-factor sweep (:func:`linear_factors_over`) computes on ints from
+entry to report: each field element is its code or its discrete logarithm,
+with None for 0, on the log and Zech lists of the field's tables (order at
+most :data:`~schurlab.ffield.TABLE_CEILING`), and above that the same
+lists built for the one sweep.  It holds its residual as Z-coefficients
+keyed by packed (X, Y) exponents and divides it by each form with Horner's
+rule in Z (see _synthetic_divide).  It makes no element arithmetic and
+enumerates no elements; only the reported factors are built as field
+elements, from their codes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ffield import FieldSpec, _zech_lists, field_of, make_field
+from .ffield import FFElement, FieldSpec, _zech_lists, field_of, make_field
 from .modp import DESK_CEILING, check_ceiling
 from .mpoly import (
     EXPONENT_CAP,
@@ -142,27 +144,41 @@ def _logs(spec: FieldSpec) -> tuple[list, list, int]:
     return log, zech, spec.order() - 1
 
 
+def _add(a, b, logs: tuple):
+    """g^a + g^b on logarithms in the domain logs (see _logs), None for 0,
+    by one Zech lookup: g^a + g^b = g^a * (1 + g^(b-a))."""
+    if a is None or b is None:
+        return a if b is None else b
+    z = logs[1][b - a]
+    return None if z is None else (a + z) % logs[2]
+
+
 def _z_coefficients(f: MultiPoly, s: int, logs: tuple) -> tuple[list, tuple]:
-    """f's Z-coefficients, top power first, in the domain logs (see _logs):
-    as levels, dicts from the key a << s | b of X^a Y^b to a coefficient,
-    and as three lists, their values at (X, Y) = (1, 0), (0, 1) and (1, 1).
-    There X^a Y^b is 1 or 0, so the one pass sums a term without Y into the
-    first list, without X into the second and every term into the third,
-    with no product, on elements, once per sweep.
+    """The Z-coefficients, top power first, in the domain logs (see _logs),
+    of f with its largest monomial factor X^i Y^j divided out: as levels,
+    dicts from the key a << s | b of X^a Y^b to a coefficient, and as three
+    lists, their values at (X, Y) = (1, 0), (0, 1) and (1, 1).
+
+    A form Z - alpha*X - beta*Y is prime to X and Y, so it divides the
+    result exactly as often as it divides f, and the Z-degree is f's.  At
+    the three points X^a Y^b is 1 or 0, so the one pass sums a term without
+    Y into the first list, without X into the second and every term into
+    the third, with no product, once per sweep.
     """
-    log, zero = logs[0], f.field.zero()
+    log = logs[0]
+    i, j = (min(mon[n] for mon in f._terms) for n in (0, 1))
     top = f.degree_in("Z")
     levels = [{} for _ in range(top + 1)]
-    at_x, at_y, at_xy = [zero] * (top + 1), [zero] * (top + 1), [zero] * (top + 1)
+    at_x, at_y, at_xy = [None] * (top + 1), [None] * (top + 1), [None] * (top + 1)
     for (a, b, k), c in f._terms.items():
-        k = top - k
-        levels[k][a << s | b] = log[c.code]
-        at_xy[k] = at_xy[k] + c
+        a, b, k, v = a - i, b - j, top - k, log[c.code]
+        levels[k][a << s | b] = v
+        at_xy[k] = _add(at_xy[k], v, logs)
         if not b:
-            at_x[k] = at_x[k] + c
+            at_x[k] = _add(at_x[k], v, logs)
         if not a:
-            at_y[k] = at_y[k] + c
-    return levels, tuple([log[c.code] for c in lists] for lists in (at_x, at_y, at_xy))
+            at_y[k] = _add(at_y[k], v, logs)
+    return levels, (at_x, at_y, at_xy)
 
 
 def _horner(coeffs: list, z, logs: tuple) -> list:
@@ -171,9 +187,9 @@ def _horner(coeffs: list, z, logs: tuple) -> list:
     and the others, top power first, the coefficients of the quotient by
     Z - z (synthetic division).
 
-    A product is a sum of logs and a sum is one Zech lookup,
-    g^a + g^c = g^a * (1 + g^(c-a)); each log is reduced mod q - 1, so
-    every index is in range of the doubled zech.
+    A product is a sum of logs and a sum is one Zech lookup, as in _add,
+    inline in this hot loop; each log is reduced mod q - 1, so every index
+    is in range of the doubled zech.
     """
     _, zech, qm1 = logs
     acc = coeffs[0]
@@ -190,10 +206,10 @@ def _horner(coeffs: list, z, logs: tuple) -> list:
     return out
 
 
-def _synthetic_divide(levels: list, alpha, beta, s: int, logs: tuple) -> list:
+def _synthetic_divide(levels: list, la, lb, s: int, logs: tuple) -> list:
     """The quotient of levels (see _z_coefficients) by Z - alpha*X - beta*Y,
-    as levels, in the domain logs (see _logs); raises InexactDivisionError
-    when the form does not divide.
+    alpha = g^la and beta = g^lb, as levels, in the domain logs (see
+    _logs); raises InexactDivisionError when the form does not divide.
 
     This is _horner with bivariate coefficients, at Z = alpha*X + beta*Y:
     Q_(top-1) = C_top, Q_(k-1) = C_k + alpha*X*Q_k + beta*Y*Q_k, exact
@@ -201,11 +217,12 @@ def _synthetic_divide(levels: list, alpha, beta, s: int, logs: tuple) -> list:
     images at (X, Y) = (1, 0), (0, 1) and (1, 1), so the quotient's lists
     are their partial values.  A product by X (Y) adds 1 << s (1) to a key,
     as no exponent passes the levels' total degree, and is skipped when
-    alpha (beta) is 0.  A product is a sum of logs and a sum one Zech
-    lookup, None deleting the entry.
+    alpha (beta) is 0, that is, when its log is None (log 0 is the element
+    1).  A product is a sum of logs and a sum one Zech lookup, inline as
+    in _horner, None deleting the entry.
     """
-    log, zech, qm1 = logs
-    passes = [(shift, log[c.code]) for shift, c in ((1 << s, alpha), (1, beta)) if c]
+    _, zech, qm1 = logs
+    passes = [(shift, c) for shift, c in ((1 << s, la), (1, lb)) if c is not None]
     acc, out = levels[0], []
     for level in levels[1:]:
         out.append(acc)
@@ -225,45 +242,33 @@ def _synthetic_divide(levels: list, alpha, beta, s: int, logs: tuple) -> list:
                         nxt[key] = (old + z) % qm1
         acc = nxt
     if acc:
-        raise InexactDivisionError(f"Z - ({alpha})*X - ({beta})*Y does not divide exactly")
+        raise InexactDivisionError(f"Z - g^({la})*X - g^({lb})*Y does not divide exactly")
     return out
 
 
-def _monomial_free(f: MultiPoly) -> MultiPoly:
-    """f with its largest monomial factor X^i Y^j divided out.
+def _candidate_forms(z_lists: tuple[list, list, list], logs: tuple):
+    """The pairs ((code, log) of alpha, (code, log) of beta) that may give a
+    divisor Z - alpha*X - beta*Y of g.
 
-    A form Z - alpha*X - beta*Y is prime to X and Y, so it divides the
-    result exactly as often as it divides f, and the Z-degree is f's.
-    """
-    i = min(mon[0] for mon in f._terms)
-    j = min(mon[1] for mon in f._terms)
-    if not (i or j):
-        return f
-    return MultiPoly._raw(f.field, {(a - i, b - j, c): v for (a, b, c), v in f._terms.items()})
-
-
-def _candidate_forms(z_lists: tuple[list, list, list], spec: FieldSpec, logs: tuple):
-    """The (alpha, beta) that may give a divisor Z - alpha*X - beta*Y of g.
-
-    z_lists holds the lists of _z_coefficients for a g that neither X nor Y
-    divides (see _monomial_free).  A divisor makes g vanish at (1, 0, alpha),
-    (0, 1, beta) and (1, 1, alpha + beta), so every other pair is rejected
-    exactly: alpha runs over the zeros of g(1, 0, Z), beta over those of
-    g(0, 1, Z), and a pair passes only if alpha + beta is a zero of
-    g(1, 1, Z).  Each zero set is Horner's rule on one of the lists, in
-    the domain logs (see _logs), deg_Z g steps per field element, each
-    element met beside its logarithm.  For homogeneous g the first two sets
-    hold at most deg_Z g elements.  Pairs come lexicographically by
-    coordinate vectors.
+    z_lists holds the lists of _z_coefficients, whose g neither X nor Y
+    divides.  A divisor makes g vanish at (1, 0, alpha), (0, 1, beta) and
+    (1, 1, alpha + beta), so every other pair is rejected exactly: alpha
+    runs over the zeros of g(1, 0, Z), beta over those of g(0, 1, Z), and
+    a pair passes only if alpha + beta is a zero of g(1, 1, Z).  Each zero
+    set is Horner's rule on one of the lists, in the domain logs (see
+    _logs), deg_Z g steps per code, each code met beside its logarithm in
+    enumerate(log).  For homogeneous g the first two sets hold at most
+    deg_Z g elements.  Codes run in coordinate-vector order, so pairs come
+    lexicographically by coordinate vectors.
     """
     alphas, betas, sums = (
-        [z for z, v in zip(spec.elements(), logs[0]) if _horner(c, v, logs)[-1] is None]
+        [(code, v) for code, v in enumerate(logs[0]) if _horner(c, v, logs)[-1] is None]
         for c in z_lists
     )
-    sums = set(sums)
+    sums = {v for _, v in sums}
     for alpha in alphas:
         for beta in betas:
-            if alpha + beta in sums:
+            if _add(alpha[1], beta[1], logs) in sums:
                 yield alpha, beta
 
 
@@ -271,9 +276,9 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     """Sweep the (alpha, beta) in the field, extracting Z - alpha*X - beta*Y.
 
     The loop state is the residual, first f with its monomial factor
-    divided out (see _monomial_free), as its _z_coefficients, on discrete
-    logarithms in every field: the log and Zech lists are read once, on
-    entry, from spec's tables when it has them (order at most
+    divided out, as its _z_coefficients, on ints: each field element is its
+    code or its discrete logarithm (None for 0); the log and Zech lists are
+    read once, on entry, from spec's tables when it has them (order at most
     TABLE_CEILING), and else built for this call (see _logs).  Each pair
     first meets a zero-set filter on the first lists (see
     _candidate_forms), valid for the whole sweep because every later
@@ -284,10 +289,10 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     divided by the form by Horner's rule in Z (_synthetic_divide), and the
     exact division decides: the count of exact ones is the multiplicity
     (substitution is only the tests' oracle).  A quotient's lists are the
-    gate's partial values, and the first residual's slot width serves
-    every division, since residual degrees only fall.  The pairs, their
-    sums and the report's factors stay elements, and the factor list is
-    lexicographic by coordinate vectors.
+    gate's partial values, and f's slot width serves every division, since
+    residual degrees only fall.  An element is built, from its code, only
+    for a factor the report lists, and the factor list is lexicographic by
+    coordinate vectors.
     Raises CeilingError (see check_ceiling) when spec's order exceeds the ceiling.
     """
     if f.is_zero():
@@ -295,34 +300,31 @@ def linear_factors_over(f: MultiPoly, spec: FieldSpec, ceiling: int = DESK_CEILI
     if f.field != spec:
         raise ValueError(f"polynomial lives over {f.field}, not {spec}")
     check_ceiling(spec.p, spec.r, ceiling)
-    leading = f.coeff_of("Z", f.degree_in("Z"))
-    residual = _monomial_free(f)
     logs = _logs(spec)
-    log = logs[0]
-    s = max(residual.total_degree(), 1).bit_length()
-    levels, z_lists = _z_coefficients(residual, s, logs)
+    s = max(f.total_degree(), 1).bit_length()
+    levels, z_lists = _z_coefficients(f, s, logs)
     factors = []
-    for alpha, beta in _candidate_forms(z_lists, spec, logs):
-        points = [log[v.code] for v in (alpha, beta, alpha + beta)]
+    for (a, la), (b, lb) in _candidate_forms(z_lists, logs):
+        points = (la, lb, _add(la, lb, logs))
         mult = 0
         while True:
             runs = [_horner(c, v, logs) for c, v in zip(z_lists, points)]
             if any(run[-1] is not None for run in runs):
                 break
             try:
-                levels = _synthetic_divide(levels, alpha, beta, s, logs)
+                levels = _synthetic_divide(levels, la, lb, s, logs)
             except InexactDivisionError:
                 break
             z_lists = tuple(run[:-1] for run in runs)
             mult += 1
         if mult:
-            factors.append(((alpha, beta), mult))
+            factors.append(((FFElement._of(spec, a), FFElement._of(spec, b)), mult))
     residual_deg = len(z_lists[0]) - 1
     return FactorReport(
         input=f,
         field=spec,
         linear_factors=tuple(factors),
-        leading_coeff=leading.to_text(),
+        leading_coeff=f.coeff_of("Z", f.degree_in("Z")).to_text(),
         residual_degree_in_z=residual_deg,
         fully_split=residual_deg == 0,
     )

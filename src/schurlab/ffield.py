@@ -44,8 +44,9 @@ field (r = 1) computes on its codes mod p.
 Both kinds of field answer one interface, which is all the rest of the
 package uses (except that :mod:`schurlab.mpoly` runs integral rational
 operands on ints, and the linear-factor sweep of :mod:`schurlab.factor`
-runs on the integer log and Zech lists, the tables' own or, above
-:data:`TABLE_CEILING`, lists built for the one sweep): ``p``, ``zero()``,
+runs on codes and the integer log and Zech lists, the tables' own or,
+above :data:`TABLE_CEILING`, lists built for the one sweep, and builds
+the elements it reports from their codes with ``FFElement._of``): ``p``, ``zero()``,
 ``one()``, ``from_int(n)``, ``coerce(value)``, ``token(c)``/``parse(token)``
 and ``roots_of_unity(n)``.
 Elements are tested for zero by their truthiness, and :func:`is_scalar`

@@ -387,6 +387,14 @@ _CALLS = [
     # sweep runs on log and Zech lists built for the one call
     ("factor --A 3 --B 1 --p 131101 --r 1", None,
      0, "factors=1 residual_degree=0 fully_split=true\n", None),
+    # a partial split over F_9, four forms in coordinate-vector order
+    ("factor --A 26 --B 2 --p 3 --r 2 --format json", None, 0,
+     '{"A": 26, "B": 2, "command": "factor", "factor_count": 4, "factors": ['
+     '{"alpha": "3^2:[1,0]", "beta": "3^2:[1,0]", "multiplicity": 1}, '
+     '{"alpha": "3^2:[1,0]", "beta": "3^2:[2,0]", "multiplicity": 1}, '
+     '{"alpha": "3^2:[2,0]", "beta": "3^2:[1,0]", "multiplicity": 1}, '
+     '{"alpha": "3^2:[2,0]", "beta": "3^2:[2,0]", "multiplicity": 1}], '
+     '"fully_split": false, "p": 3, "r": 2, "residual_degree_in_z": 18}\n', None),
     ("signature --A 5 --B 2 --p 7 --r 1 --format json", None, 0, _Sha("196ec2ba545ec708"), None),
     # (13, 5) needs the 5th and 8th roots: F_7 lacks both, F_49 holds only the
     # 8th, and F_{7^4} holds the 40th

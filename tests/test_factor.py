@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurlab import factor, ffield, mpoly
-from schurlab.ffield import TABLE_CEILING, FieldSpec, FieldTooSmallError, make_field
+from schurlab.ffield import TABLE_CEILING, FFElement, FieldSpec, FieldTooSmallError, make_field
 from schurlab.modp import CeilingError, irreducible_modulus, is_prime
 from schurlab.factor import (
     FactorReport,
     _candidate_forms,
     _logs,
-    _monomial_free,
     _z_coefficients,
     check_closed_form,
     divides,
@@ -233,10 +232,11 @@ def test_filtered_sweep_on_random_linear_products(case):
 
 
 def candidate_forms(f, spec):
-    """The forms that pass the sweep's zero-set filter on f."""
-    logs, g = _logs(spec), _monomial_free(f)
-    _, z_lists = _z_coefficients(g, max(g.total_degree(), 1).bit_length(), logs)
-    return _candidate_forms(z_lists, spec, logs)
+    """The forms that pass the sweep's zero-set filter on f, as element pairs."""
+    logs = _logs(spec)
+    _, z_lists = _z_coefficients(f, max(f.total_degree(), 1).bit_length(), logs)
+    return [(FFElement._of(spec, a), FFElement._of(spec, b))
+            for (a, _), (b, _) in _candidate_forms(z_lists, logs)]
 
 
 @pytest.mark.parametrize("p,r", [(2, 2), (5, 1), (3, 2)])
@@ -263,20 +263,28 @@ def test_jet_passes_only_the_divisors_of_the_splitting_quotient(p, r):
     assert len(passed) == spec.order() - 2
 
 
-def record_exact_divisions(monkeypatch):
+def from_log(spec, v):
+    """The element whose discrete logarithm is v (None for 0): the power of
+    the multiplicative generator."""
+    return spec.zero() if v is None else ffield.multiplicative_generator(spec) ** v
+
+
+def record_exact_divisions(monkeypatch, spec):
     """A list that gets ((alpha, beta), exact) for every exact division the
-    sweep runs: each is Horner's rule in Z on the residual's levels, on
-    discrete logarithms, by the form Z - alpha*X - beta*Y."""
+    sweep over spec runs: each is Horner's rule in Z on the residual's
+    levels, on discrete logarithms, by the form Z - alpha*X - beta*Y, whose
+    logs are mapped back to elements here."""
     divisions = []
     original = factor._synthetic_divide
 
-    def recorded(levels, alpha, beta, *packing):
+    def recorded(levels, la, lb, *packing):
+        pair = (from_log(spec, la), from_log(spec, lb))
         try:
-            quotient = original(levels, alpha, beta, *packing)
+            quotient = original(levels, la, lb, *packing)
         except InexactDivisionError:
-            divisions.append(((alpha, beta), False))
+            divisions.append((pair, False))
             raise
-        divisions.append(((alpha, beta), True))
+        divisions.append((pair, True))
         return quotient
 
     monkeypatch.setattr(factor, "_synthetic_divide", recorded)
@@ -288,7 +296,7 @@ def test_lines_through_triple_points_on_x_zero_skip_the_exact_test(monkeypatch, 
     # a Taylor jet at (0 : 1 : beta) passed 13 and 9 such non-divisors here
     spec = make_field(p, 1)
     T = t_poly(ExponentPair(A, B, spec))
-    calls = record_exact_divisions(monkeypatch)
+    calls = record_exact_divisions(monkeypatch, spec)
     report = linear_factors_over(T, spec)
     assert not report.linear_factors  # so each division is one form reaching the test
     assert len(calls) <= most
@@ -296,14 +304,14 @@ def test_lines_through_triple_points_on_x_zero_skip_the_exact_test(monkeypatch, 
 
 def forms_reaching_the_exact_test(monkeypatch, f, spec):
     """The distinct forms that linear_factors_over tries to divide out of f."""
-    divisions = record_exact_divisions(monkeypatch)
+    divisions = record_exact_divisions(monkeypatch, spec)
     report = linear_factors_over(f, spec)
     return report, {form for form, _ in divisions}
 
 
 def test_monomial_factors_leave_one_form_for_the_exact_test(monkeypatch):
     # X*Y*Z vanishes on X = 0 and on Y = 0, so the zero sets of f itself
-    # hold every element; those of Z hold only 0
+    # hold every element; those of Z, which the sweep packs, hold only 0
     spec = make_field(101, 1)
     X, Y, Z = MultiPoly.gens(spec)
     report, forms = forms_reaching_the_exact_test(monkeypatch, X * Y * Z, spec)
@@ -313,8 +321,8 @@ def test_monomial_factors_leave_one_form_for_the_exact_test(monkeypatch):
 
 
 def test_both_monomial_factors_are_divided_out(monkeypatch):
-    # the filter and the gate see f without X and Y, so only the two
-    # divisors reach the exact test
+    # the sweep folds X*Y^2 out as it packs f, so the filter and the gate
+    # see f without X and Y, and only the two divisors reach the exact test
     spec = make_field(101, 1)
     X, Y, Z = MultiPoly.gens(spec)
     report, forms = forms_reaching_the_exact_test(monkeypatch, X * Y**2 * Z * (Z - X - Y), spec)
@@ -328,8 +336,11 @@ def test_a_kept_monomial_factor_would_send_forms_to_the_exact_test(monkeypatch, 
     # Z^2 + X*Y passes no pair over F_5: 0 is its only zero on X = 0 and on
     # Y = 0, and 0 + 0 is no root of Z^2 + 1.  A kept X (Y) would let
     # (0, 2), (0, 3) ((2, 0), (3, 0)) through both the filter and the gate.
+    # The sweep packs f as it packs Z^2 + X*Y.
     X, Y, Z = MultiPoly.gens(F5)
-    report, forms = forms_reaching_the_exact_test(monkeypatch, X**i * Y**j * (Z**2 + X * Y), F5)
+    f, logs = X**i * Y**j * (Z**2 + X * Y), _logs(F5)
+    assert _z_coefficients(f, 4, logs) == _z_coefficients(Z**2 + X * Y, 4, logs)
+    report, forms = forms_reaching_the_exact_test(monkeypatch, f, F5)
     assert forms == set()
     assert report.linear_factors == () and report.residual_degree_in_z == 2
 
@@ -340,7 +351,7 @@ def test_splitting_sweep_runs_no_inexact_division(monkeypatch, A, p, r):
     # each quotient away from its form without a second division
     spec = make_field(p, r)
     T = t_poly(ExponentPair(A, 1, spec))
-    divisions = record_exact_divisions(monkeypatch)
+    divisions = record_exact_divisions(monkeypatch, spec)
     report = linear_factors_over(T, spec)
     assert report.fully_split and report.factor_count() == spec.order() - 2
     assert len(divisions) == spec.order() - 2
@@ -353,7 +364,7 @@ def test_a_passing_gate_leaves_the_verdict_to_the_division(monkeypatch):
     X, Y, Z = MultiPoly.gens(F5)
     pair = (F5.from_int(2), F5.from_int(3))
     form = linear(F5, *pair)
-    divisions = record_exact_divisions(monkeypatch)
+    divisions = record_exact_divisions(monkeypatch, F5)
     report = linear_factors_over(form**2 * (X * Y * (X - Y) + form * Z**2), F5)
     assert report.linear_factors == ((pair, 2),)
     assert report.residual_degree_in_z == 3
@@ -362,12 +373,12 @@ def test_a_passing_gate_leaves_the_verdict_to_the_division(monkeypatch):
 
 def from_levels(levels, s, spec):
     """The polynomial whose Z-coefficients are levels (see _z_coefficients),
-    each the discrete logarithm of the multiplicative generator's power."""
-    g, mask, top = ffield.multiplicative_generator(spec), (1 << s) - 1, len(levels) - 1
+    each a discrete logarithm (see from_log)."""
+    mask, top = (1 << s) - 1, len(levels) - 1
     terms = {}
     for k, level in enumerate(levels):
         for key, c in level.items():
-            terms[key >> s, key & mask, top - k] = g**c
+            terms[key >> s, key & mask, top - k] = from_log(spec, c)
     return MultiPoly(spec, terms)
 
 
@@ -396,15 +407,15 @@ def test_synthetic_division_matches_exact_divide(make, p, r):
             s = max(f.total_degree(), 1).bit_length()
             for divisor in pairs:
                 levels, _ = _z_coefficients(f, s, logs)
-                quotient = f
+                quotient, divisor_logs = f, [logs[0][c.code] for c in divisor]
                 while True:
                     try:
                         quotient = exact_divide(quotient, linear(spec, *divisor))
                     except InexactDivisionError:
                         with pytest.raises(InexactDivisionError):
-                            factor._synthetic_divide(levels, *divisor, s, logs)
+                            factor._synthetic_divide(levels, *divisor_logs, s, logs)
                         break
-                    levels = factor._synthetic_divide(levels, *divisor, s, logs)
+                    levels = factor._synthetic_divide(levels, *divisor_logs, s, logs)
                     assert from_levels(levels, s, spec) == quotient, (f, divisor)
 
 
@@ -459,6 +470,28 @@ def test_a_sweep_reads_the_tables_lists_and_builds_its_own_only_without_tables(m
     T = t_poly(ExponentPair(9, 1, bare))
     assert [linear_factors_over(T, bare).to_json() for _ in range(2)] == [expected] * 2
     assert built == [bare, bare] and vars(bare)["_tables"] is None
+
+
+def test_a_sweep_runs_on_ints_and_builds_elements_only_for_its_report(monkeypatch):
+    # T(9,1) with tables and without; T(10,3)/F_7, where the gate lets three
+    # inexact divisions through; and a monomial factor X*Y^2, folded out as
+    # the sweep packs f
+    F9, F101 = make_field(3, 2), make_field(101, 1)
+    bare = without_tables(3, 2)
+    X, Y, Z = MultiPoly.gens(F101)
+    cases = [(t_poly(ExponentPair(9, 1, F9)), F9), (t_poly(ExponentPair(9, 1, bare)), bare),
+             (t_poly(ExponentPair(10, 3, F7)), F7), (X * Y**2 * Z * (Z - X - Y), F101)]
+    expected = [linear_factors_over(f, spec).to_json() for f, spec in cases]
+
+    def refuse(*args):
+        raise AssertionError("the sweep made element arithmetic or enumerated a field")
+
+    monkeypatch.setattr(FieldSpec, "elements", refuse)
+    # __radd__ and __rmul__ are bindings of their own
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                 "__pow__", "__truediv__"):
+        monkeypatch.setattr(FFElement, name, refuse)
+    assert [linear_factors_over(f, spec).to_json() for f, spec in cases] == expected
 
 
 _GATE_FIELDS = [(5, 1), (2, 2), (3, 2), (13, 1)]
